@@ -350,6 +350,8 @@ def run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int | None = None,
     out.mkdir(parents=True, exist_ok=True)
     if seed is None:
         seed = cfg.seed
+    elif seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     model = Model(cfg)
     results = {}
 
@@ -441,11 +443,17 @@ def main(argv=None) -> int:
             cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
         else:
             cfg = parse_config(default_config_text())
-        run(args.subcommand, cfg, args.out, seed=args.seed, quiet=args.quiet)
+        results = run(args.subcommand, cfg, args.out, seed=args.seed,
+                      quiet=args.quiet)
     except (ConfigError, profiles.ProfileError, orbits.OrbitError,
             plane.PlaneError, lincr.LinCRError, energy_mod.EnergyError,
             geometry.GeometryError, index_mod.IndexError_) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    flags = results["summary"]["pass_flags"] if "summary" in results else {}
+    failed = [name for name, ok in flags.items() if not ok]
+    if failed:
+        print("error: failed pass flags: " + ", ".join(failed), file=sys.stderr)
         return 1
     return 0
 

@@ -68,6 +68,11 @@ class RunConfig:
     def validate(self):
         if self.n < 2:
             raise ConfigError("n must be >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"[run] seed must be >= 0, got {self.seed}")
+        if self.binding_shape not in ("fig2", "collar"):
+            raise ConfigError(f"[binding] shape must be fig2 or collar, "
+                              f"got {self.binding_shape!r}")
         if self.k == 0:
             raise ConfigError("k must be nonzero (k = 0 gives no twist)")
         for name in ("tol_quadrature", "tol_ode", "tol_root", "tol_rank",

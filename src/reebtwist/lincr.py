@@ -24,6 +24,7 @@ constants plus one decaying branch) and two mode-(-1) directions (the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,6 +59,11 @@ class LinCRError(ValueError):
     pass
 
 
+# DOP853 tolerances of every shooting and phase-plane integration
+ODE_RTOL = 1e-11
+ODE_ATOL = 1e-13
+
+
 # ----------------------------------------------------------------------
 # the reduced equation and its coefficients
 # ----------------------------------------------------------------------
@@ -66,8 +72,8 @@ class LinCRError(ValueError):
 class WEquation:
     """Coefficient data of the reduced equation along the plane.
 
-    ``rhs_coeff`` is F(rho), ``H2``/``G1`` the second/first-component
-    coupling factors -h2*F and h1*F, and ``a_norm`` the sup of the
+    ``H2``/``G1`` are the second/first-component coupling factors -h2*F
+    and h1*F at radius rho, and ``a_norm`` the sup of the
     pointwise operator norm |F|*sqrt(h1^2+h2^2) of the zeroth-order
     term.  ``H2_inf`` = h2''(r0) is the recorded limit (nonzero: the
     profiles do not flatten at r0).
@@ -82,10 +88,6 @@ class WEquation:
 
     def r_of_rho(self, rho: float) -> float:
         return self.sol.r_of_rho(rho)
-
-    def rhs_coeff(self, rho: float) -> float:
-        r = self.sol.r_of_rho(rho)
-        return self._F_at_r(r)
 
     def _F_at_r(self, r: float) -> float:
         if r <= 0.0:
@@ -257,8 +259,8 @@ class ModeSystem:
     """Angular-mode reduction of the second component.
 
     State X = (Re u, Re v, Im u, Im v) with u the mode-k amplitude and
-    v the conjugated mode-(-k) amplitude; X' = coefficient_matrix/rho
-    applied to X, with the two real halves decoupled and identical:
+    v the conjugated mode-(-k) amplitude; rho X' applies M2 to each of
+    the two real halves, which are decoupled and identical:
 
         M2 = [[k + H2/2, H2/2], [H2/2, -k + H2/2]].
 
@@ -274,22 +276,6 @@ class ModeSystem:
         H2 = self.we.H2(rho)
         return np.array([[self.k + H2 / 2.0, H2 / 2.0],
                          [H2 / 2.0, -self.k + H2 / 2.0]])
-
-    def coefficient_matrix(self, rho: float) -> np.ndarray:
-        m = self.m2(rho)
-        out = np.zeros((4, 4))
-        out[:2, :2] = m
-        out[2:, 2:] = m
-        return out
-
-    def limit_matrix(self) -> np.ndarray:
-        H2 = self.we.H2_inf
-        m = np.array([[self.k + H2 / 2.0, H2 / 2.0],
-                      [H2 / 2.0, -self.k + H2 / 2.0]])
-        out = np.zeros((4, 4))
-        out[:2, :2] = m
-        out[2:, 2:] = m
-        return out
 
 
 def mode_system(we: WEquation, k: int, delta: float | None = None) -> ModeSystem:
@@ -346,7 +332,8 @@ def cone_invariance_check(we: WEquation, rho_span: tuple,
             return [H2 * v[0] + v[1], v[0]]
 
         out = integrate.solve_ivp(rhs, xs, v0, method="DOP853",
-                                  rtol=1e-11, atol=1e-13, dense_output=True)
+                                  rtol=ODE_RTOL, atol=ODE_ATOL,
+                                  dense_output=True)
         if not out.success:
             raise LinCRError(f"phase-plane integration failed: {out.message}")
         sample = out.sol(np.linspace(xs[0], xs[1], n_steps))
@@ -381,32 +368,71 @@ def cone_invariance_check(we: WEquation, rho_span: tuple,
 _SLOTS = ("w1p", "w1m", "w2p", "w2m")
 
 
+@functools.lru_cache(maxsize=None)
+def _block_parts(k: int):
+    """Constant matrices (K, P, Q) of the block-|k| system
+    A = K + G1*P + H2*Q, built once per block and read-only.  Block 0
+    is 4-dimensional, state (Re w1, Im w1, Re w2, Im w2), and only
+    Re w2 couples."""
+    if k == 0:
+        K, P, Q = np.zeros((3, 4, 4))
+        P[0, 2] = 1.0
+        Q[2, 2] = 1.0
+    else:
+        K = np.diag(k * np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0]))
+        # Re chi = (Re w2p + Re w2m)/2, Im chi = (Im w2p - Im w2m)/2;
+        # the rows of a +k slot take chi, those of a -k slot conj(chi)
+        re_chi = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.5, 0.0])
+        im_chi = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, -0.5])
+        takes = np.array([re_chi, im_chi, re_chi, -im_chi])
+        P, Q = np.zeros((2, 8, 8))
+        P[:4] = takes
+        Q[4:] = takes
+    for M in (K, P, Q):
+        M.setflags(write=False)
+    return K, P, Q
+
+
 def _block_matrix(k: int, G1: float, H2: float) -> np.ndarray:
-    A = np.zeros((8, 8))
-    def put(i, j, val):
-        A[i, j] += val
-    # diagonal +-k
-    for idx, sgn in ((0, +1), (1, -1), (2, +1), (3, -1)):
-        put(2 * idx, 2 * idx, sgn * k)
-        put(2 * idx + 1, 2 * idx + 1, sgn * k)
-    # chi = (w2p + conj(w2m))/2: Re chi = (Re w2p + Re w2m)/2,
-    #                            Im chi = (Im w2p - Im w2m)/2
-    for coeff, row in ((G1, 0), (G1, 2), (H2, 4), (H2, 6)):
-        conj = row in (2, 6)  # w1m, w2m take conj(chi)
-        put(row, 4, coeff / 2.0)
-        put(row, 6, coeff / 2.0)
-        s = -1.0 if conj else 1.0
-        put(row + 1, 5, s * coeff / 2.0)
-        put(row + 1, 7, -s * coeff / 2.0)
-    return A
+    K, P, Q = _block_parts(k)
+    return K + G1 * P + H2 * Q
 
 
-def _block0_matrix(G1: float, H2: float) -> np.ndarray:
-    # state (Re w1, Im w1, Re w2, Im w2); only Re w2 couples
-    A = np.zeros((4, 4))
-    A[0, 2] = G1
-    A[2, 2] = H2
-    return A
+def _coefficients(bp: BindingProfile, r: float):
+    """(G1, H2, h2') at plane radius r > 0, from one evaluation of each
+    profile value and derivative."""
+    h1, h2 = bp.h1.value(r), bp.h2.value(r)
+    h1d, h2d = bp.h1.d1(r), bp.h2.d1(r)
+    F = (h1d * bp.h2.d2(r) - h2d * bp.h1.d2(r)) / (h1 * h2d - h2 * h1d)
+    return h1 * F, -h2 * F, h2d
+
+
+def _propagate(we: WEquation, k: int, Y: np.ndarray, x_from: float,
+               x_to: float) -> np.ndarray:
+    """Propagate the columns of Y under the block-|k| system from x_from
+    to x_to in one solve_ivp.
+
+    The plane radius rides along as a last state component
+    (dr/dx = h2'(r)), anchored at x_from on the plane solution, so the
+    right-hand side never consults the plane interpolant."""
+    bp = we.bp
+    dim, ncols = Y.shape
+    n = dim * ncols
+
+    def rhs(_x, y):
+        G1, H2, h2d = _coefficients(bp, y[n])
+        dy = np.empty(n + 1)
+        dy[:n] = (_block_matrix(k, G1, H2) @ y[:n].reshape(dim, ncols)).ravel()
+        dy[n] = h2d
+        return dy
+
+    y0 = np.append(Y.ravel(), we.r_of_rho(math.exp(x_from)))
+    out = integrate.solve_ivp(rhs, (x_from, x_to), y0, method="DOP853",
+                              rtol=ODE_RTOL, atol=ODE_ATOL)
+    if not out.success:
+        raise LinCRError(f"mode {k} shooting failed on "
+                         f"[{x_from:.2f}, {x_to:.2f}]")
+    return out.y[:n, -1].reshape(dim, ncols)
 
 
 def _integrate_basis(we: WEquation, k: int, basis: np.ndarray,
@@ -415,25 +441,11 @@ def _integrate_basis(we: WEquation, k: int, basis: np.ndarray,
     """Propagate the columns of ``basis`` under the block system from
     x_from to x_to, with QR renormalization after every chunk when
     ``renormalize`` (then only the spanned subspace is meaningful)."""
-    dim, ncols = basis.shape
-    Y = np.linalg.qr(basis)[0] if renormalize else basis.copy()
+    Y = np.linalg.qr(basis)[0] if renormalize else basis
     n_chunk = max(1, int(math.ceil(abs(x_to - x_from) / chunk)))
     edges = np.linspace(x_from, x_to, n_chunk + 1)
-
-    def rhs(x, y):
-        rho = math.exp(x)
-        if dim == 4:
-            A = _block0_matrix(we.G1(rho), we.H2(rho))
-        else:
-            A = _block_matrix(k, we.G1(rho), we.H2(rho))
-        return (A @ y.reshape(dim, ncols)).ravel()
-
     for a, b in zip(edges[:-1], edges[1:]):
-        out = integrate.solve_ivp(rhs, (a, b), Y.ravel(), method="DOP853",
-                                  rtol=1e-11, atol=1e-13)
-        if not out.success:
-            raise LinCRError(f"mode {k} shooting failed on [{a:.2f}, {b:.2f}]")
-        Y = out.y[:, -1].reshape(dim, ncols)
+        Y = _propagate(we, k, Y, float(a), float(b))
         if renormalize:
             Y = np.linalg.qr(Y)[0]
     return Y
@@ -468,11 +480,7 @@ def _outer_basis(we: WEquation, block: int, delta: float) -> np.ndarray:
     limiting system (decay rate >= delta), plus, for mode 0, the two
     constant first-component directions (the asymptotic shift and
     rotation allowances)."""
-    if block == 0:
-        A = _block0_matrix(we.G1_inf, we.H2_inf)
-    else:
-        A = _block_matrix(block, we.G1_inf, we.H2_inf)
-    lam, vec = np.linalg.eig(A)
+    lam, vec = np.linalg.eig(_block_matrix(block, we.G1_inf, we.H2_inf))
     cols = []
     for j in range(len(lam)):
         if lam[j].real <= -delta:
@@ -598,9 +606,10 @@ def a_norm_report(we: WEquation) -> dict:
 
 def mode_shooting_table(we: WEquation, k_max: int = 5, n_samples: int = 25):
     """Growth profiles of the regular-at-0 basis directions per block:
-    rows (block, direction, rho, log10_norm), with each direction
-    integrated separately and rescaled chunk by chunk (only the slope
-    of the log-norm is meaningful)."""
+    rows (block, direction, rho, log10_norm).  The directions of a block
+    are propagated together as the columns of one matrix, each column
+    rescaled to unit norm at every sample (only the slope of the
+    log-norm is meaningful)."""
     x_a = we.sol.x_core - 1.0
     x_b = we.sol.x_max
     xs = np.linspace(x_a, x_b, n_samples)
@@ -610,18 +619,16 @@ def mode_shooting_table(we: WEquation, k_max: int = 5, n_samples: int = 25):
     for block in range(0, k_max + 1):
         basis = _inner_basis(block, x_a)
         names = labels0 if block == 0 else labels[:basis.shape[1]]
-        for j in range(basis.shape[1]):
-            v = basis[:, j] / np.linalg.norm(basis[:, j])
-            logn = 0.0
-            rows.append([block, names[j], math.exp(xs[0]), 0.0])
-            for a, b in zip(xs[:-1], xs[1:]):
-                v = _integrate_basis(we, block, v[:, None], float(a),
-                                     float(b), chunk=abs(b - a) + 1.0,
-                                     renormalize=False)[:, 0]
-                nrm = np.linalg.norm(v)
-                logn += math.log10(max(nrm, 1e-300))
-                v = v / nrm
-                rows.append([block, names[j], math.exp(b), logn])
+        Y = basis / np.linalg.norm(basis, axis=0)
+        logn = [np.zeros(basis.shape[1])]
+        for a, b in zip(xs[:-1], xs[1:]):
+            Y = _propagate(we, block, Y, float(a), float(b))
+            nrm = np.linalg.norm(Y, axis=0)
+            logn.append(logn[-1] + np.log10(np.maximum(nrm, 1e-300)))
+            Y = Y / nrm
+        for j, name in enumerate(names):
+            rows += [[block, name, math.exp(x), float(lg[j])]
+                     for x, lg in zip(xs, logn)]
     return ["block", "direction", "rho", "log10_norm"], rows
 
 

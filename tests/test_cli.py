@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -62,16 +63,53 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,key", [
+    ("[run]\nseed = -1\n", r"\[run\] seed"),
+    ("[binding]\nshape = custom\n", r"\[binding\] shape"),
+])
+def test_config_rejects_value_the_model_cannot_take(tmp_path, capsys, text,
+                                                    key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(text)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    # a typed error and exit 1, not an exception escaping main
+    assert cli.main(["all", "--config", str(bad), "--quiet",
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search(key, err)
+
+
+def test_negative_seed_override_rejected(tmp_path, capsys):
+    assert cli.main(["validate", "--seed", "-1", "--quiet",
+                     "--out", str(tmp_path)]) == 1
+    assert "seed" in capsys.readouterr().err
+
+
+def test_failed_pass_flag_exits_1(tmp_path, capsys):
+    # k_max = 0 drops the mode -1 pair: kernel total 3, not 5
+    cfg = tmp_path / "kmax0.cfg"
+    cfg.write_text("[lincr]\nk_max = 0\n")
+    assert cli.main(["all", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "o")]) == 1
+    assert "kernel_total_5" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["pass_flags"]["kernel_total_5"] is False
+
+
 @pytest.fixture(scope="module")
 def all_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("allrun")
-    cfg = parse_config(default_config_text())
-    results = cli.run("all", cfg, str(out), quiet=True)
-    return out, results
+    status = cli.main(["all", "--quiet", "--out", str(out)])
+    return out, status
+
+
+def test_all_pipeline_exit_status(all_run):
+    assert all_run[1] == 0
 
 
 def test_all_pipeline_flags(all_run):
-    out, results = all_run
+    out, _ = all_run
     summary = json.loads((out / "summary.json").read_text())
     assert summary["degree_of_gamma0"] == 1
     assert summary["kernel_total"] == 5

@@ -17,7 +17,7 @@ def test_coefficients_vanish_in_core(we):
     # hand value on the exact quadratic core:
     # h1'h2'' - h2'h1'' = (-2r)(2) - (2r)(-2) = 0
     for rho in np.geomspace(1e-6, 0.3, 40):
-        assert we.rhs_coeff(float(rho)) == 0.0
+        assert we.G1(float(rho)) == 0.0
         assert we.H2(float(rho)) == 0.0
     assert we.H2_inf == pytest.approx(we.bp.h2.d2(we.bp.r0))
     assert we.H2_inf < 0.0
@@ -308,5 +308,106 @@ def test_block0_matrix_matches_written_equations(we):
     z = rng.standard_normal(4)
     rho = 2.2
     G1, H2 = we.G1(rho), we.H2(rho)
-    d = L._block0_matrix(G1, H2) @ z
+    d = L._block_matrix(0, G1, H2) @ z
     assert np.allclose(d, [G1 * z[2], 0.0, H2 * z[2], 0.0], atol=1e-15)
+
+
+# ----------------------------------------------------------------------
+# oracle: per-direction shooting through the plane interpolant
+# ----------------------------------------------------------------------
+
+def _reference_rhs(we, k):
+    """The block system written out in complex arithmetic, with both
+    coefficients looked up through r(rho) at every evaluation."""
+    def rhs(x, y):
+        rho = math.exp(x)
+        G1, H2 = we.G1(rho), we.H2(rho)
+        if k == 0:
+            return [G1 * y[2], 0.0, H2 * y[2], 0.0]
+        w1p, w1m, w2p, w2m = y[0::2] + 1j * y[1::2]
+        chi = (w2p + np.conj(w2m)) / 2.0
+        d = np.array([k * w1p + G1 * chi, -k * w1m + G1 * np.conj(chi),
+                      k * w2p + H2 * chi, -k * w2m + H2 * np.conj(chi)])
+        return np.column_stack([d.real, d.imag]).ravel()
+    return rhs
+
+
+def _reference_shoot(we, k, Y, a, b):
+    """Propagate each column of Y on its own from x = a to x = b."""
+    rhs = _reference_rhs(we, k)
+    cols = []
+    for j in range(Y.shape[1]):
+        out = integrate.solve_ivp(rhs, (a, b), Y[:, j], method="DOP853",
+                                  rtol=1e-11, atol=1e-13)
+        assert out.success
+        cols.append(out.y[:, -1])
+    return np.array(cols).T
+
+
+def _reference_integrate_basis(we, k, basis, x_from, x_to, chunk=1.0,
+                               renormalize=True):
+    Y = np.linalg.qr(basis)[0] if renormalize else basis
+    n_chunk = max(1, math.ceil(abs(x_to - x_from) / chunk))
+    edges = np.linspace(x_from, x_to, n_chunk + 1)
+    for a, b in zip(edges[:-1], edges[1:]):
+        Y = _reference_shoot(we, k, Y, a, b)
+        if renormalize:
+            Y = np.linalg.qr(Y)[0]
+    return Y
+
+
+def _reference_log10_norms(we, k_max, n_samples):
+    """log10_norm column of the mode table, one direction at a time."""
+    x_a = we.sol.x_core - 1.0
+    xs = np.linspace(x_a, we.sol.x_max, n_samples)
+    out = []
+    for block in range(k_max + 1):
+        basis = L._inner_basis(block, x_a)
+        for j in range(basis.shape[1]):
+            v = basis[:, j:j + 1] / np.linalg.norm(basis[:, j])
+            logn = 0.0
+            out.append(logn)
+            for a, b in zip(xs[:-1], xs[1:]):
+                v = _reference_shoot(we, block, v, a, b)
+                nrm = np.linalg.norm(v)
+                logn += math.log10(nrm)
+                v = v / nrm
+                out.append(logn)
+    return np.array(out)
+
+
+def test_mode_table_matches_per_direction_oracle(we):
+    _, rows = L.mode_shooting_table(we, k_max=2, n_samples=9)
+    ref = _reference_log10_norms(we, 2, 9)
+    got = np.array([r[3] for r in rows])
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-8
+
+
+def test_kernel_matches_per_direction_oracle(we, monkeypatch):
+    # the regular-at-0 sweep does not depend on delta (nor, mostly, does
+    # the admissible basis): shoot each distinct request only once
+    memo = {}
+
+    def reference(we, k, basis, x_from, x_to, **kw):
+        key = (k, basis.tobytes(), x_from, x_to, tuple(sorted(kw.items())))
+        if key not in memo:
+            memo[key] = _reference_integrate_basis(we, k, basis, x_from,
+                                                   x_to, **kw)
+        return memo[key]
+
+    d0 = we.default_delta()
+    for d in (0.8 * d0, d0, 1.2 * d0):
+        new = L.kernel_dimension(we, delta=d, k_max=2)
+        with monkeypatch.context() as m:
+            m.setattr(L, "_integrate_basis", reference)
+            ref = L.kernel_dimension(we, delta=d, k_max=2)
+        assert new.per_mode == ref.per_mode
+        assert new.total == ref.total == 5
+        assert new.angles.keys() == ref.angles.keys()
+        for block in ref.angles:
+            np.testing.assert_allclose(new.angles[block], ref.angles[block],
+                                       rtol=0.0, atol=1e-8)
+            np.testing.assert_allclose(new.conditioning[block],
+                                       ref.conditioning[block],
+                                       rtol=0.0, atol=1e-8)
