@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +109,7 @@ class Model:
                  "kappa": cfg.kappa, "tail_width": cfg.tail_width}
         self.bp = profiles.build_binding_profile(cfg.r0, cfg.r_max, shape)
         self.bp_matched = None
-        if cfg.matched_enabled and cfg.k < 0:
+        if cfg.matched_enabled:
             self.bp_matched = profiles.matched_binding_profile(
                 self.tp, r_max=cfg.matched_r_max, p_cap=cfg.matched_p_cap)
         self._sol = None
@@ -145,7 +144,6 @@ def stage_profiles(model: Model, out: Path):
 def stage_validate(model: Model, out: Path, seed: int) -> dict:
     cfg = model.cfg
     tp, bp = model.tp, model.bp
-    t_start = time.time()
     rng = np.random.default_rng(seed)
     rep = {
         "g_at_0_minus_k_pi": abs(tp.g(0.0) - cfg.k * math.pi),
@@ -196,21 +194,14 @@ def stage_validate(model: Model, out: Path, seed: int) -> dict:
         rep["matched_reeb_push_mismatch"] = suite_m.get(
             "reeb_push_collar_mismatch")
     write_json(out / "validate.json", rep)
-    # wall-clock time stays out of the artifact (outputs are
-    # byte-deterministic in config and seed)
-    rep["runtime_seconds"] = time.time() - t_start
     return rep
 
 
 def stage_orbits(model: Model, out: Path) -> dict:
     tp, bp, cfg = model.tp, model.bp, model.cfg
     rows = []
-    principal = None
-    if cfg.k < 0:
-        principal = orbits.find_principal_level(tp)
-        bound = cfg.action_bound_factor * principal.action
-    else:
-        bound = cfg.action_bound_factor * tp.hk(tp.s_max)
+    principal = orbits.find_principal_level(tp)
+    bound = cfg.action_bound_factor * principal.action
     levels = orbits.enumerate_orbit_levels(tp, bound, cfg.denom_cap)
     for L in levels:
         deg = ""
@@ -221,17 +212,13 @@ def stage_orbits(model: Model, out: Path) -> dict:
     write_csv(out / "orbits.csv",
               ["p_level", "g_value", "m", "i", "period", "action", "degree",
                "is_principal"], rows)
-    report = {"n_levels": len(levels), "action_bound": bound}
-    if principal is not None:
-        closure = orbits.verify_closure_by_flow(bp, principal, tol=1e-8)
-        report.update({
+    closure = orbits.verify_closure_by_flow(bp, principal, tol=1e-8)
+    return {"n_levels": len(levels), "action_bound": bound,
             "principal_level": principal.p_level,
             "principal_action": principal.action,
             "closure_distance": closure.distance,
             "closure_phi_advance": closure.phi_advance,
-            "closure_ok": closure.passed,
-        })
-    return report
+            "closure_ok": closure.passed}
 
 
 def stage_index(model: Model, out: Path) -> dict:

@@ -32,8 +32,7 @@ _SCHEMA = {
     "orbits": {"denom_cap": int, "action_bound_factor": float},
     "plane": {"r_at_1": float, "tol_asym": float},
     "lincr": {"delta": float, "k_max": int},
-    "tolerances": {"quadrature": float, "ode": float, "root": float,
-                   "rank": float},
+    "tolerances": {"rank": float},
 }
 
 
@@ -60,9 +59,6 @@ class RunConfig:
     tol_asym: float = 1e-6
     delta: float | None = None
     k_max: int = 5
-    tol_quadrature: float = 1e-12
-    tol_ode: float = 1e-10
-    tol_root: float = 1e-12
     tol_rank: float = 1e-7
 
     def validate(self):
@@ -75,8 +71,7 @@ class RunConfig:
                               f"got {self.binding_shape!r}")
         if self.k == 0:
             raise ConfigError("k must be nonzero (k = 0 gives no twist)")
-        for name in ("tol_quadrature", "tol_ode", "tol_root", "tol_rank",
-                     "tol_asym"):
+        for name in ("tol_rank", "tol_asym"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.action_bound_factor <= 0:
@@ -106,9 +101,6 @@ _FIELD_MAP = {
     ("plane", "tol_asym"): "tol_asym",
     ("lincr", "delta"): "delta",
     ("lincr", "k_max"): "k_max",
-    ("tolerances", "quadrature"): "tol_quadrature",
-    ("tolerances", "ode"): "tol_ode",
-    ("tolerances", "root"): "tol_root",
     ("tolerances", "rank"): "tol_rank",
 }
 
@@ -192,8 +184,5 @@ delta =
 k_max = 5
 
 [tolerances]
-quadrature = 1e-12
-ode = 1e-10
-root = 1e-12
 rank = 1e-7
 """

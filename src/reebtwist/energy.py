@@ -6,11 +6,16 @@ against the adapted fields:
 
     d(circle)/dpsi~ = c J dr + d R_alpha + e dt + X_lambda,
 
-with X_lambda tangent to the unit cotangent fibers.  The angle form
-pulls back to ((h1 c - h1' d)/detH) dpsi~, so its integral is 2*pi
-times the winding number around the binding; the contact form pulls
-back to d(psi~) dpsi~, so the action is the mean of d times 2*pi.  For
-an annulus family the energy splits into the radial pieces
+with X_lambda tangent to the unit cotangent fibers.  The coefficients
+are numbers, not functions of the angle: the plane is
+rotation-invariant (its angle is the disk angle, q and p are frozen),
+so each of its level circles, the orbit it is asymptotic to and their
+covers and reversals have the same tangent at every psi~.  Every
+integral over such a circle is 2*pi times the integrand.  The angle
+form pulls back to ((h1 c - h1' d)/detH) dpsi~, so that constant is the
+winding number around the binding; the contact form pulls back to
+d dpsi~, so the action is 2*pi*d.  For an annulus family the energy
+splits into the radial pieces
 
     E1 = int h1' dr ^ lambda,     E2 = int h2' dr ^ dphi,
 
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -37,7 +41,6 @@ __all__ = [
     "LevelCircle",
     "plane_level_circle",
     "orbit_circle",
-    "make_circle",
     "doubled_circle",
     "reversed_circle",
     "winding_number",
@@ -46,33 +49,23 @@ __all__ = [
     "energy_bound_audit",
 ]
 
-N_PSI_DEFAULT = 512
-
-
 class EnergyError(ValueError):
     pass
 
 
 @dataclass
 class LevelCircle:
-    """A loop at constant radius with tangent coefficients c, d, e.
-
-    ``param`` maps the loop parameter to the binding-fiber point; the
-    shipped circles keep it constant (the plane freezes q and p).
-    """
+    """A loop at constant radius with tangent coefficients c, d, e."""
 
     bp: BindingProfile
     r: float
-    c: Callable[[float], float]
-    d: Callable[[float], float]
-    e: Callable[[float], float]
-    param: Callable[[float], tuple] | None = None
-    n_psi: int = N_PSI_DEFAULT
-    orientation: int = 1
+    c: float
+    d: float
+    e: float = 0.0
     # squared fiber remainder |X_lambda|^2; identically zero in the
     # 3-dimensional reduction and only its nonnegative pairing enters
     # the energy bookkeeping
-    x_lambda_sq: Callable[[float], float] = lambda _p: 0.0
+    x_lambda_sq: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.r <= self.bp.r_max):
@@ -80,86 +73,52 @@ class LevelCircle:
         if abs(self.bp.detH(self.r)) < 1e-14:
             raise EnergyError(f"detH vanishes at r = {self.r}")
 
-    def samples(self):
-        psis = np.linspace(0.0, 2.0 * math.pi, self.n_psi, endpoint=False)
-        cs = np.array([self.c(p) for p in psis])
-        ds = np.array([self.d(p) for p in psis])
-        es = np.array([self.e(p) for p in psis])
-        return psis, cs, ds, es
-
     def cbar(self) -> float:
-        _, cs, _, _ = self.samples()
-        return float(cs.mean() * 2.0 * math.pi)
+        return self.c * 2.0 * math.pi
 
     def dbar(self) -> float:
-        _, _, ds, _ = self.samples()
-        return float(ds.mean() * 2.0 * math.pi)
+        return self.d * 2.0 * math.pi
 
     def fiber_term(self) -> float:
-        """Mean squared fiber remainder; must be nonnegative (it is the
-        omitted positive part of the energy density)."""
-        psis = np.linspace(0.0, 2.0 * math.pi, self.n_psi, endpoint=False)
-        vals = np.array([self.x_lambda_sq(p) for p in psis])
-        if vals.min() < 0.0:
+        """Integrated squared fiber remainder; must be nonnegative (it is
+        the omitted positive part of the energy density)."""
+        if self.x_lambda_sq < 0.0:
             raise EnergyError("fiber remainder cannot be negative")
-        return float(vals.mean() * 2.0 * math.pi)
+        return self.x_lambda_sq * 2.0 * math.pi
 
 
-def plane_level_circle(bp: BindingProfile, r: float,
-                       n_psi: int = N_PSI_DEFAULT) -> LevelCircle:
+def plane_level_circle(bp: BindingProfile, r: float) -> LevelCircle:
     """Level circle of the explicit plane at radius r: the angle
     derivative decomposes as h2'(r) J dr + h2(r) R_alpha."""
-    return LevelCircle(bp=bp, r=r,
-                       c=lambda _p: bp.h2.d1(r),
-                       d=lambda _p: bp.h2(r),
-                       e=lambda _p: 0.0,
-                       n_psi=n_psi)
+    return LevelCircle(bp=bp, r=r, c=bp.h2.d1(r), d=bp.h2(r))
 
 
-def orbit_circle(bp: BindingProfile, n_psi: int = N_PSI_DEFAULT) -> LevelCircle:
+def orbit_circle(bp: BindingProfile) -> LevelCircle:
     """The principal closed orbit at r0 parametrized by the disk angle:
     pure Reeb direction with speed h2(r0)."""
-    r0 = bp.r0
-    return LevelCircle(bp=bp, r=r0,
-                       c=lambda _p: 0.0,
-                       d=lambda _p: bp.h2(r0),
-                       e=lambda _p: 0.0,
-                       n_psi=n_psi)
-
-
-def make_circle(bp, r, c, d, e=None, n_psi: int = N_PSI_DEFAULT) -> LevelCircle:
-    return LevelCircle(bp=bp, r=r, c=c, d=d,
-                       e=e if e is not None else (lambda _p: 0.0), n_psi=n_psi)
+    return LevelCircle(bp=bp, r=bp.r0, c=0.0, d=bp.h2(bp.r0))
 
 
 def doubled_circle(circle: LevelCircle) -> LevelCircle:
     """The double cover: parameter traversed twice, coefficients doubled."""
-    return LevelCircle(bp=circle.bp, r=circle.r,
-                       c=lambda p: 2.0 * circle.c(2.0 * p % (2.0 * math.pi)),
-                       d=lambda p: 2.0 * circle.d(2.0 * p % (2.0 * math.pi)),
-                       e=lambda p: 2.0 * circle.e(2.0 * p % (2.0 * math.pi)),
-                       n_psi=circle.n_psi)
+    return LevelCircle(bp=circle.bp, r=circle.r, c=2.0 * circle.c,
+                       d=2.0 * circle.d, e=2.0 * circle.e)
 
 
 def reversed_circle(circle: LevelCircle) -> LevelCircle:
-    return LevelCircle(bp=circle.bp, r=circle.r,
-                       c=lambda p: -circle.c(2.0 * math.pi - p),
-                       d=lambda p: -circle.d(2.0 * math.pi - p),
-                       e=lambda p: -circle.e(2.0 * math.pi - p),
-                       n_psi=circle.n_psi, orientation=-circle.orientation)
+    return LevelCircle(bp=circle.bp, r=circle.r, c=-circle.c, d=-circle.d,
+                       e=-circle.e)
 
 
-def winding_integrand(circle: LevelCircle):
+def winding_integrand(circle: LevelCircle) -> float:
     bp, r = circle.bp, circle.r
-    psis, cs, ds, _ = circle.samples()
-    return (bp.h1(r) * cs - bp.h1.d1(r) * ds) / bp.detH(r)
+    return (bp.h1(r) * circle.c - bp.h1.d1(r) * circle.d) / bp.detH(r)
 
 
 def winding_number(bp: BindingProfile, circle: LevelCircle,
                    tol: float = 1e-9) -> int:
     """(1/2pi) of the angle form over the circle; must be an integer."""
-    vals = winding_integrand(circle)
-    w = float(vals.mean())
+    w = float(winding_integrand(circle))
     if abs(w - round(w)) > tol:
         raise EnergyError(f"winding {w} is not an integer within {tol:.1e}; "
                           "parametrization error")
@@ -172,12 +131,12 @@ def action(circle: LevelCircle) -> float:
 
 
 def gauss_legendre_family(bp: BindingProfile, r1: float, r2: float,
-                          n: int, maker=plane_level_circle):
+                          n: int):
     """Circles at Gauss-Legendre radii over [r1, r2], the matching
     quadrature weights (scaled to the interval) and the span."""
     nodes, wts = np.polynomial.legendre.leggauss(n)
     rg = 0.5 * (r2 - r1) * nodes + 0.5 * (r1 + r2)
-    circles = [maker(bp, float(r)) for r in rg]
+    circles = [plane_level_circle(bp, float(r)) for r in rg]
     return circles, 0.5 * (r2 - r1) * wts, (r1, r2)
 
 
@@ -221,7 +180,6 @@ def annulus_energies(bp: BindingProfile, circles: list[LevelCircle],
 
 
 def energy_bound_audit(bp: BindingProfile, circles: list[LevelCircle],
-                       cap_action: float | None = None,
                        tol: float = 1e-8) -> dict:
     """Audit the lower energy bound for a plane-like family asymptotic
     to the principal orbit.
@@ -239,9 +197,7 @@ def energy_bound_audit(bp: BindingProfile, circles: list[LevelCircle],
                 "violating_radii": [], "vacuous": True, "passed": True}
     inside = [c for c in circles if c.r <= bp.r0 + 1e-12]
     beyond = [c for c in circles if c.r > bp.r0 + 1e-12]
-    if cap_action is None:
-        cap_action = action(inside[-1]) if inside else 0.0
-    total = cap_action
+    total = action(inside[-1]) if inside else 0.0
     # excursion sheets: unsigned E2 over [r0, max radius], out and back
     excess = 0.0
     if beyond:

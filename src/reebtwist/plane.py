@@ -225,8 +225,8 @@ class EnergyReport:
 
 
 def plane_energy(bp: BindingProfile, sol: PlaneSolution,
-                 rho_span: tuple | None = None, n_quad: int = 200,
-                 n_psi: int = 64, tol: float = 1e-6) -> EnergyReport:
+                 rho_span: tuple | None = None,
+                 tol: float = 1e-6) -> EnergyReport:
     """dalpha-energy of the plane over rho in rho_span.
 
     Stokes value 2*pi*(h2(r(hi)) - h2(r(lo))) cross-checked against a
@@ -244,17 +244,13 @@ def plane_energy(bp: BindingProfile, sol: PlaneSolution,
         return EnergyReport(stokes=0.0, quadrature=0.0,
                             action_gamma0=2.0 * math.pi * bp.h2(bp.r0),
                             rho_span=rho_span, relative_gap=0.0)
-    # radial direction: adaptive Gauss-Kronrod in x = log rho with the
-    # piecewise junctions of the solution declared as breakpoints;
-    # angular direction: trapezoid over the period (the density is
-    # angle-independent, so the periodic trapezoid sum is exact).
+    # the density is angle-independent, so the angular integral is
+    # 2*pi times it; radially, adaptive Gauss-Kronrod in x = log rho with
+    # the piecewise junctions of the solution declared as breakpoints.
     a, b = math.log(lo), math.log(hi)
-    psis = np.linspace(0.0, 2.0 * math.pi, n_psi, endpoint=False)
 
     def density(x):
-        r = sol.r_of_rho(math.exp(x))
-        vals = np.full(len(psis), bp.h2.d1(r) ** 2)
-        return float(vals.mean())  # trapezoid mean over the angle
+        return bp.h2.d1(sol.r_of_rho(math.exp(x))) ** 2
 
     breaks = [sol.x_core, 0.0, sol.x_max]
     if sol.core_coeff > 0:

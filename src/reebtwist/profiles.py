@@ -70,7 +70,6 @@ class SmoothProfile:
     value: Callable[[float], float]
     d1: Callable[[float], float]
     d2: Callable[[float], float]
-    kind: str = "closed-form piecewise"
     breaks: tuple = ()
 
     def __call__(self, x):
@@ -171,14 +170,6 @@ class TwistProfile:
     hk: SmoothProfile
     htilde: SmoothProfile
     p0: float | None
-
-    # -- closed-form integral of g, used by hk/htilde ------------------
-    def int_g(self, s: float) -> float:
-        """Exact antiderivative: int_0^s g."""
-        c, c1, c2, Cint = TWIST_SHAPES[self.shape]()
-        pc = self.p_plateau
-        x = min(s, pc) / pc
-        return self.k * math.pi * pc * Cint(x) + 0.5 * self.eps * s * s
 
     def hk_by_quadrature(self, s: float, tol=1e-12) -> float:
         """Independent Gauss-Kronrod evaluation of 1 + int_0^s sigma g'."""

@@ -19,6 +19,11 @@ def test_unknown_key_names_line():
         parse_config("[twist]\nk = -1\nbogus = 2\n")
 
 
+def test_removed_tolerance_key_rejected():
+    with pytest.raises(ConfigError, match=r"line 2: unknown key 'ode'"):
+        parse_config("[tolerances]\node = 1e-10\n")
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match=r"unknown section"):
         parse_config("[nope]\n")
@@ -97,6 +102,17 @@ def test_failed_pass_flag_exits_1(tmp_path, capsys):
     assert summary["pass_flags"]["kernel_total_5"] is False
 
 
+def test_positive_twist_exits_1(tmp_path, capsys):
+    # the binding profile ties its peak to the principal zero of the
+    # twist, which only k < 0 has
+    cfg = tmp_path / "k1.cfg"
+    cfg.write_text("[twist]\nk = 1\n")
+    assert cli.main(["all", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def all_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("allrun")
@@ -156,13 +172,16 @@ def test_orbits_csv_principal_row(all_run):
     assert principal[0]["m"] == "1"
 
 
-def test_determinism_of_full_pipeline(tmp_path):
-    cfg = parse_config(default_config_text())
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    cli.run("all", cfg, str(out_a), quiet=True)
-    cli.run("all", cfg, str(out_b), quiet=True)
-    for f in sorted(out_a.iterdir()):
-        assert (out_b / f.name).read_bytes() == f.read_bytes(), f.name
+def test_determinism_of_full_pipeline(all_run, tmp_path):
+    # a fresh run() repeats the main() run of the fixture byte for byte
+    out_a, _ = all_run
+    out_b = tmp_path / "b"
+    cli.run("all", parse_config(default_config_text()), str(out_b),
+            quiet=True)
+    names = sorted(f.name for f in out_a.iterdir())
+    assert names == sorted(f.name for f in out_b.iterdir())
+    for name in names:
+        assert (out_b / name).read_bytes() == (out_a / name).read_bytes(), name
 
 
 def test_single_stage_runs(tmp_path):

@@ -39,9 +39,7 @@ def test_doubled_and_reversed(bp):
 
 def test_non_integer_winding_rejected(bp):
     r = 0.3
-    bad = E.make_circle(bp, r,
-                        c=lambda p: 0.5 * bp.detH(r) / bp.h1(r),
-                        d=lambda p: 0.0)
+    bad = E.LevelCircle(bp, r, c=0.5 * bp.detH(r) / bp.h1(r), d=0.0)
     with pytest.raises(E.EnergyError, match="integer"):
         E.winding_number(bp, bad)
 
@@ -82,12 +80,11 @@ def test_annulus_synthetic_family_has_positive_e1(bp):
     rs = np.linspace(0.2, 0.4, 65)
 
     def mk(r):
-        return E.make_circle(
+        return E.LevelCircle(
             bp, float(r),
-            c=lambda p, r=r: (2 * math.pi * bp.detH(r) + bp.h1.d1(r)
-                              * (2 * math.pi * bp.h2(r) - eps))
-            / (2 * math.pi * bp.h1(r)),
-            d=lambda p, r=r: bp.h2(r) - eps / (2 * math.pi))
+            c=(2 * math.pi * bp.detH(r) + bp.h1.d1(r)
+               * (2 * math.pi * bp.h2(r) - eps)) / (2 * math.pi * bp.h1(r)),
+            d=bp.h2(r) - eps / (2 * math.pi))
 
     fam = [mk(r) for r in rs]
     assert E.winding_number(bp, fam[0]) == 1
@@ -155,8 +152,7 @@ def test_omitted_fiber_term_nonnegative_and_zero_for_plane(bp, plane_sol):
 
 
 def test_fiber_term_rejects_negative_values(bp):
-    bad = E.LevelCircle(bp=bp, r=0.3, c=lambda p: bp.h2.d1(0.3),
-                        d=lambda p: bp.h2(0.3), e=lambda p: 0.0,
-                        x_lambda_sq=lambda p: -1.0)
+    bad = E.LevelCircle(bp=bp, r=0.3, c=bp.h2.d1(0.3), d=bp.h2(0.3),
+                        x_lambda_sq=-1.0)
     with pytest.raises(E.EnergyError, match="nonnegative|negative"):
         bad.fiber_term()
