@@ -288,6 +288,12 @@ def robbin_salamon_index(path: SymplecticPath,
     and the full signature at interior ones; the reference is the graph
     of the path against the diagonal.
     """
+    return _robbin_salamon(path, ref_lagrangian)[0]
+
+
+def _robbin_salamon(path: SymplecticPath, ref_lagrangian: str = "diagonal"):
+    """(index, crossings) of ``robbin_salamon_index``; the crossings are
+    (time, signature) pairs in the order they were counted."""
     if ref_lagrangian != "diagonal":
         raise IndexError_(f"unsupported reference {ref_lagrangian!r}")
     crossings = []
@@ -325,9 +331,7 @@ def robbin_salamon_index(path: SymplecticPath,
         two_mu += sigT
         crossings.append((path.t_end, sigT))
 
-    mu = Fraction(two_mu, 2)
-    robbin_salamon_index.last_crossings = crossings
-    return mu
+    return Fraction(two_mu, 2), crossings
 
 
 def loop_maslov(i: int) -> int:
@@ -346,10 +350,9 @@ def orbit_index_result(tp: TwistProfile, level: OrbitLevel,
         i = level.i
     gp = tp.g.d1(level.p_level)
     path = skew_path(gp * level.period * i)
-    rs = robbin_salamon_index(path)
+    rs, crossings = _robbin_salamon(path)
     return IndexResult(rs_index=rs, loop_contribution=loop_maslov(i),
-                       total=rs + loop_maslov(i),
-                       crossings=list(robbin_salamon_index.last_crossings))
+                       total=rs + loop_maslov(i), crossings=crossings)
 
 
 def total_orbit_index(tp: TwistProfile, level: OrbitLevel, i: int | None = None) -> Fraction:

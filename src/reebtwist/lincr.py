@@ -16,7 +16,12 @@ The angular Fourier modes +/-k of the second component close into a
 4-real-dimensional system (the mode system); the first component is
 driven by it.  Kernel elements are counted per mode by shooting: bases
 of solutions regular at the puncture and admissible at infinity are
-propagated to a midpoint and their span intersected.  The expected
+propagated to a midpoint and their span intersected.  All blocks share
+the coefficients G1(r), H2(r), so every block is propagated in one
+stacked linear system, with the plane radius r carried in the state:
+one solve_ivp per unit step in x and QR per block between steps
+(continuous orthogonalization, as in Humpherys & Zumbrun, Physica D
+220, 2006).  The expected
 outcome for every shipped profile is three mode-0 directions (two
 constants plus one decaying branch) and two mode-(-1) directions (the
 1/z translation pair): five in total, matching the Fredholm index.
@@ -407,47 +412,73 @@ def _coefficients(bp: BindingProfile, r: float):
     return h1 * F, -h2 * F, h2d
 
 
-def _propagate(we: WEquation, k: int, Y: np.ndarray, x_from: float,
-               x_to: float) -> np.ndarray:
-    """Propagate the columns of Y under the block-|k| system from x_from
-    to x_to in one solve_ivp.
+@functools.lru_cache(maxsize=None)
+def _stacked_parts(blocks: tuple):
+    """(K, P, Q) of every block in ``blocks``, stacked along a leading
+    axis and zero-padded to the largest block (block 0 is 4x4, the
+    others 8x8); built once per block tuple and read-only."""
+    parts = [np.array(_block_parts(k)) for k in blocks]
+    dim = max(KPQ.shape[1] for KPQ in parts)
+    stacked = np.zeros((3, len(blocks), dim, dim))
+    for i, KPQ in enumerate(parts):
+        stacked[:, i, :KPQ.shape[1], :KPQ.shape[1]] = KPQ
+    stacked.setflags(write=False)
+    return tuple(stacked)
 
-    The plane radius rides along as a last state component
-    (dr/dx = h2'(r)), anchored at x_from on the plane solution, so the
-    right-hand side never consults the plane interpolant."""
+
+def _propagate(we: WEquation, blocks, Ys, x_from: float,
+               x_to: float) -> list:
+    """Propagate the columns of each ``Ys[i]`` under the block-``blocks[i]``
+    system from x_from to x_to, all blocks in one solve_ivp.
+
+    The state holds every block's columns, unpadded, plus the plane
+    radius as a last component (dr/dx = h2'(r)), anchored at x_from on
+    the plane solution, so the right-hand side never consults the plane
+    interpolant.  Each right-hand side evaluates the coefficients once
+    and applies every block's A = K + G1*P + H2*Q in one batched matmul
+    on a zero-padded stack whose padding rows and columns stay zero."""
     bp = we.bp
-    dim, ncols = Y.shape
-    n = dim * ncols
+    K, P, Q = _stacked_parts(tuple(blocks))
+    ncols = max(Y.shape[1] for Y in Ys)
+    live = np.zeros((len(Ys), K.shape[1], ncols), dtype=bool)
+    for i, Y in enumerate(Ys):
+        live[i, :Y.shape[0], :Y.shape[1]] = True
+    n = int(live.sum())
+    stack = np.zeros(live.shape)
 
     def rhs(_x, y):
         G1, H2, h2d = _coefficients(bp, y[n])
+        stack[live] = y[:n]
         dy = np.empty(n + 1)
-        dy[:n] = (_block_matrix(k, G1, H2) @ y[:n].reshape(dim, ncols)).ravel()
+        dy[:n] = np.matmul(K + G1 * P + H2 * Q, stack)[live]
         dy[n] = h2d
         return dy
 
-    y0 = np.append(Y.ravel(), we.r_of_rho(math.exp(x_from)))
+    y0 = np.concatenate([Y.ravel() for Y in Ys]
+                        + [[we.r_of_rho(math.exp(x_from))]])
     out = integrate.solve_ivp(rhs, (x_from, x_to), y0, method="DOP853",
                               rtol=ODE_RTOL, atol=ODE_ATOL)
     if not out.success:
-        raise LinCRError(f"mode {k} shooting failed on "
+        raise LinCRError(f"shooting of blocks {list(blocks)} failed on "
                          f"[{x_from:.2f}, {x_to:.2f}]")
-    return out.y[:n, -1].reshape(dim, ncols)
+    ends = np.cumsum([Y.size for Y in Ys])[:-1]
+    return [Yi.reshape(Y.shape)
+            for Yi, Y in zip(np.split(out.y[:n, -1], ends), Ys)]
 
 
-def _integrate_basis(we: WEquation, k: int, basis: np.ndarray,
-                     x_from: float, x_to: float, renormalize: bool = True):
-    """Propagate the columns of ``basis`` under the block system from
-    x_from to x_to, with QR renormalization after every unit step in x
-    when ``renormalize`` (then only the spanned subspace is meaningful)."""
-    Y = np.linalg.qr(basis)[0] if renormalize else basis
+def _sweep(we: WEquation, blocks, bases, x_from: float,
+           x_to: float) -> list:
+    """Orthonormal bases of the spans of ``bases[i]`` (block
+    ``blocks[i]``) propagated from x_from to x_to, all blocks together
+    in one solve_ivp per unit step in x, with QR renormalization per
+    block before the first and after every step."""
+    Ys = [np.linalg.qr(B)[0] for B in bases]
     n_chunk = max(1, int(math.ceil(abs(x_to - x_from))))
     edges = np.linspace(x_from, x_to, n_chunk + 1)
     for a, b in zip(edges[:-1], edges[1:]):
-        Y = _propagate(we, k, Y, float(a), float(b))
-        if renormalize:
-            Y = np.linalg.qr(Y)[0]
-    return Y
+        Ys = [np.linalg.qr(Y)[0]
+              for Y in _propagate(we, blocks, Ys, float(a), float(b))]
+    return Ys
 
 
 def _inner_basis(block: int, x_a: float) -> np.ndarray:
@@ -517,7 +548,8 @@ def kernel_dimension(we: WEquation, delta: float | None = None,
     shooting and subspace matching.
 
     For each block |k| the regular-at-0 basis is propagated outward and
-    the admissible-at-infinity basis inward to a common midpoint; the
+    the admissible-at-infinity basis inward to a common midpoint (every
+    block in the same sweep, see ``_sweep``); the
     kernel dimension of the block is the number of principal angles
     between the two spans below angle_tol.  Counts are attributed to
     signed modes by the dominant slot of the matched directions.
@@ -534,14 +566,15 @@ def kernel_dimension(we: WEquation, delta: float | None = None,
     x_b = we.sol.x_max
     x_mid = min(2.0, 0.5 * x_b)
 
+    blocks = range(0, k_max + 1)
+    Us = _sweep(we, blocks, [_inner_basis(b, x_a) for b in blocks],
+                x_a, x_mid)
+    Vs = _sweep(we, blocks, [_outer_basis(we, b, delta) for b in blocks],
+                x_b, x_mid)
     per_mode = {k: 0 for k in range(-k_max, k_max + 1)}
     angles_all = {}
     conditioning = {}
-    for block in range(0, k_max + 1):
-        U0 = _inner_basis(block, x_a)
-        V0 = _outer_basis(we, block, delta)
-        U = _integrate_basis(we, block, U0, x_a, x_mid)
-        V = _integrate_basis(we, block, V0, x_b, x_mid)
+    for block, U, V in zip(blocks, Us, Vs):
         ang = subspace_angles(U, V)
         ang = np.sort(ang)
         dim_state = U.shape[0]
@@ -596,29 +629,31 @@ def a_norm_report(we: WEquation) -> dict:
 
 def mode_shooting_table(we: WEquation, k_max: int = 5, n_samples: int = 25):
     """Growth profiles of the regular-at-0 basis directions per block:
-    rows (block, direction, rho, log10_norm).  The directions of a block
-    are propagated together as the columns of one matrix, each column
-    rescaled to unit norm at every sample (only the slope of the
-    log-norm is meaningful)."""
+    rows (block, direction, rho, log10_norm).  The directions of every
+    block are propagated together, one solve_ivp per sample interval,
+    each column rescaled to unit norm at every sample (only the slope
+    of the log-norm is meaningful)."""
     x_a = we.sol.x_core - 1.0
     x_b = we.sol.x_max
     xs = np.linspace(x_a, x_b, n_samples)
-    rows = []
     labels0 = ("w1_re", "w1_im", "w2_re", "w2_im")
     labels = ("w1p_re", "w1p_im", "w1m_re", "w1m_im", "w2p_re", "w2p_im")
-    for block in range(0, k_max + 1):
-        basis = _inner_basis(block, x_a)
-        names = labels0 if block == 0 else labels[:basis.shape[1]]
-        Y = basis / np.linalg.norm(basis, axis=0)
-        logn = [np.zeros(basis.shape[1])]
-        for a, b in zip(xs[:-1], xs[1:]):
-            Y = _propagate(we, block, Y, float(a), float(b))
+    blocks = range(0, k_max + 1)
+    Ys = [B / np.linalg.norm(B, axis=0)
+          for B in (_inner_basis(b, x_a) for b in blocks)]
+    logn = [[np.zeros(Y.shape[1])] for Y in Ys]
+    for a, b in zip(xs[:-1], xs[1:]):
+        Ys = _propagate(we, blocks, Ys, float(a), float(b))
+        for j, Y in enumerate(Ys):
             nrm = np.linalg.norm(Y, axis=0)
-            logn.append(logn[-1] + np.log10(np.maximum(nrm, 1e-300)))
-            Y = Y / nrm
+            logn[j].append(logn[j][-1] + np.log10(np.maximum(nrm, 1e-300)))
+            Ys[j] = Y / nrm
+    rows = []
+    for block, Y, lgs in zip(blocks, Ys, logn):
+        names = labels0 if block == 0 else labels[:Y.shape[1]]
         for j, name in enumerate(names):
             rows += [[block, name, math.exp(x), float(lg[j])]
-                     for x, lg in zip(xs, logn)]
+                     for x, lg in zip(xs, lgs)]
     return ["block", "direction", "rho", "log10_norm"], rows
 
 

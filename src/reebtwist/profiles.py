@@ -305,9 +305,24 @@ def _quintic_hermite(x0, x1, v0, d0, s0, v1, d1, s1):
                 A[cond, j] = j * x ** (j - 1) if j >= 1 else 0.0
             else:
                 A[cond, j] = j * (j - 1) * x ** (j - 2) if j >= 2 else 0.0
-    coef = np.linalg.solve(A, b)
-    p = np.polynomial.Polynomial(coef)
-    return p, p.deriv(1), p.deriv(2)
+    p = np.polynomial.Polynomial(np.linalg.solve(A, b))
+    return tuple(_horner(q.coef) for q in (p, p.deriv(1), p.deriv(2)))
+
+
+def _horner(coef):
+    """The polynomial with coefficients ``coef`` (lowest degree first),
+    evaluated by Horner's rule in the operation order of
+    numpy.polynomial.polynomial.polyval, so the values are bit-identical
+    to numpy's; accepts a float or an ndarray."""
+    head, *rest = (float(c) for c in reversed(coef))
+    rest = tuple(rest)
+
+    def poly(x):
+        v = head
+        for c in rest:
+            v = c + v * x
+        return v
+    return poly
 
 
 class _Piecewise:

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +62,18 @@ def test_schema_flag(capsys):
 def test_print_config_flag(capsys):
     assert cli.main(["--print-config"]) == 0
     assert "[twist]" in capsys.readouterr().out
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "reebtwist", "--print-config"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert "[twist]" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_cli_error_exit_code(tmp_path, capsys):

@@ -131,6 +131,17 @@ def test_orbit_index_result(tp):
     assert res.total == Fraction(5, 2)
 
 
+def test_orbit_index_crossings_without_side_channel(tp):
+    # the crossings come back in the result, not through an attribute of
+    # robbin_salamon_index, and a later index computation leaves them be
+    level = O.find_principal_level(tp)
+    res = orbit_index_result(tp, level, i=1)
+    assert res.crossings == [(0.0, 1), (1.0, 0)]
+    assert robbin_salamon_index(rotation_loop(2)) == 4
+    assert res.crossings == [(0.0, 1), (1.0, 0)]
+    assert not hasattr(robbin_salamon_index, "last_crossings")
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_degree_one_generator(tp, n):
     level = O.find_principal_level(tp)

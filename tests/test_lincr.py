@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from reebtwist import cli
 from reebtwist import lincr as L
 from reebtwist import plane as PL
 from reebtwist import profiles as P
+from reebtwist.config import parse_config
 
 
 def rho_at_r(sol, r):
@@ -180,9 +182,8 @@ def test_mode_plus_one_regular_solutions_grow(we):
     # check expansion: terminal norm >> mid-span norm
     basis = L._inner_basis(1, we.sol.x_core - 1.0)[:, 4:]  # w2p directions
     x_mid, x_end = 1.0, 4.0
-    Ymid = L._integrate_basis(we, 1, basis, we.sol.x_core - 1.0, x_mid,
-                              renormalize=False)
-    Yend = L._integrate_basis(we, 1, Ymid, x_mid, x_end, renormalize=False)
+    [Ymid] = L._propagate(we, [1], [basis], we.sol.x_core - 1.0, x_mid)
+    [Yend] = L._propagate(we, [1], [Ymid], x_mid, x_end)
     assert np.linalg.norm(Yend) >= 10.0 * np.linalg.norm(Ymid)
 
 
@@ -344,15 +345,14 @@ def _reference_shoot(we, k, Y, a, b):
     return np.array(cols).T
 
 
-def _reference_integrate_basis(we, k, basis, x_from, x_to, chunk=1.0,
-                               renormalize=True):
-    Y = np.linalg.qr(basis)[0] if renormalize else basis
-    n_chunk = max(1, math.ceil(abs(x_to - x_from) / chunk))
+def _reference_integrate_basis(we, k, basis, x_from, x_to):
+    """Orthonormal basis of the span of ``basis`` shot from x_from to
+    x_to, with QR after every unit step in x."""
+    Y = np.linalg.qr(basis)[0]
+    n_chunk = max(1, math.ceil(abs(x_to - x_from)))
     edges = np.linspace(x_from, x_to, n_chunk + 1)
     for a, b in zip(edges[:-1], edges[1:]):
-        Y = _reference_shoot(we, k, Y, a, b)
-        if renormalize:
-            Y = np.linalg.qr(Y)[0]
+        Y = np.linalg.qr(_reference_shoot(we, k, Y, a, b))[0]
     return Y
 
 
@@ -388,20 +388,28 @@ def test_kernel_matches_per_direction_oracle(we, monkeypatch):
     # the regular-at-0 sweep does not depend on delta (nor, mostly, does
     # the admissible basis): shoot each distinct request only once
     memo = {}
+    calls = []
 
-    def reference(we, k, basis, x_from, x_to, **kw):
-        key = (k, basis.tobytes(), x_from, x_to, tuple(sorted(kw.items())))
-        if key not in memo:
-            memo[key] = _reference_integrate_basis(we, k, basis, x_from,
-                                                   x_to, **kw)
-        return memo[key]
+    def reference(we, blocks, bases, x_from, x_to):
+        calls.append(list(blocks))
+        out = []
+        for k, basis in zip(blocks, bases):
+            key = (k, basis.tobytes(), x_from, x_to)
+            if key not in memo:
+                memo[key] = _reference_integrate_basis(we, k, basis, x_from,
+                                                       x_to)
+            out.append(memo[key])
+        return out
 
     d0 = we.default_delta()
     for d in (0.8 * d0, d0, 1.2 * d0):
         new = L.kernel_dimension(we, delta=d, k_max=2)
+        calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(L, "_integrate_basis", reference)
+            m.setattr(L, "_sweep", reference)
             ref = L.kernel_dimension(we, delta=d, k_max=2)
+        # both sweeps (inner and outer) went through the reference
+        assert calls == [[0, 1, 2], [0, 1, 2]]
         assert new.per_mode == ref.per_mode
         assert new.total == ref.total == 5
         assert new.angles.keys() == ref.angles.keys()
@@ -411,3 +419,29 @@ def test_kernel_matches_per_direction_oracle(we, monkeypatch):
             np.testing.assert_allclose(new.conditioning[block],
                                        ref.conditioning[block],
                                        rtol=0.0, atol=1e-8)
+
+
+def test_stacked_blocks_match_blocks_alone_at_high_k():
+    # DOP853's error norm spans every block of the stacked state; on the
+    # stiff k = -2 cos n = 3 config the table of blocks 0..8 shot
+    # together must match each block shot alone through _propagate
+    cfg = parse_config("[twist]\nk = -2\nshape = cos\n[run]\nn = 3\n")
+    we = cli.Model(cfg).we
+    k_max, n_samples = 8, 25
+    _, rows = L.mode_shooting_table(we, k_max=k_max, n_samples=n_samples)
+    together = np.array([r[3] for r in rows])
+    x_a = we.sol.x_core - 1.0
+    xs = np.linspace(x_a, we.sol.x_max, n_samples)
+    alone = []
+    for block in range(k_max + 1):
+        basis = L._inner_basis(block, x_a)
+        Y = basis / np.linalg.norm(basis, axis=0)
+        logn = [np.zeros(Y.shape[1])]
+        for a, b in zip(xs[:-1], xs[1:]):
+            [Y] = L._propagate(we, [block], [Y], float(a), float(b))
+            nrm = np.linalg.norm(Y, axis=0)
+            logn.append(logn[-1] + np.log10(nrm))
+            Y = Y / nrm
+        alone += np.array(logn).T.ravel().tolist()
+    assert together.shape == (len(alone),)
+    assert np.max(np.abs(together - np.array(alone))) <= 1e-9

@@ -73,6 +73,23 @@ def test_derivative_fd_self_consistency(tp, bp):
         assert prof.check_derivative_consistency(rng=rng) <= 1e-6
 
 
+def test_quintic_closures_equal_numpy_polynomial():
+    # Horner closures against numpy's Polynomial on the same coefficients:
+    # equal bit for bit, for scalars and for arrays
+    rng = np.random.default_rng(15)
+    A = np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
+                  [0, 0, 2, 0, 0, 0], [1, 1, 1, 1, 1, 1],
+                  [0, 1, 2, 3, 4, 5], [0, 0, 2, 6, 12, 20]], dtype=float)
+    xs = rng.uniform(0.0, 1.0, 2000)
+    for _ in range(5):
+        b = rng.uniform(-3.0, 3.0, 6)
+        p = np.polynomial.Polynomial(np.linalg.solve(A, b))
+        closures = P._quintic_hermite(0.0, 1.0, *b)
+        for f, q in zip(closures, (p, p.deriv(1), p.deriv(2))):
+            assert all(f(float(x)) == q(float(x)) for x in xs)
+            assert np.array_equal(f(xs), q(xs))
+
+
 def test_quadratic_core_oracle():
     # hand-differentiated: h1 = 1 - r^2, h2 = r^2 gives detH = 2r exactly
     h1 = P.SmoothProfile(0.0, 1.0, lambda r: 1 - r * r, lambda r: -2 * r,
