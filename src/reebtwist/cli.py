@@ -16,7 +16,9 @@ import json
 import math
 import os
 import sys
+from operator import eq, ge, gt, le
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from . import index as index_mod
 from . import profiles
 from .config import ConfigError, RunConfig, default_config_text, parse_config
 
-__all__ = ["main", "run"]
+__all__ = ["main", "run", "GATES", "gate_values", "gate_passes"]
 
 SCHEMA_TEXT = """\
 CSV artifacts (comma-separated, LF, UTF-8, one header row; floats use
@@ -45,8 +47,8 @@ JSON artifacts (stable key order):
   plane_energy.json    stokes, quadrature, action_gamma0
   kernel.json          per-mode kernel counts, delta, a-norm, inequality report
   energy.json          E1, E2, total, bound, pass
-  summary.json         degree_of_gamma0, plane_energy, action_gamma0,
-                       kernel_total, pass_flags
+  summary.json         degree_of_gamma0, plane_energy, action_gamma0, seed,
+                       kernel_total, pass_flags (each gate of the run)
 """
 
 
@@ -92,6 +94,94 @@ def _jsonable(obj):
 def write_json(path: Path, payload: dict):
     _atomic_write(path, json.dumps(_jsonable(payload), sort_keys=True,
                                    indent=2) + "\n")
+
+
+# ----------------------------------------------------------------------
+# gates: every pass decision of a run
+# ----------------------------------------------------------------------
+
+class Gate(NamedTuple):
+    """A pass decision ``op(measure(payload), threshold)`` on the payload
+    of ``stage``; ``field`` is where its artifact records the outcome."""
+
+    name: str
+    stage: str
+    measure: Callable
+    op: Callable
+    threshold: float
+    field: tuple = ()
+
+
+def _at(*path):
+    """Reader of the value at ``path`` in a payload; None when the run did
+    not produce it (the matched-profile rows without a matched profile)."""
+    def read(payload):
+        for key in path:
+            payload = payload.get(key) if isinstance(payload, dict) else None
+        return payload
+    return read
+
+
+# (comparator, threshold) of each identity residual, for validate and geometry
+IDENTITY_LIMITS = {
+    "alpha_of_reeb_minus_1": (le, 1e-10),
+    "dalpha_reeb_contraction": (le, 1e-9),
+    "J_squared_plus_id": (le, 1e-9),
+    "min_compatibility_quotient": (gt, 0.0),
+    "J_dt_minus_reeb": (le, 1e-10),
+    "J_dr_minus_geofield": (le, 1e-10),
+    "dalpha_exact_vs_fd": (le, 1e-9),
+    "frame_gram_vs_standard": (le, 1e-9),
+    "reeb_push_collar_mismatch": (le, 1e-8),
+}
+
+GATES = (
+    # the contact condition itself; the default preset's designed margin
+    # (min detH/r >= 0.5) is a property of that preset, not a gate
+    Gate("contact_condition", "validate", _at("min_detH_over_r"), gt, 0.0,
+         ("contact_bound_ok",)),
+    Gate("alpha_reeb", "validate", _at("alpha_reeb_max_residual"), le, 1e-10,
+         ("alpha_reeb_ok",)),
+    *(Gate(f"identity.{key}", "validate", _at("identity_suite", key), op, t)
+      for key, (op, t) in IDENTITY_LIMITS.items()),
+    Gate("pullback", "validate", _at("pullback", "max_mismatch"), le, 1e-8,
+         ("pullback", "passed")),
+    Gate("matched_reeb_push", "validate", _at("matched_reeb_push_mismatch"),
+         le, 1e-8),
+    *(Gate(f"geometry.{key}", "geometry", _at(key, "value"), op, t,
+           (key, "pass")) for key, (op, t) in IDENTITY_LIMITS.items()),
+    Gate("flow_closure", "orbits", _at("closure_distance"), le, 1e-8),
+    Gate("degree_is_1", "index", _at("degree_of_gamma0"), eq, 1),
+    Gate("energy_identity", "plane", lambda p: abs(
+        p["stokes"] - p["action_gamma0"]) / p["action_gamma0"], le, 1e-6),
+    Gate("kernel_total_5", "lincr", _at("total"), eq, 5),
+    Gate("sz_inequality", "lincr", _at("sz_inequality", "min_ratio"), ge,
+         2.0 - 1e-9, ("sz_inequality", "passed")),
+    Gate("energy_bound", "energy", lambda e: e["total"] - e["bound"], ge,
+         -1e-8, ("pass",)),
+)
+
+
+def gate_values(results: dict) -> dict:
+    """Measured value of every gate whose stage is in ``results`` (stage
+    name -> payload) and whose quantity the run produced."""
+    return {g.name: v for g in GATES if g.stage in results
+            and (v := g.measure(results[g.stage])) is not None}
+
+
+def gate_passes(values: dict) -> dict:
+    """Outcome of every gate that has a value in ``values``."""
+    return {g.name: bool(g.op(values[g.name], g.threshold))
+            for g in GATES if g.name in values}
+
+
+def _record_gates(stage: str, payload: dict):
+    """Write the outcome of every gate of ``stage`` into its field."""
+    passes = gate_passes(gate_values({stage: payload}))
+    for g in GATES:
+        if g.field and g.name in passes:
+            *path, last = g.field
+            _at(*path)(payload)[last] = passes[g.name]
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +238,7 @@ def stage_validate(model: Model, out: Path, seed: int) -> dict:
     rep = {
         "g_at_0_minus_k_pi": abs(tp.g(0.0) - cfg.k * math.pi),
         "p0": tp.p0,
-        "p0_residual": abs(tp.g(tp.p0)) if tp.p0 is not None else None,
+        "p0_residual": abs(tp.g(tp.p0)),
         "fd_consistency_g": tp.g.check_derivative_consistency(rng=rng),
         "fd_consistency_hk": tp.hk.check_derivative_consistency(rng=rng),
         "fd_consistency_h1": bp.h1.check_derivative_consistency(rng=rng),
@@ -164,10 +254,8 @@ def stage_validate(model: Model, out: Path, seed: int) -> dict:
     mn, at = bp.min_detH_over_r(10_000)
     rep["min_detH_over_r"] = mn
     rep["min_detH_over_r_at"] = at
-    rep["contact_bound_ok"] = bool(mn >= 0.5)
-    if tp.p0 is not None:
-        rep["action_tie_residual"] = abs(
-            2.0 * math.pi * bp.h2(bp.r0) - tp.hk(tp.p0))
+    rep["action_tie_residual"] = abs(2.0 * math.pi * bp.h2(bp.r0)
+                                     - tp.hk(tp.p0))
     # alpha(Reeb) at 10^4 random points
     worst = 0.0
     for _ in range(10_000):
@@ -175,7 +263,6 @@ def stage_validate(model: Model, out: Path, seed: int) -> dict:
         R = geometry.reeb_field_binding(bp, x)
         worst = max(worst, abs(geometry.alpha_binding(bp, x, R) - 1.0))
     rep["alpha_reeb_max_residual"] = worst
-    rep["alpha_reeb_ok"] = bool(worst <= 1e-10)
     rep["identity_suite"] = geometry.identity_suite(tp, bp, n=cfg.n,
                                                     n_points=200, seed=seed)
     if model.bp_matched is not None:
@@ -186,13 +273,13 @@ def stage_validate(model: Model, out: Path, seed: int) -> dict:
             "phi_period_scale": pull.phi_period_scale,
             "max_mismatch": pull.max_mismatch,
             "worst_radius": pull.worst_radius,
-            "passed": pull.passed,
         }
         rep["matched_min_detH_over_r"] = bpm.min_detH_over_r(10_000)[0]
         suite_m = geometry.identity_suite(tp, bpm, n=cfg.n, n_points=50,
                                           seed=seed + 1)
         rep["matched_reeb_push_mismatch"] = suite_m.get(
             "reeb_push_collar_mismatch")
+    _record_gates("validate", rep)
     write_json(out / "validate.json", rep)
     return rep
 
@@ -212,13 +299,12 @@ def stage_orbits(model: Model, out: Path) -> dict:
     write_csv(out / "orbits.csv",
               ["p_level", "g_value", "m", "i", "period", "action", "degree",
                "is_principal"], rows)
-    closure = orbits.verify_closure_by_flow(bp, principal, tol=1e-8)
+    closure = orbits.verify_closure_by_flow(bp, principal)
     return {"n_levels": len(levels), "action_bound": bound,
             "principal_level": principal.p_level,
             "principal_action": principal.action,
             "closure_distance": closure.distance,
-            "closure_phi_advance": closure.phi_advance,
-            "closure_ok": closure.passed}
+            "closure_phi_advance": closure.phi_advance}
 
 
 def stage_index(model: Model, out: Path) -> dict:
@@ -270,6 +356,7 @@ def stage_lincr(model: Model, out: Path, seed: int) -> dict:
         "a_norm": lincr.a_norm_report(we),
         "sz_inequality": sz,
     }
+    _record_gates("lincr", payload)
     write_json(out / "kernel.json", payload)
     return payload
 
@@ -285,15 +372,15 @@ def stage_energy(model: Model, out: Path) -> dict:
     audit = energy_mod.energy_bound_audit(bp, full)
     payload = {"E1": e1, "E2": e2,
                "total": audit["total"], "bound": audit["bound"],
-               "pass": audit["passed"],
                "winding_gamma0": energy_mod.winding_number(
                    bp, energy_mod.orbit_circle(bp)),
                "action_gamma0": energy_mod.action(energy_mod.orbit_circle(bp))}
+    _record_gates("energy", payload)
     write_json(out / "energy.json", payload)
     return payload
 
 
-def stage_geometry(model: Model, out: Path, seed: int, quiet: bool) -> dict:
+def stage_geometry(model: Model, out: Path, seed: int) -> dict:
     cfg = model.cfg
     suite = geometry.identity_suite(model.tp, model.bp, n=cfg.n,
                                     n_points=1000, seed=seed)
@@ -302,25 +389,8 @@ def stage_geometry(model: Model, out: Path, seed: int, quiet: bool) -> dict:
                                           n=cfg.n, n_points=100, seed=seed)
         suite["reeb_push_collar_mismatch"] = suite_m[
             "reeb_push_collar_mismatch"]
-    thresholds = {
-        "alpha_of_reeb_minus_1": 1e-10,
-        "dalpha_reeb_contraction": 1e-9,
-        "J_squared_plus_id": 1e-9,
-        "J_dt_minus_reeb": 1e-10,
-        "J_dr_minus_geofield": 1e-10,
-        "dalpha_exact_vs_fd": 1e-9,
-        "frame_gram_vs_standard": 1e-9,
-        "reeb_push_collar_mismatch": 1e-8,
-    }
-    table = {}
-    for key, val in suite.items():
-        if key == "min_compatibility_quotient":
-            ok = val > 0.0
-        else:
-            ok = val <= thresholds.get(key, 1e-8)
-        table[key] = {"value": val, "pass": bool(ok)}
-        if not quiet:
-            print(f"  {key:32s} {val: .3e}  {'PASS' if ok else 'FAIL'}")
+    table = {key: {"value": val} for key, val in suite.items()}
+    _record_gates("geometry", table)
     write_json(out / "geometry_check.json", table)
     return table
 
@@ -356,7 +426,10 @@ def run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int | None = None,
             results["validate"]["min_detH_over_r"]))
     if subcommand == "geometry":
         note("geometry identity suite:")
-        results["geometry"] = stage_geometry(model, out, seed, quiet)
+        results["geometry"] = stage_geometry(model, out, seed)
+        for key, row in results["geometry"].items():
+            note(f"  {key:32s} {row['value']: .3e}  "
+                 f"{'PASS' if row['pass'] else 'FAIL'}")
     if subcommand in ("orbits", "all"):
         results["orbits"] = stage_orbits(model, out)
         note("orbits: %d levels" % results["orbits"]["n_levels"])
@@ -376,16 +449,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int | None = None,
             results["energy"]["E1"], results["energy"]["pass"]))
 
     if subcommand == "all":
-        flags = {
-            "contact_bound": results["validate"]["contact_bound_ok"],
-            "alpha_reeb": results["validate"]["alpha_reeb_ok"],
-            "degree_is_1": results["index"]["degree_of_gamma0"] == 1,
-            "energy_identity": abs(results["plane"]["stokes"]
-                                   - results["plane"]["action_gamma0"])
-            <= 1e-6 * results["plane"]["action_gamma0"],
-            "kernel_total_5": results["lincr"]["total"] == 5,
-            "energy_bound": results["energy"]["pass"],
-        }
+        flags = gate_passes(gate_values(results))
         summary = {
             "degree_of_gamma0": results["index"]["degree_of_gamma0"],
             "plane_energy": results["plane"]["stokes"],
@@ -437,10 +501,10 @@ def main(argv=None) -> int:
             geometry.GeometryError, index_mod.IndexError_) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    flags = results["summary"]["pass_flags"] if "summary" in results else {}
-    failed = [name for name, ok in flags.items() if not ok]
+    failed = [name for name, ok in gate_passes(gate_values(results)).items()
+              if not ok]
     if failed:
-        print("error: failed pass flags: " + ", ".join(failed), file=sys.stderr)
+        print("error: failed gates: " + ", ".join(failed), file=sys.stderr)
         return 1
     return 0
 

@@ -179,8 +179,7 @@ def annulus_energies(bp: BindingProfile, circles: list[LevelCircle],
     return e1, e2
 
 
-def energy_bound_audit(bp: BindingProfile, circles: list[LevelCircle],
-                       tol: float = 1e-8) -> dict:
+def energy_bound_audit(bp: BindingProfile, circles: list[LevelCircle]) -> dict:
     """Audit the lower energy bound for a plane-like family asymptotic
     to the principal orbit.
 
@@ -189,12 +188,12 @@ def energy_bound_audit(bp: BindingProfile, circles: list[LevelCircle],
     total is its limit plus twice the unsigned radial energy of any
     excursion beyond r0 (each sheet out and back contributes
     positively).  Radii beyond r0 are flagged as bound-violation
-    drivers.
+    drivers.  The bound holds when the total is not below it.
     """
     bound = 2.0 * math.pi * bp.h2(bp.r0)
     if not circles:
         return {"total": 0.0, "bound": bound, "excess": 0.0,
-                "violating_radii": [], "vacuous": True, "passed": True}
+                "violating_radii": [], "vacuous": True}
     inside = [c for c in circles if c.r <= bp.r0 + 1e-12]
     beyond = [c for c in circles if c.r > bp.r0 + 1e-12]
     total = action(inside[-1]) if inside else 0.0
@@ -204,8 +203,7 @@ def energy_bound_audit(bp: BindingProfile, circles: list[LevelCircle],
         r_top = max(c.r for c in beyond)
         excess = 2.0 * abs(2.0 * math.pi * (bp.h2(r_top) - bp.h2(bp.r0)))
         total += excess
-    passed = total >= bound - tol
     return {"total": float(total), "bound": float(bound),
             "excess": float(excess),
             "violating_radii": [float(c.r) for c in beyond],
-            "vacuous": False, "passed": bool(passed)}
+            "vacuous": False}

@@ -101,11 +101,6 @@ class TangentVector:
         return max(abs(x.q @ self.dq), abs(x.p @ self.dp),
                    abs(x.p @ self.dq + x.q @ self.dp))
 
-    def check_tangency(self, x: BindingPoint, tol=CONSTRAINT_TOL):
-        res = self.constraint_residual(x)
-        if res > tol:
-            raise GeometryError(f"vector not tangent: residual {res:.2e}")
-
     def scaled(self, c: float) -> "TangentVector":
         return TangentVector(c * self.dphi, c * self.dq, c * self.dp,
                              c * self.dr, c * self.dt)

@@ -187,11 +187,10 @@ class ClosureReport:
     distance: float
     constraint_drift: float
     phi_advance: float
-    passed: bool
 
 
 def verify_closure_by_flow(bp: BindingProfile, level: OrbitLevel,
-                           tol: float = 1e-8, seed: int = 0,
+                           seed: int = 0,
                            r_override: float | None = None) -> ClosureReport:
     """Integrate the Reeb field from a random start on the level for one
     claimed period and report the terminal distance to the start.
@@ -237,4 +236,4 @@ def verify_closure_by_flow(bp: BindingProfile, level: OrbitLevel,
     dist = math.sqrt(float(np.sum((q - q0) ** 2) + np.sum((p - p0) ** 2))
                      + (math.cos(dphi) - 1.0) ** 2 + math.sin(dphi) ** 2)
     return ClosureReport(r=r, time=T, distance=dist, constraint_drift=drift,
-                         phi_advance=dphi, passed=dist <= tol)
+                         phi_advance=dphi)

@@ -37,7 +37,6 @@ __all__ = [
     "default_binding_profile",
     "matched_binding_profile",
     "default_pair",
-    "matched_pair",
     "pullback_consistency_check",
     "twist_table",
     "binding_table",
@@ -371,10 +370,6 @@ class BindingProfile:
     def detH(self, r: float) -> float:
         return self.h1(r) * self.h2.d1(r) - self.h2(r) * self.h1.d1(r)
 
-    def detH_d1(self, r: float) -> float:
-        # (h1 h2' - h2 h1')' = h1 h2'' - h2 h1''
-        return self.h1(r) * self.h2.d2(r) - self.h2(r) * self.h1.d2(r)
-
     def detH_over_r(self, r: float) -> float:
         if r == 0.0:
             # detH/r -> h2''(0) h1(0) near a quadratic core
@@ -646,11 +641,6 @@ def default_pair():
     return tp, default_binding_profile(tp)
 
 
-def matched_pair():
-    tp = default_twist_profile()
-    return tp, matched_binding_profile(tp)
-
-
 # ----------------------------------------------------------------------
 # collar pullback consistency
 # ----------------------------------------------------------------------
@@ -663,13 +653,11 @@ class PullbackReport:
     worst_radius: float
     max_mismatch_h1: float
     max_mismatch_h2: float
-    passed: bool
     n_samples: int
 
 
 def pullback_consistency_check(tp: TwistProfile, bp: BindingProfile,
-                               collar: tuple, n: int = 512,
-                               tol: float = 1e-8) -> PullbackReport:
+                               collar: tuple, n: int = 512) -> PullbackReport:
     """Compare (h1, h2) against the pullback of the mapping-torus form
     under (q, p, r, phi) -> (q, p/r, phi / (2*pi)).
 
@@ -699,7 +687,7 @@ def pullback_consistency_check(tp: TwistProfile, bp: BindingProfile,
                           phi_period_scale=PHI_PERIOD_SCALE,
                           max_mismatch=worst, worst_radius=worst_r,
                           max_mismatch_h1=w1, max_mismatch_h2=w2,
-                          passed=worst <= tol, n_samples=len(rs))
+                          n_samples=len(rs))
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from reebtwist import lincr, plane, profiles
+from reebtwist import cli, lincr, plane, profiles
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +36,11 @@ def we(bp, plane_sol):
 @pytest.fixture(scope="session")
 def kernel_report(we):
     return lincr.kernel_dimension(we, k_max=5, n=2)
+
+
+@pytest.fixture(scope="session")
+def all_run(tmp_path_factory):
+    """One default `reebtwist all` through cli.main: (--out dir, exit status)."""
+    out = tmp_path_factory.mktemp("allrun")
+    status = cli.main(["all", "--quiet", "--out", str(out)])
+    return out, status

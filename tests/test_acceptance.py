@@ -175,12 +175,12 @@ def test_11_orbit_space_homology():
             assert orbits.orbit_space_homology(n).betti == betti
 
 
-def test_12_determinism(tmp_path):
+def test_12_determinism(all_run, tmp_path):
+    # a fresh run repeats the shared default run byte for byte
     with criterion(12, "pipeline determinism"):
         t0 = time.time()
         cfg = parse_config(default_config_text())
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        cli.run("all", cfg, str(out_a), quiet=True)
+        out_a, out_b = all_run[0], tmp_path / "b"
         cli.run("all", cfg, str(out_b), quiet=True)
         files_a = sorted(p.name for p in out_a.iterdir())
         files_b = sorted(p.name for p in out_b.iterdir())

@@ -1,5 +1,9 @@
 import csv
+import dataclasses
+import importlib.util
 import json
+import math
+import operator
 import os
 import re
 import subprocess
@@ -8,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from reebtwist import cli
+from reebtwist import cli, energy, geometry, index, lincr, orbits, plane
+from reebtwist import profiles
 from reebtwist.config import ConfigError, parse_config, default_config_text
 
 
@@ -129,13 +134,6 @@ def test_positive_twist_exits_1(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.fixture(scope="module")
-def all_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("allrun")
-    status = cli.main(["all", "--quiet", "--out", str(out)])
-    return out, status
-
-
 def test_all_pipeline_exit_status(all_run):
     assert all_run[1] == 0
 
@@ -148,6 +146,12 @@ def test_all_pipeline_flags(all_run):
     act = summary["action_gamma0"]
     assert abs(summary["plane_energy"] - act) <= 1e-6 * act
     assert all(summary["pass_flags"].values())
+    # every gate of the stages `all` runs reports, so no row is skipped
+    # by a payload path that does not exist; the fig2 binding has no
+    # collar, hence no collar-push residual in its identity suite
+    assert set(summary["pass_flags"]) == {
+        g.name for g in cli.GATES if g.stage != "geometry"
+    } - {"identity.reeb_push_collar_mismatch"}
 
 
 def test_all_pipeline_artifacts_exist(all_run):
@@ -188,16 +192,27 @@ def test_orbits_csv_principal_row(all_run):
     assert principal[0]["m"] == "1"
 
 
+def _bench_run_module():
+    # bench/run.py imports only the standard library at module level
+    path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_determinism_of_full_pipeline(all_run, tmp_path):
     # a fresh run() repeats the main() run of the fixture byte for byte
     out_a, _ = all_run
     out_b = tmp_path / "b"
-    cli.run("all", parse_config(default_config_text()), str(out_b),
-            quiet=True)
+    results = cli.run("all", parse_config(default_config_text()), str(out_b),
+                      quiet=True)
     names = sorted(f.name for f in out_a.iterdir())
     assert names == sorted(f.name for f in out_b.iterdir())
     for name in names:
         assert (out_b / name).read_bytes() == (out_a / name).read_bytes(), name
+    # the benchmark's own checks pass on the same results
+    assert _bench_run_module().check_results(results) == []
 
 
 def test_single_stage_runs(tmp_path):
@@ -213,3 +228,104 @@ def test_geometry_subcommand(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
     payload = json.loads((tmp_path / "geometry_check.json").read_text())
     assert all(entry["pass"] for entry in payload.values())
+
+
+@pytest.mark.parametrize("text,subcommand", [
+    ("[twist]\np_plateau = 0.3\n", "all"),
+    ("[twist]\np_plateau = 0.5\n", "validate"),
+    ("[binding]\nkappa = 2.0\n", "validate"),
+], ids=["p_plateau_0.3-all", "p_plateau_0.5-validate", "kappa_2.0-validate"])
+def test_contact_condition_admits_margin_below_default(tmp_path, capsys,
+                                                       text, subcommand):
+    # these presets satisfy the contact condition with min detH/r below
+    # the default preset's 0.5 margin, and must pass
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert cli.main([subcommand, "--config", str(cfg), "--quiet",
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rep = json.loads((out / "validate.json").read_text())
+    assert 0.0 < rep["min_detH_over_r"] < 0.5
+    assert rep["contact_bound_ok"] is True
+    if subcommand == "all":
+        flags = json.loads((out / "summary.json").read_text())["pass_flags"]
+        assert flags["contact_condition"] and all(flags.values())
+
+
+def _at_threshold(gate):
+    """A passing value as close to the threshold as the comparator allows."""
+    return gate.threshold + 1.0 if gate.op is operator.gt else gate.threshold
+
+
+def _past_threshold(gate):
+    """The nearest failing value beyond the threshold."""
+    t = gate.threshold
+    return {operator.le: math.nextafter(t, math.inf),
+            operator.ge: math.nextafter(t, -math.inf),
+            operator.gt: t, operator.eq: t + 1}[gate.op]
+
+
+def test_gate_names_are_unique():
+    names = [g.name for g in cli.GATES]
+    assert len(names) == len(set(names))
+    assert {g.stage for g in cli.GATES} < set(cli.STAGES)
+
+
+def test_contact_condition_is_strict():
+    # detH/r > 0 is the contact condition; a zero minimum fails it
+    assert cli.gate_passes({"contact_condition": 0.0}) == {
+        "contact_condition": False}
+    assert cli.gate_passes({"contact_condition": 1e-3}) == {
+        "contact_condition": True}
+
+
+@pytest.mark.parametrize("gate", cli.GATES, ids=lambda g: g.name)
+def test_each_gate_fails_alone_past_its_threshold(gate):
+    values = {g.name: _at_threshold(g) for g in cli.GATES}
+    assert all(cli.gate_passes(values).values())
+    values[gate.name] = _past_threshold(gate)
+    passes = cli.gate_passes(values)
+    assert [name for name, ok in passes.items() if not ok] == [gate.name]
+
+
+# per stage: the subcommand, the function whose result the stage reads,
+# how to spoil that result, and the gate that must then fail
+SPOILED_STAGES = [
+    ("validate", profiles.BindingProfile, "min_detH_over_r",
+     lambda res: (-1.0, res[1]), "contact_condition"),
+    ("geometry", geometry, "identity_suite",
+     lambda res: dict(res, J_squared_plus_id=1.0),
+     "geometry.J_squared_plus_id"),
+    ("orbits", orbits, "verify_closure_by_flow",
+     lambda res: dataclasses.replace(res, distance=1.0), "flow_closure"),
+    ("index", index, "degree_table",
+     lambda rows: [dict(r, degree=r["degree"] + 1) for r in rows],
+     "degree_is_1"),
+    ("plane", plane, "plane_energy",
+     lambda res: dataclasses.replace(res, stokes=1.001 * res.stokes),
+     "energy_identity"),
+    ("lincr", lincr, "sz_inequality_check",
+     lambda res: dict(res, min_ratio=1.0), "sz_inequality"),
+    ("energy", energy, "energy_bound_audit",
+     lambda res: dict(res, total=res["bound"] - 1e-3), "energy_bound"),
+]
+ARTIFACT = {"validate": "validate.json", "geometry": "geometry_check.json",
+            "lincr": "kernel.json", "energy": "energy.json"}
+
+
+@pytest.mark.parametrize("subcommand,owner,attr,spoil,gate", SPOILED_STAGES,
+                         ids=[row[0] for row in SPOILED_STAGES])
+def test_failed_gate_exits_1(tmp_path, capsys, monkeypatch, subcommand,
+                             owner, attr, spoil, gate):
+    real = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, lambda *a, **kw: spoil(real(*a, **kw)))
+    assert cli.main([subcommand, "--quiet", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: failed gates: ")
+    assert gate in err.removeprefix("error: failed gates: ").split(", ")
+    row = next(g for g in cli.GATES if g.name == gate)
+    if row.field:
+        # the artifact records the failure too
+        payload = json.loads((tmp_path / ARTIFACT[subcommand]).read_text())
+        assert cli._at(*row.field)(payload) is False

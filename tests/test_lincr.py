@@ -98,21 +98,23 @@ def test_phase_plane_matches_dense_eigensolver(we):
     assert abs(ev[1] - rep["expanding"]) <= 1e-12
 
 
-def test_mode_system_matches_phase_plane_by_similarity(we):
+def test_block_matrix_matches_phase_plane_by_similarity(we):
+    # the (Re w2p, Re w2m) rows and columns of a block are
+    # [[k + H2/2, H2/2], [H2/2, -k + H2/2]]; the similarity by T carries
+    # them to the phase-plane form [[H2, k], [k, 0]]
     T = np.array([[1.0, 1.0], [1.0, -1.0]])
-    for k in (0, 1, 3):
-        ms = L.mode_system(we, k)
+    for k in (1, 3):
         for rho in (0.01, 1.0, 30.0):
-            M2 = ms.m2(rho)
-            pp = T @ M2 @ np.linalg.inv(T)
             H2 = we.H2(rho)
+            M2 = L._block_matrix(k, we.G1(rho), H2)[np.ix_([4, 6], [4, 6])]
+            pp = T @ M2 @ np.linalg.inv(T)
             assert np.allclose(pp, [[H2, k], [k, 0.0]], atol=1e-13)
-        assert 0.0 < ms.delta < we.spectral_gap
+    assert 0.0 < we.default_delta() < we.spectral_gap
 
 
-def test_mode_system_rejects_delta_outside_gap(we):
+def test_kernel_dimension_rejects_delta_outside_gap(we):
     with pytest.raises(L.LinCRError, match="gap"):
-        L.mode_system(we, 1, delta=2.0 * we.spectral_gap)
+        L.kernel_dimension(we, delta=2.0 * we.spectral_gap, k_max=1)
 
 
 def test_cone_invariance_core_closed_form(we):
@@ -253,7 +255,6 @@ def test_sz_inequality_random_fields():
     fields = [L.random_truncated_field(
         rng, rng.integers(2, 11, size=3).tolist()) for _ in range(100)]
     out = L.sz_inequality_check(fields)
-    assert out["passed"]
     assert out["min_ratio"] >= 2.0 - 1e-9
 
 
@@ -261,7 +262,7 @@ def test_sz_inequality_constant_field_vacuous():
     rng = np.random.default_rng(12)
     out = L.sz_inequality_check([L.random_truncated_field(rng, [0])])
     assert out["n_vacuous"] == 1
-    assert out["passed"]
+    assert out["min_ratio"] == math.inf
 
 
 def test_weight_exponent_smooth_step():

@@ -100,8 +100,7 @@ def test_orbit_space_homology_n2_flagged():
 
 def test_closure_by_flow_principal(tp, bp):
     pl = O.find_principal_level(tp)
-    rep = O.verify_closure_by_flow(bp, pl, tol=1e-8)
-    assert rep.passed
+    rep = O.verify_closure_by_flow(bp, pl)
     assert rep.distance <= 1e-8
     assert rep.constraint_drift <= 1e-8
     assert abs(rep.phi_advance - 2.0 * math.pi) <= 1e-9
@@ -109,8 +108,7 @@ def test_closure_by_flow_principal(tp, bp):
 
 def test_closure_fails_on_perturbed_level(tp, bp):
     pl = O.find_principal_level(tp)
-    rep = O.verify_closure_by_flow(bp, pl, tol=1e-8, r_override=bp.r0 + 1e-3)
-    assert not rep.passed
+    rep = O.verify_closure_by_flow(bp, pl, r_override=bp.r0 + 1e-3)
     assert rep.distance > 1e-4
 
 

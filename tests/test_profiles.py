@@ -139,14 +139,12 @@ def test_root_stability_under_shape_perturbation(tp):
 
 def test_pullback_on_matched_collar(tp, matched):
     rep = P.pullback_consistency_check(tp, matched, matched.collar)
-    assert rep.passed
     assert rep.max_mismatch <= 1e-8
     assert rep.phi_period_scale == pytest.approx(2 * math.pi)
 
 
 def test_pullback_off_collar_reports_failure(tp, matched):
     rep = P.pullback_consistency_check(tp, matched, (1.0, 1.2))
-    assert not rep.passed
     assert rep.max_mismatch > 1e-3
     assert 1.0 <= rep.worst_radius <= 1.2
 
