@@ -45,7 +45,9 @@ JSON artifacts (stable key order):
 
   validate.json        profile/geometry identity residuals and flags
   plane_energy.json    stokes, quadrature, action_gamma0
-  kernel.json          per-mode kernel counts, delta, a-norm, inequality report
+  kernel.json          per_mode, total, non_decaying_bounded, delta,
+                       spectral_gap, angle_conditioning, a_norm,
+                       back_substitution_residual, sz_inequality
   energy.json          E1, E2, total, bound, pass
   summary.json         degree_of_gamma0, plane_energy, action_gamma0, seed,
                        kernel_total, pass_flags (each gate of the run)
@@ -154,6 +156,8 @@ GATES = (
     Gate("degree_is_1", "index", _at("degree_of_gamma0"), eq, 1),
     Gate("energy_identity", "plane", lambda p: abs(
         p["stokes"] - p["action_gamma0"]) / p["action_gamma0"], le, 1e-6),
+    Gate("w_back_substitution", "lincr", _at("back_substitution_residual"),
+         le, 1e-8),
     Gate("kernel_total_5", "lincr", _at("total"), eq, 5),
     Gate("sz_inequality", "lincr", _at("sz_inequality", "min_ratio"), ge,
          2.0 - 1e-9, ("sz_inequality", "passed")),
@@ -198,12 +202,19 @@ class Model:
         shape = {"name": cfg.binding_shape, "twist": self.tp,
                  "kappa": cfg.kappa, "tail_width": cfg.tail_width}
         self.bp = profiles.build_binding_profile(cfg.r0, cfg.r_max, shape)
-        self.bp_matched = None
-        if cfg.matched_enabled:
-            self.bp_matched = profiles.matched_binding_profile(
-                self.tp, r_max=cfg.matched_r_max, p_cap=cfg.matched_p_cap)
+        self._bp_matched = None
         self._sol = None
         self._we = None
+
+    @property
+    def bp_matched(self):
+        """The collar-matched profile, or None when it is disabled; built
+        on first use (only validate and geometry read it)."""
+        if self._bp_matched is None and self.cfg.matched_enabled:
+            self._bp_matched = profiles.matched_binding_profile(
+                self.tp, r_max=self.cfg.matched_r_max,
+                p_cap=self.cfg.matched_p_cap)
+        return self._bp_matched
 
     @property
     def sol(self):
@@ -275,10 +286,8 @@ def stage_validate(model: Model, out: Path, seed: int) -> dict:
             "worst_radius": pull.worst_radius,
         }
         rep["matched_min_detH_over_r"] = bpm.min_detH_over_r(10_000)[0]
-        suite_m = geometry.identity_suite(tp, bpm, n=cfg.n, n_points=50,
-                                          seed=seed + 1)
-        rep["matched_reeb_push_mismatch"] = suite_m.get(
-            "reeb_push_collar_mismatch")
+        rep["matched_reeb_push_mismatch"] = \
+            geometry.reeb_push_collar_mismatch(tp, bpm)
     _record_gates("validate", rep)
     write_json(out / "validate.json", rep)
     return rep
@@ -354,6 +363,7 @@ def stage_lincr(model: Model, out: Path, seed: int) -> dict:
         "angle_conditioning": {str(k): v for k, v in
                                report.conditioning.items()},
         "a_norm": lincr.a_norm_report(we),
+        "back_substitution_residual": we.back_substitution_residual,
         "sz_inequality": sz,
     }
     _record_gates("lincr", payload)
@@ -385,10 +395,8 @@ def stage_geometry(model: Model, out: Path, seed: int) -> dict:
     suite = geometry.identity_suite(model.tp, model.bp, n=cfg.n,
                                     n_points=1000, seed=seed)
     if model.bp_matched is not None:
-        suite_m = geometry.identity_suite(model.tp, model.bp_matched,
-                                          n=cfg.n, n_points=100, seed=seed)
-        suite["reeb_push_collar_mismatch"] = suite_m[
-            "reeb_push_collar_mismatch"]
+        suite["reeb_push_collar_mismatch"] = \
+            geometry.reeb_push_collar_mismatch(model.tp, model.bp_matched)
     table = {key: {"value": val} for key, val in suite.items()}
     _record_gates("geometry", table)
     write_json(out / "geometry_check.json", table)

@@ -40,6 +40,7 @@ __all__ = [
     "symplectic_frame",
     "dalpha_tilde",
     "identity_suite",
+    "reeb_push_collar_mismatch",
 ]
 
 CONSTRAINT_TOL = 1e-10
@@ -474,13 +475,16 @@ def identity_suite(tp: TwistProfile, bp: BindingProfile, n: int = 2,
         worst_gram = max(worst_gram, float(np.max(np.abs(G - standard_gram(len(frame))))))
     out["frame_gram_vs_standard"] = worst_gram
 
-    # two-model Reeb agreement on the collar (matched profiles only)
     if bp.collar is not None:
-        lo, hi = bp.collar
-        lo = max(lo, 1.0 / tp.s_max) * (1.0 + 1e-9)
-        rs = np.linspace(lo, hi, 40)
-        worst_push = 0.0
-        for r in rs:
-            worst_push = max(worst_push, push_reeb_to_tilde(tp, bp, float(r)))
-        out["reeb_push_collar_mismatch"] = worst_push
+        out["reeb_push_collar_mismatch"] = reeb_push_collar_mismatch(tp, bp)
     return out
+
+
+def reeb_push_collar_mismatch(tp: TwistProfile, bp: BindingProfile,
+                              n: int = 40) -> float:
+    """Two-model Reeb agreement on the collar of a matched profile: the
+    largest push_reeb_to_tilde mismatch over n radii spanning it."""
+    lo, hi = bp.collar
+    lo = max(lo, 1.0 / tp.s_max) * (1.0 + 1e-9)
+    return max(push_reeb_to_tilde(tp, bp, float(r))
+               for r in np.linspace(lo, hi, n))

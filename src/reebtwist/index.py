@@ -49,6 +49,11 @@ __all__ = [
 ]
 
 
+# abscissa tolerance of the crossing refinement (brentq on sign changes,
+# bounded minimization at tangential zeros)
+CROSSING_XTOL = 1e-13
+
+
 class IndexError_(ValueError):
     """Index-machinery failure (name avoids the builtin)."""
 
@@ -254,7 +259,7 @@ def _locate_crossings(path, n_scan=2001):
     for j in range(n_scan - 1):
         if ds[j] * ds[j + 1] < 0:
             add(optimize.brentq(lambda t: _det_minus_id(path, t),
-                                ts[j], ts[j + 1], xtol=1e-13))
+                                ts[j], ts[j + 1], xtol=CROSSING_XTOL))
     # tangential zeros: local minima of |d| well below scale
     ab = np.abs(ds)
     for j in range(1, n_scan - 1):
@@ -262,7 +267,7 @@ def _locate_crossings(path, n_scan=2001):
             res = optimize.minimize_scalar(
                 lambda t: abs(_det_minus_id(path, t)),
                 bounds=(ts[j - 1], ts[j + 1]),
-                method="bounded", options={"xatol": 1e-13})
+                method="bounded", options={"xatol": CROSSING_XTOL})
             if abs(res.fun) <= 1e-8 * scale:
                 add(float(res.x))
     return sorted(crossings), plateau_frac

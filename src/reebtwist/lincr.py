@@ -79,7 +79,10 @@ class WEquation:
     and h1*F at radius rho, and ``a_norm`` the sup of the
     pointwise operator norm |F|*sqrt(h1^2+h2^2) of the zeroth-order
     term.  ``H2_inf`` = h2''(r0) is the recorded limit (nonzero: the
-    profiles do not flatten at r0).
+    profiles do not flatten at r0).  ``back_substitution_residual`` is
+    the largest residual of the explicit elements const_re and
+    translation in the original 4-field system (the CLI gates it).
+    ``H2`` and ``G1`` take a float or an ndarray of radii.
     """
 
     bp: BindingProfile
@@ -89,11 +92,11 @@ class WEquation:
     a_norm: float
     back_substitution_residual: float = 0.0
 
-    def H2(self, rho: float) -> float:
+    def H2(self, rho):
         F, _, h2, _ = _coefficients(self.bp, self.sol.r_of_rho(rho))
         return -h2 * F
 
-    def G1(self, rho: float) -> float:
+    def G1(self, rho):
         F, h1, _, _ = _coefficients(self.bp, self.sol.r_of_rho(rho))
         return h1 * F
 
@@ -109,36 +112,29 @@ class WEquation:
 
 
 def assemble_W_equation(bp: BindingProfile, sol: PlaneSolution,
-                        n_check: int = 1000, tol: float = 1e-8) -> WEquation:
-    """Build the coefficient data and verify it by back-substituting the
-    rotation-invariant explicit kernel elements into the original
-    4-field system (residual <= tol on an n_check grid)."""
-    for rho in np.geomspace(1e-4, math.exp(sol.x_max), 64):
-        r = sol.r_of_rho(float(rho))
-        if r > 0 and abs(bp.detH(r)) < 1e-14:
-            raise LinCRError(f"detH vanishes along the plane at rho = {rho:.3e}")
+                        n_check: int = 1000) -> WEquation:
+    """Build the coefficient data and the residual of back-substituting
+    the rotation-invariant explicit kernel elements into the original
+    4-field system on an n_check grid (reported, gated by the caller).
+    Each check is one array evaluation over its grid."""
+    rhos = np.geomspace(1e-4, math.exp(sol.x_max), 64)
+    r = sol.r_of_rho(rhos)
+    vanish = (r > 0.0) & (np.abs(bp.detH(r)) < 1e-14)
+    if vanish.any():
+        raise LinCRError("detH vanishes along the plane at rho = "
+                         f"{rhos[np.argmax(vanish)]:.3e}")
     F_inf, h1_inf, h2_inf, _ = _coefficients(bp, bp.r0)
+    F, h1, h2, _ = _coefficients(
+        bp, sol.r_of_rho(np.geomspace(1e-3, math.exp(sol.x_max), 4000)))
     we = WEquation(bp=bp, sol=sol,
                    H2_inf=-h2_inf * F_inf,
                    G1_inf=h1_inf * F_inf,
-                   a_norm=0.0)
-    rhos = np.geomspace(1e-3, math.exp(sol.x_max), 4000)
-    a_norm = 0.0
-    for rho in rhos:
-        F, h1, h2, _ = _coefficients(bp, sol.r_of_rho(float(rho)))
-        a_norm = max(a_norm, abs(F) * math.hypot(h1, h2))
-    we.a_norm = a_norm
-
+                   a_norm=float(np.max(np.abs(F) * np.hypot(h1, h2))))
     # back-substitution check of the psi-independent explicit elements
-    worst = 0.0
-    for name in ("const_re", "translation"):
-        Wf = s_basis(we, name)
-        for rho in np.geomspace(1e-2, math.exp(0.9 * sol.x_max), n_check):
-            res = full_system_residual(we, Wf, float(rho), 0.37)
-            worst = max(worst, res)
-    if worst > tol:
-        raise LinCRError(f"back-substitution residual {worst:.2e} > {tol:.1e}")
-    we.back_substitution_residual = worst
+    rhos = np.geomspace(1e-2, math.exp(0.9 * sol.x_max), n_check)
+    we.back_substitution_residual = max(
+        float(np.max(full_system_residual(we, s_basis(we, name), rhos, 0.37)))
+        for name in ("const_re", "translation"))
     return we
 
 
@@ -146,8 +142,17 @@ def assemble_W_equation(bp: BindingProfile, sol: PlaneSolution,
 # explicit kernel elements and residual evaluators
 # ----------------------------------------------------------------------
 
+def _pair(rho, first, second=0.0) -> np.ndarray:
+    """The C^2 value (first, second) at every rho: shape (2,) for a
+    float rho, (2,) + rho.shape for an array."""
+    out = np.zeros((2,) + np.shape(rho), complex)
+    out[0], out[1] = first, second
+    return out
+
+
 def s_basis(we: WEquation, name: str):
-    """Explicit solutions as callables rho, psi -> (W, dW/drho, dW/dpsi).
+    """Explicit solutions as callables rho, psi -> (W, dW/drho, dW/dpsi),
+    each of shape (2,) for a float rho and (2,) + rho.shape for an array.
 
     Names: const_re, const_im (dilation/rotation of the domain),
     trans_re, trans_im (the 1/z translation pair), translation (the
@@ -155,35 +160,29 @@ def s_basis(we: WEquation, name: str):
     """
     bp = we.bp
 
-    if name == "const_re":
+    if name in ("const_re", "const_im"):
+        a = 1.0 if name == "const_re" else 1j
+
         def f(rho, psi):
-            return (np.array([1.0, 0.0], complex),
-                    np.zeros(2, complex), np.zeros(2, complex))
-        return f
-    if name == "const_im":
-        def f(rho, psi):
-            return (np.array([1j, 0.0], complex),
-                    np.zeros(2, complex), np.zeros(2, complex))
+            return _pair(rho, a), _pair(rho, 0.0), _pair(rho, 0.0)
         return f
     if name in ("trans_re", "trans_im"):
         a = 1.0 if name == "trans_re" else 1j
 
         def f(rho, psi):
             e = np.exp(-1j * psi)
-            W = np.array([a * e / rho, 0.0], complex)
-            dr = np.array([-a * e / rho ** 2, 0.0], complex)
-            dp = np.array([-1j * a * e / rho, 0.0], complex)
-            return W, dr, dp
+            return (_pair(rho, a * e / rho), _pair(rho, -a * e / rho ** 2),
+                    _pair(rho, -1j * a * e / rho))
         return f
     if name == "translation":
         def f(rho, psi):
             r = we.sol.r_of_rho(rho)
             det = bp.detH(r)
-            W = np.array([-bp.h1.d1(r) / det, bp.h2.d1(r) / det], complex)
+            W = _pair(rho, -bp.h1.d1(r) / det, bp.h2.d1(r) / det)
             F, h1, h2, h2d = _coefficients(bp, r)
             drdrho = h2d / rho
-            dr = drdrho * np.array([h1 * F / det, -h2 * F / det], complex)
-            return W, dr, np.zeros(2, complex)
+            dr = drdrho * _pair(rho, h1 * F / det, -h2 * F / det)
+            return W, dr, _pair(rho, 0.0)
         return f
     raise LinCRError(f"unknown basis element {name!r}")
 
@@ -197,8 +196,9 @@ def w_equation_residual(we: WEquation, Wf, rho: float, psi: float) -> float:
     return float(np.max(np.abs(dWr + (1j / rho) * dWp - rhs)))
 
 
-def full_system_residual(we: WEquation, Wf, rho: float, psi: float) -> float:
-    """Residual of the original 4-field system for a W-field.
+def full_system_residual(we: WEquation, Wf, rho, psi: float):
+    """Residual of the original 4-field system for a W-field, at a float
+    rho or at every point of an array of them.
 
     The original variables are Y = Im W (angle and geodesic components)
     and Z = H * Re W (radial and symplectization components); their
@@ -236,7 +236,7 @@ def full_system_residual(we: WEquation, Wf, rho: float, psi: float) -> float:
         - (h2dd / rho) * xi_r
     e4 = d_xi_t - (h2 / rho) * p_xi_phi - (h1 / rho) * p_xi_par \
         - (h2d / rho) * xi_r
-    return max(abs(e1), abs(e2), abs(e3), abs(e4))
+    return np.max(np.abs([e1, e2, e3, e4]), axis=0)
 
 
 # ----------------------------------------------------------------------
@@ -354,30 +354,59 @@ def _block_matrix(k: int, G1: float, H2: float) -> np.ndarray:
     return K + G1 * P + H2 * Q
 
 
-def _coefficients(bp: BindingProfile, r: float):
-    """(F, h1, h2, h2') at plane radius r from one evaluation of each
-    profile value and derivative: F = (h1' h2'' - h2' h1'')/detH, taken
-    as 0 at r <= 0 where detH vanishes; G1 = h1*F and H2 = -h2*F."""
+def _coefficients(bp: BindingProfile, r):
+    """(F, h1, h2, h2') at plane radius r (a float or an ndarray) from
+    one evaluation of each profile value and derivative:
+    F = (h1' h2'' - h2' h1'')/detH, taken as 0 at r <= 0 where detH
+    vanishes; G1 = h1*F and H2 = -h2*F."""
     h1, h2 = bp.h1.value(r), bp.h2.value(r)
     h1d, h2d = bp.h1.d1(r), bp.h2.d1(r)
-    if r <= 0.0:
-        return 0.0, h1, h2, h2d
-    F = (h1d * bp.h2.d2(r) - h2d * bp.h1.d2(r)) / (h1 * h2d - h2 * h1d)
-    return F, h1, h2, h2d
+    # the (r > 0) factor zeroes F at r <= 0 and the (r <= 0) term keeps
+    # the divisor nonzero there, for a float and elementwise alike
+    return ((h1d * bp.h2.d2(r) - h2d * bp.h1.d2(r)) * (r > 0.0)
+            / (h1 * h2d - h2 * h1d + (r <= 0.0)), h1, h2, h2d)
 
 
-@functools.lru_cache(maxsize=None)
-def _stacked_parts(blocks: tuple):
-    """(K, P, Q) of every block in ``blocks``, stacked along a leading
-    axis and zero-padded to the largest block (block 0 is 4x4, the
-    others 8x8); built once per block tuple and read-only."""
-    parts = [np.array(_block_parts(k)) for k in blocks]
-    dim = max(KPQ.shape[1] for KPQ in parts)
-    stacked = np.zeros((3, len(blocks), dim, dim))
-    for i, KPQ in enumerate(parts):
-        stacked[:, i, :KPQ.shape[1], :KPQ.shape[1]] = KPQ
-    stacked.setflags(write=False)
-    return tuple(stacked)
+@functools.lru_cache(maxsize=64)
+def _stacked_system(blocks: tuple, shapes: tuple):
+    """Every block's A = K + G1*P + H2*Q as flat arrays over the
+    unpadded stacked state: the columns of block ``blocks[i]`` (shape
+    ``shapes[i]``) one block after another, each raveled row-major.
+
+    K is diagonal and P, Q have disjoint nonzero rows, so with the
+    constant T = P + Q, A Y = k * Y + g * (T Y), g being G1 on the rows
+    of P and H2 on those of Q.  No row of T has more than two nonzeros,
+    so (T Y)[e] = w[0][e] * y[src[0][e]] + w[1][e] * y[src[1][e]].
+    Returns (k, coupling, src, w) with coupling 0 on the rows of P and 1
+    elsewhere (an index into (G1, H2)); built once per key, read-only."""
+    k, coupling, src, w = [], [], [], []
+    offset = 0
+    for block, (dim, ncols) in zip(blocks, shapes):
+        K, P, Q = _block_parts(block)
+        T = P + Q
+        cols = np.zeros((dim, 2), int)
+        wts = np.zeros((dim, 2))
+        for i in range(dim):
+            nz = np.flatnonzero(T[i])
+            cols[i, :len(nz)], wts[i, :len(nz)] = nz, T[i, nz]
+        col = np.arange(ncols)[None, :, None]
+        src.append((offset + cols[:, None, :] * ncols + col).reshape(-1, 2))
+        w.append(np.broadcast_to(wts[:, None, :], (dim, ncols, 2)).reshape(-1, 2))
+        k.append(np.repeat(np.diag(K), ncols))
+        coupling.append(np.repeat(~P.any(axis=1), ncols).astype(int))
+        offset += dim * ncols
+    src, w = np.concatenate(src).T.copy(), np.concatenate(w).T.copy()
+    parts = (np.concatenate(k), np.concatenate(coupling), src, w)
+    for a in parts:
+        a.setflags(write=False)
+    return parts
+
+
+def _apply_stacked(system, G1: float, H2: float, y: np.ndarray) -> np.ndarray:
+    """A y for the stacked state y of ``_stacked_system``."""
+    k, coupling, src, w = system
+    TY = w[0] * y[src[0]] + w[1] * y[src[1]]
+    return k * y + np.array((G1, H2))[coupling] * TY
 
 
 def _propagate(we: WEquation, blocks, Ys, x_from: float,
@@ -389,23 +418,16 @@ def _propagate(we: WEquation, blocks, Ys, x_from: float,
     radius as a last component (dr/dx = h2'(r)), anchored at x_from on
     the plane solution, so the right-hand side never consults the plane
     interpolant.  Each right-hand side evaluates the coefficients once
-    and applies every block's A = K + G1*P + H2*Q in one batched matmul
-    on a zero-padded stack whose padding rows and columns stay zero."""
+    and applies every block's system through ``_apply_stacked``."""
     bp = we.bp
-    K, P, Q = _stacked_parts(tuple(blocks))
-    ncols = max(Y.shape[1] for Y in Ys)
-    live = np.zeros((len(Ys), K.shape[1], ncols), dtype=bool)
-    for i, Y in enumerate(Ys):
-        live[i, :Y.shape[0], :Y.shape[1]] = True
-    n = int(live.sum())
-    stack = np.zeros(live.shape)
+    system = _stacked_system(tuple(blocks), tuple(Y.shape for Y in Ys))
+    n = system[0].size
 
     def rhs(_x, y):
-        F, h1, h2, h2d = _coefficients(bp, y[n])
-        G1, H2 = h1 * F, -h2 * F
-        stack[live] = y[:n]
+        # r as a Python float keeps the profile pieces in float arithmetic
+        F, h1, h2, h2d = _coefficients(bp, y.item(n))
         dy = np.empty(n + 1)
-        dy[:n] = np.matmul(K + G1 * P + H2 * Q, stack)[live]
+        dy[:n] = _apply_stacked(system, h1 * F, -h2 * F, y[:n])
         dy[n] = h2d
         return dy
 

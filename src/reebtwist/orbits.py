@@ -37,6 +37,13 @@ __all__ = [
 ]
 
 
+# brentq tolerance of the orbit levels and RK45 tolerances of the
+# closure-by-flow integration
+ROOT_XTOL = 1e-14
+ODE_RTOL = 1e-10
+ODE_ATOL = 1e-10
+
+
 class OrbitError(ValueError):
     pass
 
@@ -117,7 +124,7 @@ def enumerate_orbit_levels(tp: TwistProfile, action_bound: float,
         idx = np.nonzero(np.diff(np.sign(diffs)) != 0)[0]
         for j in idx:
             a, b = scan[j], scan[j + 1]
-            s_root = optimize.brentq(lambda s: tp.g(s) - tau, a, b, xtol=1e-14)
+            s_root = optimize.brentq(lambda s: tp.g(s) - tau, a, b, xtol=ROOT_XTOL)
             m = f.denominator if f != 0 else 1
             per = m * tp.hk(s_root)
             if per > action_bound:
@@ -221,7 +228,8 @@ def verify_closure_by_flow(bp: BindingProfile, level: OrbitLevel,
     y0 = np.concatenate([q0, p0, [phi0]])
     T = level.action  # alpha(R) = 1, so flow time equals the action
     sol = integrate.solve_ivp(rhs, (0.0, T), y0, method="RK45",
-                              rtol=1e-10, atol=1e-10, dense_output=False)
+                              rtol=ODE_RTOL, atol=ODE_ATOL,
+                              dense_output=False)
     if not sol.success:
         raise OrbitError(f"flow integration failed: {sol.message}")
     yT = sol.y[:, -1]

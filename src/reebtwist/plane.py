@@ -38,14 +38,24 @@ class PlaneError(ValueError):
     pass
 
 
+# DOP853 tolerances of the plane integration and the quad tolerances of
+# the direct energy quadrature
+ODE_RTOL = 1e-12
+ODE_ATOL = 1e-14
+QUAD_EPSABS = 1e-13
+QUAD_EPSREL = 1e-12
+
+
 @dataclass
 class PlaneSolution:
     """Sampled radial profile (r(rho), t(rho)) of the plane.
 
     The evaluators extend the stored grid: exact quadratic model below
-    the core radius, dense ODE interpolant in the middle, and the
+    the core radius, the dense ODE solutions in the middle (backward
+    half for log rho < 0, forward half for log rho >= 0), and the
     asymptotic power tail r0 - c*rho^{-kappa} beyond the integrated
-    range.  q_fixed/p_fixed record the frozen sphere coordinates and
+    range.  They take a float or an ndarray of radii and return the
+    same kind.  q_fixed/p_fixed record the frozen sphere coordinates and
     t_shift the translation freedom.
     """
 
@@ -63,44 +73,60 @@ class PlaneSolution:
     x_max: float           # end of the integrated range
     kappa: float           # |h2''(r0)|, the asymptotic approach rate
     tail_coeff: float      # r ~ r0 - tail_coeff * rho^{-kappa}
-    _interp_r: object = None
-    _interp_t: object = None
+    sol_back: object       # OdeSolution of (r, t) on [x_core, 0]
+    sol_fwd: object        # OdeSolution of (r, t) on [0, x_max]
 
     @property
     def r0(self) -> float:
         return self.bp.r0
 
-    def r_of_rho(self, rho: float) -> float:
-        if rho <= 0.0:
-            return 0.0
-        x = math.log(rho)
-        if x <= self.x_core:
-            return self.core_coeff * math.exp(self.core_pow * x)
-        if x >= self.x_max:
-            return self.r0 - self.tail_coeff * math.exp(-self.kappa * x)
-        return float(self._interp_r(x))
+    def _dense(self, x: np.ndarray, comp: int) -> np.ndarray:
+        """Component ``comp`` (0: r, 1: t) of the integrated solution at
+        x, one call per half."""
+        out = np.empty(x.shape)
+        for half, mask in ((self.sol_back, x < 0.0), (self.sol_fwd, x >= 0.0)):
+            if mask.any():
+                out[mask] = half(x[mask])[comp]
+        return out
 
-    def t_of_rho(self, rho: float) -> float:
-        if rho <= 0.0:
-            rho = 1e-300
-        x = math.log(rho)
-        if x <= self.x_core:
-            # dt/dx = h2 = (core scale) r^2 integrates in closed form
-            c2 = 0.5 * self.core_pow  # h2 = c2 r^2 on the core
-            tc = float(self._interp_t(self.x_core))
-            g = 2.0 * self.core_pow
-            amp = c2 * self.core_coeff ** 2 / g
-            return tc - amp * (math.exp(g * self.x_core) - math.exp(g * x))
-        if x >= self.x_max:
-            tm = float(self._interp_t(self.x_max))
-            return tm + self.bp.h2(self.r0) * (x - self.x_max)
-        return float(self._interp_t(x))
+    def r_of_rho(self, rho):
+        rho = np.asarray(rho, dtype=float)
+        pos = rho > 0.0
+        x = np.log(np.where(pos, rho, 1.0))
+        r = np.zeros(x.shape)                 # r = 0 at rho <= 0
+        core = pos & (x <= self.x_core)
+        tail = x >= self.x_max
+        mid = pos & ~(core | tail)
+        r[core] = self.core_coeff * np.exp(self.core_pow * x[core])
+        r[tail] = self.r0 - self.tail_coeff * np.exp(-self.kappa * x[tail])
+        r[mid] = self._dense(x[mid], 0)
+        return r if r.ndim else float(r)
+
+    def _t_core(self) -> float:
+        return float(self.sol_back(self.x_core)[1])
+
+    def t_of_rho(self, rho):
+        rho = np.asarray(rho, dtype=float)
+        x = np.log(np.where(rho > 0.0, rho, 1e-300))
+        t = np.empty(x.shape)
+        core = x <= self.x_core
+        tail = x >= self.x_max
+        mid = ~(core | tail)
+        # dt/dx = h2 = (core scale) r^2 integrates in closed form
+        c2 = 0.5 * self.core_pow  # h2 = c2 r^2 on the core
+        g = 2.0 * self.core_pow
+        amp = c2 * self.core_coeff ** 2 / g
+        t[core] = self._t_core() - amp * (math.exp(g * self.x_core)
+                                          - np.exp(g * x[core]))
+        tm = float(self.sol_fwd(self.x_max)[1])
+        t[tail] = tm + self.bp.h2(self.r0) * (x[tail] - self.x_max)
+        t[mid] = self._dense(x[mid], 1)
+        return t if t.ndim else float(t)
 
     def t_limit_at_puncture(self) -> float:
         c2 = 0.5 * self.core_pow
-        tc = float(self._interp_t(self.x_core))
         g = 2.0 * self.core_pow
-        return tc - (c2 * self.core_coeff ** 2 / g) * math.exp(g * self.x_core)
+        return self._t_core() - (c2 * self.core_coeff ** 2 / g) * math.exp(g * self.x_core)
 
 
 def solve_plane(bp: BindingProfile, r_at_1: float, rho_max: float | None = None,
@@ -151,7 +177,7 @@ def solve_plane(bp: BindingProfile, r_at_1: float, rho_max: float | None = None,
     close_event.direction = -1
 
     solF = integrate.solve_ivp(rhs, (0.0, x_hi_guess), [r_at_1, t_shift],
-                               method="DOP853", rtol=1e-12, atol=1e-14,
+                               method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL,
                                dense_output=True, events=close_event)
     if not solF.success:
         raise PlaneError(f"forward integration failed: {solF.message}")
@@ -168,19 +194,13 @@ def solve_plane(bp: BindingProfile, r_at_1: float, rho_max: float | None = None,
     core_event.direction = -1
 
     solB = integrate.solve_ivp(rhs, (0.0, -60.0), [r_at_1, t_shift],
-                               method="DOP853", rtol=1e-12, atol=1e-14,
+                               method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL,
                                dense_output=True, events=core_event)
     if not solB.success or solB.t[-1] <= -59.0:
         raise PlaneError("backward integration failed to reach the core")
     x_core = float(solB.t[-1])
     r_core = float(solB.y[0, -1])
     core_coeff = r_core / math.exp(core_pow * x_core)
-
-    def interp_r(x):
-        return solB.sol(x)[0] if x < 0 else solF.sol(x)[0]
-
-    def interp_t(x):
-        return solB.sol(x)[1] if x < 0 else solF.sol(x)[1]
 
     tail_coeff = (bp.r0 - float(solF.y[0, -1])) * math.exp(kappa * x_max)
 
@@ -205,9 +225,9 @@ def solve_plane(bp: BindingProfile, r_at_1: float, rho_max: float | None = None,
                         core_coeff=core_coeff, core_pow=core_pow,
                         x_core=x_core, x_max=x_max,
                         kappa=kappa, tail_coeff=tail_coeff,
-                        _interp_r=interp_r, _interp_t=interp_t)
-    sol.r_vals = np.array([sol.r_of_rho(rho) for rho in sol.rho_grid])
-    sol.t_vals = np.array([sol.t_of_rho(rho) for rho in sol.rho_grid])
+                        sol_back=solB.sol, sol_fwd=solF.sol)
+    sol.r_vals = sol.r_of_rho(sol.rho_grid)
+    sol.t_vals = sol.t_of_rho(sol.rho_grid)
     if np.any(np.diff(sol.r_vals) <= 0.0):
         raise PlaneError("r(rho) is not strictly increasing")
     if sol.r_vals.max() > bp.r0 + 1e-12:
@@ -257,7 +277,8 @@ def plane_energy(bp: BindingProfile, sol: PlaneSolution,
         breaks.append(math.log(bp.core_end / sol.core_coeff) / sol.core_pow)
     pts = sorted(x for x in breaks if a < x < b)
     radial, _err = integrate.quad(density, a, b, points=pts or None,
-                                  epsabs=1e-13, epsrel=1e-12, limit=400)
+                                  epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
+                                  limit=400)
     quad = 2.0 * math.pi * radial
     gap = abs(stokes - quad) / max(abs(stokes), 1e-300)
     if gap > tol:

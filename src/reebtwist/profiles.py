@@ -14,6 +14,8 @@ Two families of profiles are built here:
 All shipped shapes have closed-form derivatives up to order two; the
 defining integrals of ``h_k`` and ``h~_k`` are evaluated in closed form
 with adaptive Gauss-Kronrod quadrature kept as an independent oracle.
+Every shipped profile is piecewise (see ``_piecewise``) and evaluates a
+float to a float and an ndarray elementwise.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ __all__ = [
 # Angle-convention factor between the polar angle on the binding disk
 # (period 2*pi) and the mapping-torus coordinate (period 1).
 PHI_PERIOD_SCALE = 2.0 * math.pi
+
+# brentq tolerance of the principal zero p0 and quad tolerance of the
+# Gauss-Kronrod oracles for h_k and h~_k
+ROOT_XTOL = 1e-15
+QUAD_TOL = 1e-12
 
 
 class ProfileError(ValueError):
@@ -102,6 +109,16 @@ class SmoothProfile:
         return worst
 
 
+def _ufunc(math_fn, np_fn):
+    """An elementary function of a float (math, as cheap as the scalar
+    loops need) or, elementwise, of an ndarray (numpy)."""
+    return lambda x: np_fn(x) if isinstance(x, np.ndarray) else math_fn(x)
+
+
+_cos, _sin = _ufunc(math.cos, np.cos), _ufunc(math.sin, np.sin)
+_tanh, _cosh = _ufunc(math.tanh, np.tanh), _ufunc(math.cosh, np.cosh)
+
+
 # ----------------------------------------------------------------------
 # twist ramp shapes
 # ----------------------------------------------------------------------
@@ -112,16 +129,16 @@ class SmoothProfile:
 
 def _cos_ramp():
     def c(x):
-        return 0.5 * (1.0 + math.cos(math.pi * x))
+        return 0.5 * (1.0 + _cos(math.pi * x))
 
     def c1(x):
-        return -0.5 * math.pi * math.sin(math.pi * x)
+        return -0.5 * math.pi * _sin(math.pi * x)
 
     def c2(x):
-        return -0.5 * math.pi ** 2 * math.cos(math.pi * x)
+        return -0.5 * math.pi ** 2 * _cos(math.pi * x)
 
     def Cint(x):
-        return 0.5 * x + math.sin(math.pi * x) / (2.0 * math.pi)
+        return 0.5 * x + _sin(math.pi * x) / (2.0 * math.pi)
 
     return c, c1, c2, Cint
 
@@ -130,17 +147,17 @@ def _cos2_ramp():
     # ((1 + cos(pi x))/2)^2 = 3/8 + cos(pi x)/2 + cos(2 pi x)/8.
     # C2 at the plateau end: c'' (1) = 0, so g is C2 across the junction.
     def c(x):
-        return (0.5 * (1.0 + math.cos(math.pi * x))) ** 2
+        return (0.5 * (1.0 + _cos(math.pi * x))) ** 2
 
     def c1(x):
-        return -0.5 * math.pi * (1.0 + math.cos(math.pi * x)) * math.sin(math.pi * x)
+        return -0.5 * math.pi * (1.0 + _cos(math.pi * x)) * _sin(math.pi * x)
 
     def c2(x):
-        return -0.5 * math.pi ** 2 * (math.cos(math.pi * x) + math.cos(2.0 * math.pi * x))
+        return -0.5 * math.pi ** 2 * (_cos(math.pi * x) + _cos(2.0 * math.pi * x))
 
     def Cint(x):
-        return (3.0 * x / 8.0 + math.sin(math.pi * x) / (2.0 * math.pi)
-                + math.sin(2.0 * math.pi * x) / (16.0 * math.pi))
+        return (3.0 * x / 8.0 + _sin(math.pi * x) / (2.0 * math.pi)
+                + _sin(2.0 * math.pi * x) / (16.0 * math.pi))
 
     return c, c1, c2, Cint
 
@@ -170,13 +187,13 @@ class TwistProfile:
     htilde: SmoothProfile
     p0: float | None
 
-    def hk_by_quadrature(self, s: float, tol=1e-12) -> float:
+    def hk_by_quadrature(self, s: float, tol=QUAD_TOL) -> float:
         """Independent Gauss-Kronrod evaluation of 1 + int_0^s sigma g'."""
         val, _ = integrate.quad(lambda u: u * self.g.d1(u), 0.0, s,
                                 epsabs=tol, epsrel=tol, limit=200)
         return 1.0 + val
 
-    def htilde_by_quadrature(self, s: float, tol=1e-12) -> float:
+    def htilde_by_quadrature(self, s: float, tol=QUAD_TOL) -> float:
         """Independent Gauss-Kronrod evaluation of 1 - int_0^s g."""
         val, _ = integrate.quad(self.g.value, 0.0, s,
                                 epsabs=tol, epsrel=tol, limit=200)
@@ -218,42 +235,37 @@ def build_twist_profile(k: int, eps: float, p_plateau: float,
 
     pc = p_plateau
     kpi = k * math.pi
+    ramp_area = kpi * pc * Cint(1.0)    # int_0^pc of the ramp term
 
-    def g_val(s):
-        ramp = c(s / pc) if s < pc else 0.0
-        return kpi * ramp + eps * s
+    def primitives(g0, g1, g2, int_g):
+        """(value, d1, d2) of g, f, hk and htilde on one piece, from g,
+        its derivatives and its integral there."""
+        return {
+            "g": (g0, g1, g2),
+            "f": (lambda s: g0(s) - kpi, g1, g2),
+            # hk = 1 + int sigma g' = 1 + s g(s) - int g (by parts)
+            "hk": (lambda s: 1.0 + s * g0(s) - int_g(s),
+                   lambda s: s * g1(s), lambda s: g1(s) + s * g2(s)),
+            "htilde": (lambda s: 1.0 - int_g(s), lambda s: -g0(s),
+                       lambda s: -g1(s)),
+        }
 
-    def g_d1(s):
-        ramp = c1(s / pc) / pc if s < pc else 0.0
-        return kpi * ramp + eps
+    ramp = primitives(lambda s: kpi * c(s / pc) + eps * s,
+                      lambda s: kpi * (c1(s / pc) / pc) + eps,
+                      lambda s: kpi * (c2(s / pc) / pc ** 2),
+                      lambda s: kpi * pc * Cint(s / pc) + 0.5 * eps * s * s)
+    drift = primitives(lambda s: eps * s, _constant(eps), _constant(0.0),
+                       lambda s: ramp_area + 0.5 * eps * s * s)
+    # the ramp acts for s < pc: its piece ends at the last float below pc
+    g, f, hk, htilde = (
+        SmoothProfile(0.0, s_max, *_piecewise([
+            (math.nextafter(pc, 0.0), *ramp[prof]),
+            (s_max, *drift[prof])]), breaks=(pc,))
+        for prof in ("g", "f", "hk", "htilde"))
 
-    def g_d2(s):
-        ramp = c2(s / pc) / pc ** 2 if s < pc else 0.0
-        return kpi * ramp
-
-    g = SmoothProfile(0.0, s_max, g_val, g_d1, g_d2, breaks=(pc,))
-    f = SmoothProfile(0.0, s_max, lambda s: g_val(s) - kpi, g_d1, g_d2, breaks=(pc,))
-
-    def int_g(s):
-        x = min(s, pc) / pc
-        return kpi * pc * Cint(x) + 0.5 * eps * s * s
-
-    # hk = 1 + int sigma g' = 1 + s g(s) - int g   (integration by parts)
-    def hk_val(s):
-        return 1.0 + s * g_val(s) - int_g(s)
-
-    hk = SmoothProfile(0.0, s_max, hk_val,
-                       lambda s: s * g_d1(s),
-                       lambda s: g_d1(s) + s * g_d2(s),
-                       breaks=(pc,))
-    htilde = SmoothProfile(0.0, s_max, lambda s: 1.0 - int_g(s),
-                           lambda s: -g_val(s),
-                           lambda s: -g_d1(s),
-                           breaks=(pc,))
-
-    if abs(g_val(0.0) - kpi) > 1e-12:
+    if abs(g(0.0) - kpi) > 1e-12:
         raise ProfileError("g(0) != k*pi")
-    if abs(hk_val(0.0) - 1.0) > 1e-15:
+    if abs(hk(0.0) - 1.0) > 1e-15:
         raise ProfileError("hk(0) != 1")
 
     p0 = None
@@ -261,25 +273,25 @@ def build_twist_profile(k: int, eps: float, p_plateau: float,
         # g rises from k*pi < 0 to eps*s > 0: bracket by scan, bisect,
         # then Newton-polish to |g(p0)| <= 1e-12.
         scan = np.linspace(1e-9, s_max, 1001)
-        vals = np.array([g_val(s) for s in scan])
+        vals = g(scan)
         idx = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
         if len(idx) != 1:
             raise ProfileError(f"expected one sign change of g, found {len(idx)}")
         a, b = scan[idx[0]], scan[idx[0] + 1]
-        p0 = optimize.brentq(g_val, a, b, xtol=1e-15)
+        p0 = optimize.brentq(g.value, a, b, xtol=ROOT_XTOL)
         for _ in range(4):
-            p0 = p0 - g_val(p0) / g_d1(p0)
-        if abs(g_val(p0)) > 1e-12:
-            raise ProfileError(f"root polish failed: |g(p0)| = {abs(g_val(p0)):.2e}")
-        if g_d1(p0) <= 0.0:
+            p0 = p0 - g(p0) / g.d1(p0)
+        if abs(g(p0)) > 1e-12:
+            raise ProfileError(f"root polish failed: |g(p0)| = {abs(g(p0)):.2e}")
+        if g.d1(p0) <= 0.0:
             raise ProfileError("g'(p0) <= 0 at the principal zero")
     else:
-        vals = np.array([g_val(s) for s in np.linspace(0.0, s_max, 2001)])
+        vals = g(np.linspace(0.0, s_max, 2001))
         if vals.min() <= 0.0:
             raise ProfileError("k > 0 twist developed a zero; reduce p_plateau or eps")
 
     # hk must stay positive on [0, 1] (and the whole domain we ship).
-    hk_min = min(hk_val(s) for s in np.linspace(0.0, s_max, 2001))
+    hk_min = float(hk(np.linspace(0.0, s_max, 2001)).min())
     if hk_min <= 0.0:
         raise ProfileError(f"hk is not positive on the domain (min {hk_min:.3e})")
 
@@ -324,26 +336,45 @@ def _horner(coef):
     return poly
 
 
-class _Piecewise:
-    """Ordered list of (upper_edge, value, d1, d2) pieces."""
+def _constant(c):
+    """The function x -> c; c + 0*x is a float for a float and an array
+    of x's shape for an array."""
+    return lambda x: c + 0.0 * x
 
-    def __init__(self, pieces):
-        self.pieces = pieces
 
-    def _find(self, x):
-        for edge, v, d1, d2 in self.pieces:
-            if x <= edge:
-                return v, d1, d2
-        return self.pieces[-1][1], self.pieces[-1][2], self.pieces[-1][3]
+def _piecewise(pieces):
+    """(value, d1, d2) of the function whose ordered pieces are
+    ``(upper_edge, value, d1, d2)``.
 
-    def value(self, x):
-        return float(self._find(x)[0](x))
+    A point x belongs to the first piece whose edge is >= x, and to the
+    last piece past every edge.  A float is looked up by scanning the
+    edges (the cheap path for the scalar callers); an ndarray by
+    ``np.searchsorted(edges, x, side="left")``, the same rule, with each
+    piece evaluated once on the points it owns.
+    """
+    edges = np.array([piece[0] for piece in pieces])
 
-    def d1(self, x):
-        return float(self._find(x)[1](x))
+    def join(fns):
+        pairs = tuple(zip(edges.tolist(), fns))
 
-    def d2(self, x):
-        return float(self._find(x)[2](x))
+        def f(x):
+            if not isinstance(x, np.ndarray):
+                x = float(x)
+                for edge, fn in pairs:
+                    if x <= edge:
+                        return float(fn(x))
+                return float(fns[-1](x))
+            owner = np.minimum(np.searchsorted(edges, x, side="left"),
+                               len(fns) - 1)
+            out = np.empty(x.shape)
+            for i, fn in enumerate(fns):
+                mask = owner == i
+                if mask.any():
+                    out[mask] = fn(x[mask])
+            return out
+        return f
+
+    return tuple(join([piece[i] for piece in pieces]) for i in (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -431,25 +462,25 @@ def _build_fig2(r0, r_max, shape) -> BindingProfile:
 
     # tail: h2 = H - (kappa w^2 / 2) tanh((r - r0)/w)^2, so h2''(r0) = -kappa
     def tail_v(r):
-        return H - 0.5 * kappa * w * w * math.tanh((r - r0) / w) ** 2
+        return H - 0.5 * kappa * w * w * _tanh((r - r0) / w) ** 2
 
     def tail_d1(r):
         u = (r - r0) / w
-        return -kappa * w * math.tanh(u) / math.cosh(u) ** 2
+        return -kappa * w * _tanh(u) / _cosh(u) ** 2
 
     def tail_d2(r):
         u = (r - r0) / w
-        th, ch = math.tanh(u), math.cosh(u)
+        th, ch = _tanh(u), _cosh(u)
         return -kappa * (1.0 / ch ** 4 - 2.0 * th ** 2 / ch ** 2)
 
-    h2pw = _Piecewise([
-        (rA, lambda r: r * r, lambda r: 2.0 * r, lambda r: 2.0),
+    h2pw = _piecewise([
+        (rA, lambda r: r * r, lambda r: 2.0 * r, _constant(2.0)),
         (r0, rise_v, rise_d1, rise_d2),
         (r_max, tail_v, tail_d1, tail_d2),
     ])
-    h2 = SmoothProfile(0.0, r_max, h2pw.value, h2pw.d1, h2pw.d2, breaks=(rA, r0))
+    h2 = SmoothProfile(0.0, r_max, *h2pw, breaks=(rA, r0))
     h1 = SmoothProfile(0.0, r_max, lambda r: 1.0 - r * r,
-                       lambda r: -2.0 * r, lambda r: -2.0)
+                       lambda r: -2.0 * r, _constant(-2.0))
     return BindingProfile(h1=h1, h2=h2, r0=r0, r_max=r_max,
                           quadratic_core=True, core_end=rA, shape="fig2")
 
@@ -536,20 +567,20 @@ def _assemble_collar(tp, r0, r_max, r_c, rB, c2,
     h2r, h2r1, h2r2 = _quintic_hermite(rB, r_c,
                                        c2 * rB * rB, 2.0 * c2 * rB, 2.0 * c2,
                                        c_h2(r_c), c_h2d(r_c), c_h2dd(r_c))
-    h1pw = _Piecewise([
-        (rB, lambda r: 1.0 - r * r, lambda r: -2.0 * r, lambda r: -2.0),
+    h1pw = _piecewise([
+        (rB, lambda r: 1.0 - r * r, lambda r: -2.0 * r, _constant(-2.0)),
         (r_c, h1r, h1r1, h1r2),
         (r_max, c_h1, c_h1d, c_h1dd),
     ])
-    h2pw = _Piecewise([
-        (rB, lambda r: c2 * r * r, lambda r: 2.0 * c2 * r, lambda r: 2.0 * c2),
+    h2pw = _piecewise([
+        (rB, lambda r: c2 * r * r, lambda r: 2.0 * c2 * r, _constant(2.0 * c2)),
         (r_c, h2r, h2r1, h2r2),
         (r_max, c_h2, c_h2d, c_h2dd),
     ])
     breaks = (rB, r_c, 1.0 / tp.p_plateau) if r_max > 1.0 / tp.p_plateau \
         else (rB, r_c)
-    h1 = SmoothProfile(0.0, r_max, h1pw.value, h1pw.d1, h1pw.d2, breaks=breaks)
-    h2 = SmoothProfile(0.0, r_max, h2pw.value, h2pw.d1, h2pw.d2, breaks=breaks)
+    h1 = SmoothProfile(0.0, r_max, *h1pw, breaks=breaks)
+    h2 = SmoothProfile(0.0, r_max, *h2pw, breaks=breaks)
     return BindingProfile(h1=h1, h2=h2, r0=r0, r_max=r_max,
                           quadratic_core=False, core_end=rB,
                           collar=(r_c, r_max), core_scale=c2, shape="collar")

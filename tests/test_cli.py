@@ -329,3 +329,39 @@ def test_failed_gate_exits_1(tmp_path, capsys, monkeypatch, subcommand,
         # the artifact records the failure too
         payload = json.loads((tmp_path / ARTIFACT[subcommand]).read_text())
         assert cli._at(*row.field)(payload) is False
+
+
+def test_back_substitution_residual_reported_and_gated(all_run, tmp_path,
+                                                       capsys, monkeypatch):
+    out, _ = all_run
+    kernel = json.loads((out / "kernel.json").read_text())
+    assert 0.0 <= kernel["back_substitution_residual"] <= 1e-8
+    # assemble_W_equation reports the residual and no longer raises on
+    # it: the gate decides, and lincr exits 1 naming it
+    real = lincr.assemble_W_equation
+
+    def spoiled(*args, **kwargs):
+        we = real(*args, **kwargs)
+        we.back_substitution_residual = 1e-6
+        return we
+
+    monkeypatch.setattr(lincr, "assemble_W_equation", spoiled)
+    assert cli.main(["lincr", "--quiet", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.strip() == \
+        "error: failed gates: w_back_substitution"
+    kernel = json.loads((tmp_path / "kernel.json").read_text())
+    assert kernel["back_substitution_residual"] == 1e-6
+
+
+def test_matched_profile_built_on_first_use(tmp_path, capsys, monkeypatch):
+    # only validate and geometry read the matched profile: lincr runs
+    # without building it, validate reports its failure as a typed error
+    def refuse(*args, **kwargs):
+        raise profiles.ProfileError("matched profile refused")
+
+    monkeypatch.setattr(profiles, "matched_binding_profile", refuse)
+    assert cli.main(["lincr", "--quiet", "--out", str(tmp_path / "l")]) == 0
+    assert capsys.readouterr().err == ""
+    assert cli.main(["validate", "--quiet", "--out", str(tmp_path / "v")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: matched profile refused\n"

@@ -227,3 +227,14 @@ def test_reeb_field_binding_core_limit(bp):
     R = G.reeb_field_binding(bp, x)
     assert R.dphi == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(R.dq, x.p) and np.allclose(R.dp, -x.q)
+
+
+def test_reeb_push_collar_mismatch_alone(tp, matched):
+    # the collar-push residual needs no identity suite: the same value
+    # for any seed and point count of the suite it used to be read from
+    value = G.reeb_push_collar_mismatch(tp, matched)
+    assert 0.0 <= value <= 1e-8
+    for seed, n_points in ((0, 5), (3, 12)):
+        suite = G.identity_suite(tp, matched, n=2, n_points=n_points,
+                                 seed=seed)
+        assert suite["reeb_push_collar_mismatch"] == value

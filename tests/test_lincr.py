@@ -446,3 +446,75 @@ def test_stacked_blocks_match_blocks_alone_at_high_k():
         alone += np.array(logn).T.ravel().tolist()
     assert together.shape == (len(alone),)
     assert np.max(np.abs(together - np.array(alone))) <= 1e-9
+
+
+# ----------------------------------------------------------------------
+# oracle: the array assembly against per-point loops
+# ----------------------------------------------------------------------
+
+MODES_CONFIG = "[twist]\nk = -2\nshape = cos\n[run]\nn = 3\n[lincr]\nk_max = 8\n"
+COLLAR_CONFIG = ("[twist]\nk = -3\np_plateau = 0.9\nshape = cos2\n"
+                 "[binding]\nshape = collar\nr0 = 1.3256834340201944\n"
+                 "r_max = 3.0\n")
+
+
+@pytest.mark.parametrize("text", ["", MODES_CONFIG, COLLAR_CONFIG],
+                         ids=["default", "modes", "collar"])
+def test_array_assembly_matches_point_loops(text):
+    # the three checks of assemble_W_equation, each redone one float at
+    # a time through the same functions (the loops the array code replaced)
+    model = cli.Model(parse_config(text))
+    bp, sol, we = model.bp, model.sol, model.we
+    top = math.exp(sol.x_max)
+
+    rhos = np.geomspace(1e-4, top, 64)
+    detH = [bp.detH(sol.r_of_rho(float(rho))) for rho in rhos]
+    np.testing.assert_allclose(bp.detH(sol.r_of_rho(rhos)), detH,
+                               rtol=1e-15, atol=0.0)
+    assert min(abs(d) for d in detH) >= 1e-14
+
+    a_norm = 0.0
+    for rho in np.geomspace(1e-3, top, 4000):
+        F, h1, h2, _ = L._coefficients(bp, sol.r_of_rho(float(rho)))
+        a_norm = max(a_norm, abs(F) * math.hypot(h1, h2))
+    assert we.a_norm == pytest.approx(a_norm, rel=1e-15, abs=0.0)
+
+    worst = 0.0
+    for name in ("const_re", "translation"):
+        Wf = L.s_basis(we, name)
+        for rho in np.geomspace(1e-2, math.exp(0.9 * sol.x_max), 1000):
+            worst = max(worst, L.full_system_residual(we, Wf, float(rho), 0.37))
+    assert we.back_substitution_residual == pytest.approx(worst, rel=1e-12,
+                                                          abs=1e-16)
+    assert we.back_substitution_residual <= 1e-8
+
+
+def test_array_s_basis_matches_floats(we):
+    rhos = np.geomspace(1e-3, 1e5, 50)
+    for name in ("const_re", "const_im", "trans_re", "trans_im",
+                 "translation"):
+        Wf = L.s_basis(we, name)
+        arrays = Wf(rhos, 0.7)
+        for j, rho in enumerate(rhos):
+            for got, ref in zip(arrays, Wf(float(rho), 0.7)):
+                assert ref.shape == (2,)
+                np.testing.assert_allclose(got[:, j], ref, rtol=1e-15,
+                                           atol=0.0)
+
+
+def test_lean_rhs_matches_block_matrices(we):
+    # k*y + g*(T y) through flat indices against _block_matrix(k, G1, H2)
+    # applied to each block's columns, at random states and coefficients
+    rng = np.random.default_rng(17)
+    blocks = tuple(range(9))
+    for ncols in ((4, 6, 4, 4, 4, 4, 4, 4, 4), (2, 4, 3, 1, 4, 2, 3, 4, 4)):
+        shapes = tuple((4 if b == 0 else 8, c) for b, c in zip(blocks, ncols))
+        system = L._stacked_system(blocks, shapes)
+        for _ in range(5):
+            Ys = [rng.standard_normal(shape) for shape in shapes]
+            G1, H2 = rng.uniform(-3.0, 3.0, 2)
+            got = L._apply_stacked(system, G1, H2,
+                                   np.concatenate([Y.ravel() for Y in Ys]))
+            ref = np.concatenate([(L._block_matrix(b, G1, H2) @ Y).ravel()
+                                  for b, Y in zip(blocks, Ys)])
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14)

@@ -127,3 +127,62 @@ def test_flat_peak_profiles_rejected_with_diagnostic(tp, matched):
     # the solver refuses rather than chase radii beyond double precision
     with pytest.raises(PL.PlaneError, match="too flat"):
         PL.solve_plane(matched, r_at_1=matched.core_end / 2.0)
+
+
+def _scalar_lookup(sol, rho):
+    """The per-point (r, t) lookup the array evaluators replace: math
+    closed forms on the core and the tail, one OdeSolution call on the
+    half that holds log rho in between."""
+    def dense(x, comp):
+        return float((sol.sol_back if x < 0 else sol.sol_fwd)(x)[comp])
+
+    x_r = math.log(rho) if rho > 0.0 else -math.inf
+    if rho <= 0.0:
+        r = 0.0
+    elif x_r <= sol.x_core:
+        r = sol.core_coeff * math.exp(sol.core_pow * x_r)
+    elif x_r >= sol.x_max:
+        r = sol.r0 - sol.tail_coeff * math.exp(-sol.kappa * x_r)
+    else:
+        r = dense(x_r, 0)
+    x = math.log(rho if rho > 0.0 else 1e-300)
+    g = 2.0 * sol.core_pow
+    if x <= sol.x_core:
+        amp = 0.5 * sol.core_pow * sol.core_coeff ** 2 / g
+        t = dense(sol.x_core, 1) - amp * (math.exp(g * sol.x_core)
+                                          - math.exp(g * x))
+    elif x >= sol.x_max:
+        t = dense(sol.x_max, 1) + sol.bp.h2(sol.r0) * (x - sol.x_max)
+    else:
+        t = dense(x, 1)
+    return r, t, sol.x_core < x < sol.x_max
+
+
+def test_array_lookup_matches_scalar_oracle(plane_sol):
+    # a grid across rho <= 0, the core, both halves of the integrated
+    # range (x < 0 and x >= 0), and the tail; floats and arrays
+    sol = plane_sol
+    rhos = np.concatenate([
+        [-1.0, 0.0, 1e-320, 1.0],
+        np.geomspace(math.exp(sol.x_core - 3.0), math.exp(sol.x_max + 3.0),
+                     2001)])
+    ref = np.array([_scalar_lookup(sol, float(rho)) for rho in rhos])
+    mid = ref[:, 2].astype(bool)
+    assert mid.sum() > 1000 and (~mid).sum() > 500
+    assert (np.log(rhos[mid]) < 0).any() and (np.log(rhos[mid]) >= 0).any()
+    for got in (sol.r_of_rho(rhos), np.array([sol.r_of_rho(float(rho))
+                                              for rho in rhos])):
+        assert np.array_equal(got[mid], ref[mid, 0])
+        np.testing.assert_allclose(got[~mid], ref[~mid, 0], rtol=4e-16,
+                                   atol=0.0)
+    for got in (sol.t_of_rho(rhos), np.array([sol.t_of_rho(float(rho))
+                                              for rho in rhos])):
+        assert np.array_equal(got[mid], ref[mid, 1])
+        np.testing.assert_allclose(got[~mid], ref[~mid, 1], rtol=4e-16,
+                                   atol=0.0)
+    assert isinstance(sol.r_of_rho(2.0), float)
+    assert isinstance(sol.t_of_rho(2.0), float)
+    assert sol.r_of_rho(-1.0) == sol.r_of_rho(0.0) == 0.0
+    # the stored grid is the array lookup on rho_grid
+    assert np.array_equal(sol.r_vals, sol.r_of_rho(sol.rho_grid))
+    assert np.array_equal(sol.t_vals, sol.t_of_rho(sol.rho_grid))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from reebtwist import profiles as P
+from reebtwist.cli import Model
+from reebtwist.config import parse_config
 
 
 def test_g_at_zero_is_k_pi(tp):
@@ -175,3 +177,35 @@ def test_dump_tables(tp, bp):
     h, rows = P.binding_table(bp, n=16)
     assert h == ["r", "h1", "h1_prime", "h2", "h2_prime", "detH"]
     assert all(np.isfinite(rows[-1]))
+
+
+COLLAR_CONFIG = ("[twist]\nk = -3\np_plateau = 0.9\nshape = cos2\n"
+                 "[binding]\nshape = collar\nr0 = 1.3256834340201944\n"
+                 "r_max = 3.0\n")
+
+
+@pytest.mark.parametrize("text", ["", COLLAR_CONFIG], ids=["fig2", "collar"])
+def test_array_profiles_match_scalar_path(text):
+    # the searchsorted dispatch of an array against the per-float edge
+    # scan, on random radii plus every piece edge exactly (h1, h2) and on
+    # random levels plus the plateau point (the twist closures the collar
+    # pieces go through).  A float goes through math's tanh and cosh and
+    # libm's pow for x ** n, an array through numpy's, which may differ
+    # in the last bit, so values agree to an ulp of the function's scale.
+    model = Model(parse_config(text))
+    tp, bp = model.tp, model.bp
+    assert bp.shape == ("collar" if text else "fig2")
+    rng = np.random.default_rng(16)
+    edges = [0.0, bp.core_end, bp.r0, bp.r_max] + list(bp.h2.breaks)
+    rs = np.concatenate([rng.uniform(0.0, bp.r_max, 2000), edges])
+    ss = np.concatenate([rng.uniform(0.0, tp.s_max, 2000),
+                         [0.0, tp.p_plateau, tp.p0, tp.s_max]])
+    for prof, xs in ((bp.h1, rs), (bp.h2, rs), (tp.g, ss), (tp.hk, ss),
+                     (tp.htilde, ss)):
+        for fn in (prof.value, prof.d1, prof.d2):
+            got = fn(xs)
+            assert isinstance(got, np.ndarray) and got.shape == xs.shape
+            ref = np.array([fn(float(x)) for x in xs])
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(got - ref)) <= 2.0 * np.finfo(float).eps * scale
+    assert isinstance(bp.h2.d2(float(bp.r0)), float)
