@@ -349,8 +349,10 @@ def stage_lincr(model: Model, out: Path, seed: int) -> dict:
     report = lincr.kernel_dimension(we, delta=cfg.delta, k_max=cfg.k_max,
                                     n=cfg.n, angle_tol=10 * cfg.tol_rank)
     rng = np.random.default_rng(seed + 17)
-    fields = [lincr.random_truncated_field(
-        rng, rng.integers(2, 11, size=3).tolist()) for _ in range(100)]
+    # drawn one at a time as the check consumes them: the 100 fields
+    # together would hold 10 MB
+    fields = (lincr.random_truncated_field(
+        rng, rng.integers(2, 11, size=3).tolist()) for _ in range(100))
     sz = lincr.sz_inequality_check(fields, delta=report.delta)
     header, rows = lincr.mode_shooting_table(we, k_max=cfg.k_max)
     write_csv(out / "lincr_modes.csv", header, rows)

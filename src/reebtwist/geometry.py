@@ -480,11 +480,10 @@ def identity_suite(tp: TwistProfile, bp: BindingProfile, n: int = 2,
     return out
 
 
-def reeb_push_collar_mismatch(tp: TwistProfile, bp: BindingProfile,
-                              n: int = 40) -> float:
+def reeb_push_collar_mismatch(tp: TwistProfile, bp: BindingProfile) -> float:
     """Two-model Reeb agreement on the collar of a matched profile: the
-    largest push_reeb_to_tilde mismatch over n radii spanning it."""
+    largest push_reeb_to_tilde mismatch over 40 radii spanning it."""
     lo, hi = bp.collar
     lo = max(lo, 1.0 / tp.s_max) * (1.0 + 1e-9)
     return max(push_reeb_to_tilde(tp, bp, float(r))
-               for r in np.linspace(lo, hi, n))
+               for r in np.linspace(lo, hi, 40))

@@ -674,10 +674,13 @@ def sz_inequality_check(fields, delta: float = 0.5, rho_0: float = 1.0,
     Angular integrals are spectral (FFT); the radial measure is
     exp(w(rho) * rho) d rho with the smooth-step weight exponent.
     Fields whose truncation vanishes are vacuous and give no ratio.
+    ``fields`` may be any iterable, a generator included, so the caller
+    need not hold every field at once.
     """
     ratios = []
-    vacuous = 0
+    vacuous = n_fields = 0
     for rhos, psis, vals in fields:
+        n_fields += 1
         n_rho, n_psi, _ = vals.shape
         hat = np.fft.fft(vals, axis=1)
         freqs = np.fft.fftfreq(n_psi, d=1.0 / n_psi).astype(int)
@@ -698,7 +701,7 @@ def sz_inequality_check(fields, delta: float = 0.5, rho_0: float = 1.0,
             continue
         ratios.append(math.sqrt(num / den))
     return {
-        "n_fields": len(fields),
+        "n_fields": n_fields,
         "n_vacuous": vacuous,
         "min_ratio": min(ratios) if ratios else float("inf"),
     }

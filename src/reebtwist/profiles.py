@@ -410,7 +410,7 @@ class BindingProfile:
     def min_detH_over_r(self, n: int = 10_000):
         """Grid minimum of detH/r on (0, r_max]; the contact certificate."""
         rs = np.linspace(self.r_max / n, self.r_max, n)
-        vals = np.array([self.detH_over_r(r) for r in rs])
+        vals = self.detH(rs) / rs
         i = int(np.argmin(vals))
         return float(vals[i]), float(rs[i])
 

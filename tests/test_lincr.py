@@ -258,6 +258,18 @@ def test_sz_inequality_random_fields():
     assert out["min_ratio"] >= 2.0 - 1e-9
 
 
+def test_sz_inequality_streams_fields():
+    # a generator of fields, drawn as the check consumes them, gives the
+    # same report as the list of the same draws
+    def draws():
+        rng = np.random.default_rng(11)
+        return (L.random_truncated_field(
+            rng, rng.integers(2, 11, size=3).tolist()) for _ in range(100))
+    out = L.sz_inequality_check(draws())
+    assert out == L.sz_inequality_check(list(draws()))
+    assert out["n_fields"] == 100
+
+
 def test_sz_inequality_constant_field_vacuous():
     rng = np.random.default_rng(12)
     out = L.sz_inequality_check([L.random_truncated_field(rng, [0])])

@@ -209,3 +209,17 @@ def test_array_profiles_match_scalar_path(text):
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(got - ref)) <= 2.0 * np.finfo(float).eps * scale
     assert isinstance(bp.h2.d2(float(bp.r0)), float)
+
+
+@pytest.mark.parametrize("text", ["", COLLAR_CONFIG], ids=["fig2", "collar"])
+def test_min_detH_over_r_matches_point_loop(text):
+    # the array grid minimum against detH/r taken one float at a time,
+    # for the configured profile and the matched one
+    model = Model(parse_config(text))
+    for bp in (model.bp, model.bp_matched):
+        mn, at = bp.min_detH_over_r(10_000)
+        rs = np.linspace(bp.r_max / 10_000, bp.r_max, 10_000)
+        ref = np.array([bp.detH_over_r(float(r)) for r in rs])
+        i = int(np.argmin(ref))
+        assert at == rs[i]
+        assert abs(mn - ref[i]) <= np.finfo(float).eps * abs(ref[i])
