@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,10 @@ __all__ = [
     "SymplPoint",
     "TangentVector",
     "TildeReebData",
+    "PointBatch",
+    "TangentBatch",
     "random_binding_point",
+    "random_binding_batch",
     "random_tangent",
     "alpha_binding",
     "dalpha_binding",
@@ -34,6 +38,11 @@ __all__ = [
     "reeb_field_binding",
     "geo_field_binding",
     "apply_J",
+    "alpha_batch",
+    "dalpha_batch",
+    "reeb_field_batch",
+    "geo_field_batch",
+    "apply_J_batch",
     "reeb_field_tilde",
     "tilde_reeb_data",
     "push_reeb_to_tilde",
@@ -254,6 +263,167 @@ def apply_J(bp: BindingProfile, x: SymplPoint, v: TangentVector,
 
 
 # ----------------------------------------------------------------------
+# batches: the same quantities at N points, one array expression each
+# ----------------------------------------------------------------------
+# Each batch form evaluates the formula of its scalar counterpart in the
+# same order, with the profiles evaluated on arrays; dot products go
+# through np.vecdot, which per row is the scalar path's q @ p.  The
+# scalar forms stay the oracle (tests compare the two).
+
+def _col(a: np.ndarray) -> np.ndarray:
+    return a[:, None]
+
+
+@dataclass(frozen=True)
+class PointBatch:
+    """N points of the binding model: q, p of shape (N, n), r, phi of
+    shape (N,); the point constraint is checked on every row."""
+
+    q: np.ndarray
+    p: np.ndarray
+    r: np.ndarray
+    phi: np.ndarray
+
+    def __post_init__(self):
+        q, p = self.q, self.p
+        if q.shape != p.shape or q.ndim != 2 or q.shape[1] < 2:
+            raise GeometryError("q, p must be equal (N, n) arrays, n >= 2")
+        res = float(np.max(np.maximum.reduce([
+            np.abs(np.vecdot(q, q) - 1.0), np.abs(np.vecdot(p, p) - 1.0),
+            np.abs(np.vecdot(q, p))]), initial=0.0))
+        if res > CONSTRAINT_TOL:
+            raise GeometryError(f"point constraint residual {res:.2e}")
+
+
+class TangentBatch(NamedTuple):
+    """N tangent vectors: dq, dp of shape (N, n), dphi, dr, dt of shape (N,)."""
+
+    dphi: np.ndarray
+    dq: np.ndarray
+    dp: np.ndarray
+    dr: np.ndarray
+    dt: np.ndarray
+
+    def constraint_residual(self, x: PointBatch) -> np.ndarray:
+        return np.maximum.reduce([
+            np.abs(np.vecdot(x.q, self.dq)), np.abs(np.vecdot(x.p, self.dp)),
+            np.abs(np.vecdot(x.p, self.dq) + np.vecdot(x.q, self.dp))])
+
+    def plus(self, other: "TangentBatch", c=1.0) -> "TangentBatch":
+        """self + c * other, for a float c or one per vector."""
+        c = np.asarray(c, float)
+        cc = _col(c) if c.ndim else c
+        return TangentBatch(self.dphi + c * other.dphi, self.dq + cc * other.dq,
+                            self.dp + cc * other.dp, self.dr + c * other.dr,
+                            self.dt + c * other.dt)
+
+    def norm(self) -> np.ndarray:
+        return np.sqrt(self.dphi ** 2 + np.vecdot(self.dq, self.dq)
+                       + np.vecdot(self.dp, self.dp) + self.dr ** 2
+                       + self.dt ** 2)
+
+
+def _points_from_draws(bp: BindingProfile, normals, uniforms) -> PointBatch:
+    """random_binding_point's arithmetic (default r range) on rows of its
+    draws: 2n normals (q, then p) and two uniforms on [0, 1) (r, then
+    phi), scaled as Generator.uniform scales them.  Normalizes
+    ``normals`` in place."""
+    n = normals.shape[1] // 2
+    q, p = normals[:, :n], normals[:, n:]
+    q /= _col(np.sqrt(np.vecdot(q, q)))
+    p -= _col(np.vecdot(p, q)) * q
+    p /= _col(np.sqrt(np.vecdot(p, p)))
+    lo, hi = 0.05 * bp.r_max, 0.95 * bp.r_max
+    return PointBatch(q=q, p=p, r=lo + (hi - lo) * uniforms[:, 0],
+                      phi=(2.0 * math.pi) * uniforms[:, 1])
+
+
+def random_binding_batch(n: int, bp: BindingProfile, rng,
+                         count: int) -> PointBatch:
+    """``count`` calls of random_binding_point as one batch: the draws
+    are made point by point in the scalar order, so the points are the
+    scalar sampler's bit for bit; only the arithmetic is batched."""
+    normals, uniforms = np.empty((count, 2 * n)), np.empty((count, 2))
+    for z, u in zip(normals, uniforms):
+        rng.standard_normal(out=z)
+        rng.random(out=u)
+    return _points_from_draws(bp, normals, uniforms)
+
+
+def _tangents_from_draws(x: PointBatch, draws) -> TangentBatch:
+    """random_tangent's arithmetic on rows of its 2n + 3 normals (dq,
+    dp, then dphi, dr, dt).  Projects ``draws`` in place."""
+    n = x.q.shape[1]
+    dq, dp = draws[:, :n], draws[:, n:2 * n]
+    dq -= _col(np.vecdot(dq, x.q)) * x.q
+    dp -= _col(np.vecdot(dp, x.p)) * x.p
+    mixed = _col((np.vecdot(x.p, dq) + np.vecdot(x.q, dp)) / 2.0)
+    dq -= mixed * x.p
+    dp -= mixed * x.q
+    return TangentBatch(dphi=draws[:, 2 * n], dq=dq, dp=dp,
+                        dr=draws[:, 2 * n + 1], dt=draws[:, 2 * n + 2])
+
+
+def alpha_batch(bp: BindingProfile, x: PointBatch, v: TangentBatch) -> np.ndarray:
+    return bp.h1(x.r) * np.vecdot(x.p, v.dq) + bp.h2(x.r) * v.dphi
+
+
+def dalpha_batch(bp: BindingProfile, x: PointBatch, u: TangentBatch,
+                 v: TangentBatch) -> np.ndarray:
+    lam_u = np.vecdot(x.p, u.dq)
+    lam_v = np.vecdot(x.p, v.dq)
+    term1 = bp.h1.d1(x.r) * (u.dr * lam_v - v.dr * lam_u)
+    term2 = bp.h1(x.r) * (np.vecdot(u.dp, v.dq) - np.vecdot(v.dp, u.dq))
+    term3 = bp.h2.d1(x.r) * (u.dr * v.dphi - v.dr * u.dphi)
+    return term1 + term2 + term3
+
+
+def _radial_field(x: PointBatch, a, dphi) -> TangentBatch:
+    """The field dphi d/dphi + a R_lambda at every point."""
+    zero = np.zeros_like(x.r)
+    return TangentBatch(dphi=dphi, dq=_col(a) * x.p, dp=_col(-a) * x.q,
+                        dr=zero, dt=zero)
+
+
+def reeb_field_batch(bp: BindingProfile, x: PointBatch) -> TangentBatch:
+    r = x.r
+    if np.any((r < 0.0) | (r > bp.r_max)):
+        raise GeometryError(f"r outside [0, {bp.r_max}]")
+    at0 = r == 0.0
+    det = np.where(at0, 1.0, bp.detH(r))
+    a, dphi = bp.h2.d1(r) / det, -bp.h1.d1(r) / det
+    if at0.any():
+        lim = bp.detH_over_r(0.0)
+        a[at0], dphi[at0] = bp.h2.d2(0.0) / lim, -bp.h1.d2(0.0) / lim
+    return _radial_field(x, a, dphi)
+
+
+def geo_field_batch(bp: BindingProfile, x: PointBatch) -> TangentBatch:
+    det = bp.detH(x.r)
+    return _radial_field(x, -bp.h2(x.r) / det, bp.h1(x.r) / det)
+
+
+def apply_J_batch(bp: BindingProfile, x: PointBatch, v: TangentBatch,
+                  tol: float = 1e-8) -> TangentBatch:
+    res = float(np.max(v.constraint_residual(x), initial=0.0))
+    if res > tol:
+        raise GeometryError(f"apply_J: vector not tangent (residual {res:.2e})")
+    r = x.r
+    h1, h2 = bp.h1(r), bp.h2(r)
+    h1d, h2d = bp.h1.d1(r), bp.h2.d1(r)
+    det = bp.detH(r)
+    q, p = x.q, x.p
+    lam = np.vecdot(p, v.dq)
+    c2, c2d = _col(h2 / det), _col(h2d / det)
+    dr, dt = _col(v.dr), _col(v.dt)
+    dphi = (h1 * v.dr - h1d * v.dt) / det
+    dq = q * _col(lam) + v.dp - c2 * p * dr + c2d * p * dt
+    dp = -v.dq - p * _col(np.vecdot(q, v.dp)) + c2 * q * dr - c2d * q * dt
+    return TangentBatch(dphi=dphi, dq=dq, dp=dp, dr=-h2d * v.dphi - h1d * lam,
+                        dt=-h2 * v.dphi - h1 * lam)
+
+
+# ----------------------------------------------------------------------
 # mapping-torus (tilde) model
 # ----------------------------------------------------------------------
 
@@ -413,44 +583,40 @@ def identity_suite(tp: TwistProfile, bp: BindingProfile, n: int = 2,
     pass/fail table.
     """
     rng = np.random.default_rng(seed)
-    out = {}
+    # per point, the draws of random_binding_point then random_tangent
+    normals, uniforms = np.empty((n_points, 2 * n)), np.empty((n_points, 2))
+    tangent = np.empty((n_points, 2 * n + 3))
+    for z, u, w in zip(normals, uniforms, tangent):
+        rng.standard_normal(out=z)
+        rng.random(out=u)
+        rng.standard_normal(out=w)
+    x = _points_from_draws(bp, normals, uniforms)
+    v = _tangents_from_draws(x, tangent)
+    R = reeb_field_batch(bp, x)
+    Jv = apply_J_batch(bp, x, v)
+    # contact-plane compatibility: project v onto ker alpha
+    vxi = v.plus(R, -alpha_batch(bp, x, v))
+    nxi = vxi.norm()
+    quot = dalpha_batch(bp, x, vxi, apply_J_batch(bp, x, vxi)) / nxi ** 2
+    zero, one = np.zeros(n_points), np.ones(n_points)
+    flat = np.zeros((n_points, n))
+    Jdt = apply_J_batch(bp, x, TangentBatch(zero, flat, flat, zero, one))
+    Jdr = apply_J_batch(bp, x, TangentBatch(zero, flat, flat, one, zero))
 
-    worst_alpha = 0.0
-    worst_dalpha = 0.0
-    worst_JJ = 0.0
-    worst_compat = math.inf
-    worst_Jdt = 0.0
-    worst_Jdr = 0.0
-    for _ in range(n_points):
-        x = random_binding_point(n, bp, rng)
-        X = SymplPoint(base=x)
-        R = reeb_field_binding(bp, x)
-        worst_alpha = max(worst_alpha, abs(alpha_binding(bp, x, R) - 1.0))
-        v = random_tangent(x, rng)
-        worst_dalpha = max(worst_dalpha, abs(dalpha_binding(bp, x, R, v)))
-        Jv = apply_J(bp, X, v)
-        JJv = apply_J(bp, X, Jv)
-        worst_JJ = max(worst_JJ, JJv.plus(v).norm() / max(v.norm(), 1e-30))
-        # contact-plane compatibility: project v onto ker alpha
-        av = alpha_binding(bp, x, v)
-        vxi = v.plus(R.scaled(-av))
-        if vxi.norm() > 1e-8:
-            worst_compat = min(worst_compat,
-                               dalpha_binding(bp, x, vxi, apply_J(bp, X, vxi))
-                               / vxi.norm() ** 2)
-        dt_vec = TangentVector(0.0, np.zeros(n), np.zeros(n), 0.0, 1.0)
-        Jdt = apply_J(bp, X, dt_vec)
-        worst_Jdt = max(worst_Jdt, Jdt.plus(R.scaled(-1.0)).norm())
-        dr_vec = TangentVector(0.0, np.zeros(n), np.zeros(n), 1.0, 0.0)
-        Jdr = apply_J(bp, X, dr_vec)
-        G = geo_field_binding(bp, x)
-        worst_Jdr = max(worst_Jdr, Jdr.plus(G.scaled(-1.0)).norm())
-    out["alpha_of_reeb_minus_1"] = worst_alpha
-    out["dalpha_reeb_contraction"] = worst_dalpha
-    out["J_squared_plus_id"] = worst_JJ
-    out["min_compatibility_quotient"] = worst_compat
-    out["J_dt_minus_reeb"] = worst_Jdt
-    out["J_dr_minus_geofield"] = worst_Jdr
+    def worst(vals):
+        return float(np.max(vals, initial=0.0))
+
+    out = {
+        "alpha_of_reeb_minus_1": worst(np.abs(alpha_batch(bp, x, R) - 1.0)),
+        "dalpha_reeb_contraction": worst(np.abs(dalpha_batch(bp, x, R, v))),
+        "J_squared_plus_id": worst(apply_J_batch(bp, x, Jv).plus(v).norm()
+                                   / np.maximum(v.norm(), 1e-30)),
+        "min_compatibility_quotient": float(
+            np.min(quot[nxi > 1e-8], initial=math.inf)),
+        "J_dt_minus_reeb": worst(Jdt.plus(R, -1.0).norm()),
+        "J_dr_minus_geofield": worst(
+            Jdr.plus(geo_field_batch(bp, x), -1.0).norm()),
+    }
 
     # exact-vs-FD cross-check of dalpha at a smaller sample
     worst_fd = 0.0

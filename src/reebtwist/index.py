@@ -72,38 +72,47 @@ def standard_omega(dim: int) -> np.ndarray:
 class SymplecticPath:
     """A path [0, T] -> Sp(2m) starting at the identity.
 
-    ``samples`` realizes the stored discretization; ``evaluator`` is
-    kept alongside so crossing times can be refined between samples.
+    ``evaluator`` maps a 1-d array of times to the stack of matrices at
+    those times, shape (len(ts), dim, dim); ``samples`` is its value on
+    the stored grid ``times``, and the evaluator refines crossing times
+    between samples.
     """
 
     dim: int
-    samples: list  # [(t, matrix), ...]
-    evaluator: Callable[[float], np.ndarray]
+    times: np.ndarray
+    samples: np.ndarray
+    evaluator: Callable[[np.ndarray], np.ndarray]
     tolerance: float = 1e-9
 
     def __post_init__(self):
         Om = standard_omega(self.dim)
-        t0, M0 = self.samples[0]
-        if abs(t0) > 0 or np.max(np.abs(M0 - np.eye(self.dim))) > self.tolerance:
+        if abs(self.times[0]) > 0 or np.max(
+                np.abs(self.samples[0] - np.eye(self.dim))) > self.tolerance:
             raise IndexError_("path must start at the identity at t = 0")
-        worst = 0.0
-        for _t, M in self.samples:
-            worst = max(worst, float(np.max(np.abs(M.T @ Om @ M - Om))))
+        M = self.samples
+        worst = float(np.max(np.abs(np.swapaxes(M, 1, 2) @ Om @ M - Om)))
         if worst > self.tolerance:
             raise IndexError_(f"path is not symplectic: residual {worst:.2e}")
         self.symplectic_residual = worst
 
     @property
     def t_end(self) -> float:
-        return self.samples[-1][0]
+        return float(self.times[-1])
+
+    def at(self, t: float) -> np.ndarray:
+        """The matrix at one time: the evaluator on a batch of one."""
+        return self.evaluator(np.array([t]))[0]
 
 
 def make_path(dim: int, evaluator, t_end: float = 1.0, n_samples: int = 257,
               tolerance: float = 1e-9) -> SymplecticPath:
     ts = np.linspace(0.0, t_end, n_samples)
-    samples = [(float(t), np.asarray(evaluator(float(t)), float)) for t in ts]
-    return SymplecticPath(dim=dim, samples=samples, evaluator=evaluator,
-                          tolerance=tolerance)
+    samples = np.asarray(evaluator(ts), float)
+    if samples.shape != (n_samples, dim, dim):
+        raise IndexError_(f"evaluator returned shape {samples.shape}, "
+                          f"expected {(n_samples, dim, dim)}")
+    return SymplecticPath(dim=dim, times=ts, samples=samples,
+                          evaluator=evaluator, tolerance=tolerance)
 
 
 # ----------------------------------------------------------------------
@@ -139,8 +148,11 @@ def linearized_reeb_flow(tp: TwistProfile, level: OrbitLevel, t: float,
 
 
 def skew_path(c: float, t_end: float = 1.0, n_samples: int = 257) -> SymplecticPath:
-    def ev(t):
-        return np.array([[1.0, 0.0], [-c * t, 1.0]])
+    def ev(ts):
+        M = np.zeros((len(ts), 2, 2))
+        M[:, 0, 0] = M[:, 1, 1] = 1.0
+        M[:, 1, 0] = -c * ts
+        return M
     return make_path(2, ev, t_end, n_samples)
 
 
@@ -150,13 +162,14 @@ def rotation_loop(i: int, dim: int = 2, n_samples: int = 513) -> SymplecticPath:
     if i < 1:
         raise IndexError_("need i >= 1")
 
-    def ev(t):
-        th = 2.0 * math.pi * i * t
-        R = np.array([[math.cos(th), math.sin(th)],
-                      [-math.sin(th), math.cos(th)]])
-        M = np.eye(dim)
+    def ev(ts):
+        th = 2.0 * math.pi * i * ts
+        co, si = np.cos(th), np.sin(th)
+        M = np.zeros((len(ts), dim, dim))
         for j in range(0, dim, 2):
-            M[j:j + 2, j:j + 2] = R
+            M[:, j, j] = M[:, j + 1, j + 1] = co
+            M[:, j, j + 1] = si
+            M[:, j + 1, j] = -si
         return M
 
     return make_path(dim, ev, 1.0, n_samples)
@@ -168,8 +181,8 @@ def product_path(a: SymplecticPath, b: SymplecticPath,
         raise IndexError_("dimension mismatch")
     Ta, Tb = a.t_end, b.t_end
 
-    def ev(t):
-        return a.evaluator(t * Ta) @ b.evaluator(t * Tb)
+    def ev(ts):
+        return a.evaluator(ts * Ta) @ b.evaluator(ts * Tb)
 
     return make_path(a.dim, ev, 1.0, n_samples,
                      tolerance=max(a.tolerance, b.tolerance))
@@ -177,15 +190,22 @@ def product_path(a: SymplecticPath, b: SymplecticPath,
 
 def random_symplectic_path(dim: int, rng, scale: float = 1.0,
                            n_samples: int = 257) -> SymplecticPath:
-    """exp(t A) with A = Omega^{-1} S for a random symmetric S."""
-    from scipy.linalg import expm
+    """exp(t A) with A = Omega^{-1} S for a random symmetric S.
+
+    The stack comes from one eigendecomposition A = V diag(w) V^{-1}:
+    exp(t A) = V diag(exp(t w)) V^{-1}, real up to rounding.  A random A
+    is diagonalizable with a well-conditioned V; the symplecticity check
+    of make_path catches a path where rounding says otherwise.
+    """
     Om = standard_omega(dim)
     S = rng.standard_normal((dim, dim))
     S = scale * (S + S.T) / 2.0
     A = np.linalg.solve(Om, S)
+    w, V = np.linalg.eig(A)
+    V_inv = np.linalg.inv(V)
 
-    def ev(t):
-        return expm(t * A)
+    def ev(ts):
+        return ((V * np.exp(np.multiply.outer(ts, w))[:, None, :]) @ V_inv).real
 
     return make_path(dim, ev, 1.0, n_samples)
 
@@ -194,8 +214,13 @@ def random_symplectic_path(dim: int, rng, scale: float = 1.0,
 # crossing machinery
 # ----------------------------------------------------------------------
 
-def _det_minus_id(path, t):
-    return float(np.linalg.det(path.evaluator(t) - np.eye(path.dim)))
+def _det_minus_id(path, ts):
+    """det(Psi(t) - 1) at every time of the array ts, in one evaluation."""
+    return np.linalg.det(path.evaluator(ts) - np.eye(path.dim))
+
+
+def _det_minus_id_at(path, t):
+    return float(_det_minus_id(path, np.array([t]))[0])
 
 
 def _kernel_of(M, tol_rel=1e-7):
@@ -208,7 +233,8 @@ def _path_derivative(path, t, h=None):
     if h is None:
         h = max(1e-7, 1e-7 * path.t_end)
     lo, hi = max(0.0, t - h), min(path.t_end, t + h)
-    return (path.evaluator(hi) - path.evaluator(lo)) / (hi - lo)
+    M_lo, M_hi = path.evaluator(np.array([lo, hi]))
+    return (M_hi - M_lo) / (hi - lo)
 
 
 def _crossing_signature(path, t, eig_tol=1e-7):
@@ -218,7 +244,7 @@ def _crossing_signature(path, t, eig_tol=1e-7):
     magnitude are treated as zero and dropped; the count of dropped
     directions is returned for diagnostics.
     """
-    M = path.evaluator(t)
+    M = path.at(t)
     K = _kernel_of(M, tol_rel=eig_tol)
     if K.shape[1] == 0:
         return 0, 0
@@ -244,7 +270,7 @@ def _locate_crossings(path, n_scan=2001):
     kernel), which the caller handles separately.
     """
     ts = np.linspace(0.0, path.t_end, n_scan)
-    ds = np.array([_det_minus_id(path, t) for t in ts])
+    ds = _det_minus_id(path, ts)
     scale = max(float(np.max(np.abs(ds))), 1e-30)
     plateau_frac = float((np.abs(ds) <= max(1e-12, 1e-9 * scale)).mean())
     if plateau_frac > 0.5:
@@ -256,20 +282,20 @@ def _locate_crossings(path, n_scan=2001):
             if all(abs(t - c) > 1e-7 * path.t_end for c in crossings):
                 crossings.append(t)
 
-    for j in range(n_scan - 1):
-        if ds[j] * ds[j + 1] < 0:
-            add(optimize.brentq(lambda t: _det_minus_id(path, t),
-                                ts[j], ts[j + 1], xtol=CROSSING_XTOL))
+    for j in np.flatnonzero(ds[:-1] * ds[1:] < 0):
+        add(optimize.brentq(lambda t: _det_minus_id_at(path, t),
+                            ts[j], ts[j + 1], xtol=CROSSING_XTOL))
     # tangential zeros: local minima of |d| well below scale
     ab = np.abs(ds)
-    for j in range(1, n_scan - 1):
-        if ab[j] <= ab[j - 1] and ab[j] <= ab[j + 1] and ab[j] <= 1e-3 * scale:
-            res = optimize.minimize_scalar(
-                lambda t: abs(_det_minus_id(path, t)),
-                bounds=(ts[j - 1], ts[j + 1]),
-                method="bounded", options={"xatol": CROSSING_XTOL})
-            if abs(res.fun) <= 1e-8 * scale:
-                add(float(res.x))
+    inner = ab[1:-1]
+    for j in 1 + np.flatnonzero((inner <= ab[:-2]) & (inner <= ab[2:])
+                                & (inner <= 1e-3 * scale)):
+        res = optimize.minimize_scalar(
+            lambda t: abs(_det_minus_id_at(path, t)),
+            bounds=(ts[j - 1], ts[j + 1]),
+            method="bounded", options={"xatol": CROSSING_XTOL})
+        if abs(res.fun) <= 1e-8 * scale:
+            add(float(res.x))
     return sorted(crossings), plateau_frac
 
 
@@ -327,11 +353,11 @@ def _robbin_salamon(path: SymplecticPath, ref_lagrangian: str = "diagonal"):
             two_mu += 2 * sig
             crossings.append((t, sig))
 
-    d_end = _det_minus_id(path, path.t_end)
-    ds_scale = max(abs(d_end), max(abs(_det_minus_id(path, t))
-                                   for t in np.linspace(0, path.t_end, 41)))
+    d_end = _det_minus_id_at(path, path.t_end)
+    ds_scale = max(abs(d_end), float(np.max(np.abs(
+        _det_minus_id(path, np.linspace(0, path.t_end, 41))))))
     if abs(d_end) <= 1e-9 * max(ds_scale, 1e-30) or _kernel_of(
-            path.evaluator(path.t_end)).shape[1] > 0:
+            path.at(path.t_end)).shape[1] > 0:
         sigT, _ = _crossing_signature(path, path.t_end)
         two_mu += sigT
         crossings.append((path.t_end, sigT))

@@ -80,48 +80,71 @@ class PlaneSolution:
     def r0(self) -> float:
         return self.bp.r0
 
-    def _dense(self, x: np.ndarray, comp: int) -> np.ndarray:
-        """Component ``comp`` (0: r, 1: t) of the integrated solution at
-        x, one call per half."""
+    def _lookup(self, rho, comp: int, core, tail):
+        """Component ``comp`` (0: r, 1: t) at radii rho > 0: the closed
+        form ``core`` of x = log rho up to x_core, the integrated solution
+        (backward half for x < 0, forward half for x >= 0) before x_max,
+        and the closed form ``tail`` from x_max on.  A float takes the one
+        branch its x selects; an ndarray is split by masks, one call per
+        piece.  Both evaluate the same numpy expressions, so a float and a
+        one-element array give the same bits."""
+        x = np.log(rho)
+        if not isinstance(rho, np.ndarray):
+            if x <= self.x_core:
+                return float(core(x))
+            if x >= self.x_max:
+                return float(tail(x))
+            return float((self.sol_back if x < 0.0 else self.sol_fwd)(x)[comp])
         out = np.empty(x.shape)
-        for half, mask in ((self.sol_back, x < 0.0), (self.sol_fwd, x >= 0.0)):
+        in_core = x <= self.x_core
+        in_tail = x >= self.x_max
+        out[in_core] = core(x[in_core])
+        out[in_tail] = tail(x[in_tail])
+        mid = ~(in_core | in_tail)
+        for half, mask in ((self.sol_back, mid & (x < 0.0)),
+                           (self.sol_fwd, mid & (x >= 0.0))):
             if mask.any():
                 out[mask] = half(x[mask])[comp]
-        return out
+        return out if out.ndim else float(out)
 
     def r_of_rho(self, rho):
-        rho = np.asarray(rho, dtype=float)
+        """r at rho; r = 0 at rho <= 0 (the binding puncture)."""
+        def core(x):
+            return self.core_coeff * np.exp(self.core_pow * x)
+
+        def tail(x):
+            return self.r0 - self.tail_coeff * np.exp(-self.kappa * x)
+
+        if not isinstance(rho, np.ndarray):
+            rho = float(rho)
+            return self._lookup(rho, 0, core, tail) if rho > 0.0 else 0.0
         pos = rho > 0.0
-        x = np.log(np.where(pos, rho, 1.0))
-        r = np.zeros(x.shape)                 # r = 0 at rho <= 0
-        core = pos & (x <= self.x_core)
-        tail = x >= self.x_max
-        mid = pos & ~(core | tail)
-        r[core] = self.core_coeff * np.exp(self.core_pow * x[core])
-        r[tail] = self.r0 - self.tail_coeff * np.exp(-self.kappa * x[tail])
-        r[mid] = self._dense(x[mid], 0)
+        r = np.asarray(self._lookup(np.where(pos, rho, 1.0), 0, core, tail))
+        r[~pos] = 0.0
         return r if r.ndim else float(r)
 
     def _t_core(self) -> float:
         return float(self.sol_back(self.x_core)[1])
 
     def t_of_rho(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        x = np.log(np.where(rho > 0.0, rho, 1e-300))
-        t = np.empty(x.shape)
-        core = x <= self.x_core
-        tail = x >= self.x_max
-        mid = ~(core | tail)
+        """t at rho; rho <= 0 is read as rho = 1e-300, deep in the core."""
         # dt/dx = h2 = (core scale) r^2 integrates in closed form
         c2 = 0.5 * self.core_pow  # h2 = c2 r^2 on the core
         g = 2.0 * self.core_pow
         amp = c2 * self.core_coeff ** 2 / g
-        t[core] = self._t_core() - amp * (math.exp(g * self.x_core)
-                                          - np.exp(g * x[core]))
-        tm = float(self.sol_fwd(self.x_max)[1])
-        t[tail] = tm + self.bp.h2(self.r0) * (x[tail] - self.x_max)
-        t[mid] = self._dense(x[mid], 1)
-        return t if t.ndim else float(t)
+
+        def core(x):
+            return self._t_core() - amp * (math.exp(g * self.x_core)
+                                           - np.exp(g * x))
+
+        def tail(x):
+            tm = float(self.sol_fwd(self.x_max)[1])
+            return tm + self.bp.h2(self.r0) * (x - self.x_max)
+
+        if not isinstance(rho, np.ndarray):
+            rho = float(rho)
+            return self._lookup(rho if rho > 0.0 else 1e-300, 1, core, tail)
+        return self._lookup(np.where(rho > 0.0, rho, 1e-300), 1, core, tail)
 
     def t_limit_at_puncture(self) -> float:
         c2 = 0.5 * self.core_pow

@@ -304,20 +304,31 @@ def build_twist_profile(k: int, eps: float, p_plateau: float,
 # ----------------------------------------------------------------------
 
 def _quintic_hermite(x0, x1, v0, d0, s0, v1, d1, s1):
-    """Quintic on [x0, x1] matching value/1st/2nd derivative at both ends."""
+    """Quintic on [x0, x1] matching value/1st/2nd derivative at both ends.
+
+    It is solved and evaluated in u = (x - x0)/(x1 - x0) on [0, 1].  In
+    the monomial basis of x itself the system is ill-conditioned on an
+    interval away from the origin (condition 5e4 on the collar's
+    [0.5, 1.02]), and the rounding noise of the large coefficients is
+    what a finite difference of the profile then sees.  On [0, 1] the
+    map is the identity and the values are those of the x-basis.
+    """
+    L = x1 - x0
     A = np.zeros((6, 6))
-    b = np.array([v0, d0, s0, v1, d1, s1], dtype=float)
-    for cond, (x, order) in enumerate([(x0, 0), (x0, 1), (x0, 2),
-                                       (x1, 0), (x1, 1), (x1, 2)]):
+    b = np.array([v0, d0 * L, s0 * L * L, v1, d1 * L, s1 * L * L], dtype=float)
+    for cond, (u, order) in enumerate([(0.0, 0), (0.0, 1), (0.0, 2),
+                                       (1.0, 0), (1.0, 1), (1.0, 2)]):
         for j in range(6):
             if order == 0:
-                A[cond, j] = x ** j
+                A[cond, j] = u ** j
             elif order == 1:
-                A[cond, j] = j * x ** (j - 1) if j >= 1 else 0.0
+                A[cond, j] = j * u ** (j - 1) if j >= 1 else 0.0
             else:
-                A[cond, j] = j * (j - 1) * x ** (j - 2) if j >= 2 else 0.0
+                A[cond, j] = j * (j - 1) * u ** (j - 2) if j >= 2 else 0.0
     p = np.polynomial.Polynomial(np.linalg.solve(A, b))
-    return tuple(_horner(q.coef) for q in (p, p.deriv(1), p.deriv(2)))
+    P0, P1, P2 = (_horner(q.coef) for q in (p, p.deriv(1), p.deriv(2)))
+    return (lambda x: P0((x - x0) / L), lambda x: P1((x - x0) / L) / L,
+            lambda x: P2((x - x0) / L) / (L * L))
 
 
 def _horner(coef):

@@ -65,7 +65,7 @@ def test_03_index_oracle():
         while checked < 20:
             dim = 2 * int(rng.integers(1, 3))
             path = index_mod.random_symplectic_path(dim, rng, scale=0.8)
-            if abs(np.linalg.det(path.evaluator(1.0) - np.eye(dim))) < 1e-6:
+            if abs(np.linalg.det(path.at(1.0) - np.eye(dim))) < 1e-6:
                 continue
             i = int(rng.integers(1, 4))
             loop = index_mod.rotation_loop(i, dim=dim)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,142 @@ def test_reeb_push_collar_mismatch_alone(tp, matched):
         suite = G.identity_suite(tp, matched, n=2, n_points=n_points,
                                  seed=seed)
         assert suite["reeb_push_collar_mismatch"] == value
+
+
+# ----------------------------------------------------------------------
+# batch forms against the scalar oracle
+# ----------------------------------------------------------------------
+
+_FIELDS = ("dphi", "dq", "dp", "dr", "dt")
+
+
+def _stack_points(xs):
+    return G.PointBatch(q=np.array([x.q for x in xs]),
+                        p=np.array([x.p for x in xs]),
+                        r=np.array([x.r for x in xs]),
+                        phi=np.array([x.phi for x in xs]))
+
+
+def _stack_tangents(vs):
+    return G.TangentBatch(*(np.array([getattr(v, f) for v in vs], float)
+                            for f in _FIELDS))
+
+
+def _rows(values):
+    """(N, k) rows of a batch result: a TangentBatch or an (N,) array."""
+    if isinstance(values, G.TangentBatch):
+        return np.column_stack(values)
+    return np.asarray(values, float).reshape(-1, 1)
+
+
+def _assert_batch_matches(batch, scalar):
+    # per point, relative to the larger of 1 and the scalar value's max norm
+    b, s = _rows(batch), _rows(scalar)
+    scale = np.maximum(np.max(np.abs(s), axis=1), 1.0)
+    assert np.max(np.max(np.abs(b - s), axis=1) / scale) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_batch_draws_reproduce_scalar_points(bp, n):
+    rng_s, rng_b = np.random.default_rng(n), np.random.default_rng(n)
+    xs = [G.random_binding_point(n, bp, rng_s) for _ in range(1000)]
+    batch = G.random_binding_batch(n, bp, rng_b, 1000)
+    ref = _stack_points(xs)
+    for f in ("q", "p", "r", "phi"):
+        assert np.array_equal(getattr(batch, f), getattr(ref, f))
+    # the two generators stand at the same state afterwards
+    assert rng_s.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("profile", ["fig2", "collar"])
+def test_batch_forms_match_scalar_oracle(request, profile, n):
+    bp = request.getfixturevalue("bp" if profile == "fig2" else "matched")
+    rng = np.random.default_rng(n)
+    xs = [G.random_binding_point(n, bp, rng) for _ in range(1000)]
+    us = [G.random_tangent(x, rng) for x in xs]
+    vs = [G.random_tangent(x, rng) for x in xs]
+    X, U, V = _stack_points(xs), _stack_tangents(us), _stack_tangents(vs)
+    Rs = [G.reeb_field_binding(bp, x) for x in xs]
+    R = G.reeb_field_batch(bp, X)
+    _assert_batch_matches(R, _stack_tangents(Rs))
+    _assert_batch_matches(G.alpha_batch(bp, X, R),
+                          [G.alpha_binding(bp, x, r) for x, r in zip(xs, Rs)])
+    _assert_batch_matches(G.alpha_batch(bp, X, V),
+                          [G.alpha_binding(bp, x, v) for x, v in zip(xs, vs)])
+    _assert_batch_matches(G.dalpha_batch(bp, X, U, V),
+                          [G.dalpha_binding(bp, x, u, v)
+                           for x, u, v in zip(xs, us, vs)])
+    _assert_batch_matches(G.geo_field_batch(bp, X), _stack_tangents(
+        [G.geo_field_binding(bp, x) for x in xs]))
+    _assert_batch_matches(G.apply_J_batch(bp, X, V), _stack_tangents(
+        [G.apply_J(bp, G.SymplPoint(x), v) for x, v in zip(xs, vs)]))
+
+
+def _scalar_main_loop(bp, n, n_points, rng):
+    """The identity suite's main loop one point at a time, through the
+    scalar forms (the loop the batch replaced)."""
+    worst = dict.fromkeys(("alpha_of_reeb_minus_1", "dalpha_reeb_contraction",
+                           "J_squared_plus_id", "J_dt_minus_reeb",
+                           "J_dr_minus_geofield"), 0.0)
+    compat = math.inf
+    dt_vec = G.TangentVector(0.0, np.zeros(n), np.zeros(n), 0.0, 1.0)
+    dr_vec = G.TangentVector(0.0, np.zeros(n), np.zeros(n), 1.0, 0.0)
+    for _ in range(n_points):
+        x = G.random_binding_point(n, bp, rng)
+        X = G.SymplPoint(base=x)
+        R = G.reeb_field_binding(bp, x)
+        v = G.random_tangent(x, rng)
+        JJv = G.apply_J(bp, X, G.apply_J(bp, X, v))
+        vxi = v.plus(R.scaled(-G.alpha_binding(bp, x, v)))
+        if vxi.norm() > 1e-8:
+            compat = min(compat, G.dalpha_binding(bp, x, vxi, G.apply_J(
+                bp, X, vxi)) / vxi.norm() ** 2)
+        for key, val in (
+                ("alpha_of_reeb_minus_1", abs(G.alpha_binding(bp, x, R) - 1.0)),
+                ("dalpha_reeb_contraction", abs(G.dalpha_binding(bp, x, R, v))),
+                ("J_squared_plus_id", JJv.plus(v).norm() / max(v.norm(), 1e-30)),
+                ("J_dt_minus_reeb",
+                 G.apply_J(bp, X, dt_vec).plus(R.scaled(-1.0)).norm()),
+                ("J_dr_minus_geofield", G.apply_J(bp, X, dr_vec).plus(
+                    G.geo_field_binding(bp, x).scaled(-1.0)).norm())):
+            worst[key] = max(worst[key], val)
+    return {**worst, "min_compatibility_quotient": compat}
+
+
+@pytest.mark.parametrize("profile", ["fig2", "collar"])
+def test_identity_suite_batch_matches_scalar_loop(request, tp, profile):
+    bp = request.getfixturevalue("bp" if profile == "fig2" else "matched")
+    n, seed = 3, 5
+    suite = G.identity_suite(tp, bp, n=n, n_points=150, seed=seed)
+    rng = np.random.default_rng(seed)
+    ref = _scalar_main_loop(bp, n, 150, rng)
+    for key, val in ref.items():
+        assert suite[key] == pytest.approx(val, rel=0.0, abs=1e-15), key
+    # the batch drew what the loop drew: the scalar FD check after it
+    # starts from the same generator state and gives the same bits
+    worst_fd = 0.0
+    for _ in range(20):
+        x = G.random_binding_point(n, bp, rng)
+        u, v = G.random_tangent(x, rng), G.random_tangent(x, rng)
+        ex = G.dalpha_binding(bp, x, u, v)
+        worst_fd = max(worst_fd, abs(ex - G.dalpha_binding_fd(bp, x, u, v))
+                       / max(abs(ex), 1.0))
+    assert suite["dalpha_exact_vs_fd"] == worst_fd
+
+
+def test_batch_reeb_core_limit_and_errors(bp):
+    x, y = _point(3, 0.0), _point(3, 0.3, np.random.default_rng(1))
+    X = _stack_points([x, y])
+    _assert_batch_matches(G.reeb_field_batch(bp, X), _stack_tangents(
+        [G.reeb_field_binding(bp, x), G.reeb_field_binding(bp, y)]))
+    far = G.PointBatch(q=X.q, p=X.p, r=np.array([0.1, bp.r_max + 0.5]),
+                       phi=X.phi)
+    with pytest.raises(G.GeometryError, match="outside"):
+        G.reeb_field_batch(bp, far)
+    with pytest.raises(G.GeometryError, match="constraint"):
+        G.PointBatch(q=X.q, p=X.q, r=X.r, phi=X.phi)
+    V = _stack_tangents([G.TangentVector(0.0, x.q, np.zeros(3), 0.0),
+                         G.TangentVector(0.0, np.zeros(3), np.zeros(3), 0.0)])
+    with pytest.raises(G.GeometryError, match="not tangent"):
+        G.apply_J_batch(bp, X, V)

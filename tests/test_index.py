@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from reebtwist import orbits as O
-from reebtwist.index import (IndexError_, linearized_reeb_flow, loop_maslov,
-                             make_path, orbit_index_result, product_path,
+from reebtwist.index import (IndexError_, SymplecticPath, _robbin_salamon,
+                             linearized_reeb_flow, loop_maslov, make_path,
+                             orbit_index_result, product_path,
                              random_symplectic_path, robbin_salamon_index,
                              rotation_loop, sft_degree, skew_path,
                              standard_omega, degree_table)
@@ -19,7 +20,7 @@ def test_skew_path_half_sign():
 
 
 def test_identity_path_zero():
-    ident = make_path(2, lambda t: np.eye(2))
+    ident = make_path(2, lambda ts: np.broadcast_to(np.eye(2), (len(ts), 2, 2)))
     assert robbin_salamon_index(ident) == 0
 
 
@@ -41,7 +42,7 @@ def test_loop_axiom_additivity_on_random_compositions():
         path = random_symplectic_path(dim, rng, scale=0.8)
         # skip paths whose endpoint is itself a crossing (additivity
         # needs a clean endpoint stratum)
-        if abs(np.linalg.det(path.evaluator(1.0) - np.eye(dim))) < 1e-6:
+        if abs(np.linalg.det(path.at(1.0) - np.eye(dim))) < 1e-6:
             continue
         i = int(rng.integers(1, 4))
         loop = rotation_loop(i, dim=dim)
@@ -53,20 +54,21 @@ def test_loop_axiom_additivity_on_random_compositions():
 
 def test_symplecticity_validation():
     with pytest.raises(IndexError_, match="not symplectic"):
-        make_path(2, lambda t: np.eye(2) * (1.0 + t))
+        make_path(2, lambda ts: np.eye(2) * (1.0 + ts[:, None, None]))
     with pytest.raises(IndexError_, match="identity"):
-        make_path(2, lambda t: np.array([[1.0, 0.0], [1.0 + t, 1.0]]))
+        make_path(2, lambda ts: np.eye(2) + np.multiply.outer(
+            1.0 + ts, [[0.0, 0.0], [1.0, 0.0]]))
 
 
 def test_degenerate_plateau_with_active_block_raises():
     # identity block masking a rotating block: the determinant vanishes
     # identically while an interior crossing form is nonzero
-    def ev(t):
-        th = 4.0 * math.pi * t
-        M = np.eye(4)
-        M[2, 2] = M[3, 3] = math.cos(th)
-        M[2, 3] = math.sin(th)
-        M[3, 2] = -math.sin(th)
+    def ev(ts):
+        th = 4.0 * math.pi * ts
+        M = np.broadcast_to(np.eye(4), (len(ts), 4, 4)).copy()
+        M[:, 2, 2] = M[:, 3, 3] = np.cos(th)
+        M[:, 2, 3] = np.sin(th)
+        M[:, 3, 2] = -np.sin(th)
         return M
 
     path = make_path(4, ev)
@@ -76,12 +78,12 @@ def test_degenerate_plateau_with_active_block_raises():
 
 def test_plateau_with_silent_interior_is_summed_at_ends():
     # identity block plus a single positive turn: ends contribute 2
-    def ev(t):
-        th = 2.0 * math.pi * t
-        M = np.eye(4)
-        M[2, 2] = M[3, 3] = math.cos(th)
-        M[2, 3] = math.sin(th)
-        M[3, 2] = -math.sin(th)
+    def ev(ts):
+        th = 2.0 * math.pi * ts
+        M = np.broadcast_to(np.eye(4), (len(ts), 4, 4)).copy()
+        M[:, 2, 2] = M[:, 3, 3] = np.cos(th)
+        M[:, 2, 3] = np.sin(th)
+        M[:, 3, 2] = -np.sin(th)
         return M
 
     assert robbin_salamon_index(make_path(4, ev)) == 2
@@ -247,3 +249,50 @@ def test_linearized_flow_against_numerical_flow_oracle(tp):
     mu_model = robbin_salamon_index(skew_path(tp.g.d1(s) * t_flow))
     mu_honest = robbin_salamon_index(skew_path(a * t_flow))
     assert mu_model == mu_honest == Fraction(1, 2)
+
+
+def _pointwise(path):
+    """The same path with an evaluator that visits one time at a time:
+    the scalar oracle of the batched evaluator."""
+    def ev(ts):
+        return np.stack([path.at(float(t)) for t in ts])
+    return SymplecticPath(dim=path.dim, times=path.times,
+                          samples=path.samples, evaluator=ev,
+                          tolerance=path.tolerance)
+
+
+def _oracle_paths(tp):
+    """Criterion 03's 20 random paths and degree_table's paths for
+    i = 1, 2, 3."""
+    rng = np.random.default_rng(2)
+    paths = []
+    while len(paths) < 20:
+        dim = 2 * int(rng.integers(1, 3))
+        path = random_symplectic_path(dim, rng, scale=0.8)
+        if abs(np.linalg.det(path.at(1.0) - np.eye(dim))) < 1e-6:
+            continue
+        rng.integers(1, 4)  # criterion 03's loop count, drawn in turn
+        paths.append(path)
+    level = O.find_principal_level(tp)
+    gp = tp.g.d1(level.p_level)
+    paths += [product_path(rotation_loop(i), skew_path(gp * level.period * i))
+              for i in (1, 2, 3)]
+    return paths
+
+
+def test_batched_evaluation_matches_pointwise(tp):
+    for path in _oracle_paths(tp):
+        ts = np.linspace(0.0, path.t_end, 2001)
+        scalar = _pointwise(path)
+        assert np.array_equal(path.evaluator(ts), scalar.evaluator(ts))
+        # identical crossing times, signatures and index
+        assert _robbin_salamon(path) == _robbin_salamon(scalar)
+
+
+def test_samples_are_one_array():
+    path = rotation_loop(2, dim=4)
+    assert path.samples.shape == (513, 4, 4)
+    assert np.array_equal(path.samples, path.evaluator(path.times))
+    assert path.t_end == 1.0 and path.symplectic_residual <= 1e-15
+    with pytest.raises(IndexError_, match="shape"):
+        make_path(2, lambda ts: np.eye(2))

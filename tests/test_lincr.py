@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate, optimize
 
-from reebtwist import cli
+from reebtwist import cli, geometry
 from reebtwist import lincr as L
 from reebtwist import plane as PL
 from reebtwist import profiles as P
@@ -530,3 +531,25 @@ def test_lean_rhs_matches_block_matrices(we):
             ref = np.concatenate([(L._block_matrix(b, G1, H2) @ Y).ravel()
                                   for b, Y in zip(blocks, Ys)])
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_collar_quintic_passes_fd_oracle(seed):
+    # the collar's quintic pieces on [rB, r_c] = [0.50, 1.02]: solved in
+    # the monomial basis of r their rounding noise put the exact-vs-FD
+    # dalpha gap at 4e-9 to 1.3e-8, above the 1e-9 gate
+    model = cli.Model(parse_config(COLLAR_CONFIG))
+    suite = geometry.identity_suite(model.tp, model.bp, n=model.cfg.n,
+                                    n_points=200, seed=seed)
+    assert suite["dalpha_exact_vs_fd"] <= 1e-9
+
+
+def test_validate_passes_on_collar_config(tmp_path, capsys):
+    cfg = tmp_path / "collar.cfg"
+    cfg.write_text(COLLAR_CONFIG)
+    out = tmp_path / "o"
+    assert cli.main(["validate", "--config", str(cfg), "--quiet",
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rep = json.loads((out / "validate.json").read_text())
+    assert all(cli.gate_passes(cli.gate_values({"validate": rep})).values())

@@ -180,6 +180,10 @@ def test_array_lookup_matches_scalar_oracle(plane_sol):
         assert np.array_equal(got[mid], ref[mid, 1])
         np.testing.assert_allclose(got[~mid], ref[~mid, 1], rtol=4e-16,
                                    atol=0.0)
+    # a float and a one-element array take the same expressions
+    for f in (sol.r_of_rho, sol.t_of_rho):
+        assert np.array_equal([f(float(rho)) for rho in rhos],
+                              [f(np.array([rho]))[0] for rho in rhos])
     assert isinstance(sol.r_of_rho(2.0), float)
     assert isinstance(sol.t_of_rho(2.0), float)
     assert sol.r_of_rho(-1.0) == sol.r_of_rho(0.0) == 0.0
