@@ -134,8 +134,9 @@ def action(circle: LevelCircle) -> float:
 @functools.lru_cache(maxsize=4)
 def _leggauss(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1], read-only and built
-    once per n: leggauss diagonalizes an n x n companion matrix, 2.1 MB
-    of transient arrays and 50 ms at n = 512 on every run otherwise."""
+    once per n and process.  leggauss diagonalizes an n x n companion
+    matrix (2.1 MB of transient arrays and 50 ms at n = 512); the first
+    run in a process pays that, later runs in the same process do not."""
     nodes, wts = np.polynomial.legendre.leggauss(n)
     nodes.setflags(write=False)
     wts.setflags(write=False)

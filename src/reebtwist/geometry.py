@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 CONSTRAINT_TOL = 1e-10
+# largest tangency residual apply_J accepts for its vector
+TANGENT_TOL = 1e-8
 
 
 class GeometryError(ValueError):
@@ -235,8 +237,7 @@ def geo_field_binding(bp: BindingProfile, x: BindingPoint) -> TangentVector:
     return TangentVector(dphi=bp.h1(x.r) / det, dq=a * x.p, dp=-a * x.q, dr=0.0)
 
 
-def apply_J(bp: BindingProfile, x: SymplPoint, v: TangentVector,
-            tol: float = 1e-8) -> TangentVector:
+def apply_J(bp: BindingProfile, x: SymplPoint, v: TangentVector) -> TangentVector:
     """Apply the almost complex structure in coordinates (phi,q,p,r,t).
 
     J dt = R_alpha and J dr is the field above; on the contact plane it
@@ -245,7 +246,7 @@ def apply_J(bp: BindingProfile, x: SymplPoint, v: TangentVector,
     """
     pt = x.base
     res = v.constraint_residual(pt)
-    if res > tol:
+    if res > TANGENT_TOL:
         raise GeometryError(f"apply_J: vector not tangent (residual {res:.2e})")
     r = pt.r
     h1, h2 = bp.h1(r), bp.h2(r)
@@ -403,10 +404,9 @@ def geo_field_batch(bp: BindingProfile, x: PointBatch) -> TangentBatch:
     return _radial_field(x, -bp.h2(x.r) / det, bp.h1(x.r) / det)
 
 
-def apply_J_batch(bp: BindingProfile, x: PointBatch, v: TangentBatch,
-                  tol: float = 1e-8) -> TangentBatch:
+def apply_J_batch(bp: BindingProfile, x: PointBatch, v: TangentBatch) -> TangentBatch:
     res = float(np.max(v.constraint_residual(x), initial=0.0))
-    if res > tol:
+    if res > TANGENT_TOL:
         raise GeometryError(f"apply_J: vector not tangent (residual {res:.2e})")
     r = x.r
     h1, h2 = bp.h1(r), bp.h2(r)

@@ -1,11 +1,13 @@
+import copy
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from reebtwist import orbits as O
-from reebtwist.index import (IndexError_, SymplecticPath, _robbin_salamon,
+from reebtwist.index import (IndexError_, _robbin_salamon,
                              linearized_reeb_flow, loop_maslov, make_path,
                              orbit_index_result, product_path,
                              random_symplectic_path, robbin_salamon_index,
@@ -251,42 +253,83 @@ def test_linearized_flow_against_numerical_flow_oracle(tp):
     assert mu_model == mu_honest == Fraction(1, 2)
 
 
-def _pointwise(path):
-    """The same path with an evaluator that visits one time at a time:
-    the scalar oracle of the batched evaluator."""
+# Scalar oracles: the per-time evaluators the batched ones replaced, one
+# matrix per float t with expm and math.cos/math.sin.
+
+def _skew_at(c, t):
+    return np.array([[1.0, 0.0], [-c * t, 1.0]])
+
+
+def _rotation_at(i, dim, t):
+    th = 2.0 * math.pi * i * t
+    R = np.array([[math.cos(th), math.sin(th)],
+                  [-math.sin(th), math.cos(th)]])
+    M = np.eye(dim)
+    for j in range(0, dim, 2):
+        M[j:j + 2, j:j + 2] = R
+    return M
+
+
+def _pointwise_path(dim, matrix_at, n_samples):
     def ev(ts):
-        return np.stack([path.at(float(t)) for t in ts])
-    return SymplecticPath(dim=path.dim, times=path.times,
-                          samples=path.samples, evaluator=ev,
-                          tolerance=path.tolerance)
+        return np.stack([matrix_at(float(t)) for t in ts])
+    return make_path(dim, ev, 1.0, n_samples)
 
 
-def _oracle_paths(tp):
-    """Criterion 03's 20 random paths and degree_table's paths for
-    i = 1, 2, 3."""
+def _oracle_pairs(tp):
+    """(batched, scalar) pairs: criterion 03's 20 random paths times its
+    rotation loops, against the closed-form rotation times expm(t A) of
+    the same draw, and degree_table's paths for i = 1, 2, 3, against the
+    closed-form rotation times skew.  The rotation is orthogonal, so the
+    product's stack bounds the random path's own error."""
     rng = np.random.default_rng(2)
-    paths = []
-    while len(paths) < 20:
+    pairs = []
+    while len(pairs) < 20:
         dim = 2 * int(rng.integers(1, 3))
+        twin = copy.deepcopy(rng)
         path = random_symplectic_path(dim, rng, scale=0.8)
+        S = twin.standard_normal((dim, dim))
+        A = np.linalg.solve(standard_omega(dim), 0.8 * (S + S.T) / 2.0)
         if abs(np.linalg.det(path.at(1.0) - np.eye(dim))) < 1e-6:
             continue
-        rng.integers(1, 4)  # criterion 03's loop count, drawn in turn
-        paths.append(path)
+        i = int(rng.integers(1, 4))
+        pairs.append((
+            product_path(rotation_loop(i, dim=dim), path),
+            _pointwise_path(dim, lambda t, i=i, dim=dim, A=A:
+                            _rotation_at(i, dim, t) @ expm(t * A), 513)))
     level = O.find_principal_level(tp)
     gp = tp.g.d1(level.p_level)
-    paths += [product_path(rotation_loop(i), skew_path(gp * level.period * i))
-              for i in (1, 2, 3)]
-    return paths
+    for i in (1, 2, 3):
+        c = gp * level.period * i
+        pairs.append((
+            product_path(rotation_loop(i), skew_path(c)),
+            _pointwise_path(2, lambda t, i=i, c=c:
+                            _rotation_at(i, 2, t) @ _skew_at(c, t), 513)))
+    return pairs
 
 
-def test_batched_evaluation_matches_pointwise(tp):
-    for path in _oracle_paths(tp):
-        ts = np.linspace(0.0, path.t_end, 2001)
-        scalar = _pointwise(path)
-        assert np.array_equal(path.evaluator(ts), scalar.evaluator(ts))
-        # identical crossing times, signatures and index
-        assert _robbin_salamon(path) == _robbin_salamon(scalar)
+def test_batched_evaluation_matches_scalar_oracle(tp):
+    for path, oracle in _oracle_pairs(tp):
+        assert np.max(np.abs(path.samples - oracle.samples)) <= 1e-13 * max(
+            1.0, float(np.max(np.abs(oracle.samples))))
+        # same crossing times, identical signatures and index
+        mu, crossings = _robbin_salamon(path)
+        mu_o, crossings_o = _robbin_salamon(oracle)
+        assert mu == mu_o
+        assert [s for _, s in crossings] == [s for _, s in crossings_o]
+        assert np.allclose([t for t, _ in crossings],
+                           [t for t, _ in crossings_o], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_rotation_and_skew_closed_forms_match_scalar(i, dim):
+    ts = np.linspace(0.0, 1.0, 2001)
+    rot = rotation_loop(i, dim=dim).evaluator(ts)
+    assert np.max(np.abs(rot - np.stack(
+        [_rotation_at(i, dim, t) for t in ts]))) <= 1e-15
+    skew = skew_path(-1.7).evaluator(ts)
+    assert np.array_equal(skew, np.stack([_skew_at(-1.7, t) for t in ts]))
 
 
 def test_samples_are_one_array():
