@@ -505,7 +505,7 @@ def main(argv=None) -> int:
                       quiet=args.quiet)
     except (ConfigError, profiles.ProfileError, orbits.OrbitError,
             plane.PlaneError, lincr.LinCRError, energy_mod.EnergyError,
-            geometry.GeometryError, index_mod.IndexError_) as exc:
+            geometry.GeometryError, index_mod.IndexError_, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     failed = [name for name, ok in gate_passes(gate_values(results)).items()

@@ -8,11 +8,13 @@ Grammar (diff-friendly on purpose):
 
 Sections and keys are fixed; an unknown section or key is an error
 that names the offender and its line number.  A blank value means
-"use the built-in default".  Booleans are true/false.
+"use the built-in default".  Booleans are true/false; a float must be
+finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "default_config_text"]
@@ -79,28 +81,13 @@ class RunConfig:
         return self
 
 
+# the keys whose RunConfig field is not named after the key itself
 _FIELD_MAP = {
-    ("run", "n"): "n",
-    ("run", "seed"): "seed",
-    ("twist", "k"): "k",
-    ("twist", "eps"): "eps",
-    ("twist", "p_plateau"): "p_plateau",
     ("twist", "shape"): "twist_shape",
-    ("twist", "s_max"): "s_max",
     ("binding", "shape"): "binding_shape",
-    ("binding", "r0"): "r0",
-    ("binding", "r_max"): "r_max",
-    ("binding", "kappa"): "kappa",
-    ("binding", "tail_width"): "tail_width",
     ("matched", "enabled"): "matched_enabled",
     ("matched", "p_cap"): "matched_p_cap",
     ("matched", "r_max"): "matched_r_max",
-    ("orbits", "denom_cap"): "denom_cap",
-    ("orbits", "action_bound_factor"): "action_bound_factor",
-    ("plane", "r_at_1"): "r_at_1",
-    ("plane", "tol_asym"): "tol_asym",
-    ("lincr", "delta"): "delta",
-    ("lincr", "k_max"): "k_max",
     ("tolerances", "rank"): "tol_rank",
 }
 
@@ -113,9 +100,12 @@ def _convert(raw: str, typ, where: str):
             return False
         raise ConfigError(f"{where}: expected true/false, got {raw!r}")
     try:
-        return typ(raw)
+        value = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -141,7 +131,7 @@ def parse_config(text: str) -> RunConfig:
             continue  # blank keeps the default
         value = _convert(raw, _SCHEMA[section][key],
                          f"line {lineno}: [{section}] {key}")
-        setattr(cfg, _FIELD_MAP[(section, key)], value)
+        setattr(cfg, _FIELD_MAP.get((section, key), key), value)
     return cfg.validate()
 
 

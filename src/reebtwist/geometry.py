@@ -24,7 +24,6 @@ from .profiles import BindingProfile, TwistProfile
 __all__ = [
     "GeometryError",
     "BindingPoint",
-    "SymplPoint",
     "TangentVector",
     "TildeReebData",
     "PointBatch",
@@ -87,12 +86,6 @@ class BindingPoint:
     @property
     def n(self) -> int:
         return len(self.q)
-
-
-@dataclass(frozen=True)
-class SymplPoint:
-    base: BindingPoint
-    t: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -237,22 +230,22 @@ def geo_field_binding(bp: BindingProfile, x: BindingPoint) -> TangentVector:
     return TangentVector(dphi=bp.h1(x.r) / det, dq=a * x.p, dp=-a * x.q, dr=0.0)
 
 
-def apply_J(bp: BindingProfile, x: SymplPoint, v: TangentVector) -> TangentVector:
-    """Apply the almost complex structure in coordinates (phi,q,p,r,t).
+def apply_J(bp: BindingProfile, x: BindingPoint, v: TangentVector) -> TangentVector:
+    """Apply the almost complex structure in coordinates (phi,q,p,r,t)
+    at the point x of the symplectization (J does not depend on t).
 
     J dt = R_alpha and J dr is the field above; on the contact plane it
     restricts to the compatible structure inherited from the cotangent
-    model.  Requires v tangent at the base point.
+    model.  Requires v tangent at x.
     """
-    pt = x.base
-    res = v.constraint_residual(pt)
+    res = v.constraint_residual(x)
     if res > TANGENT_TOL:
         raise GeometryError(f"apply_J: vector not tangent (residual {res:.2e})")
-    r = pt.r
+    r = x.r
     h1, h2 = bp.h1(r), bp.h2(r)
     h1d, h2d = bp.h1.d1(r), bp.h2.d1(r)
     det = bp.detH(r)
-    q, p = pt.q, pt.p
+    q, p = x.q, x.p
     dphi = (h1 * v.dr - h1d * v.dt) / det
     dq = (q * float(p @ v.dq) + v.dp - (h2 / det) * p * v.dr
           + (h2d / det) * p * v.dt)
@@ -436,7 +429,7 @@ class TildeReebData:
     g: float
 
 
-def tilde_reeb_data(tp: TwistProfile, s: float, tol: float = 1e-12) -> TildeReebData:
+def tilde_reeb_data(tp: TwistProfile, s: float) -> TildeReebData:
     """N = 1/(htilde - s htilde'), g = N htilde'.
 
     The denominator equals h_k(s) (integration by parts), so it is
@@ -448,7 +441,7 @@ def tilde_reeb_data(tp: TwistProfile, s: float, tol: float = 1e-12) -> TildeReeb
     ht = tp.htilde(s)
     htd = tp.htilde.d1(s)
     den = ht - s * htd
-    if abs(den) < tol:
+    if abs(den) < 1e-12:
         raise GeometryError(f"Reeb denominator vanishes at s = {s:.6f}")
     N = 1.0 / den
     return TildeReebData(s=s, N=N, g=N * htd)

@@ -241,23 +241,19 @@ def _crossing_signature(path, t, eig_tol=1e-7):
     """Signature of the crossing form on ker(Psi(t) - 1).
 
     Eigenvalues of the restricted form within eig_tol of the largest
-    magnitude are treated as zero and dropped; the count of dropped
-    directions is returned for diagnostics.
+    magnitude are treated as zero and dropped.
     """
     M = path.at(t)
     K = _kernel_of(M, tol_rel=eig_tol)
     if K.shape[1] == 0:
-        return 0, 0
+        return 0
     Om = standard_omega(path.dim)
     Md = _path_derivative(path, t)
     G = K.T @ Om @ Md @ K
     G = (G + G.T) / 2.0
     ev = np.linalg.eigvalsh(G)
     scale = max(np.max(np.abs(ev)), 1e-12)
-    pos = int(np.sum(ev > eig_tol * scale))
-    neg = int(np.sum(ev < -eig_tol * scale))
-    zero = len(ev) - pos - neg
-    return pos - neg, zero
+    return int(np.sum(ev > eig_tol * scale)) - int(np.sum(ev < -eig_tol * scale))
 
 
 def _locate_crossings(path, n_scan=2001):
@@ -311,27 +307,24 @@ class IndexResult:
             raise IndexError_("total != rs_index + loop contribution")
 
 
-def robbin_salamon_index(path: SymplecticPath,
-                         ref_lagrangian: str = "diagonal") -> Fraction:
+def robbin_salamon_index(path: SymplecticPath) -> Fraction:
     """Robbin-Salamon index of a sampled symplectic path.
 
     Half the crossing-form signature is counted at boundary crossings
     and the full signature at interior ones; the reference is the graph
     of the path against the diagonal.
     """
-    return _robbin_salamon(path, ref_lagrangian)[0]
+    return _robbin_salamon(path)[0]
 
 
-def _robbin_salamon(path: SymplecticPath, ref_lagrangian: str = "diagonal"):
+def _robbin_salamon(path: SymplecticPath):
     """(index, crossings) of ``robbin_salamon_index``; the crossings are
     (time, signature) pairs in the order they were counted."""
-    if ref_lagrangian != "diagonal":
-        raise IndexError_(f"unsupported reference {ref_lagrangian!r}")
     crossings = []
     two_mu = 0  # accumulate in halves to stay exact
 
     # boundary t = 0 (always a crossing: Psi(0) = 1)
-    sig0, _ = _crossing_signature(path, 0.0)
+    sig0 = _crossing_signature(path, 0.0)
     two_mu += sig0
     crossings.append((0.0, sig0))
 
@@ -342,14 +335,14 @@ def _robbin_salamon(path: SymplecticPath, ref_lagrangian: str = "diagonal"):
         # (otherwise the crossing could not persist), so the interior
         # contributes nothing; sample and verify.
         for t in np.linspace(0.1 * path.t_end, 0.9 * path.t_end, 9):
-            sig, _zero = _crossing_signature(path, float(t))
+            sig = _crossing_signature(path, float(t))
             if sig != 0:
                 raise IndexError_(
                     f"degenerate crossing with nonzero form at t = {t:.4f}; "
                     "refine sampling")
     else:
         for t in interior:
-            sig, _zero = _crossing_signature(path, t)
+            sig = _crossing_signature(path, t)
             two_mu += 2 * sig
             crossings.append((t, sig))
 
@@ -358,7 +351,7 @@ def _robbin_salamon(path: SymplecticPath, ref_lagrangian: str = "diagonal"):
         _det_minus_id(path, np.linspace(0, path.t_end, 41))))))
     if abs(d_end) <= 1e-9 * max(ds_scale, 1e-30) or _kernel_of(
             path.at(path.t_end)).shape[1] > 0:
-        sigT, _ = _crossing_signature(path, path.t_end)
+        sigT = _crossing_signature(path, path.t_end)
         two_mu += sigT
         crossings.append((path.t_end, sigT))
 

@@ -38,7 +38,7 @@ from scipy import integrate
 from scipy.linalg import subspace_angles
 
 from .plane import PlaneSolution
-from .profiles import BindingProfile
+from .profiles import BindingProfile, piecewise
 
 __all__ = [
     "LinCRError",
@@ -639,14 +639,14 @@ def mode_shooting_table(we: WEquation, k_max: int = 5, n_samples: int = 25):
 # ----------------------------------------------------------------------
 
 def weight_exponent(rho, delta: float, rho_0: float, rho_inf: float):
-    """Smooth-step exponent w(rho): 2 below rho_0, delta above rho_inf."""
-    if rho <= rho_0:
-        return 2.0
-    if rho >= rho_inf:
-        return delta
-    u = (rho - rho_0) / (rho_inf - rho_0)
-    s = u * u * (3.0 - 2.0 * u)
-    return 2.0 + (delta - 2.0) * s
+    """Smooth-step exponent w(rho): 2 up to rho_0, delta from rho_inf on;
+    a float for a float rho, elementwise for an ndarray."""
+    def step(r):
+        u = (r - rho_0) / (rho_inf - rho_0)
+        return 2.0 + (delta - 2.0) * (u * u * (3.0 - 2.0 * u))
+    return piecewise((rho_0, math.nextafter(rho_inf, -math.inf)),
+                     (lambda r: 2.0 + 0.0 * r, step,
+                      lambda r: delta + 0.0 * r))(rho)
 
 
 def random_truncated_field(rng, modes, n_rho: int = 48, n_psi: int = 64,
@@ -690,8 +690,7 @@ def sz_inequality_check(fields, delta: float = 0.5, rho_0: float = 1.0,
         norm2_psi = np.sum(np.abs(hat) ** 2, axis=(1, 2)) / n_psi
         dpsi_hat = hat * (1j * freqs)[None, :, None]
         dnorm2_psi = np.sum(np.abs(dpsi_hat) ** 2, axis=(1, 2)) / n_psi
-        wgt = np.array([math.exp(weight_exponent(r, delta, rho_0, rho_inf) * r)
-                        for r in rhos])
+        wgt = np.exp(weight_exponent(rhos, delta, rho_0, rho_inf) * rhos)
         # normalize against overflow: only the ratio matters
         wgt = wgt / wgt.max()
         num = np.trapezoid(dnorm2_psi * wgt, rhos)

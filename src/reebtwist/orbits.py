@@ -114,7 +114,7 @@ def enumerate_orbit_levels(tp: TwistProfile, action_bound: float,
     if denom_cap < 1:
         raise OrbitError("denominator cap must be >= 1")
     scan = np.linspace(1e-9, tp.s_max, 1001)
-    gvals = np.array([tp.g(s) for s in scan])
+    gvals = tp.g(scan)
     glo, ghi = float(gvals.min()), float(gvals.max())
     levels = []
     two_pi = 2.0 * math.pi

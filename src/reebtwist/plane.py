@@ -17,13 +17,14 @@ asymptotic orbit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
-from .profiles import BindingProfile
+from .profiles import BindingProfile, piecewise
 
 __all__ = [
     "PlaneError",
@@ -55,8 +56,7 @@ class PlaneSolution:
     half for log rho < 0, forward half for log rho >= 0), and the
     asymptotic power tail r0 - c*rho^{-kappa} beyond the integrated
     range.  They take a float or an ndarray of radii and return the
-    same kind.  q_fixed/p_fixed record the frozen sphere coordinates and
-    t_shift the translation freedom.
+    same kind.  q_fixed/p_fixed record the frozen sphere coordinates.
     """
 
     bp: BindingProfile
@@ -64,7 +64,6 @@ class PlaneSolution:
     r_vals: np.ndarray
     t_vals: np.ndarray
     r_init: float          # r at rho = 1
-    t_shift: float
     q_fixed: np.ndarray
     p_fixed: np.ndarray
     core_coeff: float      # r = core_coeff * rho^core_pow inside the core
@@ -80,46 +79,46 @@ class PlaneSolution:
     def r0(self) -> float:
         return self.bp.r0
 
-    def _lookup(self, rho, comp: int, core, tail):
-        """Component ``comp`` (0: r, 1: t) at radii rho > 0: the closed
-        form ``core`` of x = log rho up to x_core, the integrated solution
-        (backward half for x < 0, forward half for x >= 0) before x_max,
-        and the closed form ``tail`` from x_max on.  A float takes the one
-        branch its x selects; an ndarray is split by masks, one call per
-        piece.  Both evaluate the same numpy expressions, so a float and a
-        one-element array give the same bits."""
-        x = np.log(rho)
-        if not isinstance(rho, np.ndarray):
-            if x <= self.x_core:
-                return float(core(x))
-            if x >= self.x_max:
-                return float(tail(x))
-            return float((self.sol_back if x < 0.0 else self.sol_fwd)(x)[comp])
-        out = np.empty(x.shape)
-        in_core = x <= self.x_core
-        in_tail = x >= self.x_max
-        out[in_core] = core(x[in_core])
-        out[in_tail] = tail(x[in_tail])
-        mid = ~(in_core | in_tail)
-        for half, mask in ((self.sol_back, mid & (x < 0.0)),
-                           (self.sol_fwd, mid & (x >= 0.0))):
-            if mask.any():
-                out[mask] = half(x[mask])[comp]
-        return out if out.ndim else float(out)
+    def _in_x(self, comp: int, core, tail):
+        """Component ``comp`` (0: r, 1: t) as a function of x = log rho:
+        the closed form ``core`` up to x_core, the integrated solution
+        (backward half for x < 0, forward half for 0 <= x < x_max), and
+        the closed form ``tail`` from x_max on.  The pieces hold what
+        they read, not ``self``: a cycle through the cached lookup would
+        keep a dropped solution alive until the cyclic collector ran."""
+        back, fwd = self.sol_back, self.sol_fwd
+        return piecewise(
+            (self.x_core, math.nextafter(0.0, -math.inf),
+             math.nextafter(self.x_max, -math.inf)),
+            (core, lambda x: back(x)[comp], lambda x: fwd(x)[comp], tail))
+
+    @functools.cached_property
+    def _r_in_x(self):
+        c, p, r0, a, k = (self.core_coeff, self.core_pow, self.r0,
+                          self.tail_coeff, self.kappa)
+        return self._in_x(0, lambda x: c * np.exp(p * x),
+                          lambda x: r0 - a * np.exp(-k * x))
+
+    @functools.cached_property
+    def _t_in_x(self):
+        # dt/dx = h2 = (core scale) r^2 integrates in closed form
+        c2 = 0.5 * self.core_pow  # h2 = c2 r^2 on the core
+        g = 2.0 * self.core_pow
+        amp = c2 * self.core_coeff ** 2 / g
+        t_core, x_core, x_max = self._t_core(), self.x_core, self.x_max
+        t_max = float(self.sol_fwd(x_max)[1])
+        h2_max = self.bp.h2(self.r0)
+        return self._in_x(
+            1, lambda x: t_core - amp * (math.exp(g * x_core) - np.exp(g * x)),
+            lambda x: t_max + h2_max * (x - x_max))
 
     def r_of_rho(self, rho):
         """r at rho; r = 0 at rho <= 0 (the binding puncture)."""
-        def core(x):
-            return self.core_coeff * np.exp(self.core_pow * x)
-
-        def tail(x):
-            return self.r0 - self.tail_coeff * np.exp(-self.kappa * x)
-
         if not isinstance(rho, np.ndarray):
             rho = float(rho)
-            return self._lookup(rho, 0, core, tail) if rho > 0.0 else 0.0
+            return self._r_in_x(np.log(rho)) if rho > 0.0 else 0.0
         pos = rho > 0.0
-        r = np.asarray(self._lookup(np.where(pos, rho, 1.0), 0, core, tail))
+        r = self._r_in_x(np.log(np.where(pos, rho, 1.0)))
         r[~pos] = 0.0
         return r if r.ndim else float(r)
 
@@ -128,23 +127,11 @@ class PlaneSolution:
 
     def t_of_rho(self, rho):
         """t at rho; rho <= 0 is read as rho = 1e-300, deep in the core."""
-        # dt/dx = h2 = (core scale) r^2 integrates in closed form
-        c2 = 0.5 * self.core_pow  # h2 = c2 r^2 on the core
-        g = 2.0 * self.core_pow
-        amp = c2 * self.core_coeff ** 2 / g
-
-        def core(x):
-            return self._t_core() - amp * (math.exp(g * self.x_core)
-                                           - np.exp(g * x))
-
-        def tail(x):
-            tm = float(self.sol_fwd(self.x_max)[1])
-            return tm + self.bp.h2(self.r0) * (x - self.x_max)
-
         if not isinstance(rho, np.ndarray):
             rho = float(rho)
-            return self._lookup(rho if rho > 0.0 else 1e-300, 1, core, tail)
-        return self._lookup(np.where(rho > 0.0, rho, 1e-300), 1, core, tail)
+            return self._t_in_x(np.log(rho if rho > 0.0 else 1e-300))
+        t = self._t_in_x(np.log(np.where(rho > 0.0, rho, 1e-300)))
+        return t if t.ndim else float(t)
 
     def t_limit_at_puncture(self) -> float:
         c2 = 0.5 * self.core_pow
@@ -152,16 +139,14 @@ class PlaneSolution:
         return self._t_core() - (c2 * self.core_coeff ** 2 / g) * math.exp(g * self.x_core)
 
 
-def solve_plane(bp: BindingProfile, r_at_1: float, rho_max: float | None = None,
-                tol_asym: float = 1e-6, t_shift: float = 0.0,
-                rho_min: float = 1e-8, n_grid: int = 400) -> PlaneSolution:
-    """Integrate the plane equations from rho = 1 (r = r_at_1, t = t_shift).
+def solve_plane(bp: BindingProfile, r_at_1: float,
+                tol_asym: float = 1e-6) -> PlaneSolution:
+    """Integrate the plane equations from rho = 1 (r = r_at_1, t = 0).
 
-    Forward integration runs at least to rho_max (chosen adaptively so
-    that r0 - r < tol_asym when rho_max is None) and always far enough
-    to calibrate the asymptotic tail; backward integration stops at the
-    quadratic core, below which the closed form takes over down to
-    rho_min and beyond.
+    Forward integration runs far enough to calibrate the asymptotic
+    tail; backward integration stops at the quadratic core, below which
+    the closed form takes over.  The stored grid spans rho from 1e-8 to
+    the smallest rho with r0 - r < tol_asym.
     """
     if not (0.0 < r_at_1 < bp.r0):
         raise PlaneError(f"r at rho=1 must lie in (0, r0); got {r_at_1}"
@@ -191,15 +176,14 @@ def solve_plane(bp: BindingProfile, r_at_1: float, rho_max: float | None = None,
     # the deep target keeps the asymptotic tail accurate for the
     # linearized analysis, which integrates far along the cylinder.
     target_gap = min(tol_asym, 1e-9)
-    x_hi_guess = math.log(max(rho_max or 1.0, 10.0)) + \
-        (math.log(bp.r0 / target_gap) / kappa)
+    x_hi_guess = math.log(10.0) + math.log(bp.r0 / target_gap) / kappa
 
     def close_event(_x, y):
         return (bp.r0 - y[0]) - target_gap
     close_event.terminal = True
     close_event.direction = -1
 
-    solF = integrate.solve_ivp(rhs, (0.0, x_hi_guess), [r_at_1, t_shift],
+    solF = integrate.solve_ivp(rhs, (0.0, x_hi_guess), [r_at_1, 0.0],
                                method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL,
                                dense_output=True, events=close_event)
     if not solF.success:
@@ -216,7 +200,7 @@ def solve_plane(bp: BindingProfile, r_at_1: float, rho_max: float | None = None,
     core_event.terminal = True
     core_event.direction = -1
 
-    solB = integrate.solve_ivp(rhs, (0.0, -60.0), [r_at_1, t_shift],
+    solB = integrate.solve_ivp(rhs, (0.0, -60.0), [r_at_1, 0.0],
                                method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL,
                                dense_output=True, events=core_event)
     if not solB.success or solB.t[-1] <= -59.0:
@@ -227,24 +211,21 @@ def solve_plane(bp: BindingProfile, r_at_1: float, rho_max: float | None = None,
 
     tail_coeff = (bp.r0 - float(solF.y[0, -1])) * math.exp(kappa * x_max)
 
-    if rho_max is None:
-        # smallest rho with r0 - r < tol_asym, from the integrated data
-        xs = np.linspace(0.0, x_max, 2000)
-        rr = solF.sol(xs)[0]
-        idx = np.nonzero(bp.r0 - rr < tol_asym)[0]
-        rho_max = float(np.exp(xs[idx[0]])) if len(idx) else float(np.exp(x_max))
+    # smallest rho with r0 - r < tol_asym, from the integrated data
+    xs = np.linspace(0.0, x_max, 2000)
+    idx = np.nonzero(bp.r0 - solF.sol(xs)[0] < tol_asym)[0]
+    rho_max = float(np.exp(xs[idx[0]])) if len(idx) else float(np.exp(x_max))
 
-    x_lo = math.log(rho_min)
-    xs = np.linspace(x_lo, math.log(rho_max), n_grid)
+    xs = np.linspace(math.log(1e-8), math.log(rho_max), 400)
     n_dim = 2
     q_fixed = np.zeros(n_dim)
     q_fixed[0] = 1.0
     p_fixed = np.zeros(n_dim)
     p_fixed[1] = 1.0
 
-    sol = PlaneSolution(bp=bp, rho_grid=np.exp(xs), r_vals=np.zeros(n_grid),
-                        t_vals=np.zeros(n_grid), r_init=r_at_1,
-                        t_shift=t_shift, q_fixed=q_fixed, p_fixed=p_fixed,
+    sol = PlaneSolution(bp=bp, rho_grid=np.exp(xs), r_vals=np.zeros(400),
+                        t_vals=np.zeros(400), r_init=r_at_1,
+                        q_fixed=q_fixed, p_fixed=p_fixed,
                         core_coeff=core_coeff, core_pow=core_pow,
                         x_core=x_core, x_max=x_max,
                         kappa=kappa, tail_coeff=tail_coeff,

@@ -14,7 +14,7 @@ Two families of profiles are built here:
 All shipped shapes have closed-form derivatives up to order two; the
 defining integrals of ``h_k`` and ``h~_k`` are evaluated in closed form
 with adaptive Gauss-Kronrod quadrature kept as an independent oracle.
-Every shipped profile is piecewise (see ``_piecewise``) and evaluates a
+Every shipped profile is piecewise (see ``piecewise``) and evaluates a
 float to a float and an ndarray elementwise.
 """
 
@@ -33,6 +33,7 @@ __all__ = [
     "TwistProfile",
     "BindingProfile",
     "PullbackReport",
+    "piecewise",
     "build_twist_profile",
     "build_binding_profile",
     "default_twist_profile",
@@ -91,18 +92,16 @@ class SmoothProfile:
             rng = np.random.default_rng(0)
         span = self.hi - self.lo
         pts = self.lo + (0.02 + 0.96 * rng.random(n)) * span
-        worst = 0.0
-        scale = max(abs(self.d1(x)) for x in np.linspace(self.lo + 0.01 * span,
-                                                         self.hi - 0.01 * span, 101))
-        scale = max(scale, 1e-12)
-        for x in pts:
-            if any(abs(x - b) < 4 * h for b in self.breaks):
-                continue
-            if x - h < self.lo or x + h > self.hi:
-                continue
-            fd = (self.value(x + h) - self.value(x - h)) / (2 * h)
-            err = abs(fd - self.d1(x)) / max(abs(self.d1(x)), scale)
-            worst = max(worst, err)
+        scale = max(float(np.max(np.abs(self.d1(np.linspace(
+            self.lo + 0.01 * span, self.hi - 0.01 * span, 101))))), 1e-12)
+        keep = (pts - h >= self.lo) & (pts + h <= self.hi)
+        for b in self.breaks:
+            keep &= np.abs(pts - b) >= 4 * h
+        x = pts[keep]
+        d1 = self.d1(x)
+        fd = (self.value(x + h) - self.value(x - h)) / (2 * h)
+        err = np.abs(fd - d1) / np.maximum(np.abs(d1), scale)
+        worst = float(err.max()) if err.size else 0.0
         if worst > rtol:
             raise ProfileError(
                 f"profile derivative self-check failed: rel err {worst:.3e} > {rtol:.1e}")
@@ -201,8 +200,7 @@ class TwistProfile:
 
 
 def build_twist_profile(k: int, eps: float, p_plateau: float,
-                        shape: dict | str | None = None,
-                        s_max: float = 1.0) -> TwistProfile:
+                        shape: str = "cos2", s_max: float = 1.0) -> TwistProfile:
     """Construct a twist profile and validate its invariants.
 
     Rejects ``k == 0`` (no twist), ``eps == 0`` for ``k < 0`` (the zero
@@ -218,19 +216,13 @@ def build_twist_profile(k: int, eps: float, p_plateau: float,
     if s_max < p_plateau:
         raise ProfileError("domain must contain the plateau point")
 
-    if shape is None:
-        shape = {"name": "cos2"}
-    if isinstance(shape, str):
-        shape = {"name": shape}
-    name = shape.get("name", "cos2")
-    if name not in TWIST_SHAPES:
-        raise ProfileError(f"unknown twist shape {name!r}")
-    c, c1, c2, Cint = TWIST_SHAPES[name]()
+    if shape not in TWIST_SHAPES:
+        raise ProfileError(f"unknown twist shape {shape!r}")
+    c, c1, c2, Cint = TWIST_SHAPES[shape]()
 
     # The ramp must be monotone so the angle approaches the plateau
     # without overshoot; checked on a dense grid.
-    xs = np.linspace(0.0, 1.0, 513)
-    if any(c1(x) > 1e-12 for x in xs):
+    if np.any(c1(np.linspace(0.0, 1.0, 513)) > 1e-12):
         raise ProfileError("ramp is not monotone decreasing")
 
     pc = p_plateau
@@ -295,7 +287,7 @@ def build_twist_profile(k: int, eps: float, p_plateau: float,
     if hk_min <= 0.0:
         raise ProfileError(f"hk is not positive on the domain (min {hk_min:.3e})")
 
-    return TwistProfile(k=k, eps=eps, p_plateau=pc, s_max=s_max, shape=name,
+    return TwistProfile(k=k, eps=eps, p_plateau=pc, s_max=s_max, shape=shape,
                         g=g, f=f, hk=hk, htilde=htilde, p0=p0)
 
 
@@ -353,39 +345,44 @@ def _constant(c):
     return lambda x: c + 0.0 * x
 
 
+def piecewise(edges, fns):
+    """The function that is ``fns[i]`` on the i-th piece cut by the
+    sorted ``edges`` (one fewer than ``fns``): a point x belongs to the
+    first piece whose edge is >= x, and to the last piece past every
+    edge.
+
+    A float is looked up by scanning the edges (the cheap path for the
+    scalar callers); an ndarray by ``np.searchsorted(edges, x,
+    side="left")``, the same rule, with each piece evaluated once on the
+    points it owns.
+    """
+    edges = np.asarray(edges, dtype=float)
+    pairs, last = tuple(zip(edges.tolist(), fns)), fns[-1]
+
+    def f(x):
+        if not isinstance(x, np.ndarray):
+            x = float(x)
+            for edge, fn in pairs:
+                if x <= edge:
+                    return float(fn(x))
+            return float(last(x))
+        owner = np.searchsorted(edges, x, side="left")
+        out = np.empty(x.shape)
+        for i, fn in enumerate(fns):
+            mask = owner == i
+            if mask.any():
+                out[mask] = fn(x[mask])
+        return out
+    return f
+
+
 def _piecewise(pieces):
     """(value, d1, d2) of the function whose ordered pieces are
-    ``(upper_edge, value, d1, d2)``.
-
-    A point x belongs to the first piece whose edge is >= x, and to the
-    last piece past every edge.  A float is looked up by scanning the
-    edges (the cheap path for the scalar callers); an ndarray by
-    ``np.searchsorted(edges, x, side="left")``, the same rule, with each
-    piece evaluated once on the points it owns.
-    """
-    edges = np.array([piece[0] for piece in pieces])
-
-    def join(fns):
-        pairs = tuple(zip(edges.tolist(), fns))
-
-        def f(x):
-            if not isinstance(x, np.ndarray):
-                x = float(x)
-                for edge, fn in pairs:
-                    if x <= edge:
-                        return float(fn(x))
-                return float(fns[-1](x))
-            owner = np.minimum(np.searchsorted(edges, x, side="left"),
-                               len(fns) - 1)
-            out = np.empty(x.shape)
-            for i, fn in enumerate(fns):
-                mask = owner == i
-                if mask.any():
-                    out[mask] = fn(x[mask])
-            return out
-        return f
-
-    return tuple(join([piece[i] for piece in pieces]) for i in (1, 2, 3))
+    ``(upper_edge, value, d1, d2)``; the last piece also takes every
+    point past its edge (see ``piecewise``)."""
+    edges = [piece[0] for piece in pieces[:-1]]
+    return tuple(piecewise(edges, [piece[i] for piece in pieces])
+                 for i in (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -405,7 +402,6 @@ class BindingProfile:
     quadratic_core: bool
     core_end: float
     collar: tuple | None = None
-    core_scale: float = 1.0
     shape: str = "fig2"
 
     # -- derived evaluators --------------------------------------------
@@ -435,14 +431,11 @@ def _build_fig2(r0, r_max, shape) -> BindingProfile:
     ``2*pi*h2(r0) = hk(p0)``.
     """
     tp = shape.get("twist")
-    if "peak" in shape:
-        H = float(shape["peak"])
-    elif tp is not None:
-        if tp.p0 is None:
-            raise ProfileError("twist has no principal zero; cannot tie the peak")
-        H = tp.hk(tp.p0) / PHI_PERIOD_SCALE
-    else:
-        raise ProfileError("fig2 shape needs a twist profile or explicit peak")
+    if tp is None:
+        raise ProfileError("fig2 shape needs a twist profile")
+    if tp.p0 is None:
+        raise ProfileError("twist has no principal zero; cannot tie the peak")
+    H = tp.hk(tp.p0) / PHI_PERIOD_SCALE
     kappa = float(shape.get("kappa", 1.0))
     w = float(shape.get("tail_width", 0.12))
     if kappa <= 0.0 or w <= 0.0:
@@ -543,28 +536,16 @@ def _build_collar(r0, r_max, shape) -> BindingProfile:
         return -(tp.g.d1(s) * s ** 4 + 2.0 * s ** 3 * tp.g(s)) / sc
 
     H_c = c_h2(r_c)
-    if "core_end" in shape:
-        rB_ladder = [float(shape["core_end"])]
-    else:
-        rB_ladder = [f * min(1.0, r_c) for f in (0.5, 0.35, 0.25, 0.15)]
-    if "core_scale" in shape:
-        c2_ladder = [float(shape["core_scale"])]
-    else:
-        c2_ladder = [0.3, 0.15, 0.075, 0.04]
-
     last_err = None
-    for rB in rB_ladder:
-        if not (0.0 < rB < r_c):
-            continue
-        for c2 in c2_ladder:
+    for rB in (f * min(1.0, r_c) for f in (0.5, 0.35, 0.25, 0.15)):
+        for c2 in (0.3, 0.15, 0.075, 0.04):
             if c2 * rB * rB >= 0.8 * H_c:
                 continue  # scaled core would crowd the collar curve
             cand = _assemble_collar(tp, r0, r_max, r_c, rB, c2,
                                     c_h1, c_h1d, c_h1dd, c_h2, c_h2d, c_h2dd)
-            ok, err = _collar_grid_check(cand)
-            if ok:
+            last_err = _grid_violation(cand)
+            if last_err is None:
                 return cand
-            last_err = err
     raise ProfileError(
         "collar shape: no admissible core parameters found"
         + (f" (last failure: {last_err})" if last_err else ""))
@@ -594,19 +575,23 @@ def _assemble_collar(tp, r0, r_max, r_c, rB, c2,
     h2 = SmoothProfile(0.0, r_max, *h2pw, breaks=breaks)
     return BindingProfile(h1=h1, h2=h2, r0=r0, r_max=r_max,
                           quadratic_core=False, core_end=rB,
-                          collar=(r_c, r_max), core_scale=c2, shape="collar")
+                          collar=(r_c, r_max), shape="collar")
 
 
-def _collar_grid_check(bp: BindingProfile):
-    rs = np.linspace(bp.r_max / 1024, bp.r_max, 1024)
-    for r in rs:
-        if bp.h1(r) <= 0.0:
-            return False, f"h1 <= 0 at r = {r:.4f}"
-        if bp.detH_over_r(r) <= 0.0:
-            return False, f"detH/r <= 0 at r = {r:.4f}"
-        if bp.h2(r) > bp.h2(bp.r0) + 1e-12:
-            return False, f"h2 exceeds the r0 peak at r = {r:.4f}"
-    return True, None
+def _grid_violation(bp: BindingProfile, n: int = 2048):
+    """The first invariant of ``bp`` that fails on the grid
+    linspace(r_max/n, r_max, n) of ``min_detH_over_r(n)``, as a message,
+    or None: h1 > 0, the contact condition detH/r > 0, and the maximum
+    of h2 at r0."""
+    rs = np.linspace(bp.r_max / n, bp.r_max, n)
+    for ok, what in (
+            (bp.h1(rs) > 0.0, "h1 <= 0"),
+            (bp.detH(rs) / rs > 0.0, "contact condition fails: detH/r <= 0"),
+            (bp.h2(rs) <= bp.h2(bp.r0) + 1e-12,
+             "h2 does not attain its maximum at r0: h2 > h2(r0)")):
+        if not ok.all():
+            return f"{what} at r = {rs[np.argmin(ok)]:.6f}"
+    return None
 
 
 def build_binding_profile(r0: float, r_max: float, shape: dict) -> BindingProfile:
@@ -632,21 +617,11 @@ def build_binding_profile(r0: float, r_max: float, shape: dict) -> BindingProfil
     else:
         raise ProfileError(f"unknown binding shape {name!r}")
 
-    # invariant checks ------------------------------------------------
-    rs = np.linspace(r_max / 2048, r_max, 2048)
-    for r in rs:
-        if abs(bp.h1(r)) < 1e-12:
-            raise ProfileError(f"[{name}] h1 vanishes at r = {r:.6f}")
-    vals = np.array([bp.detH_over_r(r) for r in rs])
-    if vals.min() <= 0.0:
-        bad = float(rs[int(np.argmin(vals))])
-        raise ProfileError(
-            f"[{name}] contact condition fails: detH/r <= 0 at r = {bad:.6f}")
+    violation = _grid_violation(bp)
+    if violation is not None:
+        raise ProfileError(f"[{name}] {violation}")
     if abs(bp.h2.d1(bp.r0)) > 1e-10:
         raise ProfileError(f"[{name}] h2'(r0) = {bp.h2.d1(bp.r0):.3e} != 0")
-    h2max = max(bp.h2(r) for r in rs)
-    if h2max > bp.h2(bp.r0) + 1e-12:
-        raise ProfileError(f"[{name}] h2 does not attain its maximum at r0")
     return bp
 
 
@@ -693,8 +668,6 @@ class PullbackReport:
     phi_period_scale: float
     max_mismatch: float
     worst_radius: float
-    max_mismatch_h1: float
-    max_mismatch_h2: float
     n_samples: int
 
 
@@ -711,24 +684,17 @@ def pullback_consistency_check(tp: TwistProfile, bp: BindingProfile,
     if not (0.0 < lo <= hi <= bp.r_max):
         raise ProfileError("collar must be a subinterval of (0, r_max]")
     rs = np.linspace(lo, hi, n) if hi > lo else np.array([lo])
-    worst = -1.0
-    worst_r = lo
-    w1 = w2 = 0.0
-    for r in rs:
-        s = 1.0 / r
-        if s > tp.s_max:
-            raise ProfileError(f"collar radius {r:.4f} maps outside the twist domain")
-        m1 = abs(bp.h1(r) - 1.0 / r)
-        m2 = abs(bp.h2(r) - tp.htilde(s) / PHI_PERIOD_SCALE)
-        w1 = max(w1, m1)
-        w2 = max(w2, m2)
-        m = max(m1, m2)
-        if m > worst:
-            worst, worst_r = m, float(r)
+    s = 1.0 / rs
+    outside = s > tp.s_max
+    if outside.any():
+        raise ProfileError(f"collar radius {rs[np.argmax(outside)]:.4f} "
+                           "maps outside the twist domain")
+    m = np.maximum(np.abs(bp.h1(rs) - 1.0 / rs),
+                   np.abs(bp.h2(rs) - tp.htilde(s) / PHI_PERIOD_SCALE))
+    i = int(np.argmax(m))
     return PullbackReport(collar=(float(lo), float(hi)),
                           phi_period_scale=PHI_PERIOD_SCALE,
-                          max_mismatch=worst, worst_radius=worst_r,
-                          max_mismatch_h1=w1, max_mismatch_h2=w2,
+                          max_mismatch=float(m[i]), worst_radius=float(rs[i]),
                           n_samples=len(rs))
 
 
@@ -737,16 +703,14 @@ def pullback_consistency_check(tp: TwistProfile, bp: BindingProfile,
 # ----------------------------------------------------------------------
 
 def twist_table(tp: TwistProfile, n: int = 256):
-    header = ["x", "g", "g_prime", "h_k", "h_tilde_k"]
-    rows = []
-    for s in np.linspace(0.0, tp.s_max, n):
-        rows.append([s, tp.g(s), tp.g.d1(s), tp.hk(s), tp.htilde(s)])
-    return header, rows
+    s = np.linspace(0.0, tp.s_max, n)
+    return (["x", "g", "g_prime", "h_k", "h_tilde_k"],
+            np.column_stack([s, tp.g(s), tp.g.d1(s), tp.hk(s),
+                             tp.htilde(s)]).tolist())
 
 
 def binding_table(bp: BindingProfile, n: int = 256):
-    header = ["r", "h1", "h1_prime", "h2", "h2_prime", "detH"]
-    rows = []
-    for r in np.linspace(0.0, bp.r_max, n):
-        rows.append([r, bp.h1(r), bp.h1.d1(r), bp.h2(r), bp.h2.d1(r), bp.detH(r)])
-    return header, rows
+    r = np.linspace(0.0, bp.r_max, n)
+    return (["r", "h1", "h1_prime", "h2", "h2_prime", "detH"],
+            np.column_stack([r, bp.h1(r), bp.h1.d1(r), bp.h2(r),
+                             bp.h2.d1(r), bp.detH(r)]).tolist())

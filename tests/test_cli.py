@@ -14,7 +14,8 @@ import pytest
 
 from reebtwist import cli, energy, geometry, index, lincr, orbits, plane
 from reebtwist import profiles
-from reebtwist.config import ConfigError, parse_config, default_config_text
+from reebtwist.config import (_SCHEMA, ConfigError, default_config_text,
+                              parse_config)
 
 
 def test_default_config_round_trip():
@@ -104,6 +105,56 @@ def test_config_rejects_value_the_model_cannot_take(tmp_path, capsys, text,
                      "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and re.search(key, err)
+
+
+FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
+              for key, typ in keys.items() if typ is float]
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", FLOAT_KEYS,
+                         ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
+def test_non_finite_float_rejected(section, key, raw):
+    with pytest.raises(ConfigError,
+                       match=rf"line 3: \[{section}\] {key}: .*finite"):
+        parse_config(f"# non-finite\n[{section}]\n{key} = {raw}\n")
+
+
+def test_non_finite_float_exits_1(tmp_path, capsys):
+    bad = tmp_path / "nan.cfg"
+    bad.write_text("[binding]\nkappa = nan\n")
+    assert cli.main(["all", "--config", str(bad), "--quiet",
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[binding] kappa" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("r_max", ["1.2", "1.5"])
+def test_binding_profile_with_sign_changing_h1_exits_1(tmp_path, capsys,
+                                                       r_max):
+    # h1 = 1 - r^2 changes sign at r = 1 inside [0, r_max]
+    bad = tmp_path / "rmax.cfg"
+    bad.write_text(f"[binding]\nr_max = {r_max}\n")
+    assert cli.main(["all", "--config", str(bad), "--quiet",
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [fig2] h1 <= 0 at r = 1.00")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["missing_config", "directory_config",
+                                  "out_is_a_file"])
+def test_io_errors_exit_1(tmp_path, capsys, case):
+    args = {"missing_config": ["--config", str(tmp_path / "missing.cfg")],
+            "directory_config": ["--config", str(tmp_path)],
+            "out_is_a_file": []}[case]
+    out = tmp_path / "o"
+    if case == "out_is_a_file":
+        out.write_text("not a directory")
+    assert cli.main(["validate", "--quiet", "--out", str(out), *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_negative_seed_override_rejected(tmp_path, capsys):

@@ -90,13 +90,12 @@ def test_J_dt_is_reeb_and_J_dr_is_geofield(bp):
     n = 2
     for _ in range(25):
         x = G.random_binding_point(n, bp, rng)
-        X = G.SymplPoint(base=x)
         dt = G.TangentVector(0.0, np.zeros(n), np.zeros(n), 0.0, 1.0)
         R = G.reeb_field_binding(bp, x)
-        assert G.apply_J(bp, X, dt).plus(R.scaled(-1.0)).norm() <= 1e-12
+        assert G.apply_J(bp, x, dt).plus(R.scaled(-1.0)).norm() <= 1e-12
         dr = G.TangentVector(0.0, np.zeros(n), np.zeros(n), 1.0, 0.0)
         Gf = G.geo_field_binding(bp, x)
-        assert G.apply_J(bp, X, dr).plus(Gf.scaled(-1.0)).norm() <= 1e-12
+        assert G.apply_J(bp, x, dr).plus(Gf.scaled(-1.0)).norm() <= 1e-12
 
 
 def test_J_squares_to_minus_one(bp):
@@ -104,9 +103,8 @@ def test_J_squares_to_minus_one(bp):
     worst = 0.0
     for _ in range(1000):
         x = G.random_binding_point(2, bp, rng)
-        X = G.SymplPoint(base=x)
         v = G.random_tangent(x, rng)
-        JJv = G.apply_J(bp, X, G.apply_J(bp, X, v))
+        JJv = G.apply_J(bp, x, G.apply_J(bp, x, v))
         worst = max(worst, JJv.plus(v).norm() / v.norm())
     assert worst <= 1e-9
 
@@ -115,20 +113,19 @@ def test_J_compatibility_on_contact_plane(bp):
     rng = np.random.default_rng(6)
     for _ in range(1000):
         x = G.random_binding_point(2, bp, rng)
-        X = G.SymplPoint(base=x)
         v = G.random_tangent(x, rng)
         R = G.reeb_field_binding(bp, x)
         vxi = v.plus(R.scaled(-G.alpha_binding(bp, x, v)))
         if vxi.norm() < 1e-8:
             continue
-        assert G.dalpha_binding(bp, x, vxi, G.apply_J(bp, X, vxi)) > 0.0
+        assert G.dalpha_binding(bp, x, vxi, G.apply_J(bp, x, vxi)) > 0.0
 
 
 def test_apply_J_rejects_non_tangent(bp):
     x = _point(2, 0.3)
     bad = G.TangentVector(0.0, x.q.copy(), np.zeros(2), 0.0, 0.0)
     with pytest.raises(G.GeometryError, match="not tangent"):
-        G.apply_J(bp, G.SymplPoint(base=x), bad)
+        G.apply_J(bp, x, bad)
 
 
 def test_tilde_reeb_identities(tp):
@@ -309,7 +306,7 @@ def test_batch_forms_match_scalar_oracle(request, profile, n):
     _assert_batch_matches(G.geo_field_batch(bp, X), _stack_tangents(
         [G.geo_field_binding(bp, x) for x in xs]))
     _assert_batch_matches(G.apply_J_batch(bp, X, V), _stack_tangents(
-        [G.apply_J(bp, G.SymplPoint(x), v) for x, v in zip(xs, vs)]))
+        [G.apply_J(bp, x, v) for x, v in zip(xs, vs)]))
 
 
 def _scalar_main_loop(bp, n, n_points, rng):
@@ -323,21 +320,20 @@ def _scalar_main_loop(bp, n, n_points, rng):
     dr_vec = G.TangentVector(0.0, np.zeros(n), np.zeros(n), 1.0, 0.0)
     for _ in range(n_points):
         x = G.random_binding_point(n, bp, rng)
-        X = G.SymplPoint(base=x)
         R = G.reeb_field_binding(bp, x)
         v = G.random_tangent(x, rng)
-        JJv = G.apply_J(bp, X, G.apply_J(bp, X, v))
+        JJv = G.apply_J(bp, x, G.apply_J(bp, x, v))
         vxi = v.plus(R.scaled(-G.alpha_binding(bp, x, v)))
         if vxi.norm() > 1e-8:
             compat = min(compat, G.dalpha_binding(bp, x, vxi, G.apply_J(
-                bp, X, vxi)) / vxi.norm() ** 2)
+                bp, x, vxi)) / vxi.norm() ** 2)
         for key, val in (
                 ("alpha_of_reeb_minus_1", abs(G.alpha_binding(bp, x, R) - 1.0)),
                 ("dalpha_reeb_contraction", abs(G.dalpha_binding(bp, x, R, v))),
                 ("J_squared_plus_id", JJv.plus(v).norm() / max(v.norm(), 1e-30)),
                 ("J_dt_minus_reeb",
-                 G.apply_J(bp, X, dt_vec).plus(R.scaled(-1.0)).norm()),
-                ("J_dr_minus_geofield", G.apply_J(bp, X, dr_vec).plus(
+                 G.apply_J(bp, x, dt_vec).plus(R.scaled(-1.0)).norm()),
+                ("J_dr_minus_geofield", G.apply_J(bp, x, dr_vec).plus(
                     G.geo_field_binding(bp, x).scaled(-1.0)).norm())):
             worst[key] = max(worst[key], val)
     return {**worst, "min_compatibility_quotient": compat}

@@ -285,6 +285,44 @@ def test_weight_exponent_smooth_step():
     assert 0.5 < mid < 2.0
 
 
+@pytest.mark.parametrize("delta", [0.1, 0.5, 0.9])
+def test_weight_exponent_array_matches_floats(delta):
+    # the array exponent equals the float path bit for bit, on both
+    # plateaus and the step; the weights exp(w * rho) of the check, numpy
+    # against math, agree to an ulp
+    rhos = np.concatenate([np.linspace(0.0, 12.0, 4001), [1.0, 10.0]])
+    got = L.weight_exponent(rhos, delta, 1.0, 10.0)
+    ref = np.array([L.weight_exponent(float(r), delta, 1.0, 10.0)
+                    for r in rhos])
+    assert isinstance(ref[0], float) and np.array_equal(got, ref)
+    wgt = np.array([math.exp(w * r) for w, r in zip(ref, rhos)])
+    assert np.all(np.abs(np.exp(got * rhos) - wgt) <= np.spacing(wgt))
+
+
+def test_sz_weights_match_point_loop():
+    # the min ratio with the array weights against the per-radius loop
+    def ratio_by_loop(rhos, psis, vals, delta=0.5):
+        n_psi = vals.shape[1]
+        hat = np.fft.fft(vals, axis=1)
+        freqs = np.fft.fftfreq(n_psi, d=1.0 / n_psi).astype(int)
+        hat[:, np.isin(freqs, (-1, 0, 1)), :] = 0.0
+        norm2 = np.sum(np.abs(hat) ** 2, axis=(1, 2)) / n_psi
+        dnorm2 = np.sum(np.abs(hat * (1j * freqs)[None, :, None]) ** 2,
+                        axis=(1, 2)) / n_psi
+        wgt = np.array([math.exp(L.weight_exponent(r, delta, 1.0, 10.0) * r)
+                        for r in rhos])
+        wgt = wgt / wgt.max()
+        return math.sqrt(np.trapezoid(dnorm2 * wgt, rhos)
+                         / np.trapezoid(norm2 * wgt, rhos))
+
+    rng = np.random.default_rng(21)
+    fields = [L.random_truncated_field(rng, rng.integers(2, 11, size=3).tolist())
+              for _ in range(10)]
+    ref = min(ratio_by_loop(*f) for f in fields)
+    got = L.sz_inequality_check(fields)["min_ratio"]
+    assert abs(got - ref) <= 4 * np.finfo(float).eps * ref
+
+
 def test_mode_shooting_table_shape(we):
     header, rows = L.mode_shooting_table(we, k_max=2, n_samples=7)
     assert header == ["block", "direction", "rho", "log10_norm"]

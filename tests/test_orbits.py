@@ -6,6 +6,7 @@ import pytest
 
 from reebtwist import orbits as O
 from reebtwist import profiles as P
+from reebtwist.config import parse_config
 
 
 def test_principal_level(tp):
@@ -128,3 +129,23 @@ def test_nonprincipal_level_needs_collar(tp, bp, matched):
     r = 1.0 / other.p_level
     if matched.collar[0] <= r <= matched.collar[1]:
         assert O.level_radius(matched, other) == pytest.approx(r)
+
+
+@pytest.mark.parametrize("text", [
+    "", "[twist]\nk = -2\nshape = cos\n",
+    "[twist]\nk = -3\np_plateau = 0.9\nshape = cos2\n"],
+    ids=["default", "modes", "collar"])
+def test_level_scan_matches_point_loop(text):
+    # the 1001-point array scan of g against g one float at a time: equal
+    # to an ulp of the scale, with the same brackets for every target
+    cfg = parse_config(text)
+    tp = P.build_twist_profile(cfg.k, cfg.eps, cfg.p_plateau, cfg.twist_shape)
+    scan = np.linspace(1e-9, tp.s_max, 1001)
+    got = tp.g(scan)
+    ref = np.array([tp.g(float(s)) for s in scan])
+    assert np.max(np.abs(got - ref)) <= np.finfo(float).eps * np.max(np.abs(ref))
+    for f in O._farey_targets(8, got.min() / (2 * math.pi),
+                              got.max() / (2 * math.pi)):
+        tau = 2.0 * math.pi * float(f)
+        assert np.array_equal(np.diff(np.sign(got - tau)) != 0,
+                              np.diff(np.sign(ref - tau)) != 0)

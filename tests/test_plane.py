@@ -1,5 +1,7 @@
+import gc
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -190,3 +192,18 @@ def test_array_lookup_matches_scalar_oracle(plane_sol):
     # the stored grid is the array lookup on rho_grid
     assert np.array_equal(sol.r_vals, sol.r_of_rho(sol.rho_grid))
     assert np.array_equal(sol.t_vals, sol.t_of_rho(sol.rho_grid))
+
+
+def test_dropped_solution_is_freed_without_the_cycle_collector(bp):
+    # the cached lookups must not hold the solution itself: a cycle would
+    # keep its dense ODE solutions alive until the cyclic collector ran,
+    # and a process building one model after another would grow
+    sol = PL.solve_plane(bp, r_at_1=bp.core_end / 2.0)
+    sol.r_of_rho(2.0), sol.t_of_rho(2.0)
+    ref = weakref.ref(sol)
+    gc.disable()
+    try:
+        del sol
+        assert ref() is None
+    finally:
+        gc.enable()

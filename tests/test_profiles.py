@@ -44,8 +44,8 @@ def test_degenerate_and_invalid_inputs_rejected():
 def test_non_monotone_ramp_rejected(monkeypatch):
     def bad_ramp():
         c, c1, c2, Cint = P.TWIST_SHAPES["cos2"]()
-        return (lambda x: c(x) + 0.1 * math.sin(2 * math.pi * x),
-                lambda x: c1(x) + 0.2 * math.pi * math.cos(2 * math.pi * x),
+        return (lambda x: c(x) + 0.1 * np.sin(2 * math.pi * x),
+                lambda x: c1(x) + 0.2 * math.pi * np.cos(2 * math.pi * x),
                 c2, Cint)
 
     monkeypatch.setitem(P.TWIST_SHAPES, "bad", bad_ramp)
@@ -223,3 +223,110 @@ def test_min_detH_over_r_matches_point_loop(text):
         i = int(np.argmin(ref))
         assert at == rs[i]
         assert abs(mn - ref[i]) <= np.finfo(float).eps * abs(ref[i])
+
+
+MATCHED_CASES = [("", "bp"), ("", "bp_matched"), (COLLAR_CONFIG, "bp"),
+                 (COLLAR_CONFIG, "bp_matched")]
+MATCHED_IDS = ["fig2", "fig2-matched", "collar", "collar-matched"]
+
+
+def _fd_point_loop(prof, rng, n=200, h=1e-5):
+    """The per-point loop that check_derivative_consistency replaced."""
+    span = prof.hi - prof.lo
+    pts = prof.lo + (0.02 + 0.96 * rng.random(n)) * span
+    worst = 0.0
+    scale = max(abs(prof.d1(x)) for x in np.linspace(prof.lo + 0.01 * span,
+                                                     prof.hi - 0.01 * span, 101))
+    scale = max(scale, 1e-12)
+    for x in pts:
+        if any(abs(x - b) < 4 * h for b in prof.breaks):
+            continue
+        if x - h < prof.lo or x + h > prof.hi:
+            continue
+        fd = (prof.value(x + h) - prof.value(x - h)) / (2 * h)
+        worst = max(worst, abs(fd - prof.d1(x)) / max(abs(prof.d1(x)), scale))
+    return worst
+
+
+@pytest.mark.parametrize("text,which", MATCHED_CASES, ids=MATCHED_IDS)
+def test_derivative_check_matches_point_loop(text, which):
+    model = Model(parse_config(text))
+    bp = getattr(model, which)
+    for prof in (model.tp.g, model.tp.hk, bp.h1, bp.h2):
+        got = prof.check_derivative_consistency(rng=np.random.default_rng(3))
+        assert got == _fd_point_loop(prof, np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("text", ["", COLLAR_CONFIG], ids=["fig2", "collar"])
+def test_pullback_matches_point_loop(text):
+    # on the collar, off it, and at a single radius
+    model = Model(parse_config(text))
+    tp, bp = model.tp, model.bp_matched
+    lo = bp.collar[0]
+    for collar in (bp.collar, (1.0, 1.2), (lo + 0.1, lo + 0.1)):
+        rep = P.pullback_consistency_check(tp, bp, collar)
+        rs = (np.linspace(*collar, 512) if collar[1] > collar[0]
+              else np.array([collar[0]]))
+        worst, worst_r = -1.0, collar[0]
+        for r in rs:
+            m = max(abs(bp.h1(r) - 1.0 / r),
+                    abs(bp.h2(r) - tp.htilde(1.0 / r) / P.PHI_PERIOD_SCALE))
+            if m > worst:
+                worst, worst_r = m, float(r)
+        assert (rep.max_mismatch, rep.worst_radius) == (worst, worst_r)
+        assert rep.n_samples == len(rs)
+
+
+def test_pullback_outside_twist_domain_rejected(tp, matched):
+    with pytest.raises(P.ProfileError, match="outside the twist domain"):
+        P.pullback_consistency_check(tp, matched, (0.5, matched.collar[1]))
+
+
+@pytest.mark.parametrize("text,which", MATCHED_CASES, ids=MATCHED_IDS)
+def test_tables_match_point_loops(text, which):
+    # twist_table bit for bit; binding_table to an ulp of each column's
+    # scale (h2' and detH in the tanh tail go through numpy's tanh and
+    # cosh instead of math's)
+    model = Model(parse_config(text))
+    tp, bp = model.tp, getattr(model, which)
+    _h, rows = P.twist_table(tp)
+    assert rows == [[s, tp.g(s), tp.g.d1(s), tp.hk(s), tp.htilde(s)]
+                    for s in np.linspace(0.0, tp.s_max, 256)]
+    _h, rows = P.binding_table(bp)
+    ref = np.array([[r, bp.h1(r), bp.h1.d1(r), bp.h2(r), bp.h2.d1(r),
+                     bp.detH(r)] for r in np.linspace(0.0, bp.r_max, 256)])
+    assert all(type(x) is float for row in rows for x in row)
+    scale = np.max(np.abs(ref), axis=0)
+    assert np.all(np.abs(np.array(rows) - ref) <= np.finfo(float).eps * scale)
+
+
+def _custom(r0, r_max, h1, h2):
+    return P.build_binding_profile(r0, r_max, {
+        "name": "custom",
+        "h1": P.SmoothProfile(0.0, r_max, *h1),
+        "h2": P.SmoothProfile(0.0, r_max, *h2)})
+
+
+@pytest.mark.parametrize("h1,h2,message", [
+    # h1 = 1 - r^2 changes sign at r = 1, between two grid points
+    ((lambda r: 1 - r * r, lambda r: -2 * r, lambda r: -2.0),
+     (lambda r: r * r, lambda r: 2 * r, lambda r: 2.0),
+     r"\[custom\] h1 <= 0 at r = 1\.00"),
+    # h1 = h2: detH = 0 everywhere
+    ((lambda r: 1 + r * r, lambda r: 2 * r, lambda r: 2.0),
+     (lambda r: 1 + r * r, lambda r: 2 * r, lambda r: 2.0),
+     r"\[custom\] contact condition fails: detH/r <= 0 at r = 0\.000586"),
+    # h2 = r^2 keeps rising past r0
+    ((lambda r: 1 + 0 * r, lambda r: 0 * r, lambda r: 0.0),
+     (lambda r: r * r, lambda r: 2 * r, lambda r: 2.0),
+     r"\[custom\] h2 does not attain its maximum at r0: h2 > h2\(r0\) "
+     r"at r = 0\.50"),
+], ids=["h1", "contact", "h2_peak"])
+def test_grid_check_names_each_invariant(h1, h2, message):
+    with pytest.raises(P.ProfileError, match=message):
+        _custom(0.5, 1.2, h1, h2)
+
+
+def test_grid_check_passes_every_shipped_profile(bp, matched):
+    assert P._grid_violation(bp) is None
+    assert P._grid_violation(matched) is None
