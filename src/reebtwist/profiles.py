@@ -426,7 +426,7 @@ def _build_fig2(r0, r_max, shape) -> BindingProfile:
     """Default hump shape: exact quadratic core, quintic rise to a peak
     at r0, and a gentle saturating tail.
 
-    The peak value is normally tied to a twist profile so the closed
+    The peak value is tied to the twist profile so the closed
     orbit at r0 carries the action of the principal twist level:
     ``2*pi*h2(r0) = hk(p0)``.
     """
