@@ -614,7 +614,8 @@ def mode_shooting_table(we: WEquation, k_max: int = 5, n_samples: int = 25):
     x_b = we.sol.x_max
     xs = np.linspace(x_a, x_b, n_samples)
     labels0 = ("w1_re", "w1_im", "w2_re", "w2_im")
-    labels = ("w1p_re", "w1p_im", "w1m_re", "w1m_im", "w2p_re", "w2p_im")
+    labels1 = ("w1p_re", "w1p_im", "w1m_re", "w1m_im", "w2p_re", "w2p_im")
+    labels = ("w1p_re", "w1p_im", "w2p_re", "w2p_im")
     blocks = range(0, k_max + 1)
     Ys = [B / np.linalg.norm(B, axis=0)
           for B in (_inner_basis(b, x_a) for b in blocks)]
@@ -627,7 +628,7 @@ def mode_shooting_table(we: WEquation, k_max: int = 5, n_samples: int = 25):
             Ys[j] = Y / nrm
     rows = []
     for block, Y, lgs in zip(blocks, Ys, logn):
-        names = labels0 if block == 0 else labels[:Y.shape[1]]
+        names = labels0 if block == 0 else labels1 if block == 1 else labels
         for j, name in enumerate(names):
             rows += [[block, name, math.exp(x), float(lg[j])]
                      for x, lg in zip(xs, lgs)]

@@ -333,6 +333,25 @@ def test_mode_shooting_table_shape(we):
     assert w1m[-1][3] < w1m[0][3]
 
 
+def test_mode_table_labels_name_the_inner_basis_slots(we):
+    # block 0 has its four real slots; block 1 starts in w1p, w1m and
+    # w2p; every higher block in w1p and w2p only (no regular w1m)
+    _, rows = L.mode_shooting_table(we, k_max=3, n_samples=3)
+    names = {}
+    for block, name, _, _ in rows:
+        names.setdefault(block, []).append(name)
+    assert {b: list(dict.fromkeys(v)) for b, v in names.items()} == {
+        0: ["w1_re", "w1_im", "w2_re", "w2_im"],
+        1: ["w1p_re", "w1p_im", "w1m_re", "w1m_im", "w2p_re", "w2p_im"],
+        2: ["w1p_re", "w1p_im", "w2p_re", "w2p_im"],
+        3: ["w1p_re", "w1p_im", "w2p_re", "w2p_im"],
+    }
+    # the w2p directions of a block >= 2 grow like e^{kx} modulated by
+    # the coupling, never decay like the w1m direction of block 1
+    w2p = [r[3] for r in rows if r[0] == 2 and r[1] == "w2p_re"]
+    assert w2p[-1] > w2p[0]
+
+
 def test_block_matrix_matches_complex_arithmetic(we):
     # independent oracle for the real block assembly: evolve a random
     # complex quadruple under the written-out equations and compare
