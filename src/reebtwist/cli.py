@@ -219,7 +219,8 @@ class Model:
     @property
     def sol(self):
         if self._sol is None:
-            r1 = self.cfg.r_at_1 or self.bp.core_end / 2.0
+            r1 = (self.bp.core_end / 2.0 if self.cfg.r_at_1 is None
+                  else self.cfg.r_at_1)
             self._sol = plane.solve_plane(self.bp, r_at_1=r1,
                                           tol_asym=self.cfg.tol_asym)
         return self._sol

@@ -78,6 +78,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.action_bound_factor <= 0:
             raise ConfigError("action_bound_factor must be positive")
+        if self.k_max < 0:
+            raise ConfigError(f"[lincr] k_max must be >= 0, got {self.k_max}")
         return self
 
 

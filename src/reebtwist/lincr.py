@@ -16,12 +16,16 @@ The angular Fourier modes +/-k of the second component close into a
 4-real-dimensional system (the mode system); the first component is
 driven by it.  Kernel elements are counted per mode by shooting: bases
 of solutions regular at the puncture and admissible at infinity are
-propagated to a midpoint and their span intersected.  All blocks share
-the coefficients G1(r), H2(r), so every block is propagated in one
-stacked linear system, with the plane radius r carried in the state:
-one solve_ivp per unit step in x and QR per block between steps
-(continuous orthogonalization, as in Humpherys & Zumbrun, Physica D
-220, 2006).  The expected
+propagated to a midpoint and their span intersected.  In the phase-plane
+variables of the second component, block k is a real 4-vector system
+whose real and imaginary parts share one trajectory, and a start in the
+first component alone stays there as e^{+-kx}.  So each block carries
+one 4-vector, its e^{kx} growth factored out, in one state with every
+other block and the plane radius r: one forward pass from the core
+gives the growth table and the regular span, one backward pass from the
+end of the plane the admissible span, one solve_ivp per chunk and
+renormalized between chunks (continuous orthogonalization, as in
+Humpherys & Zumbrun, Physica D 220, 2006).  The expected
 outcome for every shipped profile is three mode-0 directions (two
 constants plus one decaying branch) and two mode-(-1) directions (the
 1/z translation pair): five in total, matching the Fredholm index.
@@ -29,13 +33,11 @@ constants plus one decaying branch) and two mode-(-1) directions (the
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
-from scipy.linalg import subspace_angles
 
 from .plane import PlaneSolution
 from .profiles import BindingProfile, piecewise
@@ -109,6 +111,19 @@ class WEquation:
 
     def default_delta(self) -> float:
         return 0.5 * self.spectral_gap
+
+
+def _coefficients(bp: BindingProfile, r):
+    """(F, h1, h2, h2') at plane radius r (a float or an ndarray) from
+    one evaluation of each profile value and derivative:
+    F = (h1' h2'' - h2' h1'')/detH, taken as 0 at r <= 0 where detH
+    vanishes; G1 = h1*F and H2 = -h2*F."""
+    h1, h2 = bp.h1.value(r), bp.h2.value(r)
+    h1d, h2d = bp.h1.d1(r), bp.h2.d1(r)
+    # the (r > 0) factor zeroes F at r <= 0 and the (r <= 0) term keeps
+    # the divisor nonzero there, for a float and elementwise alike
+    return ((h1d * bp.h2.d2(r) - h2d * bp.h1.d2(r)) * (r > 0.0)
+            / (h1 * h2d - h2 * h1d + (r <= 0.0)), h1, h2, h2d)
 
 
 def assemble_W_equation(bp: BindingProfile, sol: PlaneSolution,
@@ -319,192 +334,131 @@ def cone_invariance_check(we: WEquation, rho_span: tuple,
 # through chi = (w2p + conj(w2m))/2, the mode-k amplitude of Re W_2:
 #   w1p' = +k w1p + G1 chi,   w1m' = -k w1m + G1 conj(chi),
 #   w2p' = +k w2p + H2 chi,   w2m' = -k w2m + H2 conj(chi)
-# (derivatives in x = log rho).  Real state: [Re, Im] of each slot.
-
-_SLOTS = ("w1p", "w1m", "w2p", "w2m")
-
-
-@functools.lru_cache(maxsize=None)
-def _block_parts(k: int):
-    """Constant matrices (K, P, Q) of the block-|k| system
-    A = K + G1*P + H2*Q, built once per block and read-only.  Block 0
-    is 4-dimensional, state (Re w1, Im w1, Re w2, Im w2), and only
-    Re w2 couples."""
-    if k == 0:
-        K, P, Q = np.zeros((3, 4, 4))
-        P[0, 2] = 1.0
-        Q[2, 2] = 1.0
-    else:
-        K = np.diag(k * np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0]))
-        # Re chi = (Re w2p + Re w2m)/2, Im chi = (Im w2p - Im w2m)/2;
-        # the rows of a +k slot take chi, those of a -k slot conj(chi)
-        re_chi = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.5, 0.0])
-        im_chi = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, -0.5])
-        takes = np.array([re_chi, im_chi, re_chi, -im_chi])
-        P, Q = np.zeros((2, 8, 8))
-        P[:4] = takes
-        Q[4:] = takes
-    for M in (K, P, Q):
-        M.setflags(write=False)
-    return K, P, Q
+# (derivatives in x = log rho); the real slots are [Re, Im] of each.
+# With u = w2p + conj(w2m) and v = w2p - conj(w2m), so chi = u/2, the
+# real parts of (u, v, w1p, w1m) obey y' = A_k y with
+#   A_k = [[H2, k, 0, 0], [k, 0, 0, 0], [G1/2, 0, k, 0], [G1/2, 0, 0, -k]],
+# and so do the imaginary parts with w1m and u - v negated: one real
+# 4-vector y carries two 8-D directions (``_embed``).  Block 0 is the
+# case k = 0 with v = 0 and w1m = w1p: Re w1 = w1p and Re w2 = u/2 obey
+# Re w1' = G1 Re w2, Re w2' = H2 Re w2, and both imaginary parts are
+# constant.  A start in w1 alone stays there, as e^{+-k(x - x0)}.
 
 
-def _block_matrix(k: int, G1: float, H2: float) -> np.ndarray:
-    K, P, Q = _block_parts(k)
-    return K + G1 * P + H2 * Q
+def _embed(y: np.ndarray) -> np.ndarray:
+    """The Re and Im copies of the reduced block state y = (u, v, w1p,
+    w1m) as the two columns of an 8 x 2 array over the real slots
+    [Re, Im] of (w1p, w1m, w2p, w2m)."""
+    u, v, p, m = y
+    a, b = 0.5 * (u + v), 0.5 * (u - v)
+    return np.array([[p, 0.0], [0.0, p], [m, 0.0], [0.0, -m],
+                     [a, 0.0], [0.0, a], [b, 0.0], [0.0, -b]])
 
 
-def _coefficients(bp: BindingProfile, r):
-    """(F, h1, h2, h2') at plane radius r (a float or an ndarray) from
-    one evaluation of each profile value and derivative:
-    F = (h1' h2'' - h2' h1'')/detH, taken as 0 at r <= 0 where detH
-    vanishes; G1 = h1*F and H2 = -h2*F."""
-    h1, h2 = bp.h1.value(r), bp.h2.value(r)
-    h1d, h2d = bp.h1.d1(r), bp.h2.d1(r)
-    # the (r > 0) factor zeroes F at r <= 0 and the (r <= 0) term keeps
-    # the divisor nonzero there, for a float and elementwise alike
-    return ((h1d * bp.h2.d2(r) - h2d * bp.h1.d2(r)) * (r > 0.0)
-            / (h1 * h2d - h2 * h1d + (r <= 0.0)), h1, h2, h2d)
+def _norms(Y: np.ndarray) -> np.ndarray:
+    """Norm of either 8-D copy of each reduced state (column) of Y."""
+    u, v, p, m = Y
+    return np.sqrt(p * p + m * m + 0.5 * (u * u + v * v))
 
 
-@functools.lru_cache(maxsize=64)
-def _stacked_system(blocks: tuple, shapes: tuple):
-    """Every block's A = K + G1*P + H2*Q as flat arrays over the
-    unpadded stacked state: the columns of block ``blocks[i]`` (shape
-    ``shapes[i]``) one block after another, each raveled row-major.
-
-    K is diagonal and P, Q have disjoint nonzero rows, so with the
-    constant T = P + Q, A Y = k * Y + g * (T Y), g being G1 on the rows
-    of P and H2 on those of Q.  No row of T has more than two nonzeros,
-    so (T Y)[e] = w[0][e] * y[src[0][e]] + w[1][e] * y[src[1][e]].
-    Returns (k, coupling, src, w) with coupling 0 on the rows of P and 1
-    elsewhere (an index into (G1, H2)); built once per key, read-only."""
-    k, coupling, src, w = [], [], [], []
-    offset = 0
-    for block, (dim, ncols) in zip(blocks, shapes):
-        K, P, Q = _block_parts(block)
-        T = P + Q
-        cols = np.zeros((dim, 2), int)
-        wts = np.zeros((dim, 2))
-        for i in range(dim):
-            nz = np.flatnonzero(T[i])
-            cols[i, :len(nz)], wts[i, :len(nz)] = nz, T[i, nz]
-        col = np.arange(ncols)[None, :, None]
-        src.append((offset + cols[:, None, :] * ncols + col).reshape(-1, 2))
-        w.append(np.broadcast_to(wts[:, None, :], (dim, ncols, 2)).reshape(-1, 2))
-        k.append(np.repeat(np.diag(K), ncols))
-        coupling.append(np.repeat(~P.any(axis=1), ncols).astype(int))
-        offset += dim * ncols
-    src, w = np.concatenate(src).T.copy(), np.concatenate(w).T.copy()
-    parts = (np.concatenate(k), np.concatenate(coupling), src, w)
-    for a in parts:
-        a.setflags(write=False)
-    return parts
-
-
-def _apply_stacked(system, G1: float, H2: float, y: np.ndarray) -> np.ndarray:
-    """A y for the stacked state y of ``_stacked_system``."""
-    k, coupling, src, w = system
-    TY = w[0] * y[src[0]] + w[1] * y[src[1]]
-    return k * y + np.array((G1, H2))[coupling] * TY
-
-
-def _propagate(we: WEquation, blocks, Ys, x_from: float,
-               x_to: float) -> list:
-    """Propagate the columns of each ``Ys[i]`` under the block-``blocks[i]``
-    system from x_from to x_to, all blocks in one solve_ivp.
-
-    The state holds every block's columns, unpadded, plus the plane
-    radius as a last component (dr/dx = h2'(r)), anchored at x_from on
-    the plane solution, so the right-hand side never consults the plane
-    interpolant.  Each right-hand side evaluates the coefficients once
-    and applies every block's system through ``_apply_stacked``."""
-    bp = we.bp
-    system = _stacked_system(tuple(blocks), tuple(Y.shape for Y in Ys))
-    n = system[0].size
+def _reduced_rhs(bp: BindingProfile, ks, shift: float):
+    """Right-hand side of the state [r, u, v, w1p, w1m] (each component
+    a row over the blocks ks): dr/dx = h2'(r), and the states of block
+    k obey A_k + shift * k * I.  The constant part is one matrix; the
+    coefficients, evaluated once per call at the carried plane radius,
+    act on u alone."""
+    k = np.asarray(ks, float)
+    n = k.size
+    sk, Z = shift * k, np.zeros((n, n))
+    M = np.zeros((4 * n + 1, 4 * n + 1))
+    M[1:, 1:] = np.block([[np.diag(sk), np.diag(k), Z, Z],
+                          [np.diag(k), np.diag(sk), Z, Z],
+                          [Z, Z, np.diag(sk + k), Z],
+                          [Z, Z, Z, np.diag(sk - k)]])
 
     def rhs(_x, y):
         # r as a Python float keeps the profile pieces in float arithmetic
-        F, h1, h2, h2d = _coefficients(bp, y.item(n))
-        dy = np.empty(n + 1)
-        dy[:n] = _apply_stacked(system, h1 * F, -h2 * F, y[:n])
-        dy[n] = h2d
+        F, h1, h2, h2d = _coefficients(bp, y.item(0))
+        dy = M @ y
+        dy[0] = h2d
+        g = 0.5 * h1 * F
+        dy[1:] += np.multiply.outer((-h2 * F, 0.0, g, g), y[1:n + 1]).ravel()
         return dy
-
-    y0 = np.concatenate([Y.ravel() for Y in Ys]
-                        + [[we.sol.r_of_rho(math.exp(x_from))]])
-    out = integrate.solve_ivp(rhs, (x_from, x_to), y0, method="DOP853",
-                              rtol=ODE_RTOL, atol=ODE_ATOL)
-    if not out.success:
-        raise LinCRError(f"shooting of blocks {list(blocks)} failed on "
-                         f"[{x_from:.2f}, {x_to:.2f}]")
-    ends = np.cumsum([Y.size for Y in Ys])[:-1]
-    return [Yi.reshape(Y.shape)
-            for Yi, Y in zip(np.split(out.y[:n, -1], ends), Ys)]
+    return rhs
 
 
-def _sweep(we: WEquation, blocks, bases, x_from: float,
-           x_to: float) -> list:
-    """Orthonormal bases of the spans of ``bases[i]`` (block
-    ``blocks[i]``) propagated from x_from to x_to, all blocks together
-    in one solve_ivp per unit step in x, with QR renormalization per
-    block before the first and after every step."""
-    Ys = [np.linalg.qr(B)[0] for B in bases]
-    n_chunk = max(1, int(math.ceil(abs(x_to - x_from))))
-    edges = np.linspace(x_from, x_to, n_chunk + 1)
+def _shoot(we: WEquation, ks, Y: np.ndarray, edges, shift: float):
+    """Propagate the reduced states Y (column j of block ks[j]) through
+    the chunks of ``edges`` under A_k + shift * k * I, every block in
+    one solve_ivp per chunk.
+
+    The plane radius is re-anchored on the plane solution at the start
+    of every chunk, and every column is renormalized to unit 8-D norm at
+    its end.  A chunk after the first opens with a full step of the one
+    before, not DOP853's initial-step guess.  Returns the states at the
+    last edge and the cumulative natural-log norm growth of each column
+    at every edge (in the shifted frame), shape (len(edges), len(ks))."""
+    rhs = _reduced_rhs(we.bp, ks, shift)
+    logs = [np.zeros(len(ks))]
+    step = None
     for a, b in zip(edges[:-1], edges[1:]):
-        Ys = [np.linalg.qr(Y)[0]
-              for Y in _propagate(we, blocks, Ys, float(a), float(b))]
-    return Ys
+        y0 = np.concatenate([[we.sol.r_of_rho(math.exp(a))], Y.ravel()])
+        out = integrate.solve_ivp(rhs, (a, b), y0, method="DOP853",
+                                  rtol=ODE_RTOL, atol=ODE_ATOL,
+                                  first_step=step and min(step, abs(b - a)))
+        if not out.success:
+            raise LinCRError(f"shooting of blocks {list(ks)} failed on "
+                             f"[{a:.2f}, {b:.2f}]")
+        if len(out.t) > 2:
+            step = abs(out.t[-2] - out.t[-3])
+        Y = out.y[1:, -1].reshape(4, -1)
+        nrm = _norms(Y)
+        Y = Y / nrm
+        logs.append(logs[-1] + np.log(nrm))
+    return Y, np.array(logs)
 
 
-def _inner_basis(block: int, x_a: float) -> np.ndarray:
-    """Directions regular at the puncture, initialized in the core where
-    the equation is exactly holomorphic.
-
-    First-component modes z^k for k >= -1 are regular sections (the
-    1/z pair realizes the domain translations); second-component modes
-    z^k only for k >= 0 (a 1/z term there is a genuine singularity of
-    the radial/symplectization fields)."""
-    if block == 0:
-        return np.eye(4)
-    cols = []
-    scale_p = math.exp(min(block * x_a, 50.0))
-    scale_m = math.exp(max(-block * x_a, -50.0))
-    def unit(slot, re_im, scl):
-        v = np.zeros(8)
-        v[2 * _SLOTS.index(slot) + re_im] = scl
-        return v
-    cols += [unit("w1p", 0, scale_p), unit("w1p", 1, scale_p)]
-    if block == 1:
-        cols += [unit("w1m", 0, scale_m), unit("w1m", 1, scale_m)]
-    cols += [unit("w2p", 0, scale_p), unit("w2p", 1, scale_p)]
-    return np.array(cols).T
+# samples of the growth table; they and x_mid are the forward chunk edges
+N_SAMPLES = 25
 
 
-def _outer_basis(we: WEquation, block: int, delta: float) -> np.ndarray:
-    """Directions admissible at infinity: the stable eigenspace of the
-    limiting system (decay rate >= delta), plus, for mode 0, the two
-    constant first-component directions (the asymptotic shift and
-    rotation allowances)."""
-    lam, vec = np.linalg.eig(_block_matrix(block, we.G1_inf, we.H2_inf))
-    cols = []
-    for j in range(len(lam)):
-        if lam[j].real <= -delta:
-            cols.append(vec[:, j].real)
-            if np.max(np.abs(vec[:, j].imag)) > 1e-12:
-                cols.append(vec[:, j].imag)
-    if block == 0:
-        e = np.zeros(4)
-        e[0] = 1.0
-        cols.append(e.copy())
-        e = np.zeros(4)
-        e[1] = 1.0
-        cols.append(e)
-    M = np.array(cols).T
-    Q, R = np.linalg.qr(M)
-    keep = np.abs(np.diag(R)) > 1e-10 * max(1.0, np.abs(np.diag(R)).max())
-    return Q[:, keep]
+def _ends(we: WEquation) -> tuple:
+    """(x_a, x_mid, x_b): the start in the holomorphic core, the
+    matching point of the kernel count and the end of the plane."""
+    x_b = we.sol.x_max
+    return we.sol.x_core - 1.0, min(2.0, 0.5 * x_b), x_b
+
+
+def _forward(we: WEquation, k_max: int, n_samples: int, x_stop: float):
+    """The one forward pass from x_a: block 0's w2_re direction and the
+    w2p direction of every block k >= 1, under A_k - kI (the e^{kx} of
+    the w1p rows taken out), through the chunks whose edges are the
+    n_samples table samples and x_mid, up to x_stop.  Returns the edges,
+    the states at x_stop and the log-norm growth at every edge."""
+    x_a, x_mid, x_b = _ends(we)
+    edges = np.union1d(np.linspace(x_a, x_b, n_samples), [x_mid])
+    edges = edges[edges <= x_stop]
+    Y = np.zeros((4, k_max + 1))
+    Y[0] = 1.0
+    Y[1, 1:] = 1.0          # w2p = 1: u = v = 1
+    return (edges,) + _shoot(we, range(k_max + 1), Y / _norms(Y), edges,
+                             -1.0)
+
+
+def _backward(we: WEquation, k_max: int) -> np.ndarray:
+    """The backward pass, x_b to x_mid in unit chunks under A_k + kI,
+    from the contracting eigenvector of the limiting A_k of every block
+    k >= 1 (eigenvalue lambda = H2/2 - sqrt(H2^2/4 + k^2) < -k, as
+    H2_inf < 0).  Returns the states at x_mid."""
+    _, x_mid, x_b = _ends(we)
+    k = np.arange(1.0, k_max + 1.0)
+    H2, G1 = we.H2_inf, we.G1_inf
+    lam = 0.5 * H2 - np.sqrt(0.25 * H2 * H2 + k * k)
+    Y = np.array([np.ones_like(k), k / lam, 0.5 * G1 / (lam - k),
+                  0.5 * G1 / (lam + k)])
+    n_chunk = max(1, int(math.ceil(x_b - x_mid)))
+    return _shoot(we, range(1, k_max + 1), Y / _norms(Y),
+                  np.linspace(x_b, x_mid, n_chunk + 1), 1.0)[0]
 
 
 @dataclass
@@ -518,45 +472,31 @@ class KernelReport:
     conditioning: dict = field(default_factory=dict)  # block -> angle gap
 
 
-def kernel_dimension(we: WEquation, delta: float | None = None,
-                     k_max: int = 5, n: int = 2,
-                     angle_tol: float = 1e-6) -> KernelReport:
-    """Count admissible kernel directions per angular mode by two-sided
-    shooting and subspace matching.
-
-    For each block |k| the regular-at-0 basis is propagated outward and
-    the admissible-at-infinity basis inward to a common midpoint (every
-    block in the same sweep, see ``_sweep``); the
-    kernel dimension of the block is the number of principal angles
-    between the two spans below angle_tol.  Counts are attributed to
-    signed modes by the dominant slot of the matched directions.
-    ``non_decaying_bounded`` counts the bounded non-decaying solutions
-    tangent to the orbit family: the constant geodesic component plus
-    the 2(n-2) holomorphic constants of the normal block.
-    """
-    if delta is None:
-        delta = we.default_delta()
-    if not (0.0 < delta < we.spectral_gap):
-        raise LinCRError(f"delta = {delta} outside the spectral gap "
-                         f"(0, {we.spectral_gap:.4f})")
-    x_a = we.sol.x_core - 1.0
-    x_b = we.sol.x_max
-    x_mid = min(2.0, 0.5 * x_b)
-
-    blocks = range(0, k_max + 1)
-    Us = _sweep(we, blocks, [_inner_basis(b, x_a) for b in blocks],
-                x_a, x_mid)
-    Vs = _sweep(we, blocks, [_outer_basis(we, b, delta) for b in blocks],
-                x_b, x_mid)
+def _match_spans(Us, Vs, angle_tol: float) -> tuple:
+    """Per-mode counts, principal angles and angle gaps from the spans
+    of blocks 0, 1, ...: ``Us[k]`` regular at the puncture, ``Vs[k]``
+    admissible at infinity, both at the matching point, in the real
+    slots of the block.  A block counts the principal angles below
+    angle_tol; the matched directions are attributed to signed modes by
+    their dominant slot."""
+    k_max = len(Us) - 1
     per_mode = {k: 0 for k in range(-k_max, k_max + 1)}
-    angles_all = {}
-    conditioning = {}
-    for block, U, V in zip(blocks, Us, Vs):
-        ang = subspace_angles(U, V)
-        ang = np.sort(ang)
-        dim_state = U.shape[0]
+    angles_all, conditioning = {}, {}
+    for block, (U, V) in enumerate(zip(Us, Vs)):
+        U, V = np.linalg.qr(U)[0], np.linalg.qr(V)[0]
+        # principal angles, ascending: arcsin of the sines resolves those
+        # below pi/4, arccos of the cosines the rest (Knyazev & Argentati,
+        # SIAM J. Sci. Comput. 23, 2002); an arccos alone reads an angle
+        # below 1e-8 as 0 or as about 1.5e-8, from one ulp of its cosine
+        C = U.T @ V
+        Ua, cos, _ = np.linalg.svd(C)
+        R = V - U @ C if U.shape[1] >= V.shape[1] else U - V @ C.T
+        sin = np.linalg.svd(R, compute_uv=False)[::-1]
+        ang = np.sort(np.where(cos * cos >= 0.5,
+                               np.arcsin(np.minimum(sin, 1.0)),
+                               np.arccos(np.minimum(cos, 1.0))))
         # guaranteed overlap from dimension counting alone
-        forced = max(0, U.shape[1] + V.shape[1] - dim_state)
+        forced = max(0, U.shape[1] + V.shape[1] - U.shape[0])
         matched = int(np.sum(ang < angle_tol))
         angles_all[block] = ang.tolist()
         rest = ang[matched:]
@@ -569,33 +509,61 @@ def kernel_dimension(we: WEquation, delta: float | None = None,
             raise LinCRError(
                 f"block {block}: ambiguous rank decision near the angle "
                 f"tolerance: {ang[:matched + 1]}; refine and retry")
-        if block == 0:
-            per_mode[0] = matched
-        elif matched:
-            # attribute matched directions by dominant slot
-            Ua, sv, Vt = np.linalg.svd(U.T @ V)
-            for j in range(matched):
-                w = U @ Ua[:, j]
-                masses = [np.linalg.norm(w[0:2]), np.linalg.norm(w[2:4]),
-                          np.linalg.norm(w[4:8])]
-                slot = int(np.argmax(masses))
-                if slot == 0:
-                    per_mode[block] += 1
-                elif slot == 1:
-                    per_mode[-block] += 1
-                else:
-                    # second-component pair: attribute to +block
-                    per_mode[block] += 1
-    total = sum(per_mode.values())
+        # attribute matched directions by dominant slot: w1m counts for
+        # -block, w1p and the second component for +block (block 0: 0)
+        for j in range(matched):
+            w = U @ Ua[:, j]
+            masses = [np.linalg.norm(w[0:2]), np.linalg.norm(w[2:4]),
+                      np.linalg.norm(w[4:8])]
+            per_mode[-block if np.argmax(masses) == 1 else block] += 1
+    return per_mode, angles_all, conditioning
+
+
+def kernel_dimension(we: WEquation, delta: float | None = None,
+                     k_max: int = 5, n: int = 2,
+                     angle_tol: float = 1e-6) -> KernelReport:
+    """Count admissible kernel directions per angular mode by two-sided
+    shooting and subspace matching at x_mid.
+
+    Regular at the puncture (started in the core, where the equation is
+    holomorphic): first-component modes z^k for k >= -1 (the 1/z pair
+    realizes the domain translations) and second-component modes z^k for
+    k >= 0 (a 1/z term there is a genuine singularity of the radial and
+    symplectization fields).  Block 0's span is the whole block; in
+    block k the w1p pair (and block 1's w1m pair) stay pure and only the
+    w2p pair comes from the forward pass.  Admissible at infinity: the
+    stable eigenspace of the limiting system (decay rate >= delta), plus
+    for mode 0 the two constant first-component directions.  In block
+    k >= 1 that is the pure w1m pair and the contracting direction of
+    the backward pass; in block 0 the two constants and the Re w2
+    branch, which decays at |H2_inf| > delta (solve_plane requires
+    H2_inf = h2''(r0) < 0) and spans the Re w2 axis with them.
+    ``non_decaying_bounded`` counts the bounded non-decaying solutions
+    tangent to the orbit family: the constant geodesic component plus
+    the 2(n-2) holomorphic constants of the normal block.
+    """
+    if delta is None:
+        delta = we.default_delta()
+    if not (0.0 < delta < we.spectral_gap):
+        raise LinCRError(f"delta = {delta} outside the spectral gap "
+                         f"(0, {we.spectral_gap:.4f})")
+    x_mid = _ends(we)[1]
+    Yf = _forward(we, k_max, N_SAMPLES, x_mid)[1]
+    Yb = _backward(we, k_max)
+    w1p, w1m = np.eye(8)[:, 0:2], np.eye(8)[:, 2:4]
+    Us, Vs = [np.eye(4)], [np.eye(4)[:, :3]]
+    for k in range(1, k_max + 1):
+        Us.append(np.hstack([w1p] + [w1m] * (k == 1) + [_embed(Yf[:, k])]))
+        Vs.append(np.hstack([_embed(Yb[:, k - 1]), w1m]))
+    per_mode, angles, conditioning = _match_spans(Us, Vs, angle_tol)
     # bounded non-decaying directions: the constant geodesic component
     # (0, i) of block 0 plus 2(n-2) holomorphic constants of the normal
-    # block; (0, i) needs no integration, since rows 1 and 3 of
-    # _block_matrix(0, ...) vanish and nothing acts on Im w2
+    # block; (0, i) needs no integration, nothing acts on Im w2
     non_dec = 1 + 2 * (n - 2)
-    return KernelReport(per_mode=per_mode, total=total,
+    return KernelReport(per_mode=per_mode, total=sum(per_mode.values()),
                         non_decaying_bounded=non_dec, delta=delta,
                         spectral_gap=we.spectral_gap,
-                        angles=angles_all, conditioning=conditioning)
+                        angles=angles, conditioning=conditioning)
 
 
 def a_norm_report(we: WEquation) -> dict:
@@ -604,34 +572,35 @@ def a_norm_report(we: WEquation) -> dict:
     return {"a_norm": we.a_norm, "below_2": bool(we.a_norm < 2.0)}
 
 
-def mode_shooting_table(we: WEquation, k_max: int = 5, n_samples: int = 25):
-    """Growth profiles of the regular-at-0 basis directions per block:
-    rows (block, direction, rho, log10_norm).  The directions of every
-    block are propagated together, one solve_ivp per sample interval,
-    each column rescaled to unit norm at every sample (only the slope
-    of the log-norm is meaningful)."""
-    x_a = we.sol.x_core - 1.0
-    x_b = we.sol.x_max
+def mode_shooting_table(we: WEquation, k_max: int = 5,
+                        n_samples: int = N_SAMPLES):
+    """Growth profiles of the regular-at-0 directions per block: rows
+    (block, direction, rho, log10_norm), the log-norm taken relative to
+    the start (only its slope is meaningful).  The w2_re and w2p
+    directions come from the forward pass (the Re and Im copies of w2p
+    share one trajectory); the w1 directions are the closed forms
+    +-k(x - x_a), and block 0's constants stay at 0."""
+    x_a, _, x_b = _ends(we)
     xs = np.linspace(x_a, x_b, n_samples)
-    labels0 = ("w1_re", "w1_im", "w2_re", "w2_im")
-    labels1 = ("w1p_re", "w1p_im", "w1m_re", "w1m_im", "w2p_re", "w2p_im")
-    labels = ("w1p_re", "w1p_im", "w2p_re", "w2p_im")
-    blocks = range(0, k_max + 1)
-    Ys = [B / np.linalg.norm(B, axis=0)
-          for B in (_inner_basis(b, x_a) for b in blocks)]
-    logn = [[np.zeros(Y.shape[1])] for Y in Ys]
-    for a, b in zip(xs[:-1], xs[1:]):
-        Ys = _propagate(we, blocks, Ys, float(a), float(b))
-        for j, Y in enumerate(Ys):
-            nrm = np.linalg.norm(Y, axis=0)
-            logn[j].append(logn[j][-1] + np.log10(np.maximum(nrm, 1e-300)))
-            Ys[j] = Y / nrm
+    edges, _, logs = _forward(we, k_max, n_samples, x_b)
+    logs = logs[np.isin(edges, xs)]
+    zero = np.zeros(n_samples)
     rows = []
-    for block, Y, lgs in zip(blocks, Ys, logn):
-        names = labels0 if block == 0 else labels1 if block == 1 else labels
-        for j, name in enumerate(names):
-            rows += [[block, name, math.exp(x), float(lg[j])]
-                     for x, lg in zip(xs, lgs)]
+    for block in range(k_max + 1):
+        w1p = block * (xs - x_a) / math.log(10.0)
+        w2 = (logs[:, block] + block * (xs - x_a)) / math.log(10.0)
+        if block == 0:
+            cols = [("w1_re", zero), ("w1_im", zero), ("w2_re", w2),
+                    ("w2_im", zero)]
+        else:
+            cols = [("w1p_re", w1p), ("w1p_im", w1p)]
+            if block == 1:
+                w1m = (x_a - xs) / math.log(10.0)
+                cols += [("w1m_re", w1m), ("w1m_im", w1m)]
+            cols += [("w2p_re", w2), ("w2p_im", w2)]
+        for name, lg in cols:
+            rows += [[block, name, math.exp(x), float(v)]
+                     for x, v in zip(xs, lg)]
     return ["block", "direction", "rho", "log10_norm"], rows
 
 

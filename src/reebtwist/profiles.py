@@ -642,15 +642,20 @@ def default_binding_profile(tp: TwistProfile | None = None) -> BindingProfile:
 
 def matched_binding_profile(tp: TwistProfile, r_max: float | None = None,
                             p_cap: float | None = None) -> BindingProfile:
+    """The collar profile matched to the twist (the ``[matched]``
+    section); its build errors name that section."""
     if tp.p0 is None:
-        raise ProfileError("matched profile needs k < 0")
+        raise ProfileError("[matched] the matched profile needs k < 0")
     r0 = 1.0 / tp.p0
     if r_max is None:
         r_max = 2.0 / tp.p0
     shape = {"name": "collar", "twist": tp}
     if p_cap is not None:
         shape["p_cap"] = p_cap
-    return build_binding_profile(r0, r_max, shape)
+    try:
+        return build_binding_profile(r0, r_max, shape)
+    except ProfileError as exc:
+        raise ProfileError(f"[matched] {exc}") from None
 
 
 def default_pair():

@@ -174,6 +174,53 @@ def test_failed_pass_flag_exits_1(tmp_path, capsys):
     assert summary["pass_flags"]["kernel_total_5"] is False
 
 
+@pytest.mark.parametrize("subcommand", ["lincr", "all"])
+def test_negative_k_max_exits_1(tmp_path, capsys, subcommand):
+    # k_max = 0 is a run with a failed gate (above); below it no block
+    # is left to shoot
+    with pytest.raises(ConfigError, match=r"\[lincr\] k_max"):
+        parse_config("[lincr]\nk_max = -1\n")
+    cfg = tmp_path / "kmax.cfg"
+    cfg.write_text("[lincr]\nk_max = -1\n")
+    assert cli.main([subcommand, "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: [lincr] k_max must be >= 0, got -1\n"
+
+
+def test_zero_r_at_1_is_not_the_default(tmp_path, capsys):
+    # 0 is a value, not "unset": it reaches the plane solver's range check
+    cfg = tmp_path / "r1.cfg"
+    cfg.write_text("[plane]\nr_at_1 = 0\n")
+    assert parse_config(cfg.read_text()).r_at_1 == 0.0
+    assert cli.main(["plane", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == \
+        "error: r at rho=1 must lie in (0, r0); got 0.0\n"
+
+
+# a twist for which no collar-matched profile exists; the fig2 binding
+# profile of the run is fine
+NO_MATCHED_PROFILE = ("[twist]\nk = -1\neps = 0.2\np_plateau = 0.05\n"
+                      "shape = cos\ns_max = 2.63\n")
+
+
+@pytest.mark.parametrize("subcommand", ["validate", "all"])
+def test_matched_profile_error_names_its_section(tmp_path, capsys,
+                                                 subcommand):
+    cfg = tmp_path / "matched.cfg"
+    cfg.write_text(NO_MATCHED_PROFILE)
+    assert cli.main([subcommand, "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [matched] collar shape: no admissible "
+                          "core parameters found")
+    # with the matched profile off, validate passes on the same twist
+    cfg.write_text(NO_MATCHED_PROFILE + "[matched]\nenabled = false\n")
+    assert cli.main(["validate", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "p")]) == 0
+
+
 def test_positive_twist_exits_1(tmp_path, capsys):
     # the binding profile ties its peak to the principal zero of the
     # twist, which only k < 0 has

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -107,7 +108,7 @@ def test_block_matrix_matches_phase_plane_by_similarity(we):
     for k in (1, 3):
         for rho in (0.01, 1.0, 30.0):
             H2 = we.H2(rho)
-            M2 = L._block_matrix(k, we.G1(rho), H2)[np.ix_([4, 6], [4, 6])]
+            M2 = _block_matrix(k, we.G1(rho), H2)[np.ix_([4, 6], [4, 6])]
             pp = T @ M2 @ np.linalg.inv(T)
             assert np.allclose(pp, [[H2, k], [k, 0.0]], atol=1e-13)
     assert 0.0 < we.default_delta() < we.spectral_gap
@@ -183,10 +184,10 @@ def test_morse_bott_bounded_directions(we, n, expected):
 def test_mode_plus_one_regular_solutions_grow(we):
     # continue the regular-at-0 second-component pair of block 1 and
     # check expansion: terminal norm >> mid-span norm
-    basis = L._inner_basis(1, we.sol.x_core - 1.0)[:, 4:]  # w2p directions
+    basis = _inner_basis(1, we.sol.x_core - 1.0)[:, 4:]  # w2p directions
     x_mid, x_end = 1.0, 4.0
-    [Ymid] = L._propagate(we, [1], [basis], we.sol.x_core - 1.0, x_mid)
-    [Yend] = L._propagate(we, [1], [Ymid], x_mid, x_end)
+    [Ymid] = _propagate(we, [1], [basis], we.sol.x_core - 1.0, x_mid)
+    [Yend] = _propagate(we, [1], [Ymid], x_mid, x_end)
     assert np.linalg.norm(Yend) >= 10.0 * np.linalg.norm(Ymid)
 
 
@@ -367,7 +368,7 @@ def test_block_matrix_matches_complex_arithmetic(we):
                      -k * w1m + G1 * np.conj(chi),
                      k * w2p + H2 * chi,
                      -k * w2m + H2 * np.conj(chi)]
-        A = L._block_matrix(k, G1, H2)
+        A = _block_matrix(k, G1, H2)
         d_real = A @ z
         flat = []
         for val in d_complex:
@@ -380,8 +381,211 @@ def test_block0_matrix_matches_written_equations(we):
     z = rng.standard_normal(4)
     rho = 2.2
     G1, H2 = we.G1(rho), we.H2(rho)
-    d = L._block_matrix(0, G1, H2) @ z
+    d = _block_matrix(0, G1, H2) @ z
     assert np.allclose(d, [G1 * z[2], 0.0, H2 * z[2], 0.0], atol=1e-15)
+
+
+# ----------------------------------------------------------------------
+# oracle: the 8-D block systems, all blocks shot as one stacked system
+# ----------------------------------------------------------------------
+# Block |k| couples the four complex amplitudes
+#   (w1p, w1m, w2p, w2m) = (modes +k/-k of W_1, modes +k/-k of W_2)
+# through chi = (w2p + conj(w2m))/2, the mode-k amplitude of Re W_2:
+#   w1p' = +k w1p + G1 chi,   w1m' = -k w1m + G1 conj(chi),
+#   w2p' = +k w2p + H2 chi,   w2m' = -k w2m + H2 conj(chi)
+# (derivatives in x = log rho).  Real state: [Re, Im] of each slot.
+# This is the unreduced shooting: the columns of every block grow with
+# e^{kx}, which sets DOP853's step.
+
+_SLOTS = ("w1p", "w1m", "w2p", "w2m")
+
+
+@functools.lru_cache(maxsize=None)
+def _block_parts(k: int):
+    """Constant matrices (K, P, Q) of the block-|k| system
+    A = K + G1*P + H2*Q, built once per block and read-only.  Block 0
+    is 4-dimensional, state (Re w1, Im w1, Re w2, Im w2), and only
+    Re w2 couples."""
+    if k == 0:
+        K, P, Q = np.zeros((3, 4, 4))
+        P[0, 2] = 1.0
+        Q[2, 2] = 1.0
+    else:
+        K = np.diag(k * np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0]))
+        # Re chi = (Re w2p + Re w2m)/2, Im chi = (Im w2p - Im w2m)/2;
+        # the rows of a +k slot take chi, those of a -k slot conj(chi)
+        re_chi = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.5, 0.0])
+        im_chi = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, -0.5])
+        takes = np.array([re_chi, im_chi, re_chi, -im_chi])
+        P, Q = np.zeros((2, 8, 8))
+        P[:4] = takes
+        Q[4:] = takes
+    for M in (K, P, Q):
+        M.setflags(write=False)
+    return K, P, Q
+
+
+def _block_matrix(k: int, G1: float, H2: float) -> np.ndarray:
+    K, P, Q = _block_parts(k)
+    return K + G1 * P + H2 * Q
+
+
+@functools.lru_cache(maxsize=64)
+def _stacked_system(blocks: tuple, shapes: tuple):
+    """Every block's A = K + G1*P + H2*Q as flat arrays over the
+    unpadded stacked state: the columns of block ``blocks[i]`` (shape
+    ``shapes[i]``) one block after another, each raveled row-major.
+
+    K is diagonal and P, Q have disjoint nonzero rows, so with the
+    constant T = P + Q, A Y = k * Y + g * (T Y), g being G1 on the rows
+    of P and H2 on those of Q.  No row of T has more than two nonzeros,
+    so (T Y)[e] = w[0][e] * y[src[0][e]] + w[1][e] * y[src[1][e]].
+    Returns (k, coupling, src, w) with coupling 0 on the rows of P and 1
+    elsewhere (an index into (G1, H2)); built once per key, read-only."""
+    k, coupling, src, w = [], [], [], []
+    offset = 0
+    for block, (dim, ncols) in zip(blocks, shapes):
+        K, P, Q = _block_parts(block)
+        T = P + Q
+        cols = np.zeros((dim, 2), int)
+        wts = np.zeros((dim, 2))
+        for i in range(dim):
+            nz = np.flatnonzero(T[i])
+            cols[i, :len(nz)], wts[i, :len(nz)] = nz, T[i, nz]
+        col = np.arange(ncols)[None, :, None]
+        src.append((offset + cols[:, None, :] * ncols + col).reshape(-1, 2))
+        w.append(np.broadcast_to(wts[:, None, :], (dim, ncols, 2)).reshape(-1, 2))
+        k.append(np.repeat(np.diag(K), ncols))
+        coupling.append(np.repeat(~P.any(axis=1), ncols).astype(int))
+        offset += dim * ncols
+    src, w = np.concatenate(src).T.copy(), np.concatenate(w).T.copy()
+    parts = (np.concatenate(k), np.concatenate(coupling), src, w)
+    for a in parts:
+        a.setflags(write=False)
+    return parts
+
+
+def _apply_stacked(system, G1: float, H2: float, y: np.ndarray) -> np.ndarray:
+    """A y for the stacked state y of ``_stacked_system``."""
+    k, coupling, src, w = system
+    TY = w[0] * y[src[0]] + w[1] * y[src[1]]
+    return k * y + np.array((G1, H2))[coupling] * TY
+
+
+def _propagate(we, blocks, Ys, x_from: float, x_to: float) -> list:
+    """Propagate the columns of each ``Ys[i]`` under the block-``blocks[i]``
+    system from x_from to x_to, all blocks in one solve_ivp, with the
+    plane radius carried in the state (dr/dx = h2'(r)) and anchored at
+    x_from on the plane solution."""
+    bp = we.bp
+    system = _stacked_system(tuple(blocks), tuple(Y.shape for Y in Ys))
+    n = system[0].size
+
+    def rhs(_x, y):
+        F, h1, h2, h2d = L._coefficients(bp, y.item(n))
+        dy = np.empty(n + 1)
+        dy[:n] = _apply_stacked(system, h1 * F, -h2 * F, y[:n])
+        dy[n] = h2d
+        return dy
+
+    y0 = np.concatenate([Y.ravel() for Y in Ys]
+                        + [[we.sol.r_of_rho(math.exp(x_from))]])
+    out = integrate.solve_ivp(rhs, (x_from, x_to), y0, method="DOP853",
+                              rtol=L.ODE_RTOL, atol=L.ODE_ATOL)
+    assert out.success
+    ends = np.cumsum([Y.size for Y in Ys])[:-1]
+    return [Yi.reshape(Y.shape)
+            for Yi, Y in zip(np.split(out.y[:n, -1], ends), Ys)]
+
+
+def _sweep(we, blocks, bases, x_from: float, x_to: float) -> list:
+    """Orthonormal bases of the spans of ``bases[i]`` (block
+    ``blocks[i]``) propagated from x_from to x_to, all blocks together
+    in one solve_ivp per unit step in x, with QR renormalization per
+    block before the first and after every step."""
+    Ys = [np.linalg.qr(B)[0] for B in bases]
+    n_chunk = max(1, int(math.ceil(abs(x_to - x_from))))
+    edges = np.linspace(x_from, x_to, n_chunk + 1)
+    for a, b in zip(edges[:-1], edges[1:]):
+        Ys = [np.linalg.qr(Y)[0]
+              for Y in _propagate(we, blocks, Ys, float(a), float(b))]
+    return Ys
+
+
+def _inner_basis(block: int, x_a: float) -> np.ndarray:
+    """Directions regular at the puncture: the whole of block 0; w1p and
+    w2p (and block 1's w1m, the 1/z pair) of a block k >= 1."""
+    if block == 0:
+        return np.eye(4)
+    cols = []
+    scale_p = math.exp(min(block * x_a, 50.0))
+    scale_m = math.exp(max(-block * x_a, -50.0))
+
+    def unit(slot, re_im, scl):
+        v = np.zeros(8)
+        v[2 * _SLOTS.index(slot) + re_im] = scl
+        return v
+    cols += [unit("w1p", 0, scale_p), unit("w1p", 1, scale_p)]
+    if block == 1:
+        cols += [unit("w1m", 0, scale_m), unit("w1m", 1, scale_m)]
+    cols += [unit("w2p", 0, scale_p), unit("w2p", 1, scale_p)]
+    return np.array(cols).T
+
+
+def _outer_basis(we, block: int, delta: float) -> np.ndarray:
+    """Directions admissible at infinity: the stable eigenspace of the
+    limiting 8-D system (decay rate >= delta), plus, for mode 0, the
+    two constant first-component directions."""
+    lam, vec = np.linalg.eig(_block_matrix(block, we.G1_inf, we.H2_inf))
+    cols = []
+    for j in range(len(lam)):
+        if lam[j].real <= -delta:
+            cols.append(vec[:, j].real)
+            if np.max(np.abs(vec[:, j].imag)) > 1e-12:
+                cols.append(vec[:, j].imag)
+    if block == 0:
+        cols += [np.eye(4)[0], np.eye(4)[1]]
+    Q, R = np.linalg.qr(np.array(cols).T)
+    keep = np.abs(np.diag(R)) > 1e-10 * max(1.0, np.abs(np.diag(R)).max())
+    return Q[:, keep]
+
+
+def _stacked_table(we, k_max: int, n_samples: int = 25) -> np.ndarray:
+    """The log10_norm column of the growth table by the stacked 8-D
+    shooting: every inner-basis column propagated on its own span, one
+    solve_ivp per sample interval, rescaled at every sample."""
+    x_a = we.sol.x_core - 1.0
+    xs = np.linspace(x_a, we.sol.x_max, n_samples)
+    blocks = range(0, k_max + 1)
+    Ys = [B / np.linalg.norm(B, axis=0)
+          for B in (_inner_basis(b, x_a) for b in blocks)]
+    logn = [[np.zeros(Y.shape[1])] for Y in Ys]
+    for a, b in zip(xs[:-1], xs[1:]):
+        Ys = _propagate(we, blocks, Ys, float(a), float(b))
+        for j, Y in enumerate(Ys):
+            nrm = np.linalg.norm(Y, axis=0)
+            logn[j].append(logn[j][-1] + np.log10(np.maximum(nrm, 1e-300)))
+            Ys[j] = Y / nrm
+    return np.concatenate([np.array(lg).T.ravel() for lg in logn])
+
+
+def _stacked_spans(we, k_max: int, deltas) -> tuple:
+    """The spans at x_mid by the stacked 8-D shooting: the inner sweep
+    x_a -> x_mid and, per delta, the outer sweep x_b -> x_mid, each in
+    unit steps with QR.  Returns (Us, {delta: Vs})."""
+    x_a, x_b = we.sol.x_core - 1.0, we.sol.x_max
+    x_mid = min(2.0, 0.5 * x_b)
+    blocks = range(0, k_max + 1)
+    Us = _sweep(we, blocks, [_inner_basis(b, x_a) for b in blocks],
+                x_a, x_mid)
+    memo, Vs = {}, {}
+    for d in deltas:
+        bases = [_outer_basis(we, b, d) for b in blocks]
+        key = b"".join(B.tobytes() for B in bases)
+        if key not in memo:
+            memo[key] = _sweep(we, blocks, bases, x_b, x_mid)
+        Vs[d] = memo[key]
+    return Us, Vs
 
 
 # ----------------------------------------------------------------------
@@ -433,7 +637,7 @@ def _reference_log10_norms(we, k_max, n_samples):
     xs = np.linspace(x_a, we.sol.x_max, n_samples)
     out = []
     for block in range(k_max + 1):
-        basis = L._inner_basis(block, x_a)
+        basis = _inner_basis(block, x_a)
         for j in range(basis.shape[1]):
             v = basis[:, j:j + 1] / np.linalg.norm(basis[:, j])
             logn = 0.0
@@ -455,40 +659,36 @@ def test_mode_table_matches_per_direction_oracle(we):
     assert np.max(np.abs(got - ref)) <= 1e-8
 
 
-def test_kernel_matches_per_direction_oracle(we, monkeypatch):
-    # the regular-at-0 sweep does not depend on delta (nor, mostly, does
-    # the admissible basis): shoot each distinct request only once
+def test_kernel_matches_per_direction_oracle(we):
+    # the same spans shot one direction at a time through the plane
+    # interpolant, each request once: the regular-at-0 sweep does not
+    # depend on delta, nor, mostly, does the admissible basis
+    x_a, x_b = we.sol.x_core - 1.0, we.sol.x_max
+    x_mid = min(2.0, 0.5 * x_b)
+    blocks = range(3)
+    Us = [_reference_integrate_basis(we, k, _inner_basis(k, x_a), x_a, x_mid)
+          for k in blocks]
     memo = {}
-    calls = []
-
-    def reference(we, blocks, bases, x_from, x_to):
-        calls.append(list(blocks))
-        out = []
-        for k, basis in zip(blocks, bases):
-            key = (k, basis.tobytes(), x_from, x_to)
-            if key not in memo:
-                memo[key] = _reference_integrate_basis(we, k, basis, x_from,
-                                                       x_to)
-            out.append(memo[key])
-        return out
-
     d0 = we.default_delta()
     for d in (0.8 * d0, d0, 1.2 * d0):
         new = L.kernel_dimension(we, delta=d, k_max=2)
-        calls.clear()
-        with monkeypatch.context() as m:
-            m.setattr(L, "_sweep", reference)
-            ref = L.kernel_dimension(we, delta=d, k_max=2)
-        # both sweeps (inner and outer) went through the reference
-        assert calls == [[0, 1, 2], [0, 1, 2]]
-        assert new.per_mode == ref.per_mode
-        assert new.total == ref.total == 5
-        assert new.angles.keys() == ref.angles.keys()
-        for block in ref.angles:
-            np.testing.assert_allclose(new.angles[block], ref.angles[block],
+        Vs = []
+        for k in blocks:
+            basis = _outer_basis(we, k, d)
+            key = (k, basis.tobytes())
+            if key not in memo:
+                memo[key] = _reference_integrate_basis(we, k, basis, x_b,
+                                                       x_mid)
+            Vs.append(memo[key])
+        per_mode, angles, conditioning = L._match_spans(Us, Vs, 1e-6)
+        assert new.per_mode == per_mode
+        assert new.total == sum(per_mode.values()) == 5
+        assert new.angles.keys() == angles.keys()
+        for block in angles:
+            np.testing.assert_allclose(new.angles[block], angles[block],
                                        rtol=0.0, atol=1e-8)
             np.testing.assert_allclose(new.conditioning[block],
-                                       ref.conditioning[block],
+                                       conditioning[block],
                                        rtol=0.0, atol=1e-8)
 
 
@@ -499,23 +699,68 @@ def test_stacked_blocks_match_blocks_alone_at_high_k():
     cfg = parse_config("[twist]\nk = -2\nshape = cos\n[run]\nn = 3\n")
     we = cli.Model(cfg).we
     k_max, n_samples = 8, 25
-    _, rows = L.mode_shooting_table(we, k_max=k_max, n_samples=n_samples)
-    together = np.array([r[3] for r in rows])
+    together = _stacked_table(we, k_max, n_samples)
     x_a = we.sol.x_core - 1.0
     xs = np.linspace(x_a, we.sol.x_max, n_samples)
     alone = []
     for block in range(k_max + 1):
-        basis = L._inner_basis(block, x_a)
+        basis = _inner_basis(block, x_a)
         Y = basis / np.linalg.norm(basis, axis=0)
         logn = [np.zeros(Y.shape[1])]
         for a, b in zip(xs[:-1], xs[1:]):
-            [Y] = L._propagate(we, [block], [Y], float(a), float(b))
+            [Y] = _propagate(we, [block], [Y], float(a), float(b))
             nrm = np.linalg.norm(Y, axis=0)
             logn.append(logn[-1] + np.log10(nrm))
             Y = Y / nrm
         alone += np.array(logn).T.ravel().tolist()
     assert together.shape == (len(alone),)
     assert np.max(np.abs(together - np.array(alone))) <= 1e-9
+
+
+def test_reduced_rhs_matches_block_matrices(we):
+    # each reduced state y is the Re and Im copy of two 8-D states
+    # (_embed), and the reduced right-hand side is A_k + shift*k*I on
+    # them: _block_matrix on the embedding, block 0 included (its
+    # 4-D state is (w1p, Im w1, u/2, Im w2))
+    rng = np.random.default_rng(23)
+    ks = np.arange(9)
+    for r in (0.05, 0.3, 0.5, 0.549):
+        F, h1, h2, h2d = L._coefficients(we.bp, r)
+        G1, H2 = h1 * F, -h2 * F
+        Y = rng.standard_normal((4, ks.size))
+        Y[1, 0], Y[3, 0] = 0.0, Y[2, 0]  # block 0: v = 0, w1m = w1p
+        y = np.concatenate([[r], Y.ravel()])
+        for shift in (0.0, -1.0, 1.0):
+            dy = L._reduced_rhs(we.bp, ks, shift)(0.0, y)
+            assert dy[0] == h2d
+            dY = dy[1:].reshape(4, -1)
+            for k in ks[1:]:
+                ref = (_block_matrix(k, G1, H2) + shift * k * np.eye(8)) \
+                    @ L._embed(Y[:, k])
+                np.testing.assert_allclose(L._embed(dY[:, k]), ref,
+                                           rtol=0.0, atol=1e-13)
+            u, v, p, m = Y[:, 0]
+            ref0 = _block_matrix(0, G1, H2) @ [p, 0.0, 0.5 * u, 0.0]
+            np.testing.assert_allclose([dY[2, 0], 0.0, 0.5 * dY[0, 0], 0.0],
+                                       ref0, rtol=0.0, atol=1e-13)
+            assert dY[1, 0] == 0.0 and dY[3, 0] == dY[2, 0]
+            # the 8-D norm of either copy
+            for k in ks[1:]:
+                E = L._embed(Y[:, k])
+                np.testing.assert_allclose(
+                    np.linalg.norm(E, axis=0), L._norms(Y[:, k:k + 1])[0],
+                    rtol=1e-15)
+
+
+def test_principal_angles_resolve_small_angles():
+    # a 1e-10 angle beside a large one: an arccos of the cosine reads 0
+    e = np.eye(4)
+    U = e[:, :2]
+    V = np.column_stack([e[:, 0] + 1e-10 * e[:, 2], e[:, 3] + 0.5 * e[:, 1]])
+    _, angles, gaps = L._match_spans([np.eye(4), U], [np.eye(4), V], 1e-12)
+    np.testing.assert_allclose(angles[1], [1e-10, math.atan(2.0)],
+                               rtol=1e-12)
+    assert gaps[1] == angles[1][0]
 
 
 # ----------------------------------------------------------------------
@@ -579,13 +824,13 @@ def test_lean_rhs_matches_block_matrices(we):
     blocks = tuple(range(9))
     for ncols in ((4, 6, 4, 4, 4, 4, 4, 4, 4), (2, 4, 3, 1, 4, 2, 3, 4, 4)):
         shapes = tuple((4 if b == 0 else 8, c) for b, c in zip(blocks, ncols))
-        system = L._stacked_system(blocks, shapes)
+        system = _stacked_system(blocks, shapes)
         for _ in range(5):
             Ys = [rng.standard_normal(shape) for shape in shapes]
             G1, H2 = rng.uniform(-3.0, 3.0, 2)
-            got = L._apply_stacked(system, G1, H2,
+            got = _apply_stacked(system, G1, H2,
                                    np.concatenate([Y.ravel() for Y in Ys]))
-            ref = np.concatenate([(L._block_matrix(b, G1, H2) @ Y).ravel()
+            ref = np.concatenate([(_block_matrix(b, G1, H2) @ Y).ravel()
                                   for b, Y in zip(blocks, Ys)])
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14)
 
@@ -610,3 +855,72 @@ def test_validate_passes_on_collar_config(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     rep = json.loads((out / "validate.json").read_text())
     assert all(cli.gate_passes(cli.gate_values({"validate": rep})).values())
+
+
+# ----------------------------------------------------------------------
+# the reduced shooting against the 8-D stacked oracle
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("text,rtol,scales", [
+    (MODES_CONFIG, 0.0, (0.8, 1.0, 1.2)),
+    (COLLAR_CONFIG, 1e-11, (1.0,)),
+], ids=["modes", "collar"])
+def test_reduced_shooting_matches_stacked_oracle(text, rtol, scales):
+    # the table and the kernel count (per-mode counts, principal angles
+    # and angle gaps at the given multiples of the default delta) of the
+    # forward/backward passes against the stacked 8-D shooting they
+    # replaced.  Along the collar's 384 units of plane the oracle's
+    # e^{kx} columns drift by about 4e-12 of their log-norm (3.5e-9 at
+    # 837 for k = 5): its w1p columns miss their closed form
+    # k(x - x_a)/ln 10 by as much as its w2p columns miss the reduced
+    # ones, hence the relative term there.  Neither pass depends on
+    # delta; one delta keeps the collar case short
+    model = cli.Model(parse_config(text))
+    we, k_max = model.we, model.cfg.k_max
+    _, rows = L.mode_shooting_table(we, k_max=k_max)
+    got = np.array([r[3] for r in rows])
+    ref = _stacked_table(we, k_max)
+    np.testing.assert_allclose(got, ref, rtol=rtol, atol=1e-9)
+    deltas = [c * we.default_delta() for c in scales]
+    Us, Vs = _stacked_spans(we, k_max, deltas)
+    for d in deltas:
+        new = L.kernel_dimension(we, delta=d, k_max=k_max)
+        per_mode, angles, conditioning = L._match_spans(Us, Vs[d], 1e-6)
+        assert new.per_mode == per_mode
+        assert per_mode[0] == 3 and per_mode[-1] == 2
+        assert new.total == sum(per_mode.values()) == 5
+        assert new.angles.keys() == angles.keys()
+        for block in angles:
+            np.testing.assert_allclose(new.angles[block], angles[block],
+                                       rtol=0.0, atol=1e-8)
+            np.testing.assert_allclose(new.conditioning[block],
+                                       conditioning[block],
+                                       rtol=0.0, atol=1e-8)
+
+
+# right-hand side evaluations of one kernel count and one growth table
+# on the default config: 9,856 by the stacked 8-D shooting, 4,741 by the
+# reduced passes; the ceiling sits halfway
+NFEV_CEILING = 7298
+
+
+def test_shooting_solver_work_stays_reduced(we, monkeypatch):
+    # lincr reaches solve_ivp through its module attribute ``integrate``
+    real = L.integrate
+    counts = {"calls": 0, "nfev": 0}
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def solve_ivp(self, *args, **kwargs):
+            out = real.solve_ivp(*args, **kwargs)
+            counts["calls"] += 1
+            counts["nfev"] += out.nfev
+            return out
+
+    monkeypatch.setattr(L, "integrate", Counting())
+    L.kernel_dimension(we, k_max=5)
+    L.mode_shooting_table(we, k_max=5)
+    assert counts["calls"] > 0
+    assert counts["nfev"] <= NFEV_CEILING, counts
