@@ -395,8 +395,11 @@ def stage_geometry(model: Model, out: Path, seed: int) -> dict:
     suite = geometry.identity_suite(model.tp, model.bp, n=cfg.n,
                                     n_points=1000, seed=seed)
     if model.bp_matched is not None:
-        suite["reeb_push_collar_mismatch"] = \
-            geometry.reeb_push_collar_mismatch(model.tp, model.bp_matched)
+        # the worse of the matched profile's push and, when the main
+        # profile has a collar too, the main one's from the suite
+        suite["reeb_push_collar_mismatch"] = float(np.maximum(
+            suite.get("reeb_push_collar_mismatch", 0.0),
+            geometry.reeb_push_collar_mismatch(model.tp, model.bp_matched)))
     table = {key: {"value": val} for key, val in suite.items()}
     _record_gates("geometry", table)
     write_json(out / "geometry_check.json", table)

@@ -32,12 +32,10 @@ def test_01_contact_validity(tp, bp):
         t0 = time.time()
         mn, _ = bp.min_detH_over_r(10_000)
         assert mn >= 0.5
-        rng = np.random.default_rng(1)
-        worst = 0.0
-        for _ in range(10_000):
-            x = geometry.random_binding_point(2, bp, rng)
-            R = geometry.reeb_field_binding(bp, x)
-            worst = max(worst, abs(geometry.alpha_binding(bp, x, R) - 1.0))
+        x = geometry.random_binding_batch(2, bp, np.random.default_rng(1),
+                                          10_000)
+        R = geometry.reeb_field_batch(bp, x)
+        worst = float(np.max(np.abs(geometry.alpha_batch(bp, x, R) - 1.0)))
         assert worst <= 1e-10
         assert time.time() - t0 < 10.0
 

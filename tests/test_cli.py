@@ -429,6 +429,36 @@ def test_failed_gate_exits_1(tmp_path, capsys, monkeypatch, subcommand,
         assert cli._at(*row.field)(payload) is False
 
 
+COLLAR_CONFIG = ("[twist]\nk = -3\np_plateau = 0.9\nshape = cos2\n"
+                 "[binding]\nshape = collar\nr0 = 1.3256834340201944\n"
+                 "r_max = 3.0\n")
+
+
+def test_geometry_gates_the_main_profiles_collar_push(tmp_path, capsys,
+                                                      monkeypatch):
+    # a collar-shaped main profile (r_max 3.0) and the matched profile
+    # both have a collar push; spoiling only the main one fails geometry
+    cfg = tmp_path / "collar.cfg"
+    cfg.write_text(COLLAR_CONFIG)
+    real, spoiled = geometry.reeb_push_collar_mismatch, []
+
+    def push(tp, bp):
+        if bp.r_max == 3.0:
+            spoiled.append(bp)
+            return 1.0
+        return real(tp, bp)
+
+    monkeypatch.setattr(geometry, "reeb_push_collar_mismatch", push)
+    out = tmp_path / "o"
+    assert cli.main(["geometry", "--config", str(cfg), "--quiet",
+                     "--out", str(out)]) == 1
+    assert len(spoiled) == 1
+    assert capsys.readouterr().err.strip() == \
+        "error: failed gates: geometry.reeb_push_collar_mismatch"
+    table = json.loads((out / "geometry_check.json").read_text())
+    assert table["reeb_push_collar_mismatch"] == {"value": 1.0, "pass": False}
+
+
 def test_back_substitution_residual_reported_and_gated(all_run, tmp_path,
                                                        capsys, monkeypatch):
     out, _ = all_run

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,120 +22,115 @@ def purequad():
 
 
 def _point(n, r, rng=None):
+    """A batch of one point at radius r."""
     rng = rng or np.random.default_rng(0)
     q = rng.standard_normal(n)
     q /= np.linalg.norm(q)
     p = rng.standard_normal(n)
     p -= (p @ q) * q
     p /= np.linalg.norm(p)
-    return G.BindingPoint(q=q, p=p, r=r, phi=0.3)
+    return G.PointBatch(q=q[None], p=p[None], r=np.array([r]),
+                        phi=np.array([0.3]))
+
+
+def _sample(bp, n, count, seed):
+    """``count`` random points and a random tangent vector at each."""
+    rng = np.random.default_rng(seed)
+    x = G.random_binding_batch(n, bp, rng, count)
+    return x, G.random_tangent_batch(x, rng), rng
+
+
+def _unit(v):
+    c = 1.0 / v.norm()
+    return G.TangentBatch(c * v.dphi, c[:, None] * v.dq, c[:, None] * v.dp,
+                          c * v.dr, c * v.dt)
 
 
 def test_point_constraints_enforced():
     with pytest.raises(G.GeometryError):
-        G.BindingPoint(q=np.array([1.0, 0.1]), p=np.array([0.0, 1.0]),
-                       r=0.2, phi=0.0)
+        G.PointBatch(q=np.array([[1.0, 0.1]]), p=np.array([[0.0, 1.0]]),
+                     r=np.array([0.2]), phi=np.array([0.0]))
 
 
 def test_reeb_on_quadratic_core_is_geodesic_plus_angle(purequad):
     # (2r R_lambda + 2r dphi)/(2r): coefficients exactly (1, 1)
     x = _point(2, 0.3)
-    R = G.reeb_field_binding(purequad, x)
-    assert R.dphi == pytest.approx(1.0, abs=1e-14)
+    R = G.reeb_field_batch(purequad, x)
+    assert R.dphi[0] == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(R.dq, x.p, atol=1e-14)
     assert np.allclose(R.dp, -x.q, atol=1e-14)
-    assert R.dr == 0.0
+    assert R.dr[0] == 0.0
 
 
 def test_reeb_pure_angle_at_r0(bp):
     # h2'(r0) = 0 kills the geodesic part
     x = _point(2, bp.r0)
-    R = G.reeb_field_binding(bp, x)
+    R = G.reeb_field_batch(bp, x)
     assert np.max(np.abs(R.dq)) <= 1e-12
     assert np.max(np.abs(R.dp)) <= 1e-12
-    assert R.dphi == pytest.approx(1.0 / bp.h2(bp.r0), rel=1e-12)
+    assert R.dphi[0] == pytest.approx(1.0 / bp.h2(bp.r0), rel=1e-12)
 
 
 def test_alpha_of_reeb_at_random_points(bp):
-    rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(1000):
-        x = G.random_binding_point(2, bp, rng)
-        R = G.reeb_field_binding(bp, x)
-        worst = max(worst, abs(G.alpha_binding(bp, x, R) - 1.0))
-    assert worst <= 1e-10
+    x = G.random_binding_batch(2, bp, np.random.default_rng(1), 1000)
+    R = G.reeb_field_batch(bp, x)
+    assert np.max(np.abs(G.alpha_batch(bp, x, R) - 1.0)) <= 1e-10
 
 
 def test_reeb_contracts_dalpha(bp):
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        x = G.random_binding_point(2, bp, rng)
-        R = G.reeb_field_binding(bp, x)
-        v = G.random_tangent(x, rng)
-        assert abs(G.dalpha_binding(bp, x, R, v)) <= 1e-9
+    x, v, _ = _sample(bp, 2, 50, 2)
+    R = G.reeb_field_batch(bp, x)
+    assert np.all(np.abs(G.dalpha_batch(bp, x, R, v)) <= 1e-9)
 
 
 def test_dalpha_exact_matches_fd(bp):
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        x = G.random_binding_point(2, bp, rng)
-        u, v = G.random_tangent(x, rng), G.random_tangent(x, rng)
-        u = u.scaled(1.0 / u.norm())
-        v = v.scaled(1.0 / v.norm())
-        ex = G.dalpha_binding(bp, x, u, v)
-        fd = G.dalpha_binding_fd(bp, x, u, v, step=1e-5)
-        assert abs(ex - fd) <= 1e-9 * max(1.0, abs(ex))
+    x, u, rng = _sample(bp, 2, 20, 3)
+    u, v = _unit(u), _unit(G.random_tangent_batch(x, rng))
+    ex = G.dalpha_batch(bp, x, u, v)
+    fd = G._dalpha_fd(bp, x, u, v)
+    assert np.all(np.abs(ex - fd) <= 1e-9 * np.maximum(1.0, np.abs(ex)))
 
 
 def test_J_dt_is_reeb_and_J_dr_is_geofield(bp):
-    rng = np.random.default_rng(4)
-    n = 2
-    for _ in range(25):
-        x = G.random_binding_point(n, bp, rng)
-        dt = G.TangentVector(0.0, np.zeros(n), np.zeros(n), 0.0, 1.0)
-        R = G.reeb_field_binding(bp, x)
-        assert G.apply_J(bp, x, dt).plus(R.scaled(-1.0)).norm() <= 1e-12
-        dr = G.TangentVector(0.0, np.zeros(n), np.zeros(n), 1.0, 0.0)
-        Gf = G.geo_field_binding(bp, x)
-        assert G.apply_J(bp, x, dr).plus(Gf.scaled(-1.0)).norm() <= 1e-12
+    x = G.random_binding_batch(2, bp, np.random.default_rng(4), 25)
+    zero, one, flat = np.zeros(25), np.ones(25), np.zeros((25, 2))
+    dt = G.TangentBatch(zero, flat, flat, zero, one)
+    R = G.reeb_field_batch(bp, x)
+    assert np.all(G.apply_J_batch(bp, x, dt).plus(R, -1.0).norm() <= 1e-12)
+    dr = G.TangentBatch(zero, flat, flat, one, zero)
+    Gf = G.geo_field_batch(bp, x)
+    assert np.all(G.apply_J_batch(bp, x, dr).plus(Gf, -1.0).norm() <= 1e-12)
 
 
 def test_J_squares_to_minus_one(bp):
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(1000):
-        x = G.random_binding_point(2, bp, rng)
-        v = G.random_tangent(x, rng)
-        JJv = G.apply_J(bp, x, G.apply_J(bp, x, v))
-        worst = max(worst, JJv.plus(v).norm() / v.norm())
-    assert worst <= 1e-9
+    x, v, _ = _sample(bp, 2, 1000, 5)
+    JJv = G.apply_J_batch(bp, x, G.apply_J_batch(bp, x, v))
+    assert np.max(JJv.plus(v).norm() / v.norm()) <= 1e-9
 
 
 def test_J_compatibility_on_contact_plane(bp):
-    rng = np.random.default_rng(6)
-    for _ in range(1000):
-        x = G.random_binding_point(2, bp, rng)
-        v = G.random_tangent(x, rng)
-        R = G.reeb_field_binding(bp, x)
-        vxi = v.plus(R.scaled(-G.alpha_binding(bp, x, v)))
-        if vxi.norm() < 1e-8:
-            continue
-        assert G.dalpha_binding(bp, x, vxi, G.apply_J(bp, x, vxi)) > 0.0
+    x, v, _ = _sample(bp, 2, 1000, 6)
+    R = G.reeb_field_batch(bp, x)
+    vxi = v.plus(R, -G.alpha_batch(bp, x, v))
+    keep = vxi.norm() >= 1e-8
+    assert np.all(G.dalpha_batch(bp, x, vxi, G.apply_J_batch(bp, x, vxi))[keep]
+                  > 0.0)
 
 
 def test_apply_J_rejects_non_tangent(bp):
     x = _point(2, 0.3)
-    bad = G.TangentVector(0.0, x.q.copy(), np.zeros(2), 0.0, 0.0)
+    zero = np.zeros(1)
+    bad = G.TangentBatch(zero, x.q.copy(), np.zeros((1, 2)), zero, zero)
     with pytest.raises(G.GeometryError, match="not tangent"):
-        G.apply_J(bp, x, bad)
+        G.apply_J_batch(bp, x, bad)
 
 
 def test_tilde_reeb_identities(tp):
-    for s in np.linspace(1e-4, tp.s_max, 1000):
-        d = G.tilde_reeb_data(tp, float(s))
-        ht, htd = tp.htilde(s), tp.htilde.d1(s)
-        assert abs(d.N * (ht - s * htd) - 1.0) <= 1e-10
-        assert abs(d.g - d.N * htd) <= 1e-10
+    s = np.linspace(1e-4, tp.s_max, 1000)
+    d = G.tilde_reeb_data(tp, s)
+    ht, htd = tp.htilde(s), tp.htilde.d1(s)
+    assert np.max(np.abs(d.N * (ht - s * htd) - 1.0)) <= 1e-10
+    assert np.max(np.abs(d.g - d.N * htd)) <= 1e-10
 
 
 def test_tilde_reeb_special_values(tp):
@@ -156,18 +153,18 @@ def test_tilde_reeb_singularity_reported(tp):
                           htilde=lin, p0=tp.p0)
     with pytest.raises(G.GeometryError, match="denominator"):
         G.tilde_reeb_data(fake, 0.5)
+    with pytest.raises(G.GeometryError, match="s = 1.5 outside"):
+        G.tilde_reeb_data(tp, np.array([0.5, 1.5, 2.0]))
 
 
 def test_frame_rotation_endpoints(tp):
-    rng = np.random.default_rng(7)
     q = np.array([1.0, 0.0, 0.0])
     p = np.array([0.0, 0.6, 0.0])
     f0, c = G.symplectic_frame(tp, q, p, 0.0)
     fhalf, _ = G.symplectic_frame(tp, q, p, 0.5)
     for a, b in zip(f0, fhalf[:2]):
         assert abs(a[0] + b[0]) <= 1e-12
-        assert np.allclose(a[1], -b[1], atol=1e-12)
-        assert np.allclose(a[2], -b[2], atol=1e-12)
+        assert np.allclose(a[1:], -b[1:], atol=1e-12)
     # recorded normalization: dalpha(P, Q) = h_k / htilde_k at the level
     s = np.linalg.norm(p)
     assert c == pytest.approx(tp.hk(s) / tp.htilde(s), rel=1e-12)
@@ -190,6 +187,25 @@ def test_frame_is_symplectic_at_random_points(tp):
     assert worst <= 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_frame_batch_matches_single_points(tp, n):
+    # leading axes are a batch: each row is the single point's frame
+    rng = np.random.default_rng(n)
+    q, p = G._orthonormal_pairs(rng.standard_normal((30, 2 * n)))
+    p *= rng.uniform(0.2, 1.0, (30, 1))
+    phase = rng.random(30)
+    frames, cs = G.symplectic_frame(tp, q, p, phase)
+    grams = G.frame_gram(tp, q, p, frames)
+    assert frames.shape == (30, 2 * n - 2, 2 * n + 1)
+    for i in range(30):
+        frame, c = G.symplectic_frame(tp, q[i], p[i], phase[i])
+        np.testing.assert_allclose(frames[i], frame, rtol=0.0, atol=1e-15)
+        assert cs[i] == pytest.approx(c, rel=1e-15)
+        np.testing.assert_allclose(grams[i], G.frame_gram(tp, q[i], p[i], frame),
+                                   rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(grams - G.standard_gram(2 * n - 2))) <= 1e-9
+
+
 def test_frame_singular_at_zero_level(tp):
     with pytest.raises(G.GeometryError, match="singular"):
         G.symplectic_frame(tp, np.array([1.0, 0.0]), np.zeros(2), 0.0)
@@ -198,8 +214,7 @@ def test_frame_singular_at_zero_level(tp):
 def test_reeb_push_agreement_on_collar(tp, matched):
     lo, hi = matched.collar
     lo = max(lo, 1.0 / tp.s_max) * (1 + 1e-9)
-    worst = max(G.push_reeb_to_tilde(tp, matched, float(r))
-                for r in np.linspace(lo, hi, 60))
+    worst = np.max(G.push_reeb_to_tilde(tp, matched, np.linspace(lo, hi, 60)))
     assert worst <= 1e-8
 
 
@@ -214,17 +229,18 @@ def test_identity_suite_summary(tp, bp):
 
 def test_reeb_field_domain_error(bp):
     x = _point(2, 0.3)
-    bad = G.BindingPoint(q=x.q, p=x.p, r=bp.r_max + 0.5, phi=0.0)
+    bad = G.PointBatch(q=x.q, p=x.p, r=np.array([bp.r_max + 0.5]),
+                       phi=x.phi)
     with pytest.raises(G.GeometryError, match="outside"):
-        G.reeb_field_binding(bp, bad)
+        G.reeb_field_batch(bp, bad)
 
 
 def test_reeb_field_binding_core_limit(bp):
     # r -> 0: both coefficients extend continuously (even profiles),
     # to the geodesic-plus-angle field of the quadratic core
     x = _point(2, 0.0)
-    R = G.reeb_field_binding(bp, x)
-    assert R.dphi == pytest.approx(1.0, abs=1e-14)
+    R = G.reeb_field_batch(bp, x)
+    assert R.dphi[0] == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(R.dq, x.p) and np.allclose(R.dp, -x.q)
 
 
@@ -239,9 +255,144 @@ def test_reeb_push_collar_mismatch_alone(tp, matched):
         assert suite["reeb_push_collar_mismatch"] == value
 
 
+def test_single_point_names_kept_for_the_benchmark(bp):
+    # the benchmark's microbenchmark draws single points and times the
+    # Reeb field on them under these two names: each is a batch of one
+    rng = np.random.default_rng(0)
+    xs = [(bp, G.random_binding_point(2, bp, rng)) for _ in range(5)]
+    for args in xs:
+        R = G.reeb_field_binding(*args)
+        assert R.dq.shape == (1, 2)
+        assert abs(G.alpha_batch(bp, args[1], R)[0] - 1.0) <= 1e-10
+
+
 # ----------------------------------------------------------------------
 # batch forms against the scalar oracle
 # ----------------------------------------------------------------------
+# The per-point forms the batch forms replaced: one point, one tangent
+# vector, one float at a time, with the same formulas in the same order.
+
+@dataclass(frozen=True)
+class BindingPoint:
+    q: np.ndarray
+    p: np.ndarray
+    r: float
+    phi: float
+
+
+@dataclass(frozen=True)
+class TangentVector:
+    dphi: float
+    dq: np.ndarray
+    dp: np.ndarray
+    dr: float
+    dt: float = 0.0
+
+    def scaled(self, c):
+        return TangentVector(c * self.dphi, c * self.dq, c * self.dp,
+                             c * self.dr, c * self.dt)
+
+    def plus(self, other):
+        return TangentVector(self.dphi + other.dphi, self.dq + other.dq,
+                             self.dp + other.dp, self.dr + other.dr,
+                             self.dt + other.dt)
+
+    def norm(self):
+        return math.sqrt(self.dphi ** 2 + self.dq @ self.dq + self.dp @ self.dp
+                         + self.dr ** 2 + self.dt ** 2)
+
+
+def _scalar_point(bp, normals, uniforms):
+    """One point from its 2n normals (q, then p) and two uniforms on
+    [0, 1) (r, then phi), scaled as Generator.uniform scales them."""
+    n = len(normals) // 2
+    q = normals[:n].copy()
+    q /= np.linalg.norm(q)
+    p = normals[n:].copy()
+    p -= (p @ q) * q
+    p /= np.linalg.norm(p)
+    lo, hi = 0.05 * bp.r_max, 0.95 * bp.r_max
+    return BindingPoint(q=q, p=p, r=lo + (hi - lo) * uniforms[0],
+                        phi=2.0 * math.pi * uniforms[1])
+
+
+def _scalar_tangent(x, draws):
+    """One tangent vector from its 2n + 3 normals (dq, dp, then dphi, dr, dt)."""
+    n = len(x.q)
+    dq, dp = draws[:n].copy(), draws[n:2 * n].copy()
+    dq -= (dq @ x.q) * x.q
+    dp -= (dp @ x.p) * x.p
+    mixed = (x.p @ dq + x.q @ dp) / 2.0
+    dq -= mixed * x.p
+    dp -= mixed * x.q
+    return TangentVector(dphi=draws[2 * n], dq=dq, dp=dp, dr=draws[2 * n + 1],
+                         dt=draws[2 * n + 2])
+
+
+def alpha_binding(bp, x, v):
+    return bp.h1(x.r) * float(x.p @ v.dq) + bp.h2(x.r) * v.dphi
+
+
+def dalpha_binding(bp, x, u, v):
+    lam_u = float(x.p @ u.dq)
+    lam_v = float(x.p @ v.dq)
+    term1 = bp.h1.d1(x.r) * (u.dr * lam_v - v.dr * lam_u)
+    term2 = bp.h1(x.r) * float(u.dp @ v.dq - v.dp @ u.dq)
+    term3 = bp.h2.d1(x.r) * (u.dr * v.dphi - v.dr * u.dphi)
+    return term1 + term2 + term3
+
+
+def dalpha_binding_fd(bp, x, u, v):
+    step = 1e-5
+
+    def alpha_at(w, eps, target):
+        rr = x.r + eps * w.dr
+        return bp.h1(rr) * float((x.p + eps * w.dp) @ target.dq) \
+            + bp.h2(rr) * target.dphi
+
+    def central(h):
+        return ((alpha_at(u, h, v) - alpha_at(u, -h, v)) / (2 * h)
+                - (alpha_at(v, h, u) - alpha_at(v, -h, u)) / (2 * h))
+
+    d1 = central(step)
+    d2 = central(step / 2.0)
+    return (4.0 * d2 - d1) / 3.0
+
+
+def reeb_field_binding(bp, x):
+    if not (0.0 <= x.r <= bp.r_max):
+        raise G.GeometryError(f"r = {x.r} outside [0, {bp.r_max}]")
+    if x.r == 0.0:
+        a = bp.h2.d2(0.0) / bp.detH_over_r(0.0)
+        b = -bp.h1.d2(0.0) / bp.detH_over_r(0.0)
+        return TangentVector(dphi=b, dq=a * x.p, dp=-a * x.q, dr=0.0)
+    det = bp.detH(x.r)
+    a = bp.h2.d1(x.r) / det
+    return TangentVector(dphi=-bp.h1.d1(x.r) / det, dq=a * x.p, dp=-a * x.q,
+                         dr=0.0)
+
+
+def geo_field_binding(bp, x):
+    det = bp.detH(x.r)
+    a = -bp.h2(x.r) / det
+    return TangentVector(dphi=bp.h1(x.r) / det, dq=a * x.p, dp=-a * x.q, dr=0.0)
+
+
+def apply_J(bp, x, v):
+    r = x.r
+    h1, h2 = bp.h1(r), bp.h2(r)
+    h1d, h2d = bp.h1.d1(r), bp.h2.d1(r)
+    det = bp.detH(r)
+    q, p = x.q, x.p
+    dphi = (h1 * v.dr - h1d * v.dt) / det
+    dq = (q * float(p @ v.dq) + v.dp - (h2 / det) * p * v.dr
+          + (h2d / det) * p * v.dt)
+    dp = (-v.dq - p * float(q @ v.dp) + (h2 / det) * q * v.dr
+          - (h2d / det) * q * v.dt)
+    dr = -h2d * v.dphi - h1d * float(p @ v.dq)
+    dt = -h2 * v.dphi - h1 * float(p @ v.dq)
+    return TangentVector(dphi=dphi, dq=dq, dp=dp, dr=dr, dt=dt)
+
 
 _FIELDS = ("dphi", "dq", "dp", "dr", "dt")
 
@@ -253,9 +404,19 @@ def _stack_points(xs):
                         phi=np.array([x.phi for x in xs]))
 
 
+def _unstack_points(X):
+    return [BindingPoint(q=q, p=p, r=float(r), phi=float(phi))
+            for q, p, r, phi in zip(X.q, X.p, X.r, X.phi)]
+
+
 def _stack_tangents(vs):
     return G.TangentBatch(*(np.array([getattr(v, f) for v in vs], float)
                             for f in _FIELDS))
+
+
+def _unstack_tangents(V):
+    return [TangentVector(*(float(c) if np.ndim(c) == 0 else c for c in row))
+            for row in zip(*V)]
 
 
 def _rows(values):
@@ -274,10 +435,13 @@ def _assert_batch_matches(batch, scalar):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_batch_draws_reproduce_scalar_points(bp, n):
-    rng_s, rng_b = np.random.default_rng(n), np.random.default_rng(n)
-    xs = [G.random_binding_point(n, bp, rng_s) for _ in range(1000)]
+    # the sampler draws whole arrays; its rows are the per-point
+    # arithmetic applied to the rows of those arrays, bit for bit
+    rng_b, rng_s = np.random.default_rng(n), np.random.default_rng(n)
     batch = G.random_binding_batch(n, bp, rng_b, 1000)
-    ref = _stack_points(xs)
+    normals, uniforms = rng_s.standard_normal((1000, 2 * n)), rng_s.random((1000, 2))
+    ref = _stack_points([_scalar_point(bp, z, u)
+                         for z, u in zip(normals, uniforms)])
     for f in ("q", "p", "r", "phi"):
         assert np.array_equal(getattr(batch, f), getattr(ref, f))
     # the two generators stand at the same state afterwards
@@ -288,55 +452,64 @@ def test_batch_draws_reproduce_scalar_points(bp, n):
 @pytest.mark.parametrize("profile", ["fig2", "collar"])
 def test_batch_forms_match_scalar_oracle(request, profile, n):
     bp = request.getfixturevalue("bp" if profile == "fig2" else "matched")
-    rng = np.random.default_rng(n)
-    xs = [G.random_binding_point(n, bp, rng) for _ in range(1000)]
-    us = [G.random_tangent(x, rng) for x in xs]
-    vs = [G.random_tangent(x, rng) for x in xs]
-    X, U, V = _stack_points(xs), _stack_tangents(us), _stack_tangents(vs)
-    Rs = [G.reeb_field_binding(bp, x) for x in xs]
+    X, U, rng = _sample(bp, n, 1000, n)
+    V = G.random_tangent_batch(X, rng)
+    xs, us, vs = _unstack_points(X), _unstack_tangents(U), _unstack_tangents(V)
+    Rs = [reeb_field_binding(bp, x) for x in xs]
     R = G.reeb_field_batch(bp, X)
     _assert_batch_matches(R, _stack_tangents(Rs))
     _assert_batch_matches(G.alpha_batch(bp, X, R),
-                          [G.alpha_binding(bp, x, r) for x, r in zip(xs, Rs)])
+                          [alpha_binding(bp, x, r) for x, r in zip(xs, Rs)])
     _assert_batch_matches(G.alpha_batch(bp, X, V),
-                          [G.alpha_binding(bp, x, v) for x, v in zip(xs, vs)])
+                          [alpha_binding(bp, x, v) for x, v in zip(xs, vs)])
     _assert_batch_matches(G.dalpha_batch(bp, X, U, V),
-                          [G.dalpha_binding(bp, x, u, v)
+                          [dalpha_binding(bp, x, u, v)
                            for x, u, v in zip(xs, us, vs)])
     _assert_batch_matches(G.geo_field_batch(bp, X), _stack_tangents(
-        [G.geo_field_binding(bp, x) for x in xs]))
+        [geo_field_binding(bp, x) for x in xs]))
     _assert_batch_matches(G.apply_J_batch(bp, X, V), _stack_tangents(
-        [G.apply_J(bp, x, v) for x, v in zip(xs, vs)]))
+        [apply_J(bp, x, v) for x, v in zip(xs, vs)]))
 
 
-def _scalar_main_loop(bp, n, n_points, rng):
+def _scalar_main_loop(bp, xs, vs):
     """The identity suite's main loop one point at a time, through the
     scalar forms (the loop the batch replaced)."""
+    n = len(xs[0].q)
     worst = dict.fromkeys(("alpha_of_reeb_minus_1", "dalpha_reeb_contraction",
                            "J_squared_plus_id", "J_dt_minus_reeb",
                            "J_dr_minus_geofield"), 0.0)
     compat = math.inf
-    dt_vec = G.TangentVector(0.0, np.zeros(n), np.zeros(n), 0.0, 1.0)
-    dr_vec = G.TangentVector(0.0, np.zeros(n), np.zeros(n), 1.0, 0.0)
-    for _ in range(n_points):
-        x = G.random_binding_point(n, bp, rng)
-        R = G.reeb_field_binding(bp, x)
-        v = G.random_tangent(x, rng)
-        JJv = G.apply_J(bp, x, G.apply_J(bp, x, v))
-        vxi = v.plus(R.scaled(-G.alpha_binding(bp, x, v)))
+    dt_vec = TangentVector(0.0, np.zeros(n), np.zeros(n), 0.0, 1.0)
+    dr_vec = TangentVector(0.0, np.zeros(n), np.zeros(n), 1.0, 0.0)
+    for x, v in zip(xs, vs):
+        R = reeb_field_binding(bp, x)
+        JJv = apply_J(bp, x, apply_J(bp, x, v))
+        vxi = v.plus(R.scaled(-alpha_binding(bp, x, v)))
         if vxi.norm() > 1e-8:
-            compat = min(compat, G.dalpha_binding(bp, x, vxi, G.apply_J(
+            compat = min(compat, dalpha_binding(bp, x, vxi, apply_J(
                 bp, x, vxi)) / vxi.norm() ** 2)
         for key, val in (
-                ("alpha_of_reeb_minus_1", abs(G.alpha_binding(bp, x, R) - 1.0)),
-                ("dalpha_reeb_contraction", abs(G.dalpha_binding(bp, x, R, v))),
+                ("alpha_of_reeb_minus_1", abs(alpha_binding(bp, x, R) - 1.0)),
+                ("dalpha_reeb_contraction", abs(dalpha_binding(bp, x, R, v))),
                 ("J_squared_plus_id", JJv.plus(v).norm() / max(v.norm(), 1e-30)),
                 ("J_dt_minus_reeb",
-                 G.apply_J(bp, x, dt_vec).plus(R.scaled(-1.0)).norm()),
-                ("J_dr_minus_geofield", G.apply_J(bp, x, dr_vec).plus(
-                    G.geo_field_binding(bp, x).scaled(-1.0)).norm())):
+                 apply_J(bp, x, dt_vec).plus(R.scaled(-1.0)).norm()),
+                ("J_dr_minus_geofield", apply_J(bp, x, dr_vec).plus(
+                    geo_field_binding(bp, x).scaled(-1.0)).norm())):
             worst[key] = max(worst[key], val)
     return {**worst, "min_compatibility_quotient": compat}
+
+
+def _draw_points(bp, rng, n, count):
+    """The scalar points of one random_binding_batch call's draws."""
+    normals, uniforms = rng.standard_normal((count, 2 * n)), rng.random((count, 2))
+    return [_scalar_point(bp, z, u) for z, u in zip(normals, uniforms)]
+
+
+def _draw_tangents(rng, xs):
+    """The scalar tangents of one random_tangent_batch call's draws."""
+    draws = rng.standard_normal((len(xs), 2 * len(xs[0].q) + 3))
+    return [_scalar_tangent(x, w) for x, w in zip(xs, draws)]
 
 
 @pytest.mark.parametrize("profile", ["fig2", "collar"])
@@ -344,34 +517,37 @@ def test_identity_suite_batch_matches_scalar_loop(request, tp, profile):
     bp = request.getfixturevalue("bp" if profile == "fig2" else "matched")
     n, seed = 3, 5
     suite = G.identity_suite(tp, bp, n=n, n_points=150, seed=seed)
+    # the oracle replays the suite's draws in the suite's order
     rng = np.random.default_rng(seed)
-    ref = _scalar_main_loop(bp, n, 150, rng)
+    xs = _draw_points(bp, rng, n, 150)
+    ref = _scalar_main_loop(bp, xs, _draw_tangents(rng, xs))
     for key, val in ref.items():
         assert suite[key] == pytest.approx(val, rel=0.0, abs=1e-15), key
-    # the batch drew what the loop drew: the scalar FD check after it
-    # starts from the same generator state and gives the same bits
+    # the exact-vs-FD check on the next 20 points gives the scalar bits
+    xs = _draw_points(bp, rng, n, 20)
     worst_fd = 0.0
-    for _ in range(20):
-        x = G.random_binding_point(n, bp, rng)
-        u, v = G.random_tangent(x, rng), G.random_tangent(x, rng)
-        ex = G.dalpha_binding(bp, x, u, v)
-        worst_fd = max(worst_fd, abs(ex - G.dalpha_binding_fd(bp, x, u, v))
+    for x, u, v in zip(xs, _draw_tangents(rng, xs), _draw_tangents(rng, xs)):
+        ex = dalpha_binding(bp, x, u, v)
+        worst_fd = max(worst_fd, abs(ex - dalpha_binding_fd(bp, x, u, v))
                        / max(abs(ex), 1.0))
     assert suite["dalpha_exact_vs_fd"] == worst_fd
 
 
 def test_batch_reeb_core_limit_and_errors(bp):
     x, y = _point(3, 0.0), _point(3, 0.3, np.random.default_rng(1))
-    X = _stack_points([x, y])
+    X = G.PointBatch(*(np.concatenate([getattr(x, f), getattr(y, f)])
+                       for f in ("q", "p", "r", "phi")))
     _assert_batch_matches(G.reeb_field_batch(bp, X), _stack_tangents(
-        [G.reeb_field_binding(bp, x), G.reeb_field_binding(bp, y)]))
+        [reeb_field_binding(bp, x) for x in _unstack_points(X)]))
     far = G.PointBatch(q=X.q, p=X.p, r=np.array([0.1, bp.r_max + 0.5]),
                        phi=X.phi)
-    with pytest.raises(G.GeometryError, match="outside"):
+    with pytest.raises(G.GeometryError,
+                       match=re.escape(f"r = {bp.r_max + 0.5} outside")):
         G.reeb_field_batch(bp, far)
     with pytest.raises(G.GeometryError, match="constraint"):
         G.PointBatch(q=X.q, p=X.q, r=X.r, phi=X.phi)
-    V = _stack_tangents([G.TangentVector(0.0, x.q, np.zeros(3), 0.0),
-                         G.TangentVector(0.0, np.zeros(3), np.zeros(3), 0.0)])
+    zero = np.zeros(2)
+    V = G.TangentBatch(zero, np.array([X.q[0], np.zeros(3)]), np.zeros((2, 3)),
+                       zero, zero)
     with pytest.raises(G.GeometryError, match="not tangent"):
         G.apply_J_batch(bp, X, V)

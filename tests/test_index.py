@@ -216,14 +216,15 @@ def test_linearized_flow_against_numerical_flow_oracle(tp):
         return phi_adv, qq, pp
 
     def push(vec, eps=1e-6):
+        # frame vectors are laid out (dphi, dq, dp)
+        dphi, dq, dp = vec[0], vec[1:n + 1], vec[n + 1:]
+
         def diff(e):
-            fp, qp, pp = flow(q0 + e * vec[1], p0 + e * vec[2])
-            fm, qm, pm = flow(q0 - e * vec[1], p0 - e * vec[2])
-            return ((fp - fm) / (2 * e) + vec[0],
-                    (qp - qm) / (2 * e), (pp - pm) / (2 * e))
-        f1, dq1, dp1 = diff(eps)
-        f2, dq2, dp2 = diff(eps / 2)
-        return ((4 * f2 - f1) / 3, (4 * dq2 - dq1) / 3, (4 * dp2 - dp1) / 3)
+            fp, qp, pp = flow(q0 + e * dq, p0 + e * dp)
+            fm, qm, pm = flow(q0 - e * dq, p0 - e * dp)
+            return np.concatenate([[(fp - fm) / (2 * e) + dphi],
+                                   (qp - qm) / (2 * e), (pp - pm) / (2 * e)])
+        return (4 * diff(eps / 2) - diff(eps)) / 3
 
     dim = 2 * n - 2
     M_num = np.zeros((dim, dim))
