@@ -41,7 +41,8 @@ CSV artifacts (comma-separated, LF, UTF-8, one header row; floats use
   plane.csv            rho, r, t
   lincr_modes.csv      block, direction, rho, log10_norm
 
-JSON artifacts (stable key order):
+JSON artifacts (stable key order; a non-finite float, such as the angle
+gap of a block with no unmatched angle, is written as null):
 
   validate.json        profile/geometry identity residuals and flags
   plane_energy.json    stokes, quadrature, action_gamma0
@@ -78,12 +79,14 @@ def write_csv(path: Path, header, rows):
 
 
 def _jsonable(obj):
+    """Plain JSON values of a payload; a non-finite float becomes None
+    (null), as JSON has no NaN or infinity."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.bool_):
@@ -95,7 +98,7 @@ def _jsonable(obj):
 
 def write_json(path: Path, payload: dict):
     _atomic_write(path, json.dumps(_jsonable(payload), sort_keys=True,
-                                   indent=2) + "\n")
+                                   indent=2, allow_nan=False) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +355,7 @@ def stage_lincr(model: Model, out: Path, seed: int) -> dict:
     fields = (lincr.random_truncated_field(
         rng, rng.integers(2, 11, size=3).tolist()) for _ in range(100))
     sz = lincr.sz_inequality_check(fields, delta=report.delta)
-    header, rows = lincr.mode_shooting_table(we, k_max=cfg.k_max)
+    header, rows = lincr.mode_shooting_table(we, report.forward)
     write_csv(out / "lincr_modes.csv", header, rows)
     payload = {
         "per_mode": {str(k): v for k, v in sorted(report.per_mode.items())},

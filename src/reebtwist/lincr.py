@@ -21,9 +21,11 @@ variables of the second component, block k is a real 4-vector system
 whose real and imaginary parts share one trajectory, and a start in the
 first component alone stays there as e^{+-kx}.  So each block carries
 one 4-vector, its e^{kx} growth factored out, in one state with every
-other block and the plane radius r: one forward pass from the core
-gives the growth table and the regular span, one backward pass from the
-end of the plane the admissible span, one solve_ivp per chunk and
+other block and the plane radius r.  A kernel count and its growth
+table share one forward pass from the core to the end of the plane:
+the regular span is its state at the matching point, the table its
+log-norms at the samples.  One backward pass from the end of the plane
+gives the admissible span.  Each pass is one solve_ivp per chunk,
 renormalized between chunks (continuous orthogonalization, as in
 Humpherys & Zumbrun, Physica D 220, 2006).  The expected
 outcome for every shipped profile is three mode-0 directions (two
@@ -33,8 +35,10 @@ constants plus one decaying branch) and two mode-(-1) directions (the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -395,11 +399,12 @@ def _shoot(we: WEquation, ks, Y: np.ndarray, edges, shift: float):
     The plane radius is re-anchored on the plane solution at the start
     of every chunk, and every column is renormalized to unit 8-D norm at
     its end.  A chunk after the first opens with a full step of the one
-    before, not DOP853's initial-step guess.  Returns the states at the
-    last edge and the cumulative natural-log norm growth of each column
-    at every edge (in the shifted frame), shape (len(edges), len(ks))."""
+    before, not DOP853's initial-step guess.  Returns the unit-norm
+    states at every edge, shape (len(edges), 4, len(ks)), and the
+    cumulative natural-log norm growth of each column at every edge (in
+    the shifted frame), shape (len(edges), len(ks))."""
     rhs = _reduced_rhs(we.bp, ks, shift)
-    logs = [np.zeros(len(ks))]
+    states, logs = [Y], [np.zeros(len(ks))]
     step = None
     for a, b in zip(edges[:-1], edges[1:]):
         y0 = np.concatenate([[we.sol.r_of_rho(math.exp(a))], Y.ravel()])
@@ -414,8 +419,9 @@ def _shoot(we: WEquation, ks, Y: np.ndarray, edges, shift: float):
         Y = out.y[1:, -1].reshape(4, -1)
         nrm = _norms(Y)
         Y = Y / nrm
+        states.append(Y)
         logs.append(logs[-1] + np.log(nrm))
-    return Y, np.array(logs)
+    return np.array(states), np.array(logs)
 
 
 # samples of the growth table; they and x_mid are the forward chunk edges
@@ -429,20 +435,29 @@ def _ends(we: WEquation) -> tuple:
     return we.sol.x_core - 1.0, min(2.0, 0.5 * x_b), x_b
 
 
-def _forward(we: WEquation, k_max: int, n_samples: int, x_stop: float):
-    """The one forward pass from x_a: block 0's w2_re direction and the
-    w2p direction of every block k >= 1, under A_k - kI (the e^{kx} of
-    the w1p rows taken out), through the chunks whose edges are the
-    n_samples table samples and x_mid, up to x_stop.  Returns the edges,
-    the states at x_stop and the log-norm growth at every edge."""
+class ForwardPass(NamedTuple):
+    """The forward pass of one kernel count: its chunk edges, the
+    unit-norm reduced states (4, k_max + 1) and the log-norm growth
+    (k_max + 1,) at every edge."""
+
+    edges: np.ndarray
+    states: np.ndarray
+    logs: np.ndarray
+
+
+def _forward(we: WEquation, k_max: int) -> ForwardPass:
+    """The one forward pass from x_a to x_b: block 0's w2_re direction
+    and the w2p direction of every block k >= 1, under A_k - kI (the
+    e^{kx} of the w1p rows taken out), through the chunks whose edges
+    are the N_SAMPLES table samples and x_mid.  The kernel count reads
+    its states at x_mid, the growth table its log-norms at the samples."""
     x_a, x_mid, x_b = _ends(we)
-    edges = np.union1d(np.linspace(x_a, x_b, n_samples), [x_mid])
-    edges = edges[edges <= x_stop]
+    edges = np.union1d(np.linspace(x_a, x_b, N_SAMPLES), [x_mid])
     Y = np.zeros((4, k_max + 1))
     Y[0] = 1.0
     Y[1, 1:] = 1.0          # w2p = 1: u = v = 1
-    return (edges,) + _shoot(we, range(k_max + 1), Y / _norms(Y), edges,
-                             -1.0)
+    return ForwardPass(edges, *_shoot(we, range(k_max + 1), Y / _norms(Y),
+                                      edges, -1.0))
 
 
 def _backward(we: WEquation, k_max: int) -> np.ndarray:
@@ -458,7 +473,7 @@ def _backward(we: WEquation, k_max: int) -> np.ndarray:
                   0.5 * G1 / (lam + k)])
     n_chunk = max(1, int(math.ceil(x_b - x_mid)))
     return _shoot(we, range(1, k_max + 1), Y / _norms(Y),
-                  np.linspace(x_b, x_mid, n_chunk + 1), 1.0)[0]
+                  np.linspace(x_b, x_mid, n_chunk + 1), 1.0)[0][-1]
 
 
 @dataclass
@@ -468,6 +483,8 @@ class KernelReport:
     non_decaying_bounded: int
     delta: float
     spectral_gap: float
+    # the count's forward pass, which mode_shooting_table reads again
+    forward: ForwardPass = field(repr=False)
     angles: dict = field(default_factory=dict)       # block -> principal angles
     conditioning: dict = field(default_factory=dict)  # block -> angle gap
 
@@ -531,7 +548,9 @@ def kernel_dimension(we: WEquation, delta: float | None = None,
     k >= 0 (a 1/z term there is a genuine singularity of the radial and
     symplectization fields).  Block 0's span is the whole block; in
     block k the w1p pair (and block 1's w1m pair) stay pure and only the
-    w2p pair comes from the forward pass.  Admissible at infinity: the
+    w2p pair comes from the forward pass, read at x_mid; the pass runs on
+    to x_b and rides on the report as ``forward``, for
+    mode_shooting_table.  Admissible at infinity: the
     stable eigenspace of the limiting system (decay rate >= delta), plus
     for mode 0 the two constant first-component directions.  In block
     k >= 1 that is the pure w1m pair and the contracting direction of
@@ -547,8 +566,8 @@ def kernel_dimension(we: WEquation, delta: float | None = None,
     if not (0.0 < delta < we.spectral_gap):
         raise LinCRError(f"delta = {delta} outside the spectral gap "
                          f"(0, {we.spectral_gap:.4f})")
-    x_mid = _ends(we)[1]
-    Yf = _forward(we, k_max, N_SAMPLES, x_mid)[1]
+    fwd = _forward(we, k_max)
+    Yf = fwd.states[np.searchsorted(fwd.edges, _ends(we)[1])]
     Yb = _backward(we, k_max)
     w1p, w1m = np.eye(8)[:, 0:2], np.eye(8)[:, 2:4]
     Us, Vs = [np.eye(4)], [np.eye(4)[:, :3]]
@@ -562,7 +581,7 @@ def kernel_dimension(we: WEquation, delta: float | None = None,
     non_dec = 1 + 2 * (n - 2)
     return KernelReport(per_mode=per_mode, total=sum(per_mode.values()),
                         non_decaying_bounded=non_dec, delta=delta,
-                        spectral_gap=we.spectral_gap,
+                        spectral_gap=we.spectral_gap, forward=fwd,
                         angles=angles, conditioning=conditioning)
 
 
@@ -572,21 +591,20 @@ def a_norm_report(we: WEquation) -> dict:
     return {"a_norm": we.a_norm, "below_2": bool(we.a_norm < 2.0)}
 
 
-def mode_shooting_table(we: WEquation, k_max: int = 5,
-                        n_samples: int = N_SAMPLES):
+def mode_shooting_table(we: WEquation, forward: ForwardPass):
     """Growth profiles of the regular-at-0 directions per block: rows
     (block, direction, rho, log10_norm), the log-norm taken relative to
     the start (only its slope is meaningful).  The w2_re and w2p
-    directions come from the forward pass (the Re and Im copies of w2p
-    share one trajectory); the w1 directions are the closed forms
-    +-k(x - x_a), and block 0's constants stay at 0."""
+    directions are read from ``forward``, the forward pass of a kernel
+    count (``KernelReport.forward``), which sets the blocks (the Re and
+    Im copies of w2p share one trajectory); the w1 directions are the
+    closed forms +-k(x - x_a), and block 0's constants stay at 0."""
     x_a, _, x_b = _ends(we)
-    xs = np.linspace(x_a, x_b, n_samples)
-    edges, _, logs = _forward(we, k_max, n_samples, x_b)
-    logs = logs[np.isin(edges, xs)]
-    zero = np.zeros(n_samples)
+    xs = np.linspace(x_a, x_b, N_SAMPLES)
+    logs = forward.logs[np.isin(forward.edges, xs)]
+    zero = np.zeros(N_SAMPLES)
     rows = []
-    for block in range(k_max + 1):
+    for block in range(logs.shape[1]):
         w1p = block * (xs - x_a) / math.log(10.0)
         w2 = (logs[:, block] + block * (xs - x_a)) / math.log(10.0)
         if block == 0:
@@ -619,52 +637,89 @@ def weight_exponent(rho, delta: float, rho_0: float, rho_inf: float):
                       lambda r: delta + 0.0 * r))(rho)
 
 
-def random_truncated_field(rng, modes, n_rho: int = 48, n_psi: int = 64,
-                           rho_range=(0.5, 30.0)):
-    """A C^2-valued field on a cylinder patch with angular content only
-    in the prescribed modes, with smooth random radial amplitudes."""
-    rhos = np.geomspace(*rho_range, n_rho)
-    psis = np.linspace(0.0, 2.0 * math.pi, n_psi, endpoint=False)
-    vals = np.zeros((n_rho, n_psi, 2), complex)
-    xs = np.log(rhos)
-    for k in modes:
-        for comp in range(2):
-            c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            amp = (c[0] + c[1] * np.sin(xs / 3.0) + c[2] * np.cos(xs / 2.0))
-            vals[:, :, comp] += np.outer(amp, np.exp(1j * k * psis))
-    return rhos, psis, vals
+# the cylinder patch of the random fields: SZ_N_RHO radii spaced
+# geometrically over SZ_RHO_RANGE and SZ_N_PSI angles; the weight
+# exponent steps from 2 down to delta between SZ_RHO_0 and SZ_RHO_INF
+SZ_RHO_RANGE, SZ_N_RHO, SZ_N_PSI = (0.5, 30.0), 48, 64
+SZ_RHO_0, SZ_RHO_INF = 1.0, 10.0
 
 
-def sz_inequality_check(fields, delta: float = 0.5, rho_0: float = 1.0,
-                        rho_inf: float = 10.0) -> dict:
+@functools.cache
+def _sz_patch() -> tuple:
+    """(rhos, psis, sin(log rho / 3), cos(log rho / 2)) of the patch,
+    read-only columns and built once per process, on first use: numpy
+    work at import time raised the peak resident set."""
+    rhos = np.geomspace(*SZ_RHO_RANGE, SZ_N_RHO)
+    psis = np.linspace(0.0, 2.0 * math.pi, SZ_N_PSI, endpoint=False)
+    x = np.log(rhos)[:, None]
+    arrays = rhos, psis, np.sin(x / 3.0), np.cos(x / 2.0)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def random_truncated_field(rng, modes):
+    """A C^2-valued field on the cylinder patch with angular content
+    only in the prescribed modes, with smooth random radial amplitudes
+    c0 + c1 sin(log rho / 3) + c2 cos(log rho / 2).
+
+    Per mode and component it draws the real and then the imaginary
+    parts of (c0, c1, c2), all in one call; the field is the sum over
+    the modes in order.  Returns (rhos, psis, vals), vals of shape
+    (n_rho, n_psi, 2) with the psi axis contiguous in memory, where the
+    check's FFT runs."""
+    rhos, psis, sin, cos = _sz_patch()
+    k = np.asarray(modes, dtype=int).reshape(-1)
+    # axes: mode, radius (broadcast), component, Re/Im, coefficient
+    z = rng.standard_normal(12 * k.size).reshape(-1, 1, 2, 2, 3)
+    c = z[..., 0, :] + 1j * z[..., 1, :]
+    amp = c[..., 0] + c[..., 1] * sin + c[..., 2] * cos
+    wave = np.exp(1j * k[:, None] * psis)
+    vals = np.sum(amp[..., None] * wave[:, None, None, :], axis=0)
+    return rhos, psis, vals.transpose(0, 2, 1)
+
+
+def _sz_grid(rhos: np.ndarray, n_psi: int, delta: float) -> tuple:
+    """The fixed part of the check on one grid: the mask of the FFT bins
+    of modes -1, 0, 1, the factor i*k of d/dpsi per bin and component,
+    and the normalized radial weights exp(w(rho) rho)."""
+    freqs = np.fft.fftfreq(n_psi, d=1.0 / n_psi).astype(int)
+    wgt = np.exp(weight_exponent(rhos, delta, SZ_RHO_0, SZ_RHO_INF) * rhos)
+    # normalize against overflow: only the ratio matters
+    return (np.isin(freqs, (-1, 0, 1)),
+            np.repeat((1j * freqs)[:, None], 2, axis=1), wgt / wgt.max())
+
+
+def sz_inequality_check(fields, delta: float = 0.5) -> dict:
     """Smallest ratio ||dW~/dpsi|| / ||W~|| in the weighted norm over the
     fields, W~ being a field with angular modes -1, 0, 1 removed; the
     inequality 2 ||W~|| <= ||dW~/dpsi|| holds when it is >= 2.
 
     Angular integrals are spectral (FFT); the radial measure is
-    exp(w(rho) * rho) d rho with the smooth-step weight exponent.
-    Fields whose truncation vanishes are vacuous and give no ratio.
-    ``fields`` may be any iterable, a generator included, so the caller
-    need not hold every field at once.
+    exp(w(rho) * rho) d rho with the smooth-step weight exponent, built
+    once per grid.  Fields whose truncation vanishes are vacuous and
+    give no ratio.  ``fields`` may be any iterable, a generator
+    included, so the caller need not hold every field at once.
     """
     ratios = []
     vacuous = n_fields = 0
+    grid_key = None
     for rhos, psis, vals in fields:
         n_fields += 1
-        n_rho, n_psi, _ = vals.shape
-        hat = np.fft.fft(vals, axis=1)
-        freqs = np.fft.fftfreq(n_psi, d=1.0 / n_psi).astype(int)
-        kill = np.isin(freqs, (-1, 0, 1))
+        n_psi = vals.shape[1]
+        key = (rhos.tobytes(), n_psi)
+        if key != grid_key:
+            grid_key = key
+            kill, dpsi, wgt = _sz_grid(rhos, n_psi, delta)
+        # C order fixes the summation order of the norms, whatever the
+        # memory layout of vals
+        hat = np.ascontiguousarray(np.fft.fft(vals, axis=1))
         hat[:, kill, :] = 0.0
-        # Parseval per radius: sum |hat|^2 / n_psi^2 * n_psi
-        norm2_psi = np.sum(np.abs(hat) ** 2, axis=(1, 2)) / n_psi
-        dpsi_hat = hat * (1j * freqs)[None, :, None]
-        dnorm2_psi = np.sum(np.abs(dpsi_hat) ** 2, axis=(1, 2)) / n_psi
-        wgt = np.exp(weight_exponent(rhos, delta, rho_0, rho_inf) * rhos)
-        # normalize against overflow: only the ratio matters
-        wgt = wgt / wgt.max()
-        num = np.trapezoid(dnorm2_psi * wgt, rhos)
-        den = np.trapezoid(norm2_psi * wgt, rhos)
+        # Parseval per radius: sum |hat|^2 / n_psi^2 * n_psi, of
+        # dW~/dpsi and of W~
+        norm2_psi = np.array([np.sum(np.abs(h) ** 2, axis=(1, 2)) / n_psi
+                              for h in (hat * dpsi, hat)])
+        num, den = np.trapezoid(norm2_psi * wgt, rhos)
         if den <= 1e-300:
             vacuous += 1
             continue

@@ -280,6 +280,29 @@ def test_csv_headers_match_schema(all_run):
         assert first == header, name
 
 
+def test_json_artifacts_are_strict_json(all_run):
+    # no NaN or Infinity literals: a block without an unmatched angle has
+    # a gap of nan in memory and null in kernel.json
+    out, _ = all_run
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    names = sorted(p.name for p in out.glob("*.json"))
+    assert "kernel.json" in names
+    for name in names:
+        json.loads((out / name).read_text(), parse_constant=reject)
+    kernel = json.loads((out / "kernel.json").read_text())
+    assert kernel["angle_conditioning"]["0"] is None
+
+
+def test_non_finite_floats_written_as_null(tmp_path):
+    cli.write_json(tmp_path / "x.json",
+                   {"a": math.nan, "b": [math.inf, -math.inf, 1.5]})
+    assert json.loads((tmp_path / "x.json").read_text()) == {
+        "a": None, "b": [None, None, 1.5]}
+
+
 def test_orbits_csv_principal_row(all_run):
     out, _ = all_run
     with open(out / "orbits.csv", newline="") as fh:

@@ -279,6 +279,49 @@ def test_sz_inequality_constant_field_vacuous():
     assert out["min_ratio"] == math.inf
 
 
+def _reference_field(rng, modes):
+    """The field generator one mode and component at a time: three
+    real then three imaginary normals per (mode, component), summed
+    into the field as outer products over (rho, psi)."""
+    rhos = np.geomspace(0.5, 30.0, 48)
+    psis = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    vals = np.zeros((48, 64, 2), complex)
+    xs = np.log(rhos)
+    for k in modes:
+        for comp in range(2):
+            c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            amp = (c[0] + c[1] * np.sin(xs / 3.0) + c[2] * np.cos(xs / 2.0))
+            vals[:, :, comp] += np.outer(amp, np.exp(1j * k * psis))
+    return rhos, psis, vals
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 18, 4242])
+def test_random_field_matches_per_mode_oracle(seed):
+    # the broadcast field equals the per-mode loop bit for bit and leaves
+    # the generator where the loop leaves it: random modes as the CLI
+    # draws them, a repeated mode, a single mode, mode 0 and no mode
+    draws = [np.random.default_rng(seed) for _ in range(2)]
+    mode_lists = [[3, 3, 7], [2], [0], [], [10, 2, 2, 5]]
+    for i in range(8):
+        modes = [r.integers(2, 11, size=3).tolist() for r in draws]
+        assert modes[0] == modes[1]
+        mode_lists.insert(i, modes[0])
+    for modes in mode_lists:
+        ref = _reference_field(draws[0], modes)
+        got = L.random_truncated_field(draws[1], modes)
+        for a, b in zip(ref, got):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), modes
+        assert draws[0].bit_generator.state == draws[1].bit_generator.state
+
+
+def test_sz_patch_is_read_only():
+    # the shared grid of every field cannot be changed through a field
+    rhos, psis, _ = L.random_truncated_field(np.random.default_rng(0), [2])
+    for a in (rhos, psis):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
 def test_weight_exponent_smooth_step():
     assert L.weight_exponent(0.5, 0.5, 1.0, 10.0) == 2.0
     assert L.weight_exponent(20.0, 0.5, 1.0, 10.0) == 0.5
@@ -325,7 +368,7 @@ def test_sz_weights_match_point_loop():
 
 
 def test_mode_shooting_table_shape(we):
-    header, rows = L.mode_shooting_table(we, k_max=2, n_samples=7)
+    header, rows = L.mode_shooting_table(we, L._forward(we, 2))
     assert header == ["block", "direction", "rho", "log10_norm"]
     blocks = {r[0] for r in rows}
     assert blocks == {0, 1, 2}
@@ -337,7 +380,7 @@ def test_mode_shooting_table_shape(we):
 def test_mode_table_labels_name_the_inner_basis_slots(we):
     # block 0 has its four real slots; block 1 starts in w1p, w1m and
     # w2p; every higher block in w1p and w2p only (no regular w1m)
-    _, rows = L.mode_shooting_table(we, k_max=3, n_samples=3)
+    _, rows = L.mode_shooting_table(we, L._forward(we, 3))
     names = {}
     for block, name, _, _ in rows:
         names.setdefault(block, []).append(name)
@@ -651,8 +694,10 @@ def _reference_log10_norms(we, k_max, n_samples):
     return np.array(out)
 
 
-def test_mode_table_matches_per_direction_oracle(we):
-    _, rows = L.mode_shooting_table(we, k_max=2, n_samples=9)
+def test_mode_table_matches_per_direction_oracle(we, monkeypatch):
+    # nine samples keep the per-direction oracle short
+    monkeypatch.setattr(L, "N_SAMPLES", 9)
+    _, rows = L.mode_shooting_table(we, L._forward(we, 2))
     ref = _reference_log10_norms(we, 2, 9)
     got = np.array([r[3] for r in rows])
     assert got.shape == ref.shape
@@ -877,14 +922,14 @@ def test_reduced_shooting_matches_stacked_oracle(text, rtol, scales):
     # delta; one delta keeps the collar case short
     model = cli.Model(parse_config(text))
     we, k_max = model.we, model.cfg.k_max
-    _, rows = L.mode_shooting_table(we, k_max=k_max)
+    deltas = [c * we.default_delta() for c in scales]
+    reports = [L.kernel_dimension(we, delta=d, k_max=k_max) for d in deltas]
+    _, rows = L.mode_shooting_table(we, reports[0].forward)
     got = np.array([r[3] for r in rows])
     ref = _stacked_table(we, k_max)
     np.testing.assert_allclose(got, ref, rtol=rtol, atol=1e-9)
-    deltas = [c * we.default_delta() for c in scales]
     Us, Vs = _stacked_spans(we, k_max, deltas)
-    for d in deltas:
-        new = L.kernel_dimension(we, delta=d, k_max=k_max)
+    for d, new in zip(deltas, reports):
         per_mode, angles, conditioning = L._match_spans(Us, Vs[d], 1e-6)
         assert new.per_mode == per_mode
         assert per_mode[0] == 3 and per_mode[-1] == 2
@@ -900,27 +945,62 @@ def test_reduced_shooting_matches_stacked_oracle(text, rtol, scales):
 
 # right-hand side evaluations of one kernel count and one growth table
 # on the default config: 9,856 by the stacked 8-D shooting, 4,741 by the
-# reduced passes; the ceiling sits halfway
-NFEV_CEILING = 7298
+# reduced passes, 3,595 with the forward pass shared; the ceiling sits
+# halfway between the last two
+NFEV_CEILING = 4168
 
 
 def test_shooting_solver_work_stays_reduced(we, monkeypatch):
-    # lincr reaches solve_ivp through its module attribute ``integrate``
+    # one kernel count and one table, as stage_lincr runs them; lincr
+    # reaches solve_ivp through its module attribute ``integrate``
     real = L.integrate
     counts = {"calls": 0, "nfev": 0}
+    spans = []
 
     class Counting:
         def __getattr__(self, name):
             return getattr(real, name)
 
-        def solve_ivp(self, *args, **kwargs):
-            out = real.solve_ivp(*args, **kwargs)
+        def solve_ivp(self, fun, t_span, *args, **kwargs):
+            out = real.solve_ivp(fun, t_span, *args, **kwargs)
             counts["calls"] += 1
             counts["nfev"] += out.nfev
+            spans.append(tuple(float(t) for t in t_span))
             return out
 
     monkeypatch.setattr(L, "integrate", Counting())
-    L.kernel_dimension(we, k_max=5)
-    L.mode_shooting_table(we, k_max=5)
+    report = L.kernel_dimension(we, k_max=5)
+    L.mode_shooting_table(we, report.forward)
     assert counts["calls"] > 0
     assert counts["nfev"] <= NFEV_CEILING, counts
+    forward = [(a, b) for a, b in spans if a < b]
+    assert forward and len(set(forward)) == len(forward), forward
+
+
+@pytest.mark.parametrize("text", ["", MODES_CONFIG], ids=["default", "modes"])
+def test_shared_forward_pass_matches_separate_pass(text):
+    # the kernel count read from the stage's one forward pass (x_a to
+    # x_b) against a pass of its own from x_a to x_mid on the same chunk
+    # edges: principal angles and angle gaps bit for bit
+    model = cli.Model(parse_config(text))
+    we, k_max = model.we, model.cfg.k_max
+    report = L.kernel_dimension(we, k_max=k_max)
+    x_a, x_mid, x_b = L._ends(we)
+    edges = np.union1d(np.linspace(x_a, x_b, L.N_SAMPLES), [x_mid])
+    Y = np.zeros((4, k_max + 1))
+    Y[0] = 1.0
+    Y[1, 1:] = 1.0
+    states, _ = L._shoot(we, range(k_max + 1), Y / L._norms(Y),
+                         edges[edges <= x_mid], -1.0)
+    Yf, Yb = states[-1], L._backward(we, k_max)
+    w1p, w1m = np.eye(8)[:, 0:2], np.eye(8)[:, 2:4]
+    Us, Vs = [np.eye(4)], [np.eye(4)[:, :3]]
+    for k in range(1, k_max + 1):
+        Us.append(np.hstack([w1p] + [w1m] * (k == 1) + [L._embed(Yf[:, k])]))
+        Vs.append(np.hstack([L._embed(Yb[:, k - 1]), w1m]))
+    per_mode, angles, gaps = L._match_spans(Us, Vs, 1e-6)
+    assert report.per_mode == per_mode
+    assert report.angles == angles
+    assert report.conditioning.keys() == gaps.keys()
+    np.testing.assert_array_equal(list(report.conditioning.values()),
+                                  list(gaps.values()))
