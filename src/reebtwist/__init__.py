@@ -2,12 +2,23 @@
 open book with a left-handed twist: contact-condition checks, closed
 orbit families and their degrees, the explicit finite-energy plane and
 its energy identity, and the kernel count of the linearized operator.
+
+Submodules load on first attribute access (``reebtwist.lincr``), so
+``import reebtwist`` and the static commands of the command line
+(``--print-config``, ``--schema``, ``--help``) leave numpy and scipy
+unimported.
 """
 
-from . import cli, config, energy, geometry, lincr, orbits, plane, profiles
-from . import index
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = ["cli", "config", "energy", "geometry", "index", "lincr",
-           "orbits", "plane", "profiles", "__version__"]
+_SUBMODULES = ("cli", "config", "energy", "geometry", "index", "lincr",
+               "orbits", "plane", "profiles")
+__all__ = [*_SUBMODULES, "__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

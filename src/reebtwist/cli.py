@@ -5,6 +5,10 @@ lincr, energy, profiles) plus ``all``, which runs the whole pipeline
 and writes a summary.  Runs are deterministic in (config, seed); every
 float is printed with 17 significant digits so outputs round-trip, and
 files are written atomically (temp + rename).
+
+The numeric modules (and with them numpy and scipy) are imported where
+a stage first needs them, so the static commands (``--print-config``,
+``--schema``, ``--help``) and a config error print without them.
 """
 
 from __future__ import annotations
@@ -20,12 +24,6 @@ from operator import eq, ge, gt, le
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import energy as energy_mod
-from . import geometry, lincr, orbits, plane
-from . import index as index_mod
-from . import profiles
 from .config import ConfigError, RunConfig, default_config_text, parse_config
 
 __all__ = ["main", "run", "GATES", "gate_values", "gate_passes"]
@@ -81,6 +79,7 @@ def write_csv(path: Path, header, rows):
 def _jsonable(obj):
     """Plain JSON values of a payload; a non-finite float becomes None
     (null), as JSON has no NaN or infinity."""
+    import numpy as np
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -199,6 +198,7 @@ class Model:
     """Profiles and lazily computed downstream objects for one config."""
 
     def __init__(self, cfg: RunConfig):
+        from . import profiles
         self.cfg = cfg
         self.tp = profiles.build_twist_profile(
             cfg.k, cfg.eps, cfg.p_plateau, cfg.twist_shape, cfg.s_max)
@@ -213,6 +213,7 @@ class Model:
     def bp_matched(self):
         """The collar-matched profile, or None when it is disabled; built
         on first use (only validate and geometry read it)."""
+        from . import profiles
         if self._bp_matched is None and self.cfg.matched_enabled:
             self._bp_matched = profiles.matched_binding_profile(
                 self.tp, r_max=self.cfg.matched_r_max,
@@ -222,6 +223,7 @@ class Model:
     @property
     def sol(self):
         if self._sol is None:
+            from . import plane
             r1 = (self.bp.core_end / 2.0 if self.cfg.r_at_1 is None
                   else self.cfg.r_at_1)
             self._sol = plane.solve_plane(self.bp, r_at_1=r1,
@@ -231,6 +233,7 @@ class Model:
     @property
     def we(self):
         if self._we is None:
+            from . import lincr
             self._we = lincr.assemble_W_equation(self.bp, self.sol)
         return self._we
 
@@ -240,6 +243,7 @@ class Model:
 # ----------------------------------------------------------------------
 
 def stage_profiles(model: Model, out: Path):
+    from . import profiles
     h, rows = profiles.twist_table(model.tp)
     write_csv(out / "twist_profile.csv", h, rows)
     h, rows = profiles.binding_table(model.bp)
@@ -247,6 +251,8 @@ def stage_profiles(model: Model, out: Path):
 
 
 def stage_validate(model: Model, out: Path, seed: int) -> dict:
+    import numpy as np
+    from . import geometry, profiles
     cfg = model.cfg
     tp, bp = model.tp, model.bp
     rng = np.random.default_rng(seed)
@@ -295,6 +301,8 @@ def stage_validate(model: Model, out: Path, seed: int) -> dict:
 
 
 def stage_orbits(model: Model, out: Path) -> dict:
+    from . import index as index_mod
+    from . import orbits
     tp, bp, cfg = model.tp, model.bp, model.cfg
     rows = []
     principal = orbits.find_principal_level(tp)
@@ -318,6 +326,8 @@ def stage_orbits(model: Model, out: Path) -> dict:
 
 
 def stage_index(model: Model, out: Path) -> dict:
+    from . import index as index_mod
+    from . import orbits
     tp, cfg = model.tp, model.cfg
     level = orbits.find_principal_level(tp)
     rows = index_mod.degree_table(tp, level, cfg.n, turn_counts=(1, 2, 3),
@@ -332,6 +342,7 @@ def stage_index(model: Model, out: Path) -> dict:
 
 
 def stage_plane(model: Model, out: Path) -> dict:
+    from . import plane
     sol = model.sol
     write_csv(out / "plane.csv", ["rho", "r", "t"],
               list(zip(sol.rho_grid, sol.r_vals, sol.t_vals)))
@@ -345,6 +356,8 @@ def stage_plane(model: Model, out: Path) -> dict:
 
 
 def stage_lincr(model: Model, out: Path, seed: int) -> dict:
+    import numpy as np
+    from . import lincr
     cfg = model.cfg
     we = model.we
     report = lincr.kernel_dimension(we, delta=cfg.delta, k_max=cfg.k_max,
@@ -375,6 +388,8 @@ def stage_lincr(model: Model, out: Path, seed: int) -> dict:
 
 
 def stage_energy(model: Model, out: Path) -> dict:
+    import numpy as np
+    from . import energy as energy_mod
     bp = model.bp
     r_lo = 0.1 * bp.r0
     circles, wts, span = energy_mod.gauss_legendre_family(
@@ -394,6 +409,8 @@ def stage_energy(model: Model, out: Path) -> dict:
 
 
 def stage_geometry(model: Model, out: Path, seed: int) -> dict:
+    import numpy as np
+    from . import geometry
     cfg = model.cfg
     suite = geometry.identity_suite(model.tp, model.bp, n=cfg.n,
                                     n_points=1000, seed=seed)
@@ -504,15 +521,18 @@ def main(argv=None) -> int:
         parser.error("a subcommand is required (or --schema/--print-config)")
 
     try:
-        if args.config:
-            cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-        else:
-            cfg = parse_config(default_config_text())
+        cfg = parse_config(Path(args.config).read_text(encoding="utf-8")
+                           if args.config else default_config_text())
+    except (ConfigError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    from . import energy, geometry, index, lincr, orbits, plane, profiles
+    try:
         results = run(args.subcommand, cfg, args.out, seed=args.seed,
                       quiet=args.quiet)
     except (ConfigError, profiles.ProfileError, orbits.OrbitError,
-            plane.PlaneError, lincr.LinCRError, energy_mod.EnergyError,
-            geometry.GeometryError, index_mod.IndexError_, OSError) as exc:
+            plane.PlaneError, lincr.LinCRError, energy.EnergyError,
+            geometry.GeometryError, index.IndexError_, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     failed = [name for name, ok in gate_passes(gate_values(results)).items()

@@ -424,7 +424,8 @@ def _shoot(we: WEquation, ks, Y: np.ndarray, edges, shift: float):
     return np.array(states), np.array(logs)
 
 
-# samples of the growth table; they and x_mid are the forward chunk edges
+# samples of the growth table; they, x_mid and the profile breaks the
+# plane crosses are the forward chunk edges
 N_SAMPLES = 25
 
 
@@ -433,6 +434,17 @@ def _ends(we: WEquation) -> tuple:
     matching point of the kernel count and the end of the plane."""
     x_b = we.sol.x_max
     return we.sol.x_core - 1.0, min(2.0, 0.5 * x_b), x_b
+
+
+def _break_edges(we: WEquation, lo: float, hi: float) -> list:
+    """The x in (lo, hi) at which the plane crosses a break of h1 or h2.
+    The coefficients jump there; a chunk edge on each keeps DOP853 from
+    shrinking its step to cross the jump inside a chunk."""
+    sol, bp = we.sol, we.bp
+    r_lo, r_hi = sol.r_of_rho(math.exp(lo)), sol.r_of_rho(math.exp(hi))
+    xs = [sol.x_of_r(b) for b in sorted(set(bp.h1.breaks + bp.h2.breaks))
+          if r_lo < b < r_hi]
+    return [x for x in xs if lo < x < hi]
 
 
 class ForwardPass(NamedTuple):
@@ -449,10 +461,12 @@ def _forward(we: WEquation, k_max: int) -> ForwardPass:
     """The one forward pass from x_a to x_b: block 0's w2_re direction
     and the w2p direction of every block k >= 1, under A_k - kI (the
     e^{kx} of the w1p rows taken out), through the chunks whose edges
-    are the N_SAMPLES table samples and x_mid.  The kernel count reads
-    its states at x_mid, the growth table its log-norms at the samples."""
+    are the N_SAMPLES table samples, x_mid and the breaks crossed on the
+    way.  The kernel count reads its states at x_mid, the growth table
+    its log-norms at the samples."""
     x_a, x_mid, x_b = _ends(we)
-    edges = np.union1d(np.linspace(x_a, x_b, N_SAMPLES), [x_mid])
+    edges = np.union1d(np.linspace(x_a, x_b, N_SAMPLES),
+                       [x_mid, *_break_edges(we, x_a, x_b)])
     Y = np.zeros((4, k_max + 1))
     Y[0] = 1.0
     Y[1, 1:] = 1.0          # w2p = 1: u = v = 1
@@ -461,10 +475,11 @@ def _forward(we: WEquation, k_max: int) -> ForwardPass:
 
 
 def _backward(we: WEquation, k_max: int) -> np.ndarray:
-    """The backward pass, x_b to x_mid in unit chunks under A_k + kI,
-    from the contracting eigenvector of the limiting A_k of every block
-    k >= 1 (eigenvalue lambda = H2/2 - sqrt(H2^2/4 + k^2) < -k, as
-    H2_inf < 0).  Returns the states at x_mid."""
+    """The backward pass, x_b to x_mid in unit chunks (split at the
+    breaks crossed on the way) under A_k + kI, from the contracting
+    eigenvector of the limiting A_k of every block k >= 1 (eigenvalue
+    lambda = H2/2 - sqrt(H2^2/4 + k^2) < -k, as H2_inf < 0).  Returns
+    the states at x_mid."""
     _, x_mid, x_b = _ends(we)
     k = np.arange(1.0, k_max + 1.0)
     H2, G1 = we.H2_inf, we.G1_inf
@@ -472,8 +487,9 @@ def _backward(we: WEquation, k_max: int) -> np.ndarray:
     Y = np.array([np.ones_like(k), k / lam, 0.5 * G1 / (lam - k),
                   0.5 * G1 / (lam + k)])
     n_chunk = max(1, int(math.ceil(x_b - x_mid)))
-    return _shoot(we, range(1, k_max + 1), Y / _norms(Y),
-                  np.linspace(x_b, x_mid, n_chunk + 1), 1.0)[0][-1]
+    edges = np.union1d(np.linspace(x_b, x_mid, n_chunk + 1),
+                       _break_edges(we, x_mid, x_b))[::-1]
+    return _shoot(we, range(1, k_max + 1), Y / _norms(Y), edges, 1.0)[0][-1]
 
 
 @dataclass

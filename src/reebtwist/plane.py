@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from .profiles import BindingProfile, piecewise
 
@@ -121,6 +121,16 @@ class PlaneSolution:
         r = self._r_in_x(np.log(np.where(pos, rho, 1.0)))
         r[~pos] = 0.0
         return r if r.ndim else float(r)
+
+    def x_of_r(self, r: float) -> float:
+        """log rho at which the plane reaches radius r, for
+        0 < r < r(x_max): the core's closed form r = core_coeff *
+        rho^core_pow up to core_end (where the plane leaves the core), a
+        root of r(x) = r beyond it."""
+        if r <= self.bp.core_end:
+            return math.log(r / self.core_coeff) / self.core_pow
+        return optimize.brentq(lambda x: self._r_in_x(x) - r,
+                               self.x_of_r(self.bp.core_end), self.x_max)
 
     def _t_core(self) -> float:
         return float(self.sol_back(self.x_core)[1])
@@ -276,9 +286,7 @@ def plane_energy(bp: BindingProfile, sol: PlaneSolution,
     def density(x):
         return bp.h2.d1(sol.r_of_rho(math.exp(x))) ** 2
 
-    breaks = [sol.x_core, 0.0, sol.x_max]
-    if sol.core_coeff > 0:
-        breaks.append(math.log(bp.core_end / sol.core_coeff) / sol.core_pow)
+    breaks = [sol.x_core, 0.0, sol.x_max, sol.x_of_r(bp.core_end)]
     pts = sorted(x for x in breaks if a < x < b)
     radial, _err = integrate.quad(density, a, b, points=pts or None,
                                   epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,

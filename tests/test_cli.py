@@ -82,6 +82,43 @@ def test_python_dash_m_entry_point():
     assert "RuntimeWarning" not in proc.stderr
 
 
+# runs main in a fresh interpreter; its last stderr line is the exit
+# status and which of numpy and scipy got imported
+STATIC_PROBE = """\
+import json, sys
+from reebtwist.cli import main
+try:
+    status = main(sys.argv[1:])
+except SystemExit as exc:
+    status = exc.code
+loaded = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+print(json.dumps([status, loaded]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("args,status", [
+    (["--print-config"], 0),
+    (["--schema"], 0),
+    (["--help"], 0),
+    (["all", "--config", "{bad}"], 1),
+], ids=["print-config", "schema", "help", "config-error"])
+def test_static_commands_leave_numeric_stack_unimported(tmp_path, args,
+                                                        status):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[twist]\nk = 0\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", STATIC_PROBE,
+         *(a.format(bad=bad) for a in args), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == [status, []]
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[twist]\nk = 0\n")

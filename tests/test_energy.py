@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,3 +156,58 @@ def test_fiber_term_rejects_negative_values(bp):
                         x_lambda_sq=-1.0)
     with pytest.raises(E.EnergyError, match="nonnegative|negative"):
         bad.fiber_term()
+
+
+# ----------------------------------------------------------------------
+# the Gauss-Legendre rule of the energy stage
+# ----------------------------------------------------------------------
+
+def test_leggauss_matches_numpy_rule():
+    # numpy's companion-matrix rule as the oracle for n = 1 ... 100, the
+    # degrees numpy documents it as tested on
+    for n in range(1, 101):
+        nodes, wts = E._leggauss.__wrapped__(n)
+        ref_nodes, ref_wts = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=1e-15,
+                                   err_msg=f"n = {n}")
+        np.testing.assert_allclose(wts, ref_wts, rtol=2e-11, atol=0.0,
+                                   err_msg=f"n = {n}")
+
+
+def test_leggauss_512_symmetric_and_exact():
+    # the n of the energy stage: symmetric about 0, weights summing to 2,
+    # and exact on every even monomial the rule can integrate (degree
+    # 2n - 2 = 1022); the odd ones vanish by the symmetry
+    nodes, wts = E._leggauss(512)
+    assert np.all(np.diff(nodes) > 0.0)
+    assert -1.0 < nodes[0] and nodes[-1] < 1.0
+    np.testing.assert_array_equal(nodes, -nodes[::-1])
+    np.testing.assert_array_equal(wts, wts[::-1])
+    assert np.all(wts > 0.0)
+    assert math.fsum(wts) == pytest.approx(2.0, rel=1e-14, abs=0.0)
+    for deg in range(0, 1023, 2):
+        exact = 2.0 / (deg + 1)
+        assert np.dot(wts, nodes ** deg) == pytest.approx(exact, rel=1e-12,
+                                                          abs=0.0), deg
+
+
+def test_leggauss_cached_arrays_are_read_only():
+    nodes, wts = E._leggauss(512)
+    assert E._leggauss(512)[0] is nodes
+    for a in (nodes, wts):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_leggauss_transient_memory_is_linear_in_n():
+    # every array of the rule has length n: at n = 512 its traced peak is
+    # about 40 KB, where numpy's companion-matrix rule peaks at 2,091 KB
+    # (512 x 512 doubles, plus LAPACK workspace tracemalloc does not see)
+    tracemalloc.start()
+    try:
+        E._leggauss.__wrapped__(512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak

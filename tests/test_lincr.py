@@ -945,9 +945,10 @@ def test_reduced_shooting_matches_stacked_oracle(text, rtol, scales):
 
 # right-hand side evaluations of one kernel count and one growth table
 # on the default config: 9,856 by the stacked 8-D shooting, 4,741 by the
-# reduced passes, 3,595 with the forward pass shared; the ceiling sits
-# halfway between the last two
-NFEV_CEILING = 4168
+# reduced passes, 3,595 with the forward pass shared, 3,356 with chunk
+# edges on the profile breaks; the ceiling sits halfway between the last
+# two
+NFEV_CEILING = 3476
 
 
 def test_shooting_solver_work_stays_reduced(we, monkeypatch):
@@ -985,8 +986,8 @@ def test_shared_forward_pass_matches_separate_pass(text):
     model = cli.Model(parse_config(text))
     we, k_max = model.we, model.cfg.k_max
     report = L.kernel_dimension(we, k_max=k_max)
-    x_a, x_mid, x_b = L._ends(we)
-    edges = np.union1d(np.linspace(x_a, x_b, L.N_SAMPLES), [x_mid])
+    x_mid = L._ends(we)[1]
+    edges = report.forward.edges
     Y = np.zeros((4, k_max + 1))
     Y[0] = 1.0
     Y[1, 1:] = 1.0
@@ -1004,3 +1005,25 @@ def test_shared_forward_pass_matches_separate_pass(text):
     assert report.conditioning.keys() == gaps.keys()
     np.testing.assert_array_equal(list(report.conditioning.values()),
                                   list(gaps.values()))
+
+
+@pytest.mark.parametrize("text,crossed", [("", 1), (COLLAR_CONFIG, 3)],
+                         ids=["default", "collar"])
+def test_forward_edges_sit_on_the_crossed_breaks(text, crossed):
+    # every profile break the plane crosses between x_a and x_b is a
+    # chunk edge of the forward pass, located here by a root of the
+    # plane's own r(rho); the default plane crosses its core edge only,
+    # the collar plane the core edge and the junctions at 1.02 and 1.11
+    model = cli.Model(parse_config(text))
+    we, bp, sol = model.we, model.bp, model.sol
+    x_a, x_mid, x_b = L._ends(we)
+    edges = L._forward(we, 0).edges
+    r_a, r_b = (sol.r_of_rho(math.exp(x)) for x in (x_a, x_b))
+    breaks = [b for b in set(bp.h1.breaks + bp.h2.breaks) if r_a < b < r_b]
+    assert len(breaks) == crossed
+    for b in breaks:
+        x = math.log(rho_at_r(sol, b))
+        assert np.min(np.abs(edges - x)) <= 1e-9, (b, x)
+    assert x_mid in edges
+    assert set(np.linspace(x_a, x_b, L.N_SAMPLES)) <= set(edges)
+    assert len(edges) == L.N_SAMPLES + 1 + crossed

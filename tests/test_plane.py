@@ -207,3 +207,17 @@ def test_dropped_solution_is_freed_without_the_cycle_collector(bp):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_x_of_r_inverts_the_plane(bp, plane_sol):
+    # the core's closed form up to core_end, a root on the plane beyond;
+    # r(rho) read back at each is the radius asked for, to the agreement
+    # of the closed form with the integrated plane between x_core and
+    # the core edge (3.7e-11 relative at core_end)
+    for r in (0.1 * bp.core_end, bp.core_end, 0.5 * (bp.core_end + bp.r0),
+              bp.r0 - 1e-6):
+        x = plane_sol.x_of_r(r)
+        assert plane_sol.r_of_rho(math.exp(x)) == pytest.approx(
+            r, rel=1e-10, abs=0.0)
+    assert plane_sol.x_of_r(bp.core_end) == math.log(
+        bp.core_end / plane_sol.core_coeff) / plane_sol.core_pow
