@@ -395,9 +395,8 @@ def stage_energy(model: Model, out: Path) -> dict:
     circles, wts, span = energy_mod.gauss_legendre_family(
         bp, r_lo, bp.r0 * 0.999, 512)
     e1, e2 = energy_mod.annulus_energies(bp, circles, weights=wts, span=span)
-    full = [energy_mod.plane_level_circle(bp, float(r))
-            for r in np.linspace(0.02, bp.r0, 512)]
-    audit = energy_mod.energy_bound_audit(bp, full)
+    audit = energy_mod.energy_bound_audit(
+        bp, energy_mod.plane_level_circle(bp, np.linspace(0.02, bp.r0, 512)))
     payload = {"E1": e1, "E2": e2,
                "total": audit["total"], "bound": audit["bound"],
                "winding_gamma0": energy_mod.winding_number(

@@ -55,43 +55,57 @@ class EnergyError(ValueError):
     pass
 
 
+def _first(values, flags) -> float:
+    """The first of ``values`` (a float or an array) where ``flags``."""
+    return float(np.extract(flags, values)[0])
+
+
 @dataclass
 class LevelCircle:
-    """A loop at constant radius with tangent coefficients c, d, e."""
+    """A loop at constant radius with tangent coefficients c, d, e, or a
+    family of them: r, c and d are then equal-shape arrays, one entry
+    per member, and e and x_lambda_sq are arrays of that shape or
+    floats shared by every member.  Every check holds member by
+    member."""
 
     bp: BindingProfile
-    r: float
-    c: float
-    d: float
-    e: float = 0.0
+    r: float | np.ndarray
+    c: float | np.ndarray
+    d: float | np.ndarray
+    e: float | np.ndarray = 0.0
     # squared fiber remainder |X_lambda|^2; identically zero in the
     # 3-dimensional reduction and only its nonnegative pairing enters
     # the energy bookkeeping
-    x_lambda_sq: float = 0.0
+    x_lambda_sq: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.r <= self.bp.r_max):
-            raise EnergyError(f"radius {self.r} outside (0, r_max]")
-        if abs(self.bp.detH(self.r)) < 1e-14:
-            raise EnergyError(f"detH vanishes at r = {self.r}")
+        r = np.asarray(self.r)
+        outside = ~((0.0 < r) & (r <= self.bp.r_max))
+        if np.any(outside):
+            raise EnergyError(f"radius {_first(self.r, outside)} "
+                              "outside (0, r_max]")
+        flat = np.abs(self.bp.detH(self.r)) < 1e-14
+        if np.any(flat):
+            raise EnergyError(f"detH vanishes at r = {_first(self.r, flat)}")
 
-    def cbar(self) -> float:
+    def cbar(self):
         return self.c * 2.0 * math.pi
 
-    def dbar(self) -> float:
+    def dbar(self):
         return self.d * 2.0 * math.pi
 
-    def fiber_term(self) -> float:
+    def fiber_term(self):
         """Integrated squared fiber remainder; must be nonnegative (it is
         the omitted positive part of the energy density)."""
-        if self.x_lambda_sq < 0.0:
+        if np.any(np.asarray(self.x_lambda_sq) < 0.0):
             raise EnergyError("fiber remainder cannot be negative")
         return self.x_lambda_sq * 2.0 * math.pi
 
 
-def plane_level_circle(bp: BindingProfile, r: float) -> LevelCircle:
-    """Level circle of the explicit plane at radius r: the angle
-    derivative decomposes as h2'(r) J dr + h2(r) R_alpha."""
+def plane_level_circle(bp: BindingProfile, r) -> LevelCircle:
+    """Level circle of the explicit plane at radius r, or the family at
+    an array of radii: the angle derivative decomposes as
+    h2'(r) J dr + h2(r) R_alpha."""
     return LevelCircle(bp=bp, r=r, c=bp.h2.d1(r), d=bp.h2(r))
 
 
@@ -112,22 +126,25 @@ def reversed_circle(circle: LevelCircle) -> LevelCircle:
                        e=-circle.e)
 
 
-def winding_integrand(circle: LevelCircle) -> float:
+def winding_integrand(circle: LevelCircle):
     bp, r = circle.bp, circle.r
     return (bp.h1(r) * circle.c - bp.h1.d1(r) * circle.d) / bp.detH(r)
 
 
 def winding_number(bp: BindingProfile, circle: LevelCircle,
-                   tol: float = 1e-9) -> int:
-    """(1/2pi) of the angle form over the circle; must be an integer."""
-    w = float(winding_integrand(circle))
-    if abs(w - round(w)) > tol:
-        raise EnergyError(f"winding {w} is not an integer within {tol:.1e}; "
-                          "parametrization error")
-    return int(round(w))
+                   tol: float = 1e-9):
+    """(1/2pi) of the angle form over the circle; must be an integer.
+    An int for one circle, an int array for a family."""
+    w = winding_integrand(circle)
+    k = np.round(w)
+    off = np.abs(w - k) > tol
+    if np.any(off):
+        raise EnergyError(f"winding {_first(w, off)} is not an integer "
+                          f"within {tol:.1e}; parametrization error")
+    return k.astype(int) if np.ndim(k) else int(k)
 
 
-def action(circle: LevelCircle) -> float:
+def action(circle: LevelCircle):
     """Action of the loop: the integral of the Reeb coefficient."""
     return circle.dbar()
 
@@ -174,44 +191,43 @@ def _leggauss(n: int):
 
 def gauss_legendre_family(bp: BindingProfile, r1: float, r2: float,
                           n: int):
-    """Circles at Gauss-Legendre radii over [r1, r2], the matching
-    quadrature weights (scaled to the interval) and the span."""
+    """The family of plane circles at the Gauss-Legendre radii over
+    [r1, r2], the matching quadrature weights (scaled to the interval)
+    and the span."""
     nodes, wts = _leggauss(n)
     rg = 0.5 * (r2 - r1) * nodes + 0.5 * (r1 + r2)
-    circles = [plane_level_circle(bp, float(r)) for r in rg]
-    return circles, 0.5 * (r2 - r1) * wts, (r1, r2)
+    return plane_level_circle(bp, rg), 0.5 * (r2 - r1) * wts, (r1, r2)
 
 
-def annulus_energies(bp: BindingProfile, circles: list[LevelCircle],
+def annulus_energies(bp: BindingProfile, circles: LevelCircle,
                      weights=None, span=None) -> tuple[float, float]:
     """(E1, E2) for a family of circles over the radial span.
 
     E2 uses the exact winding-one form 2*pi*(h2(r2) - h2(r1)) after
     verifying winding one at every member.  E1 integrates the reduced
-    density (-h1'/h1)(2*pi*h2 - dbar), evaluated at each circle, with
+    density (-h1'/h1)(2*pi*h2 - dbar), evaluated at each member, with
     the supplied radial weights (Gauss-Legendre families, whose nodes
     sit strictly inside the span) or composite Simpson on the family's
     own radii.
     """
-    if not circles:
+    rs = np.reshape(circles.r, -1)
+    if rs.size == 0:
         return 0.0, 0.0
-    rs = np.array([c.r for c in circles])
     if np.any(np.diff(rs) <= 0.0):
         raise EnergyError("circles must be ordered by increasing radius")
-    for c in circles:
-        w = winding_number(bp, c)
-        if w != 1:
-            raise EnergyError(f"annulus formulas assume winding 1; got {w} "
-                              f"at r = {c.r}")
+    w = winding_number(bp, circles)
+    if np.any(w != 1):
+        raise EnergyError(f"annulus formulas assume winding 1; got "
+                          f"{int(_first(w, w != 1))} at r = "
+                          f"{_first(rs, w != 1)}")
     if span is None:
         span = (float(rs[0]), float(rs[-1]))
-    if len(circles) == 1 or span[0] == span[1]:
+    if rs.size == 1 or span[0] == span[1]:
         return 0.0, 0.0
-    dens = np.array([(-bp.h1.d1(c.r) / bp.h1(c.r))
-                     * (2.0 * math.pi * bp.h2(c.r) - c.dbar())
-                     for c in circles])
+    dens = ((-bp.h1.d1(rs) / bp.h1(rs))
+            * (2.0 * math.pi * bp.h2(rs) - circles.dbar()))
     if weights is not None:
-        if len(weights) != len(circles):
+        if len(weights) != rs.size:
             raise EnergyError("one radial weight per circle required")
         e1 = float(np.dot(weights, dens))
     else:
@@ -221,7 +237,7 @@ def annulus_energies(bp: BindingProfile, circles: list[LevelCircle],
     return e1, e2
 
 
-def energy_bound_audit(bp: BindingProfile, circles: list[LevelCircle]) -> dict:
+def energy_bound_audit(bp: BindingProfile, circles: LevelCircle) -> dict:
     """Audit the lower energy bound for a plane-like family asymptotic
     to the principal orbit.
 
@@ -233,19 +249,23 @@ def energy_bound_audit(bp: BindingProfile, circles: list[LevelCircle]) -> dict:
     drivers.  The bound holds when the total is not below it.
     """
     bound = 2.0 * math.pi * bp.h2(bp.r0)
-    if not circles:
+    rs = np.reshape(circles.r, -1)
+    if rs.size == 0:
         return {"total": 0.0, "bound": bound, "excess": 0.0,
                 "violating_radii": [], "vacuous": True}
-    inside = [c for c in circles if c.r <= bp.r0 + 1e-12]
-    beyond = [c for c in circles if c.r > bp.r0 + 1e-12]
-    total = action(inside[-1]) if inside else 0.0
+    beyond = rs > bp.r0 + 1e-12
+    inside = np.flatnonzero(~beyond)
+    # the action of the last member inside r0, in the family's order
+    total = 0.0
+    if inside.size:
+        total = np.reshape(action(circles), -1)[inside[-1]]
     # excursion sheets: unsigned E2 over [r0, max radius], out and back
     excess = 0.0
-    if beyond:
-        r_top = max(c.r for c in beyond)
+    if beyond.any():
+        r_top = float(rs[beyond].max())
         excess = 2.0 * abs(2.0 * math.pi * (bp.h2(r_top) - bp.h2(bp.r0)))
         total += excess
     return {"total": float(total), "bound": float(bound),
             "excess": float(excess),
-            "violating_radii": [float(c.r) for c in beyond],
+            "violating_radii": rs[beyond].tolist(),
             "vacuous": False}

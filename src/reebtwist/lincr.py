@@ -674,6 +674,15 @@ def _sz_patch() -> tuple:
     return arrays
 
 
+@functools.lru_cache(maxsize=64)
+def _sz_wave(k: int) -> np.ndarray:
+    """exp(i k psi) on the patch's angles, read-only and built once per
+    mode and process."""
+    wave = np.exp(1j * k * _sz_patch()[1])
+    wave.setflags(write=False)
+    return wave
+
+
 def random_truncated_field(rng, modes):
     """A C^2-valued field on the cylinder patch with angular content
     only in the prescribed modes, with smooth random radial amplitudes
@@ -690,8 +699,11 @@ def random_truncated_field(rng, modes):
     z = rng.standard_normal(12 * k.size).reshape(-1, 1, 2, 2, 3)
     c = z[..., 0, :] + 1j * z[..., 1, :]
     amp = c[..., 0] + c[..., 1] * sin + c[..., 2] * cos
-    wave = np.exp(1j * k[:, None] * psis)
-    vals = np.sum(amp[..., None] * wave[:, None, None, :], axis=0)
+    # one mode's term at a time, added in order: the sums of np.sum over
+    # a leading mode axis, without holding every mode's term at once
+    vals = np.zeros((rhos.size, 2, psis.size), complex)
+    for kj, aj in zip(k.tolist(), amp):
+        vals += aj[..., None] * _sz_wave(kj)
     return rhos, psis, vals.transpose(0, 2, 1)
 
 

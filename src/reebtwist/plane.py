@@ -17,6 +17,8 @@ asymptotic orbit.
 
 from __future__ import annotations
 
+import array
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -45,6 +47,70 @@ ODE_RTOL = 1e-12
 ODE_ATOL = 1e-14
 QUAD_EPSABS = 1e-13
 QUAD_EPSREL = 1e-12
+
+
+class _DenseLookup:
+    """Component ``comp`` of a DOP853 ``OdeSolution`` (scipy's dense
+    output), evaluated without a Python call per step.
+
+    Each step is a degree-7 polynomial in the step fraction u (DOP853's
+    continuous extension, Hairer, Norsett & Wanner, Solving ODEs I,
+    II.6).  ``coef`` holds, per step in the order of the sorted step
+    edges, its ``t_old``, ``h`` and ``y_old`` and the rows of its ``F``
+    reversed, the order of the Horner loop.  A point takes the step
+    ``OdeSolution`` gives it (``ts_sorted``, ``side``, clipped to the
+    first and last step past either end) and the float operations of
+    ``Dop853DenseOutput._call_impl`` (``y += f``, then ``*= u`` or
+    ``*= 1 - u``), so both agree bit for bit.  A float bisects on the
+    edges and runs the loop in Python floats; an array makes one
+    ``searchsorted`` and one gathered multiply-add per row, in (n,)
+    buffers: no (n, rows) block is formed.
+    """
+
+    def __init__(self, ode, comp: int):
+        steps = ode.interpolants if ode.ascending else ode.interpolants[::-1]
+        self.edges = np.asarray(ode.ts_sorted, dtype=float)
+        self.side = ode.side
+        per_step = np.column_stack([
+            [s.t_old for s in steps], [s.h for s in steps],
+            [s.y_old[comp] for s in steps],
+            np.array([s.F[::-1, comp] for s in steps])])
+        self.coef = np.ascontiguousarray(per_step.T)
+        # the scalar path: the edges as a list for bisect, and each
+        # step's numbers side by side in one compact float buffer
+        self._bisect = (bisect.bisect_left if self.side == "left"
+                        else bisect.bisect_right)
+        self._edge_list = self.edges.tolist()
+        self._flat = array.array("d", per_step.tobytes())
+        self._width, self._last = per_step.shape[1], len(steps) - 1
+
+    def __call__(self, x):
+        if not isinstance(x, np.ndarray):
+            i = min(max(self._bisect(self._edge_list, x) - 1, 0), self._last)
+            t_old, h, y_old, *rows = self._flat[i * self._width:
+                                                (i + 1) * self._width]
+            u = (x - t_old) / h
+            factors = (u, 1.0 - u)
+            y = 0.0
+            for j, f in enumerate(rows):
+                y = (y + f) * factors[j & 1]
+            return y + y_old
+        shape, x = x.shape, x.reshape(-1)
+        t_old, h, y_old, *rows = self.coef
+        # mode="clip" on seg - 1 is OdeSolution's clipping of the step
+        # index to [0, last]
+        seg = np.searchsorted(self.edges, x, side=self.side)
+        seg -= 1
+        buf = np.empty(x.shape)
+        u = t_old.take(seg, mode="clip")
+        np.subtract(x, u, out=u)
+        u /= h.take(seg, out=buf, mode="clip")
+        y = np.zeros(x.shape)
+        for j, row in enumerate(rows):
+            y += row.take(seg, out=buf, mode="clip")
+            y *= np.subtract(1.0, u, out=buf) if j % 2 else u
+        y += y_old.take(seg, out=buf, mode="clip")
+        return y.reshape(shape)
 
 
 @dataclass
@@ -79,6 +145,13 @@ class PlaneSolution:
     def r0(self) -> float:
         return self.bp.r0
 
+    @functools.cached_property
+    def _dense(self) -> tuple:
+        """((back, fwd) of r, (back, fwd) of t): the two dense ODE
+        solutions as gathered evaluators, built once."""
+        return tuple((_DenseLookup(self.sol_back, comp),
+                      _DenseLookup(self.sol_fwd, comp)) for comp in (0, 1))
+
     def _in_x(self, comp: int, core, tail):
         """Component ``comp`` (0: r, 1: t) as a function of x = log rho:
         the closed form ``core`` up to x_core, the integrated solution
@@ -86,11 +159,10 @@ class PlaneSolution:
         the closed form ``tail`` from x_max on.  The pieces hold what
         they read, not ``self``: a cycle through the cached lookup would
         keep a dropped solution alive until the cyclic collector ran."""
-        back, fwd = self.sol_back, self.sol_fwd
         return piecewise(
             (self.x_core, math.nextafter(0.0, -math.inf),
              math.nextafter(self.x_max, -math.inf)),
-            (core, lambda x: back(x)[comp], lambda x: fwd(x)[comp], tail))
+            (core, *self._dense[comp], tail))
 
     @functools.cached_property
     def _r_in_x(self):
@@ -106,7 +178,7 @@ class PlaneSolution:
         g = 2.0 * self.core_pow
         amp = c2 * self.core_coeff ** 2 / g
         t_core, x_core, x_max = self._t_core(), self.x_core, self.x_max
-        t_max = float(self.sol_fwd(x_max)[1])
+        t_max = self._dense[1][1](x_max)
         h2_max = self.bp.h2(self.r0)
         return self._in_x(
             1, lambda x: t_core - amp * (math.exp(g * x_core) - np.exp(g * x)),
@@ -133,7 +205,7 @@ class PlaneSolution:
                                self.x_of_r(self.bp.core_end), self.x_max)
 
     def _t_core(self) -> float:
-        return float(self.sol_back(self.x_core)[1])
+        return self._dense[1][0](self.x_core)
 
     def t_of_rho(self, rho):
         """t at rho; rho <= 0 is read as rho = 1e-300, deep in the core."""
@@ -223,7 +295,7 @@ def solve_plane(bp: BindingProfile, r_at_1: float,
 
     # smallest rho with r0 - r < tol_asym, from the integrated data
     xs = np.linspace(0.0, x_max, 2000)
-    idx = np.nonzero(bp.r0 - solF.sol(xs)[0] < tol_asym)[0]
+    idx = np.nonzero(bp.r0 - _DenseLookup(solF.sol, 0)(xs) < tol_asym)[0]
     rho_max = float(np.exp(xs[idx[0]])) if len(idx) else float(np.exp(x_max))
 
     xs = np.linspace(math.log(1e-8), math.log(rho_max), 400)

@@ -152,9 +152,8 @@ def test_10_energy_audit(bp):
             bp, 0.1 * bp.r0, 0.999 * bp.r0, 128)
         e1, _e2 = energy.annulus_energies(bp, circles, weights=wts, span=span)
         assert abs(e1) <= 1e-9
-        fam = [energy.plane_level_circle(bp, float(r))
-               for r in np.linspace(0.02, bp.r0 / 2, 64)]
-        fam.append(energy.plane_level_circle(bp, bp.r0 + 0.1))
+        fam = energy.plane_level_circle(
+            bp, np.append(np.linspace(0.02, bp.r0 / 2, 64), bp.r0 + 0.1))
         rep = energy.energy_bound_audit(bp, fam)
         assert rep["excess"] > 0.0
 

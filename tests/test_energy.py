@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -68,39 +69,38 @@ def test_annulus_energies_for_plane_family(bp):
                                rel=1e-12)
     # consistency of the two radial rules
     rs = np.linspace(0.2, 0.4, 129)
-    fam = [E.plane_level_circle(bp, float(r)) for r in rs]
+    fam = E.plane_level_circle(bp, rs)
     e1s, e2s = E.annulus_energies(bp, fam)
     assert abs(e1s) <= 1e-12
     assert e2s == pytest.approx(e2, rel=1e-12)
 
 
+def _synthetic_circle(bp, r, eps=0.01):
+    # dbar = 2 pi h2 - eps; the geodesic coefficient is solved from the
+    # winding relation so winding stays 1
+    return E.LevelCircle(
+        bp, r,
+        c=(2 * math.pi * bp.detH(r) + bp.h1.d1(r)
+           * (2 * math.pi * bp.h2(r) - eps)) / (2 * math.pi * bp.h1(r)),
+        d=bp.h2(r) - eps / (2 * math.pi))
+
+
 def test_annulus_synthetic_family_has_positive_e1(bp):
-    # dbar = 2 pi h2 - eps with h1' < 0 forces E1 > 0; the geodesic
-    # coefficient is solved from the winding relation so winding stays 1
-    eps = 0.01
+    # dbar = 2 pi h2 - eps with h1' < 0 forces E1 > 0
     rs = np.linspace(0.2, 0.4, 65)
-
-    def mk(r):
-        return E.LevelCircle(
-            bp, float(r),
-            c=(2 * math.pi * bp.detH(r) + bp.h1.d1(r)
-               * (2 * math.pi * bp.h2(r) - eps)) / (2 * math.pi * bp.h1(r)),
-            d=bp.h2(r) - eps / (2 * math.pi))
-
-    fam = [mk(r) for r in rs]
-    assert E.winding_number(bp, fam[0]) == 1
+    fam = _synthetic_circle(bp, rs)
+    assert E.winding_number(bp, fam)[0] == 1
     e1, _ = E.annulus_energies(bp, fam)
     assert e1 > 0.0
 
 
 def test_annulus_degenerate_interval(bp):
-    fam = [E.plane_level_circle(bp, 0.3)]
+    fam = E.plane_level_circle(bp, np.array([0.3]))
     assert E.annulus_energies(bp, fam) == (0.0, 0.0)
 
 
 def test_annulus_requires_winding_one(bp):
-    fam = [E.doubled_circle(E.plane_level_circle(bp, float(r)))
-           for r in (0.2, 0.3)]
+    fam = E.doubled_circle(E.plane_level_circle(bp, np.array([0.2, 0.3])))
     with pytest.raises(E.EnergyError, match="winding 1"):
         E.annulus_energies(bp, fam)
 
@@ -112,8 +112,7 @@ def test_e2_nonnegative_below_r0(bp):
 
 
 def test_energy_bound_audit_equality_for_plane(bp):
-    fam = [E.plane_level_circle(bp, float(r))
-           for r in np.linspace(0.02, bp.r0, 128)]
+    fam = E.plane_level_circle(bp, np.linspace(0.02, bp.r0, 128))
     rep = E.energy_bound_audit(bp, fam)
     assert abs(rep["total"] - rep["bound"]) <= 1e-8
     assert rep["excess"] == 0.0
@@ -121,16 +120,15 @@ def test_energy_bound_audit_equality_for_plane(bp):
 
 
 def test_energy_bound_audit_flags_excursion(bp):
-    fam = [E.plane_level_circle(bp, float(r))
-           for r in np.linspace(0.02, bp.r0 / 2, 64)]
-    fam.append(E.plane_level_circle(bp, bp.r0 + 0.1))
+    fam = E.plane_level_circle(
+        bp, np.append(np.linspace(0.02, bp.r0 / 2, 64), bp.r0 + 0.1))
     rep = E.energy_bound_audit(bp, fam)
     assert rep["excess"] > 0.0
     assert rep["violating_radii"] == [pytest.approx(bp.r0 + 0.1)]
 
 
 def test_energy_bound_audit_empty_family(bp):
-    rep = E.energy_bound_audit(bp, [])
+    rep = E.energy_bound_audit(bp, E.plane_level_circle(bp, np.array([])))
     assert rep["vacuous"]
     assert rep["total"] == 0.0
 
@@ -143,7 +141,7 @@ def test_omitted_fiber_term_nonnegative_and_zero_for_plane(bp, plane_sol):
     r1, r2 = 0.15, 0.45
     circles, wts, span = E.gauss_legendre_family(bp, r1, r2, 128)
     e1, e2 = E.annulus_energies(bp, circles, weights=wts, span=span)
-    assert all(c.fiber_term() == 0.0 for c in circles)
+    assert np.all(circles.fiber_term() == 0.0)
     rho1 = optimize.brentq(lambda rho: plane_sol.r_of_rho(rho) - r1, 1e-8, 1e8)
     rho2 = optimize.brentq(lambda rho: plane_sol.r_of_rho(rho) - r2, 1e-8, 1e8)
     total = PL.plane_energy(bp, plane_sol, rho_span=(rho1, rho2)).stokes
@@ -156,6 +154,156 @@ def test_fiber_term_rejects_negative_values(bp):
                         x_lambda_sq=-1.0)
     with pytest.raises(E.EnergyError, match="nonnegative|negative"):
         bad.fiber_term()
+
+
+# ----------------------------------------------------------------------
+# the per-circle forms the array families replace, kept as the oracle
+# ----------------------------------------------------------------------
+
+@dataclass
+class _Circle:
+    """One level circle with float coefficients, checked on creation."""
+
+    bp: object
+    r: float
+    c: float
+    d: float
+
+    def __post_init__(self):
+        if not (0.0 < self.r <= self.bp.r_max):
+            raise E.EnergyError(f"radius {self.r} outside (0, r_max]")
+        if abs(self.bp.detH(self.r)) < 1e-14:
+            raise E.EnergyError(f"detH vanishes at r = {self.r}")
+
+    def dbar(self) -> float:
+        return self.d * 2.0 * math.pi
+
+
+def _plane_circles(bp, rs):
+    return [_Circle(bp, float(r), c=bp.h2.d1(float(r)), d=bp.h2(float(r)))
+            for r in rs]
+
+
+def _unstack(fam):
+    """The members of a family as float circles, in order."""
+    return [_Circle(fam.bp, float(r), float(c), float(d))
+            for r, c, d in zip(*np.broadcast_arrays(fam.r, fam.c, fam.d))]
+
+
+def _winding_oracle(bp, circle, tol=1e-9) -> int:
+    r = circle.r
+    w = float((bp.h1(r) * circle.c - bp.h1.d1(r) * circle.d) / bp.detH(r))
+    if abs(w - round(w)) > tol:
+        raise E.EnergyError(f"winding {w} is not an integer within "
+                            f"{tol:.1e}; parametrization error")
+    return int(round(w))
+
+
+def _annulus_oracle(bp, circles, weights=None, span=None):
+    if not circles:
+        return 0.0, 0.0
+    rs = np.array([c.r for c in circles])
+    if np.any(np.diff(rs) <= 0.0):
+        raise E.EnergyError("circles must be ordered by increasing radius")
+    for c in circles:
+        w = _winding_oracle(bp, c)
+        if w != 1:
+            raise E.EnergyError(f"annulus formulas assume winding 1; got {w} "
+                                f"at r = {c.r}")
+    if span is None:
+        span = (float(rs[0]), float(rs[-1]))
+    if len(circles) == 1 or span[0] == span[1]:
+        return 0.0, 0.0
+    dens = np.array([(-bp.h1.d1(c.r) / bp.h1(c.r))
+                     * (2.0 * math.pi * bp.h2(c.r) - c.dbar())
+                     for c in circles])
+    if weights is not None:
+        e1 = float(np.dot(weights, dens))
+    else:
+        from scipy.integrate import simpson
+        e1 = float(simpson(dens, x=rs))
+    return e1, 2.0 * math.pi * (bp.h2(span[1]) - bp.h2(span[0]))
+
+
+def _audit_oracle(bp, circles) -> dict:
+    bound = 2.0 * math.pi * bp.h2(bp.r0)
+    if not circles:
+        return {"total": 0.0, "bound": bound, "excess": 0.0,
+                "violating_radii": [], "vacuous": True}
+    inside = [c for c in circles if c.r <= bp.r0 + 1e-12]
+    beyond = [c for c in circles if c.r > bp.r0 + 1e-12]
+    total = inside[-1].dbar() if inside else 0.0
+    excess = 0.0
+    if beyond:
+        r_top = max(c.r for c in beyond)
+        excess = 2.0 * abs(2.0 * math.pi * (bp.h2(r_top) - bp.h2(bp.r0)))
+        total += excess
+    return {"total": float(total), "bound": float(bound),
+            "excess": float(excess),
+            "violating_radii": [float(c.r) for c in beyond],
+            "vacuous": False}
+
+
+@pytest.mark.parametrize("which", ["default", "matched"])
+def test_families_match_per_circle_oracle(which, bp, matched):
+    # the energy stage's two families, bit for bit, on the default and
+    # the collar-matched profile, and a synthetic family whose E1
+    # density is nonzero, under both radial rules
+    prof = bp if which == "default" else matched
+    circles, wts, span = E.gauss_legendre_family(
+        prof, 0.1 * prof.r0, 0.999 * prof.r0, 512)
+    assert isinstance(circles, E.LevelCircle) and circles.r.shape == (512,)
+    ref = _plane_circles(prof, circles.r)
+    assert E.annulus_energies(prof, circles, weights=wts, span=span) == \
+        _annulus_oracle(prof, ref, weights=wts, span=span)
+    assert E.annulus_energies(prof, circles) == _annulus_oracle(prof, ref)
+    for rs in (np.linspace(0.02, prof.r0, 512),
+               np.append(np.linspace(0.02, prof.r0 / 2, 64), prof.r0 + 0.1)):
+        fam = E.plane_level_circle(prof, rs)
+        assert E.energy_bound_audit(prof, fam) == \
+            _audit_oracle(prof, _plane_circles(prof, rs))
+    fam = _synthetic_circle(prof, np.linspace(0.3, 0.6, 65) * prof.r0)
+    assert np.array_equal(E.winding_number(prof, fam), np.ones(65, int))
+    e1 = E.annulus_energies(prof, fam)
+    assert e1 == _annulus_oracle(prof, _unstack(fam)) and e1[0] != 0.0
+
+
+def _raised(fn, *args) -> str:
+    with pytest.raises(E.EnergyError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+def test_family_errors_match_per_circle_oracle(bp):
+    # every per-member check still raises, naming the first member that
+    # fails it, with the per-circle message
+    rs = np.array([0.2, 0.3, 0.0, 2 * bp.r_max])
+    msg = _raised(E.plane_level_circle, bp, rs)
+    assert msg == _raised(_plane_circles, bp, rs) == \
+        "radius 0.0 outside (0, r_max]"
+    assert _raised(E.plane_level_circle, bp, rs[[0, 3]]) == \
+        f"radius {2 * bp.r_max} outside (0, r_max]"
+    # a non-integer winding at the second member
+    rs = np.array([0.2, 0.3, 0.4])
+    c = bp.h2.d1(rs)
+    c[1] = 0.5 * bp.detH(0.3) / bp.h1(0.3)
+    bad = E.LevelCircle(bp, rs, c=c, d=bp.h2(rs) * np.array([1.0, 0.0, 1.0]))
+    msg = _raised(E.winding_number, bp, bad)
+    assert msg == _raised(_annulus_oracle, bp, _unstack(bad))
+    assert msg == _raised(E.annulus_energies, bp, bad)
+    assert "integer" in msg
+    # winding 2 and unordered radii
+    fam = E.doubled_circle(E.plane_level_circle(bp, rs))
+    msg = _raised(E.annulus_energies, bp, fam)
+    assert msg == _raised(_annulus_oracle, bp, _unstack(fam)) == \
+        "annulus formulas assume winding 1; got 2 at r = 0.2"
+    fam = E.plane_level_circle(bp, rs[::-1])
+    msg = _raised(E.annulus_energies, bp, fam)
+    assert msg == _raised(_annulus_oracle, bp, _unstack(fam)) == \
+        "circles must be ordered by increasing radius"
+    # one circle keeps float fields and an int winding
+    one = E.plane_level_circle(bp, 0.3)
+    assert isinstance(one.c, float) and type(E.winding_number(bp, one)) is int
 
 
 # ----------------------------------------------------------------------

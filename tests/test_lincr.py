@@ -315,11 +315,13 @@ def test_random_field_matches_per_mode_oracle(seed):
 
 
 def test_sz_patch_is_read_only():
-    # the shared grid of every field cannot be changed through a field
+    # the shared grid of every field cannot be changed through a field,
+    # nor the cached angular wave of a mode
     rhos, psis, _ = L.random_truncated_field(np.random.default_rng(0), [2])
-    for a in (rhos, psis):
+    for a in (rhos, psis, L._sz_wave(2)):
         with pytest.raises(ValueError):
             a[0] = 1.0
+    assert L._sz_wave(2) is L._sz_wave(2)
 
 
 def test_weight_exponent_smooth_step():

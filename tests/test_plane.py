@@ -1,6 +1,7 @@
 import gc
 import math
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -221,3 +222,66 @@ def test_x_of_r_inverts_the_plane(bp, plane_sol):
             r, rel=1e-10, abs=0.0)
     assert plane_sol.x_of_r(bp.core_end) == math.log(
         bp.core_end / plane_sol.core_coeff) / plane_sol.core_pow
+
+
+# ----------------------------------------------------------------------
+# the gathered DOP853 evaluator against scipy's OdeSolution
+# ----------------------------------------------------------------------
+
+MODES_CONFIG = ("[twist]\nk = -2\nshape = cos\n[run]\nn = 3\n"
+                "[lincr]\nk_max = 8\n")
+COLLAR_CONFIG = ("[twist]\nk = -3\np_plateau = 0.9\nshape = cos2\n"
+                 "[binding]\nshape = collar\nr0 = 1.3256834340201944\n"
+                 "r_max = 3.0\n")
+
+
+@pytest.mark.parametrize("text", ["", MODES_CONFIG, COLLAR_CONFIG],
+                         ids=["default", "modes", "collar"])
+def test_dense_lookup_matches_ode_solution_bit_for_bit(text):
+    # both halves (the backward solution has descending steps) and both
+    # components, at every step edge and its two float neighbours, past
+    # either end and across the range; floats, arrays and a 0-d array
+    from reebtwist import cli
+    from reebtwist.config import parse_config
+    sol = cli.Model(parse_config(text)).sol
+    assert not sol.sol_back.ascending and sol.sol_fwd.ascending
+    for ode in (sol.sol_back, sol.sol_fwd):
+        assert len(ode.interpolants) > 1
+        lo, hi = ode.t_min, ode.t_max
+        e = np.asarray(ode.ts)
+        xs = np.concatenate([e, np.nextafter(e, -np.inf),
+                             np.nextafter(e, np.inf),
+                             [lo - 1.0, hi + 1.0, lo - 1e-3, hi + 1e-3],
+                             np.linspace(lo, hi, 1001)])
+        for comp in (0, 1):
+            lookup = PL._DenseLookup(ode, comp)
+            ref = ode(xs)[comp]
+            assert np.array_equal(lookup(xs), ref)
+            assert np.array_equal([lookup(float(x)) for x in xs], ref)
+            assert np.array_equal([ode(float(x))[comp] for x in xs], ref)
+            got = lookup(np.array(xs[7]))
+            assert got.shape == () and got == ref[7]
+            assert isinstance(lookup(float(xs[7])), float)
+            assert np.array_equal(lookup(xs.reshape(-1, 3)),
+                                  ref.reshape(-1, 3))
+    # the plane's own lookups read the evaluators
+    rhos = np.exp(np.linspace(sol.x_core, sol.x_max, 301)[1:-1])
+    x = np.log(rhos)
+    for comp, f in ((0, sol.r_of_rho), (1, sol.t_of_rho)):
+        ref = np.where(x < 0.0, sol.sol_back(x)[comp], sol.sol_fwd(x)[comp])
+        assert np.array_equal(f(rhos), ref)
+
+
+def test_array_lookup_transient_memory(plane_sol):
+    # 4,000 radii across the core, both halves and the tail: the
+    # evaluator keeps (n,) buffers; an (n, 7) gather of the coefficient
+    # rows would add 219 KB (the OdeSolution route peaked at 327 KB)
+    rhos = np.geomspace(1e-3, math.exp(plane_sol.x_max), 4000)
+    plane_sol.r_of_rho(rhos)
+    tracemalloc.start()
+    try:
+        plane_sol.r_of_rho(rhos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
