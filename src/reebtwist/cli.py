@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -24,7 +25,8 @@ from operator import eq, ge, gt, le
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .config import ConfigError, RunConfig, default_config_text, parse_config
+from .config import (ConfigError, ReebtwistError, RunConfig,
+                     default_config_text, parse_config)
 
 __all__ = ["main", "run", "GATES", "gate_values", "gate_passes"]
 
@@ -195,47 +197,43 @@ def _record_gates(stage: str, payload: dict):
 # ----------------------------------------------------------------------
 
 class Model:
-    """Profiles and lazily computed downstream objects for one config."""
+    """Profiles and lazily computed downstream objects for one config.
+    A profile build error names the config section it read."""
 
     def __init__(self, cfg: RunConfig):
         from . import profiles
         self.cfg = cfg
-        self.tp = profiles.build_twist_profile(
-            cfg.k, cfg.eps, cfg.p_plateau, cfg.twist_shape, cfg.s_max)
+        with profiles.config_section("twist"):
+            self.tp = profiles.build_twist_profile(
+                cfg.k, cfg.eps, cfg.p_plateau, cfg.twist_shape, cfg.s_max)
         shape = {"name": cfg.binding_shape, "twist": self.tp,
                  "kappa": cfg.kappa, "tail_width": cfg.tail_width}
-        self.bp = profiles.build_binding_profile(cfg.r0, cfg.r_max, shape)
-        self._bp_matched = None
-        self._sol = None
-        self._we = None
+        with profiles.config_section("binding"):
+            self.bp = profiles.build_binding_profile(cfg.r0, cfg.r_max, shape)
 
-    @property
+    @functools.cached_property
     def bp_matched(self):
         """The collar-matched profile, or None when it is disabled; built
         on first use (only validate and geometry read it)."""
         from . import profiles
-        if self._bp_matched is None and self.cfg.matched_enabled:
-            self._bp_matched = profiles.matched_binding_profile(
-                self.tp, r_max=self.cfg.matched_r_max,
-                p_cap=self.cfg.matched_p_cap)
-        return self._bp_matched
+        if not self.cfg.matched_enabled:
+            return None
+        return profiles.matched_binding_profile(
+            self.tp, r_max=self.cfg.matched_r_max,
+            p_cap=self.cfg.matched_p_cap)
 
-    @property
+    @functools.cached_property
     def sol(self):
-        if self._sol is None:
-            from . import plane
-            r1 = (self.bp.core_end / 2.0 if self.cfg.r_at_1 is None
-                  else self.cfg.r_at_1)
-            self._sol = plane.solve_plane(self.bp, r_at_1=r1,
-                                          tol_asym=self.cfg.tol_asym)
-        return self._sol
+        from . import plane
+        r1 = (self.bp.core_end / 2.0 if self.cfg.r_at_1 is None
+              else self.cfg.r_at_1)
+        return plane.solve_plane(self.bp, r_at_1=r1,
+                                 tol_asym=self.cfg.tol_asym)
 
-    @property
+    @functools.cached_property
     def we(self):
-        if self._we is None:
-            from . import lincr
-            self._we = lincr.assemble_W_equation(self.bp, self.sol)
-        return self._we
+        from . import lincr
+        return lincr.assemble_W_equation(self.bp, self.sol)
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +376,9 @@ def stage_lincr(model: Model, out: Path, seed: int) -> dict:
         "spectral_gap": report.spectral_gap,
         "angle_conditioning": {str(k): v for k, v in
                                report.conditioning.items()},
-        "a_norm": lincr.a_norm_report(we),
+        # the sup of the zeroth-order coefficient norm and the smallness
+        # flag of the mode-exclusion inequality
+        "a_norm": {"a_norm": we.a_norm, "below_2": bool(we.a_norm < 2.0)},
         "back_substitution_residual": we.back_substitution_residual,
         "sz_inequality": sz,
     }
@@ -522,16 +522,9 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(Path(args.config).read_text(encoding="utf-8")
                            if args.config else default_config_text())
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    from . import energy, geometry, index, lincr, orbits, plane, profiles
-    try:
         results = run(args.subcommand, cfg, args.out, seed=args.seed,
                       quiet=args.quiet)
-    except (ConfigError, profiles.ProfileError, orbits.OrbitError,
-            plane.PlaneError, lincr.LinCRError, energy.EnergyError,
-            geometry.GeometryError, index.IndexError_, OSError) as exc:
+    except (ReebtwistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     failed = [name for name, ok in gate_passes(gate_values(results)).items()

@@ -17,10 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "default_config_text"]
+__all__ = ["ReebtwistError", "ConfigError", "RunConfig", "parse_config",
+           "default_config_text"]
 
 
-class ConfigError(ValueError):
+class ReebtwistError(ValueError):
+    """Base of the package's typed errors: a bad input or a refused build
+    the command line reports as ``error: ...`` with exit status 1."""
+
+
+class ConfigError(ReebtwistError):
     pass
 
 
@@ -65,19 +71,29 @@ class RunConfig:
 
     def validate(self):
         if self.n < 2:
-            raise ConfigError("n must be >= 2")
+            raise ConfigError(f"[run] n must be >= 2, got {self.n}")
         if self.seed < 0:
             raise ConfigError(f"[run] seed must be >= 0, got {self.seed}")
+        if self.twist_shape not in ("cos", "cos2"):
+            raise ConfigError(f"[twist] shape must be cos or cos2, "
+                              f"got {self.twist_shape!r}")
         if self.binding_shape not in ("fig2", "collar"):
             raise ConfigError(f"[binding] shape must be fig2 or collar, "
                               f"got {self.binding_shape!r}")
         if self.k == 0:
-            raise ConfigError("k must be nonzero (k = 0 gives no twist)")
-        for name in ("tol_rank", "tol_asym"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.action_bound_factor <= 0:
-            raise ConfigError("action_bound_factor must be positive")
+            raise ConfigError("[twist] k must be nonzero "
+                              "(k = 0 gives no twist)")
+        if self.k > 0:
+            # both binding shapes are built on the principal zero
+            # g(p0) = 0 of the twist, which only a left twist has
+            raise ConfigError(f"[twist] k must be negative (a left twist), "
+                              f"got {self.k}")
+        for key, value in (("[tolerances] rank", self.tol_rank),
+                           ("[plane] tol_asym", self.tol_asym),
+                           ("[orbits] action_bound_factor",
+                            self.action_bound_factor)):
+            if value <= 0:
+                raise ConfigError(f"{key} must be positive, got {value}")
         if self.k_max < 0:
             raise ConfigError(f"[lincr] k_max must be >= 0, got {self.k_max}")
         return self

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_legendre
 
+from .config import ReebtwistError
 from .profiles import BindingProfile
 
 __all__ = [
@@ -43,15 +44,13 @@ __all__ = [
     "LevelCircle",
     "plane_level_circle",
     "orbit_circle",
-    "doubled_circle",
-    "reversed_circle",
     "winding_number",
     "action",
     "annulus_energies",
     "energy_bound_audit",
 ]
 
-class EnergyError(ValueError):
+class EnergyError(ReebtwistError):
     pass
 
 
@@ -62,21 +61,16 @@ def _first(values, flags) -> float:
 
 @dataclass
 class LevelCircle:
-    """A loop at constant radius with tangent coefficients c, d, e, or a
-    family of them: r, c and d are then equal-shape arrays, one entry
-    per member, and e and x_lambda_sq are arrays of that shape or
-    floats shared by every member.  Every check holds member by
-    member."""
+    """A loop at constant radius with tangent coefficients c and d (its
+    e and X_lambda parts vanish: the circles here are rotation-invariant
+    and have no fiber motion), or a family of them: r, c and d are then
+    equal-shape arrays, one entry per member.  Every check holds member
+    by member."""
 
     bp: BindingProfile
     r: float | np.ndarray
     c: float | np.ndarray
     d: float | np.ndarray
-    e: float | np.ndarray = 0.0
-    # squared fiber remainder |X_lambda|^2; identically zero in the
-    # 3-dimensional reduction and only its nonnegative pairing enters
-    # the energy bookkeeping
-    x_lambda_sq: float | np.ndarray = 0.0
 
     def __post_init__(self):
         r = np.asarray(self.r)
@@ -88,18 +82,8 @@ class LevelCircle:
         if np.any(flat):
             raise EnergyError(f"detH vanishes at r = {_first(self.r, flat)}")
 
-    def cbar(self):
-        return self.c * 2.0 * math.pi
-
     def dbar(self):
         return self.d * 2.0 * math.pi
-
-    def fiber_term(self):
-        """Integrated squared fiber remainder; must be nonnegative (it is
-        the omitted positive part of the energy density)."""
-        if np.any(np.asarray(self.x_lambda_sq) < 0.0):
-            raise EnergyError("fiber remainder cannot be negative")
-        return self.x_lambda_sq * 2.0 * math.pi
 
 
 def plane_level_circle(bp: BindingProfile, r) -> LevelCircle:
@@ -113,17 +97,6 @@ def orbit_circle(bp: BindingProfile) -> LevelCircle:
     """The principal closed orbit at r0 parametrized by the disk angle:
     pure Reeb direction with speed h2(r0)."""
     return LevelCircle(bp=bp, r=bp.r0, c=0.0, d=bp.h2(bp.r0))
-
-
-def doubled_circle(circle: LevelCircle) -> LevelCircle:
-    """The double cover: parameter traversed twice, coefficients doubled."""
-    return LevelCircle(bp=circle.bp, r=circle.r, c=2.0 * circle.c,
-                       d=2.0 * circle.d, e=2.0 * circle.e)
-
-
-def reversed_circle(circle: LevelCircle) -> LevelCircle:
-    return LevelCircle(bp=circle.bp, r=circle.r, c=-circle.c, d=-circle.d,
-                       e=-circle.e)
 
 
 def winding_integrand(circle: LevelCircle):

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import ReebtwistError
 from .profiles import BindingProfile, TwistProfile
 
 __all__ = [
@@ -57,7 +58,7 @@ TANGENT_TOL = 1e-8
 FD_STEP = 1e-5
 
 
-class GeometryError(ValueError):
+class GeometryError(ReebtwistError):
     pass
 
 
@@ -297,7 +298,6 @@ def apply_J_batch(bp: BindingProfile, x: PointBatch, v: TangentBatch) -> Tangent
 class TildeReebData:
     """Coefficients of the torus Reeb field R = N dphi + g G at levels s."""
 
-    s: np.ndarray
     N: np.ndarray
     g: np.ndarray
 
@@ -320,7 +320,7 @@ def tilde_reeb_data(tp: TwistProfile, s) -> TildeReebData:
         raise GeometryError(
             f"Reeb denominator vanishes at s = {_first(s, vanishes):.6f}")
     N = 1.0 / den
-    return TildeReebData(s=s, N=N, g=N * htd)
+    return TildeReebData(N=N, g=N * htd)
 
 
 def reeb_field_tilde(tp: TwistProfile, q: np.ndarray, p: np.ndarray):

@@ -21,22 +21,21 @@ Indices are exact half-integers (fractions.Fraction).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 from scipy import optimize
 
+from .config import ReebtwistError
 from .orbits import OrbitLevel
 from .profiles import TwistProfile
 
 __all__ = [
     "IndexError_",
     "SymplecticPath",
-    "IndexResult",
     "standard_omega",
-    "linearized_reeb_flow",
     "make_path",
     "skew_path",
     "rotation_loop",
@@ -44,6 +43,7 @@ __all__ = [
     "random_symplectic_path",
     "robbin_salamon_index",
     "loop_maslov",
+    "total_orbit_index",
     "sft_degree",
     "degree_table",
 ]
@@ -54,7 +54,7 @@ __all__ = [
 CROSSING_XTOL = 1e-13
 
 
-class IndexError_(ValueError):
+class IndexError_(ReebtwistError):
     """Index-machinery failure (name avoids the builtin)."""
 
 
@@ -118,34 +118,6 @@ def make_path(dim: int, evaluator, t_end: float = 1.0, n_samples: int = 257,
 # ----------------------------------------------------------------------
 # model paths
 # ----------------------------------------------------------------------
-
-def linearized_reeb_flow(tp: TwistProfile, level: OrbitLevel, t: float,
-                         n: int = 2) -> np.ndarray:
-    """Linearized Reeb flow along a closed orbit at the given level, in
-    the frame (P, Q, r_l dp, r_l dq).
-
-    The leading 2x2 block is the skew [[1, 0], [-g' t, 1]]; the normal
-    directions rotate with the twist angle, which is zero at the
-    principal level, and carry |p| factors off the unit level.
-    """
-    if level.p_level <= 0:
-        raise IndexError_("frame singular at |p| = 0")
-    m = n - 1  # (P,Q) pair plus n-2 rotation pairs
-    dim = 2 * m
-    gp = tp.g.d1(level.p_level)
-    g = tp.g(level.p_level)
-    s = level.p_level
-    M = np.eye(dim)
-    M[1, 0] = -gp * t
-    th = g * t
-    for j in range(n - 2):
-        o = 2 + 2 * j
-        M[o, o] = math.cos(th)
-        M[o, o + 1] = s * math.sin(th)
-        M[o + 1, o] = -math.sin(th) / s
-        M[o + 1, o + 1] = math.cos(th)
-    return M
-
 
 def skew_path(c: float, t_end: float = 1.0, n_samples: int = 257) -> SymplecticPath:
     def ev(ts):
@@ -295,18 +267,6 @@ def _locate_crossings(path, n_scan=2001):
     return sorted(crossings), plateau_frac
 
 
-@dataclass
-class IndexResult:
-    rs_index: Fraction
-    loop_contribution: int
-    total: Fraction
-    crossings: list = field(default_factory=list)  # (time, signature)
-
-    def __post_init__(self):
-        if self.total != self.rs_index + self.loop_contribution:
-            raise IndexError_("total != rs_index + loop contribution")
-
-
 def robbin_salamon_index(path: SymplecticPath) -> Fraction:
     """Robbin-Salamon index of a sampled symplectic path.
 
@@ -365,20 +325,6 @@ def loop_maslov(i: int) -> int:
     return 2 * i
 
 
-def orbit_index_result(tp: TwistProfile, level: OrbitLevel,
-                       i: int | None = None) -> IndexResult:
-    """Full index bookkeeping of an orbit with turn count i: the skew
-    part from the crossing form of the sampled linearized flow, the
-    loop contribution from the disk-extending frame rotation."""
-    if i is None:
-        i = level.i
-    gp = tp.g.d1(level.p_level)
-    path = skew_path(gp * level.period * i)
-    rs, crossings = _robbin_salamon(path)
-    return IndexResult(rs_index=rs, loop_contribution=loop_maslov(i),
-                       total=rs + loop_maslov(i), crossings=crossings)
-
-
 def total_orbit_index(tp: TwistProfile, level: OrbitLevel, i: int | None = None) -> Fraction:
     """sign(g')/2 + 2i for the orbit with turn count i at the level."""
     if i is None:
@@ -388,7 +334,7 @@ def total_orbit_index(tp: TwistProfile, level: OrbitLevel, i: int | None = None)
 
 
 def sft_degree(level: OrbitLevel, n: int, morse_index: int,
-               tp: TwistProfile | None = None, i: int | None = None) -> int:
+               tp: TwistProfile, i: int | None = None) -> int:
     """Degree of a generator over the principal family:
 
         mu_total - (2n-3)/2 + morse_index + (n-3),
@@ -397,13 +343,10 @@ def sft_degree(level: OrbitLevel, n: int, morse_index: int,
     """
     if not level.is_principal:
         raise IndexError_("degree bookkeeping is defined for the principal family only")
-    if i is None:
-        i = level.i
     if morse_index < 0 or morse_index > 2 * n - 3:
         raise IndexError_(f"morse index must lie in [0, {2 * n - 3}]")
-    sign_gp = 1 if tp is None else int(math.copysign(1, tp.g.d1(level.p_level)))
-    mu_total = Fraction(sign_gp, 2) + loop_maslov(i)
-    deg = mu_total - Fraction(2 * n - 3, 2) + morse_index + (n - 3)
+    deg = (total_orbit_index(tp, level, i) - Fraction(2 * n - 3, 2)
+           + morse_index + (n - 3))
     if deg.denominator != 1:
         raise IndexError_("degree is not an integer; convention violated")
     return int(deg)

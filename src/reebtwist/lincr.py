@@ -43,6 +43,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import integrate
 
+from .config import ReebtwistError
 from .plane import PlaneSolution
 from .profiles import BindingProfile, piecewise
 
@@ -52,19 +53,16 @@ __all__ = [
     "KernelReport",
     "assemble_W_equation",
     "s_basis",
-    "w_equation_residual",
     "full_system_residual",
-    "phase_plane_eigen",
     "cone_invariance_check",
     "kernel_dimension",
-    "a_norm_report",
     "sz_inequality_check",
     "random_truncated_field",
     "weight_exponent",
 ]
 
 
-class LinCRError(ValueError):
+class LinCRError(ReebtwistError):
     pass
 
 
@@ -206,15 +204,6 @@ def s_basis(we: WEquation, name: str):
     raise LinCRError(f"unknown basis element {name!r}")
 
 
-def w_equation_residual(we: WEquation, Wf, rho: float, psi: float) -> float:
-    """Residual of the reduced equation at (rho, psi) for a field with
-    known derivatives."""
-    W, dWr, dWp = Wf(rho, psi)
-    F, h1, h2, _ = _coefficients(we.bp, we.sol.r_of_rho(rho))
-    rhs = (F / rho) * W[1].real * np.array([h1, -h2], complex)
-    return float(np.max(np.abs(dWr + (1j / rho) * dWp - rhs)))
-
-
 def full_system_residual(we: WEquation, Wf, rho, psi: float):
     """Residual of the original 4-field system for a W-field, at a float
     rho or at every point of an array of them.
@@ -261,25 +250,6 @@ def full_system_residual(we: WEquation, Wf, rho, psi: float):
 # ----------------------------------------------------------------------
 # the phase plane
 # ----------------------------------------------------------------------
-
-def phase_plane_eigen(we: WEquation, rho: float) -> dict:
-    """Eigen-structure of [[H2, 1], [1, 0]] at the given radius:
-    expanding/contracting values H2/2 +- sqrt(H2^2/4 + 1) with
-    eigenvectors (1, -H2/2 +- sqrt(H2^2/4 + 1))."""
-    if rho <= 0.0:
-        raise LinCRError("rho must be positive")
-    H2 = we.H2(rho)
-    root = math.sqrt(H2 * H2 / 4.0 + 1.0)
-    lam_plus = H2 / 2.0 + root
-    lam_minus = H2 / 2.0 - root
-    return {
-        "H2": H2,
-        "expanding": lam_plus,
-        "contracting": lam_minus,
-        "vec_expanding": np.array([1.0, -H2 / 2.0 + root]),
-        "vec_contracting": np.array([1.0, -H2 / 2.0 - root]),
-    }
-
 
 def cone_invariance_check(we: WEquation, rho_span: tuple,
                           starts: list | np.ndarray,
@@ -599,12 +569,6 @@ def kernel_dimension(we: WEquation, delta: float | None = None,
                         non_decaying_bounded=non_dec, delta=delta,
                         spectral_gap=we.spectral_gap, forward=fwd,
                         angles=angles, conditioning=conditioning)
-
-
-def a_norm_report(we: WEquation) -> dict:
-    """Sup of the zeroth-order coefficient norm and the smallness flag
-    used by the mode-exclusion inequality."""
-    return {"a_norm": we.a_norm, "below_2": bool(we.a_norm < 2.0)}
 
 
 def mode_shooting_table(we: WEquation, forward: ForwardPass):

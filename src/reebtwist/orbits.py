@@ -22,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, optimize
 
+from .config import ReebtwistError
 from .profiles import BindingProfile, TwistProfile
 
 __all__ = [
@@ -44,7 +45,7 @@ ODE_RTOL = 1e-10
 ODE_ATOL = 1e-10
 
 
-class OrbitError(ValueError):
+class OrbitError(ReebtwistError):
     pass
 
 
@@ -62,9 +63,13 @@ class OrbitLevel:
     m: int
     i: int
     period: float
-    action: float
     is_principal: bool
     target: Fraction | None = None  # g/(2*pi) for rational levels
+
+    @property
+    def action(self) -> float:
+        """The action: alpha(R) = 1, so it equals the period."""
+        return self.period
 
     def validate(self):
         if self.m * self.g_value / (2.0 * math.pi) % 1.0 > 1e-9 and \
@@ -83,7 +88,7 @@ def find_principal_level(tp: TwistProfile) -> OrbitLevel:
     p0 = tp.p0
     per = tp.hk(p0)
     lvl = OrbitLevel(p_level=p0, g_value=tp.g(p0), m=1, i=1,
-                     period=per, action=per, is_principal=True,
+                     period=per, is_principal=True,
                      target=Fraction(0, 1))
     lvl.validate()
     return lvl
@@ -130,7 +135,7 @@ def enumerate_orbit_levels(tp: TwistProfile, action_bound: float,
             if per > action_bound:
                 continue
             lvl = OrbitLevel(p_level=float(s_root), g_value=tp.g(s_root),
-                             m=m, i=m, period=per, action=per,
+                             m=m, i=m, period=per,
                              is_principal=(f == 0), target=f)
             lvl.validate()
             levels.append(lvl)
@@ -141,7 +146,6 @@ def enumerate_orbit_levels(tp: TwistProfile, action_bound: float,
 @dataclass(frozen=True)
 class OrbitSpaceReport:
     n: int
-    space: str
     betti: dict
     degenerate: bool = False
 
@@ -156,14 +160,12 @@ def orbit_space_homology(n: int) -> OrbitSpaceReport:
     if n < 2:
         raise OrbitError("need n >= 2")
     if n == 2:
-        return OrbitSpaceReport(n=2, space="unit cotangent bundle ST*S^1",
-                                betti={0: 2, 1: 2}, degenerate=True)
+        return OrbitSpaceReport(n=2, betti={0: 2, 1: 2}, degenerate=True)
     if n % 2 == 1:
         betti = {0: 1, 2 * n - 3: 1}
     else:
         betti = {0: 1, n - 2: 1, n - 1: 1, 2 * n - 3: 1}
-    return OrbitSpaceReport(n=n, space=f"unit cotangent bundle ST*S^{n-1}",
-                            betti=betti)
+    return OrbitSpaceReport(n=n, betti=betti)
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize
 
+from .config import ReebtwistError
 from .profiles import BindingProfile, piecewise
 
 __all__ = [
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 
-class PlaneError(ValueError):
+class PlaneError(ReebtwistError):
     pass
 
 
@@ -122,16 +123,13 @@ class PlaneSolution:
     half for log rho < 0, forward half for log rho >= 0), and the
     asymptotic power tail r0 - c*rho^{-kappa} beyond the integrated
     range.  They take a float or an ndarray of radii and return the
-    same kind.  q_fixed/p_fixed record the frozen sphere coordinates.
+    same kind.
     """
 
     bp: BindingProfile
     rho_grid: np.ndarray
     r_vals: np.ndarray
     t_vals: np.ndarray
-    r_init: float          # r at rho = 1
-    q_fixed: np.ndarray
-    p_fixed: np.ndarray
     core_coeff: float      # r = core_coeff * rho^core_pow inside the core
     core_pow: float        # = h2''(0); 2 for a unit quadratic core
     x_core: float          # log rho at core exit
@@ -209,16 +207,7 @@ class PlaneSolution:
 
     def t_of_rho(self, rho):
         """t at rho; rho <= 0 is read as rho = 1e-300, deep in the core."""
-        if not isinstance(rho, np.ndarray):
-            rho = float(rho)
-            return self._t_in_x(np.log(rho if rho > 0.0 else 1e-300))
-        t = self._t_in_x(np.log(np.where(rho > 0.0, rho, 1e-300)))
-        return t if t.ndim else float(t)
-
-    def t_limit_at_puncture(self) -> float:
-        c2 = 0.5 * self.core_pow
-        g = 2.0 * self.core_pow
-        return self._t_core() - (c2 * self.core_coeff ** 2 / g) * math.exp(g * self.x_core)
+        return self._t_in_x(np.log(np.where(rho > 0.0, rho, 1e-300)))
 
 
 def solve_plane(bp: BindingProfile, r_at_1: float,
@@ -293,25 +282,18 @@ def solve_plane(bp: BindingProfile, r_at_1: float,
 
     tail_coeff = (bp.r0 - float(solF.y[0, -1])) * math.exp(kappa * x_max)
 
-    # smallest rho with r0 - r < tol_asym, from the integrated data
-    xs = np.linspace(0.0, x_max, 2000)
-    idx = np.nonzero(bp.r0 - _DenseLookup(solF.sol, 0)(xs) < tol_asym)[0]
-    rho_max = float(np.exp(xs[idx[0]])) if len(idx) else float(np.exp(x_max))
-
-    xs = np.linspace(math.log(1e-8), math.log(rho_max), 400)
-    n_dim = 2
-    q_fixed = np.zeros(n_dim)
-    q_fixed[0] = 1.0
-    p_fixed = np.zeros(n_dim)
-    p_fixed[1] = 1.0
-
-    sol = PlaneSolution(bp=bp, rho_grid=np.exp(xs), r_vals=np.zeros(400),
-                        t_vals=np.zeros(400), r_init=r_at_1,
-                        q_fixed=q_fixed, p_fixed=p_fixed,
-                        core_coeff=core_coeff, core_pow=core_pow,
-                        x_core=x_core, x_max=x_max,
+    sol = PlaneSolution(bp=bp, rho_grid=np.empty(0), r_vals=np.empty(0),
+                        t_vals=np.empty(0), core_coeff=core_coeff,
+                        core_pow=core_pow, x_core=x_core, x_max=x_max,
                         kappa=kappa, tail_coeff=tail_coeff,
                         sol_back=solB.sol, sol_fwd=solF.sol)
+    # smallest rho with r0 - r < tol_asym, from the integrated data (the
+    # forward r lookup the solution reads itself)
+    xs = np.linspace(0.0, x_max, 2000)
+    idx = np.nonzero(bp.r0 - sol._dense[0][1](xs) < tol_asym)[0]
+    rho_max = float(np.exp(xs[idx[0]])) if len(idx) else float(np.exp(x_max))
+
+    sol.rho_grid = np.exp(np.linspace(math.log(1e-8), math.log(rho_max), 400))
     sol.r_vals = sol.r_of_rho(sol.rho_grid)
     sol.t_vals = sol.t_of_rho(sol.rho_grid)
     if np.any(np.diff(sol.r_vals) <= 0.0):

@@ -20,12 +20,15 @@ float to a float and an ndarray elementwise.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import integrate, optimize
+
+from .config import ReebtwistError
 
 __all__ = [
     "ProfileError",
@@ -36,10 +39,8 @@ __all__ = [
     "piecewise",
     "build_twist_profile",
     "build_binding_profile",
-    "default_twist_profile",
-    "default_binding_profile",
     "matched_binding_profile",
-    "default_pair",
+    "config_section",
     "pullback_consistency_check",
     "twist_table",
     "binding_table",
@@ -55,7 +56,7 @@ ROOT_XTOL = 1e-15
 QUAD_TOL = 1e-12
 
 
-class ProfileError(ValueError):
+class ProfileError(ReebtwistError):
     """Raised when a requested profile violates a build invariant."""
 
 
@@ -169,7 +170,7 @@ class TwistProfile:
     """Radial twist data of a k-fold twist with geodesic drift eps.
 
     ``g`` is the modified angle function (``g(0) = k*pi`` exactly),
-    ``f = g - k*pi``, ``hk = 1 + int_0^s sigma g'(sigma) d sigma`` and
+    ``hk = 1 + int_0^s sigma g'(sigma) d sigma`` and
     ``htilde = 1 - int_0^s g`` are the primitives entering the two
     mapping-torus contact forms.  For ``k < 0`` the unique zero of ``g``
     is ``p0``.
@@ -181,7 +182,6 @@ class TwistProfile:
     s_max: float
     shape: str
     g: SmoothProfile
-    f: SmoothProfile
     hk: SmoothProfile
     htilde: SmoothProfile
     p0: float | None
@@ -214,7 +214,9 @@ def build_twist_profile(k: int, eps: float, p_plateau: float,
     if not (0.0 < p_plateau < 1.0):
         raise ProfileError("p_plateau must lie in (0, 1)")
     if s_max < p_plateau:
-        raise ProfileError("domain must contain the plateau point")
+        raise ProfileError(f"s_max = {s_max} must be >= p_plateau = "
+                           f"{p_plateau}: the domain must contain the "
+                           "plateau point")
 
     if shape not in TWIST_SHAPES:
         raise ProfileError(f"unknown twist shape {shape!r}")
@@ -230,11 +232,10 @@ def build_twist_profile(k: int, eps: float, p_plateau: float,
     ramp_area = kpi * pc * Cint(1.0)    # int_0^pc of the ramp term
 
     def primitives(g0, g1, g2, int_g):
-        """(value, d1, d2) of g, f, hk and htilde on one piece, from g,
-        its derivatives and its integral there."""
+        """(value, d1, d2) of g, hk and htilde on one piece, from g, its
+        derivatives and its integral there."""
         return {
             "g": (g0, g1, g2),
-            "f": (lambda s: g0(s) - kpi, g1, g2),
             # hk = 1 + int sigma g' = 1 + s g(s) - int g (by parts)
             "hk": (lambda s: 1.0 + s * g0(s) - int_g(s),
                    lambda s: s * g1(s), lambda s: g1(s) + s * g2(s)),
@@ -249,11 +250,11 @@ def build_twist_profile(k: int, eps: float, p_plateau: float,
     drift = primitives(lambda s: eps * s, _constant(eps), _constant(0.0),
                        lambda s: ramp_area + 0.5 * eps * s * s)
     # the ramp acts for s < pc: its piece ends at the last float below pc
-    g, f, hk, htilde = (
+    g, hk, htilde = (
         SmoothProfile(0.0, s_max, *_piecewise([
             (math.nextafter(pc, 0.0), *ramp[prof]),
             (s_max, *drift[prof])]), breaks=(pc,))
-        for prof in ("g", "f", "hk", "htilde"))
+        for prof in ("g", "hk", "htilde"))
 
     if abs(g(0.0) - kpi) > 1e-12:
         raise ProfileError("g(0) != k*pi")
@@ -288,7 +289,7 @@ def build_twist_profile(k: int, eps: float, p_plateau: float,
         raise ProfileError(f"hk is not positive on the domain (min {hk_min:.3e})")
 
     return TwistProfile(k=k, eps=eps, p_plateau=pc, s_max=s_max, shape=shape,
-                        g=g, f=f, hk=hk, htilde=htilde, p0=p0)
+                        g=g, hk=hk, htilde=htilde, p0=p0)
 
 
 # ----------------------------------------------------------------------
@@ -399,10 +400,8 @@ class BindingProfile:
     h2: SmoothProfile
     r0: float
     r_max: float
-    quadratic_core: bool
     core_end: float
     collar: tuple | None = None
-    shape: str = "fig2"
 
     # -- derived evaluators --------------------------------------------
     def detH(self, r: float) -> float:
@@ -485,15 +484,14 @@ def _build_fig2(r0, r_max, shape) -> BindingProfile:
     h2 = SmoothProfile(0.0, r_max, *h2pw, breaks=(rA, r0))
     h1 = SmoothProfile(0.0, r_max, lambda r: 1.0 - r * r,
                        lambda r: -2.0 * r, _constant(-2.0))
-    return BindingProfile(h1=h1, h2=h2, r0=r0, r_max=r_max,
-                          quadratic_core=True, core_end=rA, shape="fig2")
+    return BindingProfile(h1=h1, h2=h2, r0=r0, r_max=r_max, core_end=rA)
 
 
 def _build_collar(r0, r_max, shape) -> BindingProfile:
     """Collar-matched shape: past the transition radius the pair is the
     exact pullback of the mapping-torus form, h1 = 1/r and
     h2 = htilde(1/r)/(2*pi), so r0 = 1/p0.  The core is a scaled
-    quadratic (the quadratic_core flag is off).
+    quadratic.
 
     The core radius and scale of the interpolation are tuned
     automatically: candidates are tried in a fixed ladder and the first
@@ -506,7 +504,10 @@ def _build_collar(r0, r_max, shape) -> BindingProfile:
         raise ProfileError("collar shape requires r0 = 1/p0 of the twist")
     p_cap = float(shape.get("p_cap", min(0.999, 1.3 * tp.p0)))
     if not (tp.p0 < p_cap <= tp.s_max):
-        raise ProfileError("p_cap must lie in (p0, s_max]")
+        default = ("" if "p_cap" in shape
+                   else " (the default min(0.999, 1.3 p0))")
+        raise ProfileError(f"p_cap = {p_cap:.6g}{default} must lie in (p0, "
+                           f"[twist] s_max] = ({tp.p0:.6g}, {tp.s_max:.6g}]")
     if 1.0 / r_max >= tp.p0:
         raise ProfileError("r_max too small: collar must contain r0 = 1/p0")
     r_c = 1.0 / p_cap
@@ -573,9 +574,8 @@ def _assemble_collar(tp, r0, r_max, r_c, rB, c2,
         else (rB, r_c)
     h1 = SmoothProfile(0.0, r_max, *h1pw, breaks=breaks)
     h2 = SmoothProfile(0.0, r_max, *h2pw, breaks=breaks)
-    return BindingProfile(h1=h1, h2=h2, r0=r0, r_max=r_max,
-                          quadratic_core=False, core_end=rB,
-                          collar=(r_c, r_max), shape="collar")
+    return BindingProfile(h1=h1, h2=h2, r0=r0, r_max=r_max, core_end=rB,
+                          collar=(r_c, r_max))
 
 
 def _grid_violation(bp: BindingProfile, n: int = 2048):
@@ -611,9 +611,7 @@ def build_binding_profile(r0: float, r_max: float, shape: dict) -> BindingProfil
         bp = _build_collar(r0, r_max, shape)
     elif name == "custom":
         bp = BindingProfile(h1=shape["h1"], h2=shape["h2"], r0=r0, r_max=r_max,
-                            quadratic_core=bool(shape.get("quadratic_core", False)),
-                            core_end=float(shape.get("core_end", 0.0)),
-                            shape="custom")
+                            core_end=float(shape.get("core_end", 0.0)))
     else:
         raise ProfileError(f"unknown binding shape {name!r}")
 
@@ -623,21 +621,6 @@ def build_binding_profile(r0: float, r_max: float, shape: dict) -> BindingProfil
     if abs(bp.h2.d1(bp.r0)) > 1e-10:
         raise ProfileError(f"[{name}] h2'(r0) = {bp.h2.d1(bp.r0):.3e} != 0")
     return bp
-
-
-# ----------------------------------------------------------------------
-# shipped defaults
-# ----------------------------------------------------------------------
-
-def default_twist_profile() -> TwistProfile:
-    return build_twist_profile(k=-1, eps=0.05, p_plateau=0.75, shape="cos2")
-
-
-def default_binding_profile(tp: TwistProfile | None = None) -> BindingProfile:
-    if tp is None:
-        tp = default_twist_profile()
-    return build_binding_profile(0.55, 0.75, {"name": "fig2", "twist": tp,
-                                              "kappa": 1.0, "tail_width": 0.12})
 
 
 def matched_binding_profile(tp: TwistProfile, r_max: float | None = None,
@@ -652,15 +635,18 @@ def matched_binding_profile(tp: TwistProfile, r_max: float | None = None,
     shape = {"name": "collar", "twist": tp}
     if p_cap is not None:
         shape["p_cap"] = p_cap
-    try:
+    with config_section("matched"):
         return build_binding_profile(r0, r_max, shape)
+
+
+@contextlib.contextmanager
+def config_section(name: str):
+    """Prefix a ProfileError raised inside with ``[name]``, the config
+    section whose values the build read."""
+    try:
+        yield
     except ProfileError as exc:
-        raise ProfileError(f"[matched] {exc}") from None
-
-
-def default_pair():
-    tp = default_twist_profile()
-    return tp, default_binding_profile(tp)
+        raise ProfileError(f"[{name}] {exc}") from None
 
 
 # ----------------------------------------------------------------------

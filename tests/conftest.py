@@ -1,11 +1,14 @@
 import pytest
 
 from reebtwist import cli, lincr, plane, profiles
+from reebtwist.config import RunConfig
 
 
 @pytest.fixture(scope="session")
 def default_pair():
-    return profiles.default_pair()
+    """(twist, binding) profiles of the default config."""
+    model = cli.Model(RunConfig())
+    return model.tp, model.bp
 
 
 @pytest.fixture(scope="session")

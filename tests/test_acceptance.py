@@ -79,8 +79,9 @@ def test_04_plane_ode(bp):
         t0 = time.time()
         sol = plane.solve_plane(bp, r_at_1=bp.core_end / 2.0, tol_asym=1e-6)
         assert time.time() - t0 < 1.0
-        rho_exit = math.sqrt(bp.core_end / sol.r_init)
-        sup = max(abs(sol.r_of_rho(float(rho)) - sol.r_init * rho * rho)
+        r_init = sol.r_of_rho(1.0)
+        rho_exit = math.sqrt(bp.core_end / r_init)
+        sup = max(abs(sol.r_of_rho(float(rho)) - r_init * rho * rho)
                   for rho in np.geomspace(1e-8, 0.999 * rho_exit, 400))
         assert sup <= 1e-8
         assert bp.r0 - sol.r_vals[-1] <= 1e-6

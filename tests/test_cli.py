@@ -14,14 +14,16 @@ import pytest
 
 from reebtwist import cli, energy, geometry, index, lincr, orbits, plane
 from reebtwist import profiles
-from reebtwist.config import (_SCHEMA, ConfigError, default_config_text,
-                              parse_config)
+from reebtwist.config import (_SCHEMA, ConfigError, ReebtwistError,
+                              RunConfig, default_config_text, parse_config)
 
 
 def test_default_config_round_trip():
     cfg = parse_config(default_config_text())
     assert cfg.n == 2 and cfg.k == -1 and cfg.seed == 1234
     assert cfg.delta is None and cfg.r_at_1 is None
+    # the printed defaults are RunConfig's, the one statement of the model
+    assert cfg == RunConfig()
 
 
 def test_unknown_key_names_line():
@@ -176,7 +178,7 @@ def test_binding_profile_with_sign_changing_h1_exits_1(tmp_path, capsys,
     assert cli.main(["all", "--config", str(bad), "--quiet",
                      "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: [fig2] h1 <= 0 at r = 1.00")
+    assert err.startswith("error: [binding] [fig2] h1 <= 0 at r = 1.00")
     assert "Traceback" not in err
 
 
@@ -266,7 +268,84 @@ def test_positive_twist_exits_1(tmp_path, capsys):
     assert cli.main(["all", "--config", str(cfg), "--quiet",
                      "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err == "error: [twist] k must be negative (a left twist), got 1\n"
+
+
+# (config text, the section its error opens with, the key it names): the
+# checks of RunConfig.validate and the profile builds Model reaches
+CONFIG_ERROR_PROBES = [
+    ("[run]\nn = 1\n", "[run]", "n"),
+    ("[twist]\nk = 0\n", "[twist]", "k"),
+    ("[twist]\nk = 2\n", "[twist]", "k"),
+    ("[twist]\nshape = lin\n", "[twist]", "shape"),
+    ("[tolerances]\nrank = 0\n", "[tolerances]", "rank"),
+    ("[plane]\ntol_asym = -1e-6\n", "[plane]", "tol_asym"),
+    ("[orbits]\naction_bound_factor = 0\n", "[orbits]", "action_bound_factor"),
+    ("[twist]\np_plateau = 1.5\n", "[twist]", "p_plateau"),
+    ("[twist]\neps = 0\n", "[twist]", "eps"),
+    ("[twist]\ns_max = 0.5\n", "[twist]", "s_max"),
+    ("[binding]\nr0 = 0.8\n", "[binding]", "r0"),
+    ("[binding]\nkappa = -1\n", "[binding]", "kappa"),
+    # the default p_cap of the matched profile leaves the twist domain
+    ("[twist]\ns_max = 0.76\n", "[matched]", "[twist] s_max"),
+]
+
+
+@pytest.mark.parametrize("text,section,key", CONFIG_ERROR_PROBES,
+                         ids=[t.replace("\n", " ").strip()
+                              for t, _, _ in CONFIG_ERROR_PROBES])
+def test_config_errors_name_section_and_key(tmp_path, capsys, text, section,
+                                            key):
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(text)
+    assert cli.main(["all", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section} ") and key in err, err
+    assert err.count("\n") == 1
+
+
+def test_matched_p_cap_error_reports_the_value_used(tmp_path, capsys):
+    cfg = tmp_path / "smax.cfg"
+    cfg.write_text("[twist]\ns_max = 0.76\n")
+    assert cli.main(["all", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "o")]) == 1
+    p0 = cli.Model(parse_config("[matched]\nenabled = false\n")).tp.p0
+    assert capsys.readouterr().err == (
+        f"error: [matched] p_cap = {min(0.999, 1.3 * p0):.6g} (the default "
+        f"min(0.999, 1.3 p0)) must lie in (p0, [twist] s_max] = "
+        f"({p0:.6g}, 0.76]\n")
+    # a p_cap the config sets is reported without the default's note
+    cfg.write_text("[twist]\ns_max = 0.76\n[matched]\np_cap = 0.8\n")
+    assert cli.main(["validate", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "p")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: [matched] p_cap = 0.8 must lie in (p0, [twist] s_max]")
+
+
+def test_config_twist_shapes_are_the_built_ones():
+    # RunConfig.validate names the shapes without importing profiles
+    assert sorted(profiles.TWIST_SHAPES) == ["cos", "cos2"]
+    for shape in profiles.TWIST_SHAPES:
+        assert parse_config(f"[twist]\nshape = {shape}\n").twist_shape == shape
+
+
+def test_typed_errors_share_one_base():
+    for err in (ConfigError, profiles.ProfileError, orbits.OrbitError,
+                plane.PlaneError, lincr.LinCRError, energy.EnergyError,
+                geometry.GeometryError, index.IndexError_):
+        assert issubclass(err, ReebtwistError) and issubclass(err, ValueError)
+
+
+def test_untyped_value_error_in_a_stage_propagates(tmp_path, monkeypatch):
+    # main reports the typed errors and exits 1; any other ValueError is
+    # a defect and must escape, not pass for a refused input
+    def broken(model, out):
+        raise ValueError("defect inside a stage")
+
+    monkeypatch.setattr(cli, "stage_index", broken)
+    with pytest.raises(ValueError, match="defect inside a stage"):
+        cli.main(["index", "--quiet", "--out", str(tmp_path / "o")])
 
 
 def test_all_pipeline_exit_status(all_run):

@@ -8,6 +8,23 @@ import pytest
 from reebtwist import energy as E
 
 
+# Covers, reversals and the integrated geodesic coefficient of a level
+# circle: the energy stage needs none of them, the checks below do.
+
+def _doubled(circle):
+    """The double cover: parameter traversed twice, coefficients doubled."""
+    return E.LevelCircle(circle.bp, circle.r, c=2.0 * circle.c,
+                         d=2.0 * circle.d)
+
+
+def _reversed(circle):
+    return E.LevelCircle(circle.bp, circle.r, c=-circle.c, d=-circle.d)
+
+
+def _cbar(circle):
+    return circle.c * 2.0 * math.pi
+
+
 def test_plane_circle_integrand_is_one(bp):
     # dphi = h2' J dr + h2 R_alpha, so the winding density is
     # (h1 h2' - h1' h2)/detH = 1 identically
@@ -34,8 +51,8 @@ def test_orbit_linking_and_action(bp):
 
 def test_doubled_and_reversed(bp):
     c = E.plane_level_circle(bp, 0.3)
-    assert E.winding_number(bp, E.doubled_circle(c)) == 2
-    assert E.action(E.reversed_circle(c)) == pytest.approx(-E.action(c),
+    assert E.winding_number(bp, _doubled(c)) == 2
+    assert E.action(_reversed(c)) == pytest.approx(-E.action(c),
                                                            rel=1e-12)
 
 
@@ -57,7 +74,7 @@ def test_pointwise_winding_relation(bp):
     # (h1 cbar - h1' dbar)/detH = 2 pi at every regular level
     for r in np.linspace(0.05, bp.r_max * 0.99, 25):
         c = E.plane_level_circle(bp, float(r))
-        lhs = (bp.h1(c.r) * c.cbar() - bp.h1.d1(c.r) * c.dbar()) / bp.detH(c.r)
+        lhs = (bp.h1(c.r) * _cbar(c) - bp.h1.d1(c.r) * c.dbar()) / bp.detH(c.r)
         assert abs(lhs - 2 * math.pi) <= 1e-9
 
 
@@ -100,7 +117,7 @@ def test_annulus_degenerate_interval(bp):
 
 
 def test_annulus_requires_winding_one(bp):
-    fam = E.doubled_circle(E.plane_level_circle(bp, np.array([0.2, 0.3])))
+    fam = _doubled(E.plane_level_circle(bp, np.array([0.2, 0.3])))
     with pytest.raises(E.EnergyError, match="winding 1"):
         E.annulus_energies(bp, fam)
 
@@ -135,25 +152,18 @@ def test_energy_bound_audit_empty_family(bp):
 
 def test_omitted_fiber_term_nonnegative_and_zero_for_plane(bp, plane_sol):
     # E1 + E2 plus the omitted fiber term reproduces the full energy;
-    # the plane has no fiber motion, so equality holds on the nose
+    # the plane has no fiber motion (its circles carry no X_lambda
+    # part), so equality holds on the nose
     from scipy import optimize
     from reebtwist import plane as PL
     r1, r2 = 0.15, 0.45
     circles, wts, span = E.gauss_legendre_family(bp, r1, r2, 128)
     e1, e2 = E.annulus_energies(bp, circles, weights=wts, span=span)
-    assert np.all(circles.fiber_term() == 0.0)
     rho1 = optimize.brentq(lambda rho: plane_sol.r_of_rho(rho) - r1, 1e-8, 1e8)
     rho2 = optimize.brentq(lambda rho: plane_sol.r_of_rho(rho) - r2, 1e-8, 1e8)
     total = PL.plane_energy(bp, plane_sol, rho_span=(rho1, rho2)).stokes
     assert e1 + e2 <= total + 1e-10
     assert e1 + e2 == pytest.approx(total, abs=1e-9)
-
-
-def test_fiber_term_rejects_negative_values(bp):
-    bad = E.LevelCircle(bp=bp, r=0.3, c=bp.h2.d1(0.3), d=bp.h2(0.3),
-                        x_lambda_sq=-1.0)
-    with pytest.raises(E.EnergyError, match="nonnegative|negative"):
-        bad.fiber_term()
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +303,7 @@ def test_family_errors_match_per_circle_oracle(bp):
     assert msg == _raised(E.annulus_energies, bp, bad)
     assert "integer" in msg
     # winding 2 and unordered radii
-    fam = E.doubled_circle(E.plane_level_circle(bp, rs))
+    fam = _doubled(E.plane_level_circle(bp, rs))
     msg = _raised(E.annulus_energies, bp, fam)
     assert msg == _raised(_annulus_oracle, bp, _unstack(fam)) == \
         "annulus formulas assume winding 1; got 2 at r = 0.2"

@@ -17,8 +17,7 @@ def purequad():
                          lambda r: -2.0)
     h2 = P.SmoothProfile(0.0, 1.0, lambda r: r * r, lambda r: 2 * r,
                          lambda r: 2.0)
-    return P.BindingProfile(h1=h1, h2=h2, r0=0.99, r_max=1.0,
-                            quadratic_core=True, core_end=1.0, shape="custom")
+    return P.BindingProfile(h1=h1, h2=h2, r0=0.99, r_max=1.0, core_end=1.0)
 
 
 def _point(n, r, rng=None):
@@ -149,7 +148,7 @@ def test_tilde_reeb_singularity_reported(tp):
     # Reeb denominator everywhere; the evaluator must report it
     lin = P.SmoothProfile(0.0, 1.0, lambda s: s, lambda s: 1.0, lambda s: 0.0)
     fake = P.TwistProfile(k=-1, eps=0.1, p_plateau=0.5, s_max=1.0,
-                          shape="cos2", g=tp.g, f=tp.f, hk=tp.hk,
+                          shape="cos2", g=tp.g, hk=tp.hk,
                           htilde=lin, p0=tp.p0)
     with pytest.raises(G.GeometryError, match="denominator"):
         G.tilde_reeb_data(fake, 0.5)

@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -7,12 +8,66 @@ import pytest
 from scipy.linalg import expm
 
 from reebtwist import orbits as O
-from reebtwist.index import (IndexError_, _robbin_salamon,
-                             linearized_reeb_flow, loop_maslov, make_path,
-                             orbit_index_result, product_path,
+from reebtwist.index import (IndexError_, _robbin_salamon, loop_maslov,
+                             make_path, product_path,
                              random_symplectic_path, robbin_salamon_index,
                              rotation_loop, sft_degree, skew_path,
-                             standard_omega, degree_table)
+                             standard_omega, degree_table, total_orbit_index)
+
+
+# The model's linearized Reeb flow and the full index bookkeeping of an
+# orbit: oracles for the closed forms the degree table uses.
+
+def linearized_reeb_flow(tp, level, t: float, n: int = 2) -> np.ndarray:
+    """Linearized Reeb flow along a closed orbit at the given level, in
+    the frame (P, Q, r_l dp, r_l dq).
+
+    The leading 2x2 block is the skew [[1, 0], [-g' t, 1]]; the normal
+    directions rotate with the twist angle, which is zero at the
+    principal level, and carry |p| factors off the unit level.
+    """
+    if level.p_level <= 0:
+        raise IndexError_("frame singular at |p| = 0")
+    m = n - 1  # (P,Q) pair plus n-2 rotation pairs
+    dim = 2 * m
+    gp = tp.g.d1(level.p_level)
+    g = tp.g(level.p_level)
+    s = level.p_level
+    M = np.eye(dim)
+    M[1, 0] = -gp * t
+    th = g * t
+    for j in range(n - 2):
+        o = 2 + 2 * j
+        M[o, o] = math.cos(th)
+        M[o, o + 1] = s * math.sin(th)
+        M[o + 1, o] = -math.sin(th) / s
+        M[o + 1, o + 1] = math.cos(th)
+    return M
+
+
+@dataclass
+class IndexResult:
+    rs_index: Fraction
+    loop_contribution: int
+    total: Fraction
+    crossings: list = field(default_factory=list)  # (time, signature)
+
+    def __post_init__(self):
+        if self.total != self.rs_index + self.loop_contribution:
+            raise IndexError_("total != rs_index + loop contribution")
+
+
+def orbit_index_result(tp, level, i: int | None = None) -> IndexResult:
+    """Full index bookkeeping of an orbit with turn count i: the skew
+    part from the crossing form of the sampled linearized flow, the
+    loop contribution from the disk-extending frame rotation."""
+    if i is None:
+        i = level.i
+    gp = tp.g.d1(level.p_level)
+    path = skew_path(gp * level.period * i)
+    rs, crossings = _robbin_salamon(path)
+    return IndexResult(rs_index=rs, loop_contribution=loop_maslov(i),
+                       total=rs + loop_maslov(i), crossings=crossings)
 
 
 def test_skew_path_half_sign():
@@ -132,7 +187,7 @@ def test_orbit_index_result(tp):
     res = orbit_index_result(tp, level, i=1)
     assert res.rs_index == Fraction(1, 2)
     assert res.loop_contribution == 2
-    assert res.total == Fraction(5, 2)
+    assert res.total == Fraction(5, 2) == total_orbit_index(tp, level, 1)
 
 
 def test_orbit_index_crossings_without_side_channel(tp):

@@ -1,0 +1,139 @@
+"""Static layout guard: ``src/reebtwist`` holds only what something in
+``src/`` reaches, or what an allow-list below names with its reason.
+
+The guard reads the syntax trees of the package modules; it imports
+nothing.  A top-level function or class, or a method of a top-level
+class, other than a dunder (a module's ``__getattr__``, a class's
+``__post_init__``), counts as reached when its name occurs (as a name
+or an attribute) somewhere in ``src/`` outside its own body; a string,
+such as an ``__all__`` entry, does not count.  A dataclass field counts
+as read when some attribute of that name is loaded somewhere in
+``src/``.  Both are name checks: a field that shares its name with
+another attribute read (an array's ``.shape``, say) passes without
+being read itself.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "reebtwist"
+
+# What src/ keeps although nothing in src/ reaches it: name -> (the file
+# that uses it, why it stays).  The guard checks that each entry is
+# still unreached and that its file names it.
+BENCH = ROOT / "bench" / "tracing.py"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+TESTS = ROOT / "tests"
+
+ALLOWED = {
+    "geometry.random_binding_point": (
+        BENCH, "draws the points of the geometry.reeb_field_us benchmark"),
+    "lincr.cone_invariance_check": (ACCEPTANCE, "criterion 07 calls it"),
+    "orbits.orbit_space_homology": (ACCEPTANCE, "criterion 11 calls it"),
+    "orbits.OrbitSpaceReport.betti": (ACCEPTANCE, "criterion 11 reads it"),
+    "index.random_symplectic_path": (ACCEPTANCE, "criterion 03 calls it"),
+    "lincr.KernelReport.angles": (TESTS, "diagnostic: principal angles"),
+    "orbits.ClosureReport.time": (TESTS, "diagnostic: flow time"),
+    "orbits.ClosureReport.constraint_drift": (
+        TESTS, "diagnostic: drift off the constraint set"),
+    "orbits.OrbitLevel.target": (TESTS, "diagnostic: g/(2 pi) of the level"),
+    "orbits.OrbitSpaceReport.degenerate": (
+        TESTS, "diagnostic: n = 2 lies outside the Betti formulas"),
+    "profiles.PullbackReport.n_samples": (TESTS, "diagnostic: sample count"),
+    "geometry.PointBatch.phi": (
+        TESTS, "the polar angle of a point: the model's fields do not "
+        "depend on it, the tests rebuild points with it"),
+}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else \
+            getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _names(node) -> Counter:
+    """How often each name and attribute occurs under node."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _definitions(modules):
+    """(qualified name, bare name, node) of every checked definition,
+    and (qualified name, field) of every dataclass field."""
+    defs, fields = [], []
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("__")):
+                defs.append((f"{mod}.{node.name}", node.name, node))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__")):
+                    defs.append((f"{mod}.{node.name}.{item.name}",
+                                 item.name, item))
+                elif (_is_dataclass(node) and isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)):
+                    fields.append((f"{mod}.{node.name}.{item.target.id}",
+                                   item.target.id))
+    return defs, fields
+
+
+def _unreached(modules):
+    everywhere = Counter()
+    loaded = set()
+    for tree in modules.values():
+        everywhere.update(_names(tree))
+        loaded.update(sub.attr for sub in ast.walk(tree)
+                      if isinstance(sub, ast.Attribute)
+                      and isinstance(sub.ctx, ast.Load))
+    defs, fields = _definitions(modules)
+    bad = {qual for qual, name, node in defs
+           if everywhere[name] - _names(node)[name] <= 0}
+    bad |= {qual for qual, name in fields if name not in loaded}
+    return bad
+
+
+def test_every_definition_and_field_is_reached():
+    unreached = _unreached(_modules())
+    assert sorted(unreached - ALLOWED.keys()) == []
+
+
+def test_allow_list_is_current():
+    # an entry names something the guard would flag, and the file that
+    # is its reason reads that name as an attribute
+    unreached = _unreached(_modules())
+    assert sorted(ALLOWED.keys() - unreached) == []
+    for qual, (user, _why) in ALLOWED.items():
+        read = "." + qual.rsplit(".", 1)[-1]
+        paths = sorted(user.glob("test_*.py")) if user.is_dir() else [user]
+        assert any(read in p.read_text(encoding="utf-8") for p in paths), qual
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def used():\n    pass\n\ndef caller():\n    used()\n",
+     {"m.caller"}),
+    ("def recursive(n):\n    return recursive(n - 1)\n", {"m.recursive"}),
+    ("__all__ = ['listed']\n\ndef listed():\n    pass\n", {"m.listed"}),
+    ("from dataclasses import dataclass\n\n@dataclass\nclass C:\n"
+     "    read: int\n    unread: int\n\n    def use(self):\n"
+     "        return self.read\n\nC(1, 2).use()\n", {"m.C.unread"}),
+])
+def test_guard_flags_what_nothing_reaches(source, expected):
+    assert _unreached({"m": ast.parse(source)}) == expected

@@ -17,6 +17,34 @@ def rho_at_r(sol, r):
     return optimize.brentq(lambda rho: sol.r_of_rho(rho) - r, 1e-8, 1e9)
 
 
+# Oracles of the reduced equation: its residual at a point for a field
+# with known derivatives, and the closed-form eigen-structure of the
+# phase-plane matrix.
+
+def w_equation_residual(we, Wf, rho: float, psi: float) -> float:
+    """Residual of the reduced equation at (rho, psi) for a field with
+    known derivatives."""
+    W, dWr, dWp = Wf(rho, psi)
+    F, h1, h2, _ = L._coefficients(we.bp, we.sol.r_of_rho(rho))
+    rhs = (F / rho) * W[1].real * np.array([h1, -h2], complex)
+    return float(np.max(np.abs(dWr + (1j / rho) * dWp - rhs)))
+
+
+def phase_plane_eigen(we, rho: float) -> dict:
+    """Eigen-structure of [[H2, 1], [1, 0]] at the given radius:
+    expanding/contracting values H2/2 +- sqrt(H2^2/4 + 1) with
+    eigenvectors (1, -H2/2 +- sqrt(H2^2/4 + 1))."""
+    H2 = we.H2(rho)
+    root = math.sqrt(H2 * H2 / 4.0 + 1.0)
+    return {
+        "H2": H2,
+        "expanding": H2 / 2.0 + root,
+        "contracting": H2 / 2.0 - root,
+        "vec_expanding": np.array([1.0, -H2 / 2.0 + root]),
+        "vec_contracting": np.array([1.0, -H2 / 2.0 - root]),
+    }
+
+
 def test_coefficients_vanish_in_core(we):
     # hand value on the exact quadratic core:
     # h1'h2'' - h2'h1'' = (-2r)(2) - (2r)(-2) = 0
@@ -33,12 +61,12 @@ def test_explicit_elements_solve_reduced_equation(we):
     for name in ("const_re", "const_im", "trans_re", "trans_im",
                  "translation"):
         Wf = L.s_basis(we, name)
-        worst = max(L.w_equation_residual(we, Wf, float(rho), 0.31)
+        worst = max(w_equation_residual(we, Wf, float(rho), 0.31)
                     for rho in rhos)
         assert worst <= 1e-8, name
     # the constant element is exact to machine precision
     Wf = L.s_basis(we, "const_re")
-    assert max(L.w_equation_residual(we, Wf, float(r), 1.1)
+    assert max(w_equation_residual(we, Wf, float(r), 1.1)
                for r in rhos) <= 1e-12
 
 
@@ -78,7 +106,7 @@ def test_element_asymptotic_classification(we):
 
 def test_phase_plane_eigen_structure(we):
     # core: H2 = 0 gives eigenvalues +-1 with eigenvectors (1, +-1)
-    rep = L.phase_plane_eigen(we, 1e-3)
+    rep = phase_plane_eigen(we, 1e-3)
     assert rep["expanding"] == pytest.approx(1.0, abs=1e-14)
     assert rep["contracting"] == pytest.approx(-1.0, abs=1e-14)
     assert np.allclose(rep["vec_expanding"], [1.0, 1.0])
@@ -86,14 +114,14 @@ def test_phase_plane_eigen_structure(we):
     # determinant of the phase-plane matrix is -1: the product of the
     # eigenvalues at any radius
     for rho in (0.5, 2.0, 50.0, 1e4):
-        rep = L.phase_plane_eigen(we, rho)
+        rep = phase_plane_eigen(we, rho)
         assert rep["expanding"] * rep["contracting"] == pytest.approx(
             -1.0, abs=1e-12)
 
 
 def test_phase_plane_matches_dense_eigensolver(we):
     rho = rho_at_r(we.sol, we.bp.r0 / 2.0)
-    rep = L.phase_plane_eigen(we, rho)
+    rep = phase_plane_eigen(we, rho)
     M = np.array([[rep["H2"], 1.0], [1.0, 0.0]])
     ev = np.sort(np.linalg.eigvalsh(M))
     assert abs(ev[0] - rep["contracting"]) <= 1e-12
@@ -224,8 +252,9 @@ def test_numerical_mode0_branch_back_substitutes(we, bp):
     assert rate == pytest.approx(we.H2_inf, abs=1e-4)
 
 
-def test_a_norm_flag_and_scaling(we, bp):
-    rep = L.a_norm_report(we)
+def test_a_norm_flag_and_scaling(we, bp, all_run):
+    # the default run's kernel.json records the norm and its flag
+    rep = json.loads((all_run[0] / "kernel.json").read_text())["a_norm"]
     assert rep["a_norm"] == we.a_norm
     assert rep["below_2"] == (we.a_norm < 2.0)
     # halving the profiles halves the norm (the coefficient F is

@@ -105,6 +105,8 @@ def test_closure_by_flow_principal(tp, bp):
     assert rep.distance <= 1e-8
     assert rep.constraint_drift <= 1e-8
     assert abs(rep.phi_advance - 2.0 * math.pi) <= 1e-9
+    # the flow runs for one claimed period
+    assert rep.time == pl.period
 
 
 def test_closure_fails_on_perturbed_level(tp, bp):
@@ -115,7 +117,7 @@ def test_closure_fails_on_perturbed_level(tp, bp):
 
 def test_zero_period_rejected(tp, bp):
     bad = O.OrbitLevel(p_level=tp.p0, g_value=0.0, m=1, i=1, period=0.0,
-                       action=0.0, is_principal=True, target=Fraction(0))
+                       is_principal=True, target=Fraction(0))
     with pytest.raises(O.OrbitError, match="zero-period"):
         O.verify_closure_by_flow(bp, bad)
 

@@ -24,10 +24,11 @@ def test_preconditions(bp):
 def test_core_closed_form(bp, plane_sol):
     # r(1) lies inside the core, so r = r(1) rho^2 until the core exit
     sol = plane_sol
-    assert sol.r_init < bp.core_end
-    rho_exit = math.sqrt(bp.core_end / sol.r_init)
+    r_init = sol.r_of_rho(1.0)
+    assert r_init == bp.core_end / 2.0
+    rho_exit = math.sqrt(bp.core_end / r_init)
     rhos = np.geomspace(1e-8, 0.999 * rho_exit, 400)
-    sup = max(abs(sol.r_of_rho(float(r)) - sol.r_init * r * r) for r in rhos)
+    sup = max(abs(sol.r_of_rho(float(r)) - r_init * r * r) for r in rhos)
     assert sup <= 1e-8
 
 
@@ -41,18 +42,20 @@ def test_asymptotics_and_runtime(bp):
     assert sol.r_vals.max() <= bp.r0 + 1e-12
 
 
+def _t_limit_at_puncture(sol) -> float:
+    """t at rho -> 0 in the core's closed form: dt/dx = h2 = (core scale)
+    r^2 with r = core_coeff e^{core_pow x}."""
+    c2 = 0.5 * sol.core_pow
+    g = 2.0 * sol.core_pow
+    return sol._t_core() - (c2 * sol.core_coeff ** 2 / g) * math.exp(
+        g * sol.x_core)
+
+
 def test_t_monotone_and_finite_at_puncture(plane_sol):
     assert np.all(np.diff(plane_sol.t_vals) >= 0.0)
-    assert np.isfinite(plane_sol.t_limit_at_puncture())
+    assert np.isfinite(_t_limit_at_puncture(plane_sol))
     # the puncture limit is approached from the grid values
-    assert plane_sol.t_vals[0] >= plane_sol.t_limit_at_puncture() - 1e-12
-
-
-def test_fixed_coordinates_satisfy_constraints(plane_sol):
-    q, p = plane_sol.q_fixed, plane_sol.p_fixed
-    assert abs(q @ q - 1.0) <= 1e-15
-    assert abs(p @ p - 1.0) <= 1e-15
-    assert abs(q @ p) <= 1e-15
+    assert plane_sol.t_vals[0] >= _t_limit_at_puncture(plane_sol) - 1e-12
 
 
 def test_projection_independent_of_parametrization(bp, plane_sol):
@@ -101,8 +104,7 @@ def test_energy_method_disagreement_raises(bp, plane_sol):
     bad_h2 = P.SmoothProfile(0.0, bp.r_max, bp.h2.value,
                              lambda r: 0.0, bp.h2.d2, breaks=bp.h2.breaks)
     bad = P.BindingProfile(h1=bp.h1, h2=bad_h2, r0=bp.r0, r_max=bp.r_max,
-                           quadratic_core=False, core_end=bp.core_end,
-                           shape="custom")
+                           core_end=bp.core_end)
     with pytest.raises(PL.PlaneError, match="disagree"):
         PL.plane_energy(bad, plane_sol, rho_span=(0.5, 5.0))
 
