@@ -225,10 +225,7 @@ class Model:
     @functools.cached_property
     def sol(self):
         from . import plane
-        r1 = (self.bp.core_end / 2.0 if self.cfg.r_at_1 is None
-              else self.cfg.r_at_1)
-        return plane.solve_plane(self.bp, r_at_1=r1,
-                                 tol_asym=self.cfg.tol_asym)
+        return plane.solve_plane(self.bp, r_at_1=self.bp.core_end / 2.0)
 
     @functools.cached_property
     def we(self):
@@ -358,8 +355,7 @@ def stage_lincr(model: Model, out: Path, seed: int) -> dict:
     from . import lincr
     cfg = model.cfg
     we = model.we
-    report = lincr.kernel_dimension(we, delta=cfg.delta, k_max=cfg.k_max,
-                                    n=cfg.n, angle_tol=10 * cfg.tol_rank)
+    report = lincr.kernel_dimension(we, k_max=cfg.k_max, n=cfg.n)
     rng = np.random.default_rng(seed + 17)
     # drawn one at a time as the check consumes them: the 100 fields
     # together would hold 10 MB
@@ -433,12 +429,12 @@ def run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int | None = None,
         quiet: bool = False) -> dict:
     if subcommand not in STAGES:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if seed is None:
         seed = cfg.seed
     elif seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     model = Model(cfg)
     results = {}
 

@@ -38,9 +38,7 @@ _SCHEMA = {
                 "tail_width": float},
     "matched": {"enabled": bool, "p_cap": float, "r_max": float},
     "orbits": {"denom_cap": int, "action_bound_factor": float},
-    "plane": {"r_at_1": float, "tol_asym": float},
-    "lincr": {"delta": float, "k_max": int},
-    "tolerances": {"rank": float},
+    "lincr": {"k_max": int},
 }
 
 
@@ -63,11 +61,7 @@ class RunConfig:
     matched_r_max: float | None = None
     denom_cap: int = 8
     action_bound_factor: float = 3.0
-    r_at_1: float | None = None
-    tol_asym: float = 1e-6
-    delta: float | None = None
     k_max: int = 5
-    tol_rank: float = 1e-7
 
     def validate(self):
         if self.n < 2:
@@ -88,12 +82,9 @@ class RunConfig:
             # g(p0) = 0 of the twist, which only a left twist has
             raise ConfigError(f"[twist] k must be negative (a left twist), "
                               f"got {self.k}")
-        for key, value in (("[tolerances] rank", self.tol_rank),
-                           ("[plane] tol_asym", self.tol_asym),
-                           ("[orbits] action_bound_factor",
-                            self.action_bound_factor)):
-            if value <= 0:
-                raise ConfigError(f"{key} must be positive, got {value}")
+        if self.action_bound_factor <= 0:
+            raise ConfigError(f"[orbits] action_bound_factor must be "
+                              f"positive, got {self.action_bound_factor}")
         if self.k_max < 0:
             raise ConfigError(f"[lincr] k_max must be >= 0, got {self.k_max}")
         return self
@@ -106,7 +97,6 @@ _FIELD_MAP = {
     ("matched", "enabled"): "matched_enabled",
     ("matched", "p_cap"): "matched_p_cap",
     ("matched", "r_max"): "matched_r_max",
-    ("tolerances", "rank"): "tol_rank",
 }
 
 
@@ -183,14 +173,6 @@ r_max =
 denom_cap = 8
 action_bound_factor = 3.0
 
-[plane]
-r_at_1 =
-tol_asym = 1e-6
-
 [lincr]
-delta =
 k_max = 5
-
-[tolerances]
-rank = 1e-7
 """

@@ -69,6 +69,10 @@ class LinCRError(ReebtwistError):
 # DOP853 tolerances of every shooting and phase-plane integration
 ODE_RTOL = 1e-11
 ODE_ATOL = 1e-13
+# points of the back-substitution check, and the principal angle below
+# which a regular and an admissible direction count as one
+N_CHECK = 1000
+ANGLE_TOL = 1e-6
 
 
 # ----------------------------------------------------------------------
@@ -128,11 +132,10 @@ def _coefficients(bp: BindingProfile, r):
             / (h1 * h2d - h2 * h1d + (r <= 0.0)), h1, h2, h2d)
 
 
-def assemble_W_equation(bp: BindingProfile, sol: PlaneSolution,
-                        n_check: int = 1000) -> WEquation:
+def assemble_W_equation(bp: BindingProfile, sol: PlaneSolution) -> WEquation:
     """Build the coefficient data and the residual of back-substituting
     the rotation-invariant explicit kernel elements into the original
-    4-field system on an n_check grid (reported, gated by the caller).
+    4-field system on an N_CHECK grid (reported, gated by the caller).
     Each check is one array evaluation over its grid."""
     rhos = np.geomspace(1e-4, math.exp(sol.x_max), 64)
     r = sol.r_of_rho(rhos)
@@ -148,7 +151,7 @@ def assemble_W_equation(bp: BindingProfile, sol: PlaneSolution,
                    G1_inf=h1_inf * F_inf,
                    a_norm=float(np.max(np.abs(F) * np.hypot(h1, h2))))
     # back-substitution check of the psi-independent explicit elements
-    rhos = np.geomspace(1e-2, math.exp(0.9 * sol.x_max), n_check)
+    rhos = np.geomspace(1e-2, math.exp(0.9 * sol.x_max), N_CHECK)
     we.back_substitution_residual = max(
         float(np.max(full_system_residual(we, s_basis(we, name), rhos, 0.37)))
         for name in ("const_re", "translation"))
@@ -523,8 +526,7 @@ def _match_spans(Us, Vs, angle_tol: float) -> tuple:
 
 
 def kernel_dimension(we: WEquation, delta: float | None = None,
-                     k_max: int = 5, n: int = 2,
-                     angle_tol: float = 1e-6) -> KernelReport:
+                     k_max: int = 5, n: int = 2) -> KernelReport:
     """Count admissible kernel directions per angular mode by two-sided
     shooting and subspace matching at x_mid.
 
@@ -560,7 +562,7 @@ def kernel_dimension(we: WEquation, delta: float | None = None,
     for k in range(1, k_max + 1):
         Us.append(np.hstack([w1p] + [w1m] * (k == 1) + [_embed(Yf[:, k])]))
         Vs.append(np.hstack([_embed(Yb[:, k - 1]), w1m]))
-    per_mode, angles, conditioning = _match_spans(Us, Vs, angle_tol)
+    per_mode, angles, conditioning = _match_spans(Us, Vs, ANGLE_TOL)
     # bounded non-decaying directions: the constant geodesic component
     # (0, i) of block 0 plus 2(n-2) holomorphic constants of the normal
     # block; (0, i) needs no integration, nothing acts on Im w2

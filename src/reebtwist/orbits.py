@@ -38,11 +38,12 @@ __all__ = [
 ]
 
 
-# brentq tolerance of the orbit levels and RK45 tolerances of the
-# closure-by-flow integration
+# brentq tolerance of the orbit levels, and RK45 tolerances and the
+# seed of the random start of the closure-by-flow integration
 ROOT_XTOL = 1e-14
 ODE_RTOL = 1e-10
 ODE_ATOL = 1e-10
+CLOSURE_SEED = 0
 
 
 class OrbitError(ReebtwistError):
@@ -199,7 +200,6 @@ class ClosureReport:
 
 
 def verify_closure_by_flow(bp: BindingProfile, level: OrbitLevel,
-                           seed: int = 0,
                            r_override: float | None = None) -> ClosureReport:
     """Integrate the Reeb field from a random start on the level for one
     claimed period and report the terminal distance to the start.
@@ -211,7 +211,7 @@ def verify_closure_by_flow(bp: BindingProfile, level: OrbitLevel,
     if level.period <= 0:
         raise OrbitError("zero-period request")
     r = level_radius(bp, level) if r_override is None else r_override
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CLOSURE_SEED)
     n = 2
     q0 = rng.standard_normal(n)
     q0 /= np.linalg.norm(q0)

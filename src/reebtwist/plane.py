@@ -9,10 +9,11 @@ In the logarithmic variable x = log rho the system is autonomous
 (dr/dx = h2'(r)), which removes the 1/rho stiffness exactly.  The r
 profile rises monotonically from 0 (binding puncture) to the critical
 radius r0 of h2, where the plane is asymptotic to the principal orbit
-family; inside the quadratic core the solution is exactly
-r = C * rho^2.  The dalpha-energy over a disk is 2*pi*(h2(r_out) -
-h2(r_in)) by Stokes, approaching 2*pi*h2(r0), the action of the
-asymptotic orbit.
+family.  Below rho = 1 the plane lies in the quadratic core, where
+h2 = (h2''(0)/2) r^2 and the solution is exactly
+r = r(1) * rho^h2''(0); only rho >= 1 is integrated.  The
+dalpha-energy over a disk is 2*pi*(h2(r_out) - h2(r_in)) by Stokes,
+approaching 2*pi*h2(r0), the action of the asymptotic orbit.
 """
 
 from __future__ import annotations
@@ -48,19 +49,25 @@ ODE_RTOL = 1e-12
 ODE_ATOL = 1e-14
 QUAD_EPSABS = 1e-13
 QUAD_EPSREL = 1e-12
+# the stored grid ends where r0 - r < TOL_ASYM; the forward integration
+# runs on to r0 - r = TAIL_GAP, where the asymptotic tail is calibrated
+TOL_ASYM = 1e-6
+TAIL_GAP = 1e-9
+# largest relative gap between the Stokes and quadrature plane energies
+ENERGY_RTOL = 1e-6
 
 
 class _DenseLookup:
-    """Component ``comp`` of a DOP853 ``OdeSolution`` (scipy's dense
-    output), evaluated without a Python call per step.
+    """Component ``comp`` of an ascending DOP853 ``OdeSolution`` (scipy's
+    dense output), evaluated without a Python call per step.
 
     Each step is a degree-7 polynomial in the step fraction u (DOP853's
     continuous extension, Hairer, Norsett & Wanner, Solving ODEs I,
-    II.6).  ``coef`` holds, per step in the order of the sorted step
-    edges, its ``t_old``, ``h`` and ``y_old`` and the rows of its ``F``
-    reversed, the order of the Horner loop.  A point takes the step
-    ``OdeSolution`` gives it (``ts_sorted``, ``side``, clipped to the
-    first and last step past either end) and the float operations of
+    II.6).  ``coef`` holds, per step, its ``t_old``, ``h`` and ``y_old``
+    and the rows of its ``F`` reversed, the order of the Horner loop.  A
+    point takes the step ``OdeSolution`` gives it (the first step whose
+    right edge is >= the point, clipped to the first and last step past
+    either end) and the float operations of
     ``Dop853DenseOutput._call_impl`` (``y += f``, then ``*= u`` or
     ``*= 1 - u``), so both agree bit for bit.  A float bisects on the
     edges and runs the loop in Python floats; an array makes one
@@ -69,9 +76,8 @@ class _DenseLookup:
     """
 
     def __init__(self, ode, comp: int):
-        steps = ode.interpolants if ode.ascending else ode.interpolants[::-1]
-        self.edges = np.asarray(ode.ts_sorted, dtype=float)
-        self.side = ode.side
+        steps = ode.interpolants
+        self.edges = np.asarray(ode.ts, dtype=float)
         per_step = np.column_stack([
             [s.t_old for s in steps], [s.h for s in steps],
             [s.y_old[comp] for s in steps],
@@ -79,15 +85,14 @@ class _DenseLookup:
         self.coef = np.ascontiguousarray(per_step.T)
         # the scalar path: the edges as a list for bisect, and each
         # step's numbers side by side in one compact float buffer
-        self._bisect = (bisect.bisect_left if self.side == "left"
-                        else bisect.bisect_right)
         self._edge_list = self.edges.tolist()
         self._flat = array.array("d", per_step.tobytes())
         self._width, self._last = per_step.shape[1], len(steps) - 1
 
     def __call__(self, x):
         if not isinstance(x, np.ndarray):
-            i = min(max(self._bisect(self._edge_list, x) - 1, 0), self._last)
+            i = min(max(bisect.bisect_left(self._edge_list, x) - 1, 0),
+                    self._last)
             t_old, h, y_old, *rows = self._flat[i * self._width:
                                                 (i + 1) * self._width]
             u = (x - t_old) / h
@@ -100,7 +105,7 @@ class _DenseLookup:
         t_old, h, y_old, *rows = self.coef
         # mode="clip" on seg - 1 is OdeSolution's clipping of the step
         # index to [0, last]
-        seg = np.searchsorted(self.edges, x, side=self.side)
+        seg = np.searchsorted(self.edges, x, side="left")
         seg -= 1
         buf = np.empty(x.shape)
         u = t_old.take(seg, mode="clip")
@@ -118,9 +123,8 @@ class _DenseLookup:
 class PlaneSolution:
     """Sampled radial profile (r(rho), t(rho)) of the plane.
 
-    The evaluators extend the stored grid: exact quadratic model below
-    the core radius, the dense ODE solutions in the middle (backward
-    half for log rho < 0, forward half for log rho >= 0), and the
+    The evaluators extend the stored grid: the core's closed form below
+    rho = 1, the dense ODE solution from rho = 1 to exp(x_max), and the
     asymptotic power tail r0 - c*rho^{-kappa} beyond the integrated
     range.  They take a float or an ndarray of radii and return the
     same kind.
@@ -130,13 +134,12 @@ class PlaneSolution:
     rho_grid: np.ndarray
     r_vals: np.ndarray
     t_vals: np.ndarray
-    core_coeff: float      # r = core_coeff * rho^core_pow inside the core
+    core_coeff: float      # = r(1); r = core_coeff * rho^core_pow for rho < 1
     core_pow: float        # = h2''(0); 2 for a unit quadratic core
-    x_core: float          # log rho at core exit
+    x_core: float          # log rho at which r = r(1)/2, inside the core
     x_max: float           # end of the integrated range
     kappa: float           # |h2''(r0)|, the asymptotic approach rate
     tail_coeff: float      # r ~ r0 - tail_coeff * rho^{-kappa}
-    sol_back: object       # OdeSolution of (r, t) on [x_core, 0]
     sol_fwd: object        # OdeSolution of (r, t) on [0, x_max]
 
     @property
@@ -145,22 +148,21 @@ class PlaneSolution:
 
     @functools.cached_property
     def _dense(self) -> tuple:
-        """((back, fwd) of r, (back, fwd) of t): the two dense ODE
-        solutions as gathered evaluators, built once."""
-        return tuple((_DenseLookup(self.sol_back, comp),
-                      _DenseLookup(self.sol_fwd, comp)) for comp in (0, 1))
+        """The dense ODE solution's r and t as gathered evaluators,
+        built once."""
+        return tuple(_DenseLookup(self.sol_fwd, comp) for comp in (0, 1))
 
     def _in_x(self, comp: int, core, tail):
         """Component ``comp`` (0: r, 1: t) as a function of x = log rho:
-        the closed form ``core`` up to x_core, the integrated solution
-        (backward half for x < 0, forward half for 0 <= x < x_max), and
-        the closed form ``tail`` from x_max on.  The pieces hold what
-        they read, not ``self``: a cycle through the cached lookup would
-        keep a dropped solution alive until the cyclic collector ran."""
+        the closed form ``core`` for x < 0, the integrated solution for
+        0 <= x < x_max, and the closed form ``tail`` from x_max on.  The
+        pieces hold what they read, not ``self``: a cycle through the
+        cached lookup would keep a dropped solution alive until the
+        cyclic collector ran."""
         return piecewise(
-            (self.x_core, math.nextafter(0.0, -math.inf),
+            (math.nextafter(0.0, -math.inf),
              math.nextafter(self.x_max, -math.inf)),
-            (core, *self._dense[comp], tail))
+            (core, self._dense[comp], tail))
 
     @functools.cached_property
     def _r_in_x(self):
@@ -171,16 +173,14 @@ class PlaneSolution:
 
     @functools.cached_property
     def _t_in_x(self):
-        # dt/dx = h2 = (core scale) r^2 integrates in closed form
-        c2 = 0.5 * self.core_pow  # h2 = c2 r^2 on the core
-        g = 2.0 * self.core_pow
-        amp = c2 * self.core_coeff ** 2 / g
-        t_core, x_core, x_max = self._t_core(), self.x_core, self.x_max
-        t_max = self._dense[1][1](x_max)
+        # dt/dx = h2 = (core_pow/2) r^2 on the core integrates in closed
+        # form to t = (r(1)^2/4)(e^{2 core_pow x} - 1), with t(0) = 0
+        amp, g = 0.25 * self.core_coeff ** 2, 2.0 * self.core_pow
+        x_max = self.x_max
+        t_max = self._dense[1](x_max)
         h2_max = self.bp.h2(self.r0)
-        return self._in_x(
-            1, lambda x: t_core - amp * (math.exp(g * x_core) - np.exp(g * x)),
-            lambda x: t_max + h2_max * (x - x_max))
+        return self._in_x(1, lambda x: amp * np.expm1(g * x),
+                          lambda x: t_max + h2_max * (x - x_max))
 
     def r_of_rho(self, rho):
         """r at rho; r = 0 at rho <= 0 (the binding puncture)."""
@@ -202,30 +202,26 @@ class PlaneSolution:
         return optimize.brentq(lambda x: self._r_in_x(x) - r,
                                self.x_of_r(self.bp.core_end), self.x_max)
 
-    def _t_core(self) -> float:
-        return self._dense[1][0](self.x_core)
-
     def t_of_rho(self, rho):
         """t at rho; rho <= 0 is read as rho = 1e-300, deep in the core."""
         return self._t_in_x(np.log(np.where(rho > 0.0, rho, 1e-300)))
 
 
-def solve_plane(bp: BindingProfile, r_at_1: float,
-                tol_asym: float = 1e-6) -> PlaneSolution:
-    """Integrate the plane equations from rho = 1 (r = r_at_1, t = 0).
+def solve_plane(bp: BindingProfile, r_at_1: float) -> PlaneSolution:
+    """Integrate the plane equations forward from rho = 1 (r = r_at_1,
+    t = 0); r_at_1 lies in the core, so the core's closed form holds
+    below rho = 1.
 
     Forward integration runs far enough to calibrate the asymptotic
-    tail; backward integration stops at the quadratic core, below which
-    the closed form takes over.  The stored grid spans rho from 1e-8 to
-    the smallest rho with r0 - r < tol_asym.
+    tail.  The stored grid spans rho from 1e-8 to the smallest rho with
+    r0 - r < TOL_ASYM.
     """
-    if not (0.0 < r_at_1 < bp.r0):
-        raise PlaneError(f"r at rho=1 must lie in (0, r0); got {r_at_1}"
-                         + (" (the constant solution at r0 is the trivial cylinder)"
-                            if r_at_1 >= bp.r0 else ""))
     if bp.core_end <= 0.0:
         raise PlaneError("plane solver requires a profile with an exact "
                          "quadratic-type core (core_end > 0)")
+    if not (0.0 < r_at_1 <= bp.core_end):
+        raise PlaneError(f"r at rho=1 must lie in (0, core_end] = "
+                         f"(0, {bp.core_end}]; got {r_at_1}")
     core_pow = bp.h2.d2(0.0)
     if core_pow <= 0.0:
         raise PlaneError("h2 must grow quadratically at the binding")
@@ -243,14 +239,13 @@ def solve_plane(bp: BindingProfile, r_at_1: float,
     def rhs(_x, y):
         return [bp.h2.d1(y[0]), bp.h2(y[0])]
 
-    # forward: until r0 - r < min(tol_asym, tail calibration threshold);
-    # the deep target keeps the asymptotic tail accurate for the
-    # linearized analysis, which integrates far along the cylinder.
-    target_gap = min(tol_asym, 1e-9)
-    x_hi_guess = math.log(10.0) + math.log(bp.r0 / target_gap) / kappa
+    # forward: until r0 - r < TAIL_GAP; the deep target keeps the
+    # asymptotic tail accurate for the linearized analysis, which
+    # integrates far along the cylinder.
+    x_hi_guess = math.log(10.0) + math.log(bp.r0 / TAIL_GAP) / kappa
 
     def close_event(_x, y):
-        return (bp.r0 - y[0]) - target_gap
+        return (bp.r0 - y[0]) - TAIL_GAP
     close_event.terminal = True
     close_event.direction = -1
 
@@ -260,37 +255,21 @@ def solve_plane(bp: BindingProfile, r_at_1: float,
     if not solF.success:
         raise PlaneError(f"forward integration failed: {solF.message}")
     x_max = float(solF.t[-1])
-    if bp.r0 - solF.y[0, -1] > target_gap * 1.01:
+    if bp.r0 - solF.y[0, -1] > TAIL_GAP * 1.01:
         raise PlaneError("failed to reach the asymptotic neighborhood of r0")
 
-    # backward: into the quadratic core (the start may already be inside)
-    core_r = min(bp.core_end, r_at_1)
-
-    def core_event(_x, y):
-        return y[0] - 0.5 * core_r
-    core_event.terminal = True
-    core_event.direction = -1
-
-    solB = integrate.solve_ivp(rhs, (0.0, -60.0), [r_at_1, 0.0],
-                               method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL,
-                               dense_output=True, events=core_event)
-    if not solB.success or solB.t[-1] <= -59.0:
-        raise PlaneError("backward integration failed to reach the core")
-    x_core = float(solB.t[-1])
-    r_core = float(solB.y[0, -1])
-    core_coeff = r_core / math.exp(core_pow * x_core)
-
+    # where r = r_at_1/2 on the core's closed form
+    x_core = math.log(0.5) / core_pow
     tail_coeff = (bp.r0 - float(solF.y[0, -1])) * math.exp(kappa * x_max)
 
     sol = PlaneSolution(bp=bp, rho_grid=np.empty(0), r_vals=np.empty(0),
-                        t_vals=np.empty(0), core_coeff=core_coeff,
+                        t_vals=np.empty(0), core_coeff=r_at_1,
                         core_pow=core_pow, x_core=x_core, x_max=x_max,
-                        kappa=kappa, tail_coeff=tail_coeff,
-                        sol_back=solB.sol, sol_fwd=solF.sol)
-    # smallest rho with r0 - r < tol_asym, from the integrated data (the
-    # forward r lookup the solution reads itself)
+                        kappa=kappa, tail_coeff=tail_coeff, sol_fwd=solF.sol)
+    # smallest rho with r0 - r < TOL_ASYM, from the integrated data (the
+    # r lookup the solution reads itself)
     xs = np.linspace(0.0, x_max, 2000)
-    idx = np.nonzero(bp.r0 - sol._dense[0][1](xs) < tol_asym)[0]
+    idx = np.nonzero(bp.r0 - sol._dense[0](xs) < TOL_ASYM)[0]
     rho_max = float(np.exp(xs[idx[0]])) if len(idx) else float(np.exp(x_max))
 
     sol.rho_grid = np.exp(np.linspace(math.log(1e-8), math.log(rho_max), 400))
@@ -313,14 +292,13 @@ class EnergyReport:
 
 
 def plane_energy(bp: BindingProfile, sol: PlaneSolution,
-                 rho_span: tuple | None = None,
-                 tol: float = 1e-6) -> EnergyReport:
+                 rho_span: tuple | None = None) -> EnergyReport:
     """dalpha-energy of the plane over rho in rho_span.
 
     Stokes value 2*pi*(h2(r(hi)) - h2(r(lo))) cross-checked against a
     direct 2d quadrature of the pulled-back form, whose density is
-    h2'(r(rho))^2 / rho  (independent of the angle).  Disagreement
-    beyond the tolerance is an inconsistency error.
+    h2'(r(rho))^2 / rho  (independent of the angle).  A relative
+    disagreement beyond ENERGY_RTOL is an inconsistency error.
     """
     if rho_span is None:
         rho_span = (float(sol.rho_grid[0]), float(sol.rho_grid[-1]))
@@ -340,14 +318,14 @@ def plane_energy(bp: BindingProfile, sol: PlaneSolution,
     def density(x):
         return bp.h2.d1(sol.r_of_rho(math.exp(x))) ** 2
 
-    breaks = [sol.x_core, 0.0, sol.x_max, sol.x_of_r(bp.core_end)]
+    breaks = [0.0, sol.x_max, sol.x_of_r(bp.core_end)]
     pts = sorted(x for x in breaks if a < x < b)
     radial, _err = integrate.quad(density, a, b, points=pts or None,
                                   epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
                                   limit=400)
     quad = 2.0 * math.pi * radial
     gap = abs(stokes - quad) / max(abs(stokes), 1e-300)
-    if gap > tol:
+    if gap > ENERGY_RTOL:
         raise PlaneError(
             f"energy methods disagree: stokes {stokes:.12e} vs quadrature "
             f"{quad:.12e} (relative {gap:.2e})")

@@ -177,10 +177,8 @@ class TwistProfile:
     """
 
     k: int
-    eps: float
     p_plateau: float
     s_max: float
-    shape: str
     g: SmoothProfile
     hk: SmoothProfile
     htilde: SmoothProfile
@@ -288,8 +286,8 @@ def build_twist_profile(k: int, eps: float, p_plateau: float,
     if hk_min <= 0.0:
         raise ProfileError(f"hk is not positive on the domain (min {hk_min:.3e})")
 
-    return TwistProfile(k=k, eps=eps, p_plateau=pc, s_max=s_max, shape=shape,
-                        g=g, hk=hk, htilde=htilde, p0=p0)
+    return TwistProfile(k=k, p_plateau=pc, s_max=s_max, g=g, hk=hk,
+                        htilde=htilde, p0=p0)
 
 
 # ----------------------------------------------------------------------

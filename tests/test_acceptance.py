@@ -77,7 +77,7 @@ def test_03_index_oracle():
 def test_04_plane_ode(bp):
     with criterion(4, "plane ODE"):
         t0 = time.time()
-        sol = plane.solve_plane(bp, r_at_1=bp.core_end / 2.0, tol_asym=1e-6)
+        sol = plane.solve_plane(bp, r_at_1=bp.core_end / 2.0)
         assert time.time() - t0 < 1.0
         r_init = sol.r_of_rho(1.0)
         rho_exit = math.sqrt(bp.core_end / r_init)

@@ -14,14 +14,15 @@ import pytest
 
 from reebtwist import cli, energy, geometry, index, lincr, orbits, plane
 from reebtwist import profiles
-from reebtwist.config import (_SCHEMA, ConfigError, ReebtwistError,
-                              RunConfig, default_config_text, parse_config)
+from reebtwist.config import (_FIELD_MAP, _SCHEMA, ConfigError,
+                              ReebtwistError, RunConfig, default_config_text,
+                              parse_config)
 
 
 def test_default_config_round_trip():
     cfg = parse_config(default_config_text())
     assert cfg.n == 2 and cfg.k == -1 and cfg.seed == 1234
-    assert cfg.delta is None and cfg.r_at_1 is None
+    assert cfg.matched_p_cap is None and cfg.matched_r_max is None
     # the printed defaults are RunConfig's, the one statement of the model
     assert cfg == RunConfig()
 
@@ -32,7 +33,8 @@ def test_unknown_key_names_line():
 
 
 def test_removed_tolerance_key_rejected():
-    with pytest.raises(ConfigError, match=r"line 2: unknown key 'ode'"):
+    with pytest.raises(ConfigError,
+                       match=r"line 1: unknown section \[tolerances\]"):
         parse_config("[tolerances]\node = 1e-10\n")
 
 
@@ -57,8 +59,8 @@ def test_bad_value_reports_location():
 
 
 def test_blank_value_keeps_default():
-    cfg = parse_config("[lincr]\ndelta =\nk_max = 3\n")
-    assert cfg.delta is None and cfg.k_max == 3
+    cfg = parse_config("[matched]\np_cap =\n[lincr]\nk_max = 3\n")
+    assert cfg.matched_p_cap is None and cfg.k_max == 3
 
 
 def test_schema_flag(capsys):
@@ -159,6 +161,53 @@ def test_non_finite_float_rejected(section, key, raw):
         parse_config(f"# non-finite\n[{section}]\n{key} = {raw}\n")
 
 
+# keys that are not settable, each with the error a file naming it gets:
+# the model fixes r(1) = core_end / 2 (another start in the core only
+# rescales rho) and delta = half the spectral gap (the count is checked
+# stable around it), and the asymptotic and angle tolerances are constants
+RETIRED_KEYS = [
+    ("plane", "r_at_1", "line 1: unknown section [plane]"),
+    ("plane", "tol_asym", "line 1: unknown section [plane]"),
+    ("lincr", "delta", "line 2: unknown key 'delta' in [lincr]"),
+    ("tolerances", "rank", "line 1: unknown section [tolerances]"),
+]
+
+
+@pytest.mark.parametrize("raw", ["0", "-1e-6", "1e-6", "1e-7",
+                                 "nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key,error", RETIRED_KEYS,
+                         ids=[f"{s}.{k}" for s, k, _ in RETIRED_KEYS])
+def test_retired_key_exits_1(tmp_path, capsys, section, key, error, raw):
+    cfg = tmp_path / "retired.cfg"
+    cfg.write_text(f"[{section}]\n{key} = {raw}\n")
+    out = tmp_path / "o"
+    assert cli.main(["all", "--config", str(cfg), "--quiet",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
+def test_schema_keys_are_the_run_config_fields():
+    # each [section] key sets one RunConfig field through _FIELD_MAP, and
+    # each field is set by exactly one key
+    keys = [(section, key) for section, names in _SCHEMA.items()
+            for key in names]
+    fields = [_FIELD_MAP.get(sk, sk[1]) for sk in keys]
+    assert sorted(fields) == sorted(f.name for f in
+                                    dataclasses.fields(RunConfig))
+    assert len(set(fields)) == len(fields) == 18
+    assert len(_SCHEMA) == 6 and set(_FIELD_MAP) <= set(keys)
+    # the printed defaults name each key once, under its own section
+    named, section = [], None
+    for line in default_config_text().splitlines():
+        text = line.split("#", 1)[0].strip()
+        if text.startswith("["):
+            section = text[1:-1]
+        elif text:
+            named.append((section, text.split("=", 1)[0].strip()))
+    assert named == keys
+
+
 def test_non_finite_float_exits_1(tmp_path, capsys):
     bad = tmp_path / "nan.cfg"
     bad.write_text("[binding]\nkappa = nan\n")
@@ -197,9 +246,12 @@ def test_io_errors_exit_1(tmp_path, capsys, case):
 
 
 def test_negative_seed_override_rejected(tmp_path, capsys):
+    # rejected before anything is written: the --out directory is not made
+    out = tmp_path / "o"
     assert cli.main(["validate", "--seed", "-1", "--quiet",
-                     "--out", str(tmp_path)]) == 1
-    assert "seed" in capsys.readouterr().err
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_failed_pass_flag_exits_1(tmp_path, capsys):
@@ -225,17 +277,6 @@ def test_negative_k_max_exits_1(tmp_path, capsys, subcommand):
                      "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == "error: [lincr] k_max must be >= 0, got -1\n"
-
-
-def test_zero_r_at_1_is_not_the_default(tmp_path, capsys):
-    # 0 is a value, not "unset": it reaches the plane solver's range check
-    cfg = tmp_path / "r1.cfg"
-    cfg.write_text("[plane]\nr_at_1 = 0\n")
-    assert parse_config(cfg.read_text()).r_at_1 == 0.0
-    assert cli.main(["plane", "--config", str(cfg), "--quiet",
-                     "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == \
-        "error: r at rho=1 must lie in (0, r0); got 0.0\n"
 
 
 # a twist for which no collar-matched profile exists; the fig2 binding
@@ -278,8 +319,6 @@ CONFIG_ERROR_PROBES = [
     ("[twist]\nk = 0\n", "[twist]", "k"),
     ("[twist]\nk = 2\n", "[twist]", "k"),
     ("[twist]\nshape = lin\n", "[twist]", "shape"),
-    ("[tolerances]\nrank = 0\n", "[tolerances]", "rank"),
-    ("[plane]\ntol_asym = -1e-6\n", "[plane]", "tol_asym"),
     ("[orbits]\naction_bound_factor = 0\n", "[orbits]", "action_bound_factor"),
     ("[twist]\np_plateau = 1.5\n", "[twist]", "p_plateau"),
     ("[twist]\neps = 0\n", "[twist]", "eps"),

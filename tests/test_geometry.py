@@ -147,8 +147,7 @@ def test_tilde_reeb_singularity_reported(tp):
     # a hand-made profile with htilde proportional to s has a vanishing
     # Reeb denominator everywhere; the evaluator must report it
     lin = P.SmoothProfile(0.0, 1.0, lambda s: s, lambda s: 1.0, lambda s: 0.0)
-    fake = P.TwistProfile(k=-1, eps=0.1, p_plateau=0.5, s_max=1.0,
-                          shape="cos2", g=tp.g, hk=tp.hk,
+    fake = P.TwistProfile(k=-1, p_plateau=0.5, s_max=1.0, g=tp.g, hk=tp.hk,
                           htilde=lin, p0=tp.p0)
     with pytest.raises(G.GeometryError, match="denominator"):
         G.tilde_reeb_data(fake, 0.5)

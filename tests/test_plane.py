@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import time
@@ -6,56 +7,83 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import integrate, optimize
 
 from reebtwist import plane as PL
 from reebtwist import profiles as P
 
 
 def test_preconditions(bp):
-    with pytest.raises(PL.PlaneError):
-        PL.solve_plane(bp, r_at_1=bp.r0)  # fixed point: trivial cylinder
-    with pytest.raises(PL.PlaneError):
-        PL.solve_plane(bp, r_at_1=bp.r0 + 0.05)
-    with pytest.raises(PL.PlaneError):
-        PL.solve_plane(bp, r_at_1=0.0)
+    # r(1) must lie in the core, which the closed form below rho = 1 needs
+    for r_at_1 in (bp.r0, bp.r0 + 0.05, 0.0,
+                   math.nextafter(bp.core_end, math.inf)):
+        with pytest.raises(PL.PlaneError, match="core_end"):
+            PL.solve_plane(bp, r_at_1=r_at_1)
 
 
 def test_core_closed_form(bp, plane_sol):
-    # r(1) lies inside the core, so r = r(1) rho^2 until the core exit
+    # r(1) lies inside the core, so below rho = 1 the plane is the closed
+    # form r = r(1) e^{px}, t = (r(1)^2/4)(e^{2px} - 1) in x = log rho,
+    # p = h2''(0), to 4 ulp, for floats and arrays; and r = r(1) rho^2
+    # until the core exit
     sol = plane_sol
     r_init = sol.r_of_rho(1.0)
-    assert r_init == bp.core_end / 2.0
+    assert r_init == bp.core_end / 2.0 == sol.core_coeff
+    assert sol.t_of_rho(1.0) == 0.0
+    p = sol.core_pow
+    rhos = np.concatenate([np.geomspace(1e-8, 1.0, 401)[:-1],
+                           [math.nextafter(1.0, 0.0)]])
+    xs = [math.log(rho) for rho in rhos]
+    r_ref = [r_init * math.exp(p * x) for x in xs]
+    t_ref = [0.25 * r_init ** 2 * math.expm1(2.0 * p * x) for x in xs]
+    for f, ref in ((sol.r_of_rho, r_ref), (sol.t_of_rho, t_ref)):
+        np.testing.assert_array_max_ulp(f(rhos), ref, maxulp=4)
+        np.testing.assert_array_max_ulp([f(float(rho)) for rho in rhos],
+                                        ref, maxulp=4)
     rho_exit = math.sqrt(bp.core_end / r_init)
     rhos = np.geomspace(1e-8, 0.999 * rho_exit, 400)
     sup = max(abs(sol.r_of_rho(float(r)) - r_init * r * r) for r in rhos)
     assert sup <= 1e-8
 
 
+def test_solve_plane_integrates_once(bp, monkeypatch):
+    # the core is closed form: one forward solve_ivp from rho = 1 is the
+    # plane's only integration
+    spans = []
+
+    class CountingIntegrate:
+        def __getattr__(self, name):
+            return getattr(integrate, name)
+
+        def solve_ivp(self, fun, t_span, *args, **kwargs):
+            spans.append(tuple(t_span))
+            return integrate.solve_ivp(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(PL, "integrate", CountingIntegrate())
+    sol = PL.solve_plane(bp, r_at_1=bp.core_end / 2.0)
+    sol.r_of_rho(np.geomspace(1e-8, 1e3, 50)), sol.t_of_rho(1e-3)
+    assert len(spans) == 1 and spans[0][0] == 0.0
+    assert "sol_back" not in {f.name for f in dataclasses.fields(sol)}
+    assert sol.x_core == math.log(0.5) / sol.core_pow
+
+
 def test_asymptotics_and_runtime(bp):
     t0 = time.time()
-    sol = PL.solve_plane(bp, r_at_1=bp.core_end / 2.0, tol_asym=1e-6)
+    sol = PL.solve_plane(bp, r_at_1=bp.core_end / 2.0)
     elapsed = time.time() - t0
     assert elapsed < 1.0
-    assert bp.r0 - sol.r_vals[-1] <= 1e-6
+    assert bp.r0 - sol.r_vals[-1] <= PL.TOL_ASYM == 1e-6
     assert np.all(np.diff(sol.r_vals) > 0.0)
     assert sol.r_vals.max() <= bp.r0 + 1e-12
 
 
-def _t_limit_at_puncture(sol) -> float:
-    """t at rho -> 0 in the core's closed form: dt/dx = h2 = (core scale)
-    r^2 with r = core_coeff e^{core_pow x}."""
-    c2 = 0.5 * sol.core_pow
-    g = 2.0 * sol.core_pow
-    return sol._t_core() - (c2 * sol.core_coeff ** 2 / g) * math.exp(
-        g * sol.x_core)
-
-
 def test_t_monotone_and_finite_at_puncture(plane_sol):
     assert np.all(np.diff(plane_sol.t_vals) >= 0.0)
-    assert np.isfinite(_t_limit_at_puncture(plane_sol))
-    # the puncture limit is approached from the grid values
-    assert plane_sol.t_vals[0] >= _t_limit_at_puncture(plane_sol) - 1e-12
+    # t -> -r(1)^2/4 at rho -> 0, the core's closed form; the puncture
+    # itself reads that limit, and the grid values approach it from above
+    t_limit = -0.25 * plane_sol.core_coeff ** 2
+    assert plane_sol.t_of_rho(0.0) == t_limit
+    assert plane_sol.t_vals[0] >= t_limit
 
 
 def test_projection_independent_of_parametrization(bp, plane_sol):
@@ -136,45 +164,33 @@ def test_flat_peak_profiles_rejected_with_diagnostic(tp, matched):
 
 def _scalar_lookup(sol, rho):
     """The per-point (r, t) lookup the array evaluators replace: math
-    closed forms on the core and the tail, one OdeSolution call on the
-    half that holds log rho in between."""
-    def dense(x, comp):
-        return float((sol.sol_back if x < 0 else sol.sol_fwd)(x)[comp])
-
-    x_r = math.log(rho) if rho > 0.0 else -math.inf
-    if rho <= 0.0:
-        r = 0.0
-    elif x_r <= sol.x_core:
-        r = sol.core_coeff * math.exp(sol.core_pow * x_r)
-    elif x_r >= sol.x_max:
-        r = sol.r0 - sol.tail_coeff * math.exp(-sol.kappa * x_r)
-    else:
-        r = dense(x_r, 0)
+    closed forms on the core and the tail, one OdeSolution call in
+    between."""
     x = math.log(rho if rho > 0.0 else 1e-300)
-    g = 2.0 * sol.core_pow
-    if x <= sol.x_core:
-        amp = 0.5 * sol.core_pow * sol.core_coeff ** 2 / g
-        t = dense(sol.x_core, 1) - amp * (math.exp(g * sol.x_core)
-                                          - math.exp(g * x))
+    if x < 0.0:
+        r = sol.core_coeff * math.exp(sol.core_pow * x)
+        t = 0.25 * sol.core_coeff ** 2 * math.expm1(2.0 * sol.core_pow * x)
     elif x >= sol.x_max:
-        t = dense(sol.x_max, 1) + sol.bp.h2(sol.r0) * (x - sol.x_max)
+        r = sol.r0 - sol.tail_coeff * math.exp(-sol.kappa * x)
+        t = (float(sol.sol_fwd(sol.x_max)[1])
+             + sol.bp.h2(sol.r0) * (x - sol.x_max))
     else:
-        t = dense(x, 1)
-    return r, t, sol.x_core < x < sol.x_max
+        r, t = (float(v) for v in sol.sol_fwd(x))
+    return (r if rho > 0.0 else 0.0), t, 0.0 <= x < sol.x_max
 
 
 def test_array_lookup_matches_scalar_oracle(plane_sol):
-    # a grid across rho <= 0, the core, both halves of the integrated
-    # range (x < 0 and x >= 0), and the tail; floats and arrays
+    # a grid across rho <= 0, the core, the integrated range and the
+    # tail; floats and arrays
     sol = plane_sol
     rhos = np.concatenate([
         [-1.0, 0.0, 1e-320, 1.0],
-        np.geomspace(math.exp(sol.x_core - 3.0), math.exp(sol.x_max + 3.0),
-                     2001)])
+        np.geomspace(math.exp(-4.0), math.exp(sol.x_max + 3.0), 2001)])
     ref = np.array([_scalar_lookup(sol, float(rho)) for rho in rhos])
     mid = ref[:, 2].astype(bool)
-    assert mid.sum() > 1000 and (~mid).sum() > 500
-    assert (np.log(rhos[mid]) < 0).any() and (np.log(rhos[mid]) >= 0).any()
+    x = np.log(rhos[rhos > 0.0])
+    assert mid.sum() > 1000 and (x < 0.0).sum() > 200
+    assert (x >= sol.x_max).sum() > 200
     for got in (sol.r_of_rho(rhos), np.array([sol.r_of_rho(float(rho))
                                               for rho in rhos])):
         assert np.array_equal(got[mid], ref[mid, 0])
@@ -215,7 +231,7 @@ def test_dropped_solution_is_freed_without_the_cycle_collector(bp):
 def test_x_of_r_inverts_the_plane(bp, plane_sol):
     # the core's closed form up to core_end, a root on the plane beyond;
     # r(rho) read back at each is the radius asked for, to the agreement
-    # of the closed form with the integrated plane between x_core and
+    # of the closed form with the integrated plane between rho = 1 and
     # the core edge (3.7e-11 relative at core_end)
     for r in (0.1 * bp.core_end, bp.core_end, 0.5 * (bp.core_end + bp.r0),
               bp.r0 - 1e-6):
@@ -240,38 +256,36 @@ COLLAR_CONFIG = ("[twist]\nk = -3\np_plateau = 0.9\nshape = cos2\n"
 @pytest.mark.parametrize("text", ["", MODES_CONFIG, COLLAR_CONFIG],
                          ids=["default", "modes", "collar"])
 def test_dense_lookup_matches_ode_solution_bit_for_bit(text):
-    # both halves (the backward solution has descending steps) and both
-    # components, at every step edge and its two float neighbours, past
-    # either end and across the range; floats, arrays and a 0-d array
+    # both components, at every step edge and its two float neighbours,
+    # past either end and across the range; floats, arrays and a 0-d
+    # array
     from reebtwist import cli
     from reebtwist.config import parse_config
     sol = cli.Model(parse_config(text)).sol
-    assert not sol.sol_back.ascending and sol.sol_fwd.ascending
-    for ode in (sol.sol_back, sol.sol_fwd):
-        assert len(ode.interpolants) > 1
-        lo, hi = ode.t_min, ode.t_max
-        e = np.asarray(ode.ts)
-        xs = np.concatenate([e, np.nextafter(e, -np.inf),
-                             np.nextafter(e, np.inf),
-                             [lo - 1.0, hi + 1.0, lo - 1e-3, hi + 1e-3],
-                             np.linspace(lo, hi, 1001)])
-        for comp in (0, 1):
-            lookup = PL._DenseLookup(ode, comp)
-            ref = ode(xs)[comp]
-            assert np.array_equal(lookup(xs), ref)
-            assert np.array_equal([lookup(float(x)) for x in xs], ref)
-            assert np.array_equal([ode(float(x))[comp] for x in xs], ref)
-            got = lookup(np.array(xs[7]))
-            assert got.shape == () and got == ref[7]
-            assert isinstance(lookup(float(xs[7])), float)
-            assert np.array_equal(lookup(xs.reshape(-1, 3)),
-                                  ref.reshape(-1, 3))
+    ode = sol.sol_fwd
+    assert ode.ascending and len(ode.interpolants) > 1
+    lo, hi = ode.t_min, ode.t_max
+    e = np.asarray(ode.ts)
+    xs = np.concatenate([e, np.nextafter(e, -np.inf),
+                         np.nextafter(e, np.inf),
+                         [lo - 1.0, hi + 1.0, lo - 1e-3, hi + 1e-3],
+                         np.linspace(lo, hi, 1001)])
+    for comp in (0, 1):
+        lookup = PL._DenseLookup(ode, comp)
+        ref = ode(xs)[comp]
+        assert np.array_equal(lookup(xs), ref)
+        assert np.array_equal([lookup(float(x)) for x in xs], ref)
+        assert np.array_equal([ode(float(x))[comp] for x in xs], ref)
+        got = lookup(np.array(xs[7]))
+        assert got.shape == () and got == ref[7]
+        assert isinstance(lookup(float(xs[7])), float)
+        assert np.array_equal(lookup(xs.reshape(-1, 3)),
+                              ref.reshape(-1, 3))
     # the plane's own lookups read the evaluators
-    rhos = np.exp(np.linspace(sol.x_core, sol.x_max, 301)[1:-1])
+    rhos = np.exp(np.linspace(0.0, sol.x_max, 301)[:-1])
     x = np.log(rhos)
     for comp, f in ((0, sol.r_of_rho), (1, sol.t_of_rho)):
-        ref = np.where(x < 0.0, sol.sol_back(x)[comp], sol.sol_fwd(x)[comp])
-        assert np.array_equal(f(rhos), ref)
+        assert np.array_equal(f(rhos), ode(x)[comp])
 
 
 def test_array_lookup_transient_memory(plane_sol):

@@ -5,7 +5,7 @@ import pytest
 
 from reebtwist import profiles as P
 from reebtwist.cli import Model
-from reebtwist.config import parse_config
+from reebtwist.config import RunConfig, parse_config
 
 
 def test_g_at_zero_is_k_pi(tp):
@@ -129,11 +129,14 @@ def test_default_shape_invariants(tp, bp):
 
 
 def test_root_stability_under_shape_perturbation(tp):
-    tp2 = P.build_twist_profile(k=-1, eps=tp.eps + 1e-6,
-                                p_plateau=tp.p_plateau, shape=tp.shape)
+    # tp is the twist of the default config
+    cfg = RunConfig()
+    tp2 = P.build_twist_profile(k=-1, eps=cfg.eps + 1e-6,
+                                p_plateau=cfg.p_plateau, shape=cfg.twist_shape)
     assert abs(tp2.p0 - tp.p0) <= 1e-4
-    tp3 = P.build_twist_profile(k=-1, eps=tp.eps,
-                                p_plateau=tp.p_plateau + 1e-6, shape=tp.shape)
+    tp3 = P.build_twist_profile(k=-1, eps=cfg.eps,
+                                p_plateau=cfg.p_plateau + 1e-6,
+                                shape=cfg.twist_shape)
     assert abs(tp3.p0 - tp.p0) <= 1e-4
 
 
