@@ -47,7 +47,8 @@ gap of a block with no unmatched angle, is written as null):
   validate.json        profile/geometry identity residuals and flags
   plane_energy.json    stokes, quadrature, action_gamma0
   kernel.json          per_mode, total, non_decaying_bounded, delta,
-                       spectral_gap, angle_conditioning, a_norm,
+                       spectral_gap, angle_conditioning,
+                       richardson_estimate, a_norm,
                        back_substitution_residual, sz_inequality
   energy.json          E1, E2, total, bound, pass
   summary.json         degree_of_gamma0, plane_energy, action_gamma0, seed,
@@ -163,6 +164,13 @@ GATES = (
     Gate("w_back_substitution", "lincr", _at("back_substitution_residual"),
          le, 1e-8),
     Gate("kernel_total_5", "lincr", _at("total"), eq, 5),
+    # the largest per-chunk Richardson estimate of the shooting, the
+    # target of its step rule (magnus.SHOOT_TOL): 1e-11 relative per
+    # chunk over the forward pass's 25 samples, x_mid and crossed breaks
+    # (about 30 chunks) adds up to 3e-10 in the natural log, 1.3e-10 in
+    # log10_norm, below the growth table's 1e-9 bound
+    Gate("shooting_richardson", "lincr", _at("richardson_estimate"), le,
+         1e-11),
     Gate("sz_inequality", "lincr", _at("sz_inequality", "min_ratio"), ge,
          2.0 - 1e-9, ("sz_inequality", "passed")),
     Gate("energy_bound", "energy", lambda e: e["total"] - e["bound"], ge,
@@ -372,6 +380,7 @@ def stage_lincr(model: Model, out: Path, seed: int) -> dict:
         "spectral_gap": report.spectral_gap,
         "angle_conditioning": {str(k): v for k, v in
                                report.conditioning.items()},
+        "richardson_estimate": report.richardson,
         # the sup of the zeroth-order coefficient norm and the smallness
         # flag of the mode-exclusion inequality
         "a_norm": {"a_norm": we.a_norm, "below_2": bool(we.a_norm < 2.0)},

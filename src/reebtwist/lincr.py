@@ -20,17 +20,21 @@ propagated to a midpoint and their span intersected.  In the phase-plane
 variables of the second component, block k is a real 4-vector system
 whose real and imaginary parts share one trajectory, and a start in the
 first component alone stays there as e^{+-kx}.  So each block carries
-one 4-vector, its e^{kx} growth factored out, in one state with every
-other block and the plane radius r.  A kernel count and its growth
+one 4-vector, its e^{kx} growth factored out, and every block goes
+through each step at once.  A kernel count and its growth
 table share one forward pass from the core to the end of the plane:
 the regular span is its state at the matching point, the table its
 log-norms at the samples.  One backward pass from the end of the plane
-gives the admissible span.  Each pass is one solve_ivp per chunk,
-renormalized between chunks (continuous orthogonalization, as in
-Humpherys & Zumbrun, Physica D 220, 2006).  The expected
-outcome for every shipped profile is three mode-0 directions (two
-constants plus one decaying branch) and two mode-(-1) directions (the
-1/z translation pair): five in total, matching the Fredholm index.
+gives the admissible span.  Each pass takes sixth-order Magnus steps
+(Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999) on chunks whose
+edges sit on the profile breaks, with H2 and G1 looked up at every
+Gauss node in one array call; each chunk's step count comes from a
+Richardson probe on that chunk, and the states are renormalized
+between chunks (continuous orthogonalization, as in Humpherys &
+Zumbrun, Physica D 220, 2006).  The expected outcome for every shipped
+profile is three mode-0 directions (two constants plus one decaying
+branch) and two mode-(-1) directions (the 1/z translation pair): five
+in total, matching the Fredholm index.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import integrate
 
+from . import magnus
 from .config import ReebtwistError
 from .plane import PlaneSolution
 from .profiles import BindingProfile, piecewise
@@ -66,7 +71,7 @@ class LinCRError(ReebtwistError):
     pass
 
 
-# DOP853 tolerances of every shooting and phase-plane integration
+# DOP853 tolerances of cone_invariance_check, the one solve_ivp here
 ODE_RTOL = 1e-11
 ODE_ATOL = 1e-13
 # points of the back-substitution check, and the principal angle below
@@ -338,63 +343,35 @@ def _norms(Y: np.ndarray) -> np.ndarray:
     return np.sqrt(p * p + m * m + 0.5 * (u * u + v * v))
 
 
-def _reduced_rhs(bp: BindingProfile, ks, shift: float):
-    """Right-hand side of the state [r, u, v, w1p, w1m] (each component
-    a row over the blocks ks): dr/dx = h2'(r), and the states of block
-    k obey A_k + shift * k * I.  The constant part is one matrix; the
-    coefficients, evaluated once per call at the carried plane radius,
-    act on u alone."""
-    k = np.asarray(ks, float)
-    n = k.size
-    sk, Z = shift * k, np.zeros((n, n))
-    M = np.zeros((4 * n + 1, 4 * n + 1))
-    M[1:, 1:] = np.block([[np.diag(sk), np.diag(k), Z, Z],
-                          [np.diag(k), np.diag(sk), Z, Z],
-                          [Z, Z, np.diag(sk + k), Z],
-                          [Z, Z, Z, np.diag(sk - k)]])
-
-    def rhs(_x, y):
-        # r as a Python float keeps the profile pieces in float arithmetic
-        F, h1, h2, h2d = _coefficients(bp, y.item(0))
-        dy = M @ y
-        dy[0] = h2d
-        g = 0.5 * h1 * F
-        dy[1:] += np.multiply.outer((-h2 * F, 0.0, g, g), y[1:n + 1]).ravel()
-        return dy
-    return rhs
+def _node_coefficients(we: WEquation, x: np.ndarray) -> tuple:
+    """(H2, G1/2) at every x = log rho of an array, in one array call
+    of each profile piece."""
+    F, h1, h2, _ = _coefficients(we.bp, we.sol.r_of_rho(np.exp(x)))
+    return -h2 * F, 0.5 * h1 * F
 
 
 def _shoot(we: WEquation, ks, Y: np.ndarray, edges, shift: float):
     """Propagate the reduced states Y (column j of block ks[j]) through
-    the chunks of ``edges`` under A_k + shift * k * I, every block in
-    one solve_ivp per chunk.
+    the chunks of ``edges`` under A_k + shift * k * I, every block at
+    once, by the sixth-order Magnus propagators of each chunk
+    (magnus.chunk_propagators), the coefficients looked up on the plane.
 
-    The plane radius is re-anchored on the plane solution at the start
-    of every chunk, and every column is renormalized to unit 8-D norm at
-    its end.  A chunk after the first opens with a full step of the one
-    before, not DOP853's initial-step guess.  Returns the unit-norm
-    states at every edge, shape (len(edges), 4, len(ks)), and the
-    cumulative natural-log norm growth of each column at every edge (in
-    the shifted frame), shape (len(edges), len(ks))."""
-    rhs = _reduced_rhs(we.bp, ks, shift)
+    Every column is renormalized to unit 8-D norm at each edge.  Returns
+    the unit-norm states at every edge, shape (len(edges), 4, len(ks)),
+    the cumulative natural-log norm growth of each column at every edge
+    (in the shifted frame), shape (len(edges), len(ks)), and the largest
+    Richardson estimate of a chunk."""
+    props, err = magnus.chunk_propagators(
+        functools.partial(_node_coefficients, we), np.asarray(ks, float),
+        shift, np.asarray(edges, float))
     states, logs = [Y], [np.zeros(len(ks))]
-    step = None
-    for a, b in zip(edges[:-1], edges[1:]):
-        y0 = np.concatenate([[we.sol.r_of_rho(math.exp(a))], Y.ravel()])
-        out = integrate.solve_ivp(rhs, (a, b), y0, method="DOP853",
-                                  rtol=ODE_RTOL, atol=ODE_ATOL,
-                                  first_step=step and min(step, abs(b - a)))
-        if not out.success:
-            raise LinCRError(f"shooting of blocks {list(ks)} failed on "
-                             f"[{a:.2f}, {b:.2f}]")
-        if len(out.t) > 2:
-            step = abs(out.t[-2] - out.t[-3])
-        Y = out.y[1:, -1].reshape(4, -1)
+    for j in range(props.shape[-1]):
+        Y = magnus.apply(props[:, :, j], Y)
         nrm = _norms(Y)
         Y = Y / nrm
         states.append(Y)
         logs.append(logs[-1] + np.log(nrm))
-    return np.array(states), np.array(logs)
+    return np.array(states), np.array(logs), float(err.max())
 
 
 # samples of the growth table; they, x_mid and the profile breaks the
@@ -411,8 +388,8 @@ def _ends(we: WEquation) -> tuple:
 
 def _break_edges(we: WEquation, lo: float, hi: float) -> list:
     """The x in (lo, hi) at which the plane crosses a break of h1 or h2.
-    The coefficients jump there; a chunk edge on each keeps DOP853 from
-    shrinking its step to cross the jump inside a chunk."""
+    The coefficients jump there; a chunk edge on each keeps every Magnus
+    step on one smooth piece, where its Gauss nodes keep their order."""
     sol, bp = we.sol, we.bp
     r_lo, r_hi = sol.r_of_rho(math.exp(lo)), sol.r_of_rho(math.exp(hi))
     xs = [sol.x_of_r(b) for b in sorted(set(bp.h1.breaks + bp.h2.breaks))
@@ -423,11 +400,12 @@ def _break_edges(we: WEquation, lo: float, hi: float) -> list:
 class ForwardPass(NamedTuple):
     """The forward pass of one kernel count: its chunk edges, the
     unit-norm reduced states (4, k_max + 1) and the log-norm growth
-    (k_max + 1,) at every edge."""
+    (k_max + 1,) at every edge, and its largest Richardson estimate."""
 
     edges: np.ndarray
     states: np.ndarray
     logs: np.ndarray
+    error: float
 
 
 def _forward(we: WEquation, k_max: int) -> ForwardPass:
@@ -447,12 +425,12 @@ def _forward(we: WEquation, k_max: int) -> ForwardPass:
                                       edges, -1.0))
 
 
-def _backward(we: WEquation, k_max: int) -> np.ndarray:
+def _backward(we: WEquation, k_max: int) -> tuple:
     """The backward pass, x_b to x_mid in unit chunks (split at the
     breaks crossed on the way) under A_k + kI, from the contracting
     eigenvector of the limiting A_k of every block k >= 1 (eigenvalue
     lambda = H2/2 - sqrt(H2^2/4 + k^2) < -k, as H2_inf < 0).  Returns
-    the states at x_mid."""
+    the states at x_mid and the pass's largest Richardson estimate."""
     _, x_mid, x_b = _ends(we)
     k = np.arange(1.0, k_max + 1.0)
     H2, G1 = we.H2_inf, we.G1_inf
@@ -462,7 +440,9 @@ def _backward(we: WEquation, k_max: int) -> np.ndarray:
     n_chunk = max(1, int(math.ceil(x_b - x_mid)))
     edges = np.union1d(np.linspace(x_b, x_mid, n_chunk + 1),
                        _break_edges(we, x_mid, x_b))[::-1]
-    return _shoot(we, range(1, k_max + 1), Y / _norms(Y), edges, 1.0)[0][-1]
+    states, _, error = _shoot(we, range(1, k_max + 1), Y / _norms(Y), edges,
+                              1.0)
+    return states[-1], error
 
 
 @dataclass
@@ -476,6 +456,8 @@ class KernelReport:
     forward: ForwardPass = field(repr=False)
     angles: dict = field(default_factory=dict)       # block -> principal angles
     conditioning: dict = field(default_factory=dict)  # block -> angle gap
+    # the largest per-chunk Richardson estimate of both passes
+    richardson: float = 0.0
 
 
 def _match_spans(Us, Vs, angle_tol: float) -> tuple:
@@ -556,7 +538,7 @@ def kernel_dimension(we: WEquation, delta: float | None = None,
                          f"(0, {we.spectral_gap:.4f})")
     fwd = _forward(we, k_max)
     Yf = fwd.states[np.searchsorted(fwd.edges, _ends(we)[1])]
-    Yb = _backward(we, k_max)
+    Yb, back_error = _backward(we, k_max)
     w1p, w1m = np.eye(8)[:, 0:2], np.eye(8)[:, 2:4]
     Us, Vs = [np.eye(4)], [np.eye(4)[:, :3]]
     for k in range(1, k_max + 1):
@@ -570,7 +552,8 @@ def kernel_dimension(we: WEquation, delta: float | None = None,
     return KernelReport(per_mode=per_mode, total=sum(per_mode.values()),
                         non_decaying_bounded=non_dec, delta=delta,
                         spectral_gap=we.spectral_gap, forward=fwd,
-                        angles=angles, conditioning=conditioning)
+                        angles=angles, conditioning=conditioning,
+                        richardson=max(fwd.error, back_error))
 
 
 def mode_shooting_table(we: WEquation, forward: ForwardPass):

@@ -601,7 +601,7 @@ def build_binding_profile(r0: float, r_max: float, shape: dict) -> BindingProfil
     SmoothProfiles; used for counterexamples and oracles).
     """
     if not (0.0 < r0 < r_max):
-        raise ProfileError("need 0 < r0 < r_max")
+        raise ProfileError(f"r0 = {r0} must lie in (0, r_max) = (0, {r_max})")
     name = shape.get("name", "fig2")
     if name == "fig2":
         bp = _build_fig2(r0, r_max, shape)

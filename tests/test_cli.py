@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from reebtwist import cli, energy, geometry, index, lincr, orbits, plane
+from reebtwist import (cli, energy, geometry, index, lincr, magnus, orbits,
+                       plane)
 from reebtwist import profiles
 from reebtwist.config import (_FIELD_MAP, _SCHEMA, ConfigError,
                               ReebtwistError, RunConfig, default_config_text,
@@ -344,6 +345,23 @@ def test_config_errors_name_section_and_key(tmp_path, capsys, text, section,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text,line", [
+    ("[binding]\nr0 = 0\n",
+     "error: [binding] r0 = 0.0 must lie in (0, r_max) = (0, 0.75)\n"),
+    ("[binding]\nr_max = 0.2\n",
+     "error: [binding] r0 = 0.55 must lie in (0, r_max) = (0, 0.2)\n"),
+], ids=["r0=0", "r_max=0.2"])
+def test_binding_radius_error_reports_both_values(tmp_path, capsys, text,
+                                                  line):
+    # the binding profile's range check names r0 and r_max with the
+    # values the run used, the default one included
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(text)
+    assert cli.main(["all", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == line
+
+
 def test_matched_p_cap_error_reports_the_value_used(tmp_path, capsys):
     cfg = tmp_path / "smax.cfg"
     cfg.write_text("[twist]\ns_max = 0.76\n")
@@ -657,6 +675,25 @@ def test_back_substitution_residual_reported_and_gated(all_run, tmp_path,
         "error: failed gates: w_back_substitution"
     kernel = json.loads((tmp_path / "kernel.json").read_text())
     assert kernel["back_substitution_residual"] == 1e-6
+
+
+def test_richardson_estimate_reported_and_gated(all_run, tmp_path, capsys,
+                                                monkeypatch):
+    # kernel.json reports the shooting's largest Richardson estimate; its
+    # gate is the step rule's target, and a rule stopped short of it (at
+    # 2^4 steps a chunk) fails the gate, with the count itself unchanged
+    out, _ = all_run
+    kernel = json.loads((out / "kernel.json").read_text())
+    assert 0.0 < kernel["richardson_estimate"] <= magnus.SHOOT_TOL
+    row = next(g for g in cli.GATES if g.name == "shooting_richardson")
+    assert row.threshold == magnus.SHOOT_TOL
+    monkeypatch.setattr(magnus, "MAX_LEVEL", 4)
+    assert cli.main(["lincr", "--quiet", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.strip() == \
+        "error: failed gates: shooting_richardson"
+    kernel = json.loads((tmp_path / "kernel.json").read_text())
+    assert kernel["richardson_estimate"] > magnus.SHOOT_TOL
+    assert kernel["total"] == 5
 
 
 def test_matched_profile_built_on_first_use(tmp_path, capsys, monkeypatch):

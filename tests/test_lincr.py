@@ -8,6 +8,7 @@ from scipy import integrate, optimize
 
 from reebtwist import cli, geometry
 from reebtwist import lincr as L
+from reebtwist import magnus as M
 from reebtwist import plane as PL
 from reebtwist import profiles as P
 from reebtwist.config import parse_config
@@ -793,23 +794,41 @@ def test_stacked_blocks_match_blocks_alone_at_high_k():
     assert np.max(np.abs(together - np.array(alone))) <= 1e-9
 
 
+def _dense(X):
+    """The 4 x 4 matrix [[P, 0], [Q, diag(D)]] of one ten-entry matrix."""
+    P11, P12, P21, P22, Q11, Q12, Q21, Q22, D1, D2 = X
+    return np.array([[P11, P12, 0.0, 0.0], [P21, P22, 0.0, 0.0],
+                     [Q11, Q12, D1, 0.0], [Q21, Q22, 0.0, D2]])
+
+
+def _node_matrices(ks, shift, H2, g):
+    """A_k + shift*k*I at one node as ten entries over the blocks ks: the
+    Magnus exponent of a unit step whose three nodes share the
+    coefficients, which is exactly the matrix."""
+    k = np.asarray(ks, float)[:, None]
+    return M._exponent(k, shift, np.ones(1), np.full((3, 1), H2),
+                              np.full((3, 1), g))[..., 0]
+
+
 def test_reduced_rhs_matches_block_matrices(we):
     # each reduced state y is the Re and Im copy of two 8-D states
-    # (_embed), and the reduced right-hand side is A_k + shift*k*I on
-    # them: _block_matrix on the embedding, block 0 included (its
-    # 4-D state is (w1p, Im w1, u/2, Im w2))
+    # (_embed), and the reduced system at a Magnus node is A_k + shift*k*I
+    # on them: _block_matrix on the embedding, block 0 included (its 4-D
+    # state is (w1p, Im w1, u/2, Im w2)); the node coefficients are the
+    # array lookups of H2 and G1/2 along the plane
     rng = np.random.default_rng(23)
     ks = np.arange(9)
-    for r in (0.05, 0.3, 0.5, 0.549):
-        F, h1, h2, h2d = L._coefficients(we.bp, r)
-        G1, H2 = h1 * F, -h2 * F
+    xs = np.log(np.array([0.05, 0.9, 1.3, 2.0, 8.0]))
+    H2s, gs = L._node_coefficients(we, xs)
+    np.testing.assert_array_equal(H2s, we.H2(np.exp(xs)))
+    np.testing.assert_array_equal(2.0 * gs, we.G1(np.exp(xs)))
+    for H2, g in zip(H2s, gs):
+        G1 = 2.0 * g
         Y = rng.standard_normal((4, ks.size))
         Y[1, 0], Y[3, 0] = 0.0, Y[2, 0]  # block 0: v = 0, w1m = w1p
-        y = np.concatenate([[r], Y.ravel()])
         for shift in (0.0, -1.0, 1.0):
-            dy = L._reduced_rhs(we.bp, ks, shift)(0.0, y)
-            assert dy[0] == h2d
-            dY = dy[1:].reshape(4, -1)
+            A = _node_matrices(ks, shift, H2, g)
+            dY = np.array([_dense(A[:, j]) @ Y[:, j] for j in ks]).T
             for k in ks[1:]:
                 ref = (_block_matrix(k, G1, H2) + shift * k * np.eye(8)) \
                     @ L._embed(Y[:, k])
@@ -895,15 +914,19 @@ def test_array_s_basis_matches_floats(we):
 
 def test_lean_rhs_matches_block_matrices(we):
     # k*y + g*(T y) through flat indices against _block_matrix(k, G1, H2)
-    # applied to each block's columns, at random states and coefficients
+    # applied to each block's columns, at random states, at random
+    # coefficients and at those of Magnus nodes along the plane
     rng = np.random.default_rng(17)
     blocks = tuple(range(9))
+    x = np.linspace(-1.0, 6.0, 5)[:, None] + 0.1 * np.array(M.GAUSS3)
+    H2s, gs = L._node_coefficients(we, x.ravel())
+    coefficients = [tuple(rng.uniform(-3.0, 3.0, 2)) for _ in range(5)]
+    coefficients += list(zip(2.0 * gs, H2s))
     for ncols in ((4, 6, 4, 4, 4, 4, 4, 4, 4), (2, 4, 3, 1, 4, 2, 3, 4, 4)):
         shapes = tuple((4 if b == 0 else 8, c) for b, c in zip(blocks, ncols))
         system = _stacked_system(blocks, shapes)
-        for _ in range(5):
+        for G1, H2 in coefficients:
             Ys = [rng.standard_normal(shape) for shape in shapes]
-            G1, H2 = rng.uniform(-3.0, 3.0, 2)
             got = _apply_stacked(system, G1, H2,
                                    np.concatenate([Y.ravel() for Y in Ys]))
             ref = np.concatenate([(_block_matrix(b, G1, H2) @ Y).ravel()
@@ -974,39 +997,40 @@ def test_reduced_shooting_matches_stacked_oracle(text, rtol, scales):
                                        rtol=0.0, atol=1e-8)
 
 
-# right-hand side evaluations of one kernel count and one growth table
-# on the default config: 9,856 by the stacked 8-D shooting, 4,741 by the
-# reduced passes, 3,595 with the forward pass shared, 3,356 with chunk
-# edges on the profile breaks; the ceiling sits halfway between the last
-# two
-NFEV_CEILING = 3476
+# Magnus steps of one kernel count and one growth table on the default
+# config, probes included: 1,806 (the DOP853 passes they replaced made
+# 3,356 right-hand side calls); the ceiling leaves 5% for the last digits
+# of the Richardson estimates, which pick the levels
+STEP_CEILING = 1900
 
 
 def test_shooting_solver_work_stays_reduced(we, monkeypatch):
-    # one kernel count and one table, as stage_lincr runs them; lincr
-    # reaches solve_ivp through its module attribute ``integrate``
+    # one kernel count and one table, as stage_lincr runs them: no
+    # solve_ivp call through lincr's module attribute ``integrate``, and
+    # a bounded number of Magnus steps
     real = L.integrate
-    counts = {"calls": 0, "nfev": 0}
-    spans = []
+    calls, steps = [], [0]
 
     class Counting:
         def __getattr__(self, name):
             return getattr(real, name)
 
-        def solve_ivp(self, fun, t_span, *args, **kwargs):
-            out = real.solve_ivp(fun, t_span, *args, **kwargs)
-            counts["calls"] += 1
-            counts["nfev"] += out.nfev
-            spans.append(tuple(float(t) for t in t_span))
-            return out
+        def solve_ivp(self, *args, **kwargs):
+            calls.append(args[1])
+            return real.solve_ivp(*args, **kwargs)
+
+    exponent = M._exponent
+
+    def counted(k, shift, h, H2, g):
+        steps[0] += h.size
+        return exponent(k, shift, h, H2, g)
 
     monkeypatch.setattr(L, "integrate", Counting())
+    monkeypatch.setattr(M, "_exponent", counted)
     report = L.kernel_dimension(we, k_max=5)
     L.mode_shooting_table(we, report.forward)
-    assert counts["calls"] > 0
-    assert counts["nfev"] <= NFEV_CEILING, counts
-    forward = [(a, b) for a, b in spans if a < b]
-    assert forward and len(set(forward)) == len(forward), forward
+    assert calls == []
+    assert 0 < steps[0] <= STEP_CEILING, steps
 
 
 @pytest.mark.parametrize("text", ["", MODES_CONFIG], ids=["default", "modes"])
@@ -1022,9 +1046,9 @@ def test_shared_forward_pass_matches_separate_pass(text):
     Y = np.zeros((4, k_max + 1))
     Y[0] = 1.0
     Y[1, 1:] = 1.0
-    states, _ = L._shoot(we, range(k_max + 1), Y / L._norms(Y),
-                         edges[edges <= x_mid], -1.0)
-    Yf, Yb = states[-1], L._backward(we, k_max)
+    states, _, _ = L._shoot(we, range(k_max + 1), Y / L._norms(Y),
+                            edges[edges <= x_mid], -1.0)
+    Yf, Yb = states[-1], L._backward(we, k_max)[0]
     w1p, w1m = np.eye(8)[:, 0:2], np.eye(8)[:, 2:4]
     Us, Vs = [np.eye(4)], [np.eye(4)[:, :3]]
     for k in range(1, k_max + 1):
@@ -1058,3 +1082,166 @@ def test_forward_edges_sit_on_the_crossed_breaks(text, crossed):
     assert x_mid in edges
     assert set(np.linspace(x_a, x_b, L.N_SAMPLES)) <= set(edges)
     assert len(edges) == L.N_SAMPLES + 1 + crossed
+
+
+# ----------------------------------------------------------------------
+# the Magnus step against dense matrix algebra
+# ----------------------------------------------------------------------
+
+def _reduced_matrix(k, shift, H2, g):
+    """A_k + shift*k*I on (u, v, w1p, w1m), written out densely."""
+    sk = shift * k
+    return np.array([[H2 + sk, k, 0.0, 0.0], [k, sk, 0.0, 0.0],
+                     [g, 0.0, (1.0 + shift) * k, 0.0],
+                     [g, 0.0, 0.0, (shift - 1.0) * k]])
+
+
+def _commutator_exponent(k, shift, h, H2, g):
+    """Omega of the sixth-order Magnus step by the commutator formula of
+    Blanes, Casas & Ros on dense matrices, from the coefficients at the
+    three Gauss nodes."""
+    A = [_reduced_matrix(k, shift, H2[i], g[i]) for i in range(3)]
+    a1 = h * A[1]
+    a2 = math.sqrt(15.0) / 3.0 * h * (A[2] - A[0])
+    a3 = 10.0 / 3.0 * h * (A[2] - 2.0 * A[1] + A[0])
+
+    def com(X, Y):
+        return X @ Y - Y @ X
+    c1 = com(a1, a2)
+    c2 = -com(a1, 2.0 * a3 + c1) / 60.0
+    return a1 + a3 / 12.0 + com(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+
+
+def _cubic_nodes(cH, cg, h):
+    """H2 and G1/2 at the Gauss nodes of a step of length h from x = 0,
+    both cubics in x with coefficients cH and cg."""
+    t = h * np.array(M.GAUSS3)
+    poly = np.polynomial.polynomial.polyval
+    return poly(t, cH)[:, None], poly(t, cg)[:, None]
+
+
+@pytest.mark.parametrize("shift", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("k", [0, 1, 8])
+def test_magnus_exponent_matches_commutator_formula(k, shift):
+    # the closed-form exponent drops only terms of order h^7 and higher:
+    # its gap to the commutator formula falls by about 2^7 (at least
+    # 2^6.5) per halving of h
+    rng = np.random.default_rng(100 + 10 * k + int(shift))
+    for _ in range(3):
+        cH, cg = rng.uniform(-3.0, 3.0, 4), rng.uniform(-1.0, 1.0, 4)
+        gaps = []
+        for h in (0.1, 0.05):
+            H2, g = _cubic_nodes(cH, cg, h)
+            got = M._exponent(np.array([[float(k)]]), shift,
+                                     np.array([h]), H2, g)[:, 0, 0]
+            ref = _commutator_exponent(k, shift, h, H2[:, 0], g[:, 0])
+            gaps.append(np.max(np.abs(_dense(got) - ref)))
+        assert gaps[1] <= gaps[0] / 90.0 + 1e-15, gaps
+
+
+def _expm_case(rng, k, shift, core):
+    """One Magnus exponent at random coefficients (H2 = G1 = 0 where
+    ``core``) and a random step up to 1."""
+    h = rng.uniform(0.01, 1.0)
+    H2, g = _cubic_nodes(rng.uniform(-3.0, 1.0, 4), rng.uniform(-1.0, 1.0, 4),
+                         h)
+    if core:
+        H2, g = 0.0 * H2, 0.0 * g
+    return M._exponent(np.array([[float(k)]]), shift, np.array([h]),
+                              H2, g)[:, 0, 0]
+
+
+@pytest.mark.parametrize("core", [False, True], ids=["random", "core"])
+@pytest.mark.parametrize("shift", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("k", [0, 1, 8])
+def test_magnus_step_matches_dense_expm(k, shift, core):
+    # e^Omega in closed form against scipy's expm of the dense Omega; in
+    # the core P's eigenvalues (s +- 1) k h meet the diagonal h D.  On
+    # the k = 8 steps scipy's scaled Pade approximant itself misses
+    # 40-digit arithmetic by up to 1.3e-12 of the largest entry, the
+    # closed form by 2.3e-16
+    from scipy.linalg import expm
+    rng = np.random.default_rng(200 + 10 * k + int(shift) + 5 * core)
+    for _ in range(5):
+        Om = _expm_case(rng, k, shift, core)
+        ref = expm(_dense(Om))
+        got = _dense(M._expm(Om.copy()[:, None])[:, 0])
+        np.testing.assert_allclose(got, ref, rtol=0.0,
+                                   atol=4e-12 * np.abs(ref).max())
+
+
+def test_expm_confluent_and_complex_entries():
+    # the lower rows where P's eigenvalues meet the diagonal entries
+    # (H2 = 0 with G1 != 0), a P with mu = 0, and P's with complex
+    # eigenvalues (mu^2 < 0), all in one batch: each entry against
+    # scipy's expm, and bit for bit against the entry done alone
+    from scipy.linalg import expm
+    rng = np.random.default_rng(31)
+    cases = []
+    for k in (1.0, 8.0):
+        Om = M._exponent(np.array([[k]]), -1.0, np.array([0.3]),
+                                np.zeros((3, 1)), np.full((3, 1), 0.7))
+        cases.append(Om[:, 0, 0])
+    cases.append(np.array([0.0, 0.0, 0.0, 0.0, 0.5, -0.2, 0.3, 0.1,
+                           0.0, -0.4]))
+    for _ in range(4):
+        X = rng.uniform(-1.0, 1.0, 10)
+        X[1], X[2] = abs(X[1]) + 1.0, -abs(X[2]) - 1.0
+        cases.append(X)
+    W = np.array(cases).T
+    assert (((W[0] - W[3]) / 2) ** 2 + W[1] * W[2] < 0).sum() == 4
+    got = M._expm(W.copy())
+    for j, Om in enumerate(cases):
+        ref = expm(_dense(Om))
+        np.testing.assert_allclose(_dense(got[:, j]), ref, rtol=0.0,
+                                   atol=4e-12 * np.abs(ref).max())
+        np.testing.assert_array_equal(got[:, j],
+                                      M._expm(Om.copy()[:, None])[:, 0])
+
+
+def test_magnus_steps_have_order_six(we):
+    # one chunk's propagator on 2^L steps: the Richardson differences of
+    # successive levels fall by about 2^6
+    k = np.arange(6.0)
+    a, b = np.array([0.347]), np.array([0.842])
+    coefficients = functools.partial(L._node_coefficients, we)
+    P = [M._propagators(coefficients, k, -1.0, a, b, np.array([lev]))
+         for lev in (3, 4, 5)]
+    d1, d2 = (np.abs(P[1] - P[0]).max(), np.abs(P[2] - P[1]).max())
+    assert 40.0 <= d1 / d2 <= 100.0, (d1, d2)
+
+
+@pytest.mark.parametrize("text", ["", COLLAR_CONFIG],
+                         ids=["default", "collar"])
+def test_richardson_estimate_bounds_the_shooting_error(text, monkeypatch):
+    # both passes against passes with a hundredfold tighter step rule:
+    # every log-norm and state at every edge within the number of chunks
+    # times the reported estimate
+    model = cli.Model(parse_config(text))
+    we, k_max = model.we, model.cfg.k_max
+    report = L.kernel_dimension(we, k_max=k_max)
+    fwd = report.forward
+    back, _ = L._backward(we, k_max)
+    assert 0.0 < report.richardson <= M.SHOOT_TOL
+    monkeypatch.setattr(M, "SHOOT_TOL", M.SHOOT_TOL / 100.0)
+    ref = L._forward(we, k_max)
+    ref_back, _ = L._backward(we, k_max)
+    bound = len(fwd.edges) * report.richardson
+    assert np.max(np.abs(fwd.logs - ref.logs)) <= bound
+    assert np.max(np.abs(fwd.states - ref.states)) <= bound
+    assert np.max(np.abs(back - ref_back)) <= bound
+
+
+def test_kernel_dimension_working_set():
+    # the Magnus batches bound the working set: one warm kernel count on
+    # the modes config peaks at or below the 354 KB of the DOP853 passes
+    import tracemalloc
+    we = cli.Model(parse_config(MODES_CONFIG)).we
+    L.kernel_dimension(we, k_max=8)
+    tracemalloc.start()
+    try:
+        L.kernel_dimension(we, k_max=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 354 * 1024, peak
