@@ -5,8 +5,9 @@ its energy identity, and the kernel count of the linearized operator.
 
 Submodules load on first attribute access (``reebtwist.lincr``), so
 ``import reebtwist`` and the static commands of the command line
-(``--print-config``, ``--schema``, ``--help``) leave numpy and scipy
-unimported.
+(``--print-config``, ``--schema``, ``--help``) leave numpy unimported.
+No run imports scipy: ``reebtwist.numerics`` holds the integrator,
+root finders and quadrature a run needs, on numpy alone.
 """
 
 import importlib
@@ -14,7 +15,7 @@ import importlib
 __version__ = "0.1.0"
 
 _SUBMODULES = ("cli", "config", "energy", "geometry", "index", "lincr",
-               "orbits", "plane", "profiles")
+               "magnus", "numerics", "orbits", "plane", "profiles")
 __all__ = [*_SUBMODULES, "__version__"]
 
 

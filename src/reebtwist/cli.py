@@ -6,7 +6,7 @@ and writes a summary.  Runs are deterministic in (config, seed); every
 float is printed with 17 significant digits so outputs round-trip, and
 files are written atomically (temp + rename).
 
-The numeric modules (and with them numpy and scipy) are imported where
+The numeric modules (and with them numpy) are imported where
 a stage first needs them, so the static commands (``--print-config``,
 ``--schema``, ``--help``) and a config error print without them.
 """

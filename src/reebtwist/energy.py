@@ -34,9 +34,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_legendre
 
 from .config import ReebtwistError
+from .numerics import legendre, simpson
 from .profiles import BindingProfile
 
 __all__ = [
@@ -130,8 +130,8 @@ _NEWTON_MAX = 20
 
 def _legendre(n: int, x: np.ndarray):
     """P_n(x) and P_n'(x) = n (P_{n-1}(x) - x P_n(x))/(1 - x^2), |x| < 1."""
-    p = eval_legendre(n, x)
-    return p, n * (eval_legendre(n - 1, x) - x * p) / ((1.0 - x) * (1.0 + x))
+    p, p_prev = legendre(n, x)
+    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
 
 
 @functools.lru_cache(maxsize=4)
@@ -204,8 +204,7 @@ def annulus_energies(bp: BindingProfile, circles: LevelCircle,
             raise EnergyError("one radial weight per circle required")
         e1 = float(np.dot(weights, dens))
     else:
-        from scipy.integrate import simpson
-        e1 = float(simpson(dens, x=rs))
+        e1 = simpson(dens, rs)
     e2 = 2.0 * math.pi * (bp.h2(span[1]) - bp.h2(span[0]))
     return e1, e2
 

@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
+from . import numerics
 from .config import ReebtwistError
 from .orbits import OrbitLevel
 from .profiles import TwistProfile
@@ -48,6 +48,9 @@ __all__ = [
     "degree_table",
 ]
 
+
+# bench/tracing.py counts solver calls through this name (ROADMAP item 3)
+optimize = numerics
 
 # abscissa tolerance of the crossing refinement (brentq on sign changes,
 # bounded minimization at tangential zeros)
@@ -258,12 +261,11 @@ def _locate_crossings(path, n_scan=2001):
     inner = ab[1:-1]
     for j in 1 + np.flatnonzero((inner <= ab[:-2]) & (inner <= ab[2:])
                                 & (inner <= 1e-3 * scale)):
-        res = optimize.minimize_scalar(
-            lambda t: abs(_det_minus_id_at(path, t)),
-            bounds=(ts[j - 1], ts[j + 1]),
-            method="bounded", options={"xatol": CROSSING_XTOL})
-        if abs(res.fun) <= 1e-8 * scale:
-            add(float(res.x))
+        t_min, d_min = optimize.minimize_bounded(
+            lambda t: abs(_det_minus_id_at(path, t)), ts[j - 1], ts[j + 1],
+            xatol=CROSSING_XTOL)
+        if abs(d_min) <= 1e-8 * scale:
+            add(float(t_min))
     return sorted(crossings), plateau_frac
 
 

@@ -45,9 +45,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
-from . import magnus
+from . import magnus, numerics
 from .config import ReebtwistError
 from .plane import PlaneSolution
 from .profiles import BindingProfile, piecewise
@@ -67,11 +66,15 @@ __all__ = [
 ]
 
 
+# bench/tracing.py counts solver calls through this name (ROADMAP item 3)
+integrate = numerics
+
+
 class LinCRError(ReebtwistError):
     pass
 
 
-# DOP853 tolerances of cone_invariance_check, the one solve_ivp here
+# tolerances of cone_invariance_check, the one DOP853 integration here
 ODE_RTOL = 1e-11
 ODE_ATOL = 1e-13
 # points of the back-substitution check, and the principal angle below
@@ -284,8 +287,7 @@ def cone_invariance_check(we: WEquation, rho_span: tuple,
             H2 = we.H2(math.exp(x))
             return [H2 * v[0] + v[1], v[0]]
 
-        out = integrate.solve_ivp(rhs, xs, v0, method="DOP853",
-                                  rtol=ODE_RTOL, atol=ODE_ATOL,
+        out = integrate.solve_ivp(rhs, xs, v0, rtol=ODE_RTOL, atol=ODE_ATOL,
                                   dense_output=True)
         if not out.success:
             raise LinCRError(f"phase-plane integration failed: {out.message}")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, optimize
 
+from . import numerics
 from .config import ReebtwistError
 from .profiles import BindingProfile, TwistProfile
 
@@ -38,7 +38,10 @@ __all__ = [
 ]
 
 
-# brentq tolerance of the orbit levels, and RK45 tolerances and the
+# bench/tracing.py counts solver calls through these names (ROADMAP item 3)
+integrate = optimize = numerics
+
+# brentq tolerance of the orbit levels, and DOP853 tolerances and the
 # seed of the random start of the closure-by-flow integration
 ROOT_XTOL = 1e-14
 ODE_RTOL = 1e-10
@@ -229,9 +232,7 @@ def verify_closure_by_flow(bp: BindingProfile, level: OrbitLevel,
 
     y0 = np.concatenate([q0, p0, [phi0]])
     T = level.action  # alpha(R) = 1, so flow time equals the action
-    sol = integrate.solve_ivp(rhs, (0.0, T), y0, method="RK45",
-                              rtol=ODE_RTOL, atol=ODE_ATOL,
-                              dense_output=False)
+    sol = integrate.solve_ivp(rhs, (0.0, T), y0, rtol=ODE_RTOL, atol=ODE_ATOL)
     if not sol.success:
         raise OrbitError(f"flow integration failed: {sol.message}")
     yT = sol.y[:, -1]

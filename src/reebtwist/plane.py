@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
+from . import numerics
 from .config import ReebtwistError
 from .profiles import BindingProfile, piecewise
 
@@ -37,6 +37,10 @@ __all__ = [
     "plane_energy",
     "EnergyReport",
 ]
+
+
+# bench/tracing.py counts solver calls through this name (ROADMAP item 3)
+integrate = numerics
 
 
 class PlaneError(ReebtwistError):
@@ -58,36 +62,33 @@ ENERGY_RTOL = 1e-6
 
 
 class _DenseLookup:
-    """Component ``comp`` of an ascending DOP853 ``OdeSolution`` (scipy's
-    dense output), evaluated without a Python call per step.
+    """Component ``comp`` of the plane's DOP853 dense output (a
+    ``numerics.DenseSolution``), evaluated without a Python call per
+    step.
 
     Each step is a degree-7 polynomial in the step fraction u (DOP853's
     continuous extension, Hairer, Norsett & Wanner, Solving ODEs I,
     II.6).  ``coef`` holds, per step, its ``t_old``, ``h`` and ``y_old``
     and the rows of its ``F`` reversed, the order of the Horner loop.  A
-    point takes the step ``OdeSolution`` gives it (the first step whose
+    point takes the step the solution gives it (the first step whose
     right edge is >= the point, clipped to the first and last step past
-    either end) and the float operations of
-    ``Dop853DenseOutput._call_impl`` (``y += f``, then ``*= u`` or
-    ``*= 1 - u``), so both agree bit for bit.  A float bisects on the
-    edges and runs the loop in Python floats; an array makes one
-    ``searchsorted`` and one gathered multiply-add per row, in (n,)
-    buffers: no (n, rows) block is formed.
+    either end) and the float operations of its Horner loop
+    (``y += f``, then ``*= u`` or ``*= 1 - u``), so both agree bit for
+    bit.  A float bisects on the edges and runs the loop in Python
+    floats; an array makes one ``searchsorted`` and one gathered
+    multiply-add per row, in (n,) buffers: no (n, rows) block is formed.
     """
 
-    def __init__(self, ode, comp: int):
-        steps = ode.interpolants
-        self.edges = np.asarray(ode.ts, dtype=float)
-        per_step = np.column_stack([
-            [s.t_old for s in steps], [s.h for s in steps],
-            [s.y_old[comp] for s in steps],
-            np.array([s.F[::-1, comp] for s in steps])])
+    def __init__(self, ode: numerics.DenseSolution, comp: int):
+        self.edges = ode.ts
+        per_step = np.column_stack([ode.t_old, ode.h, ode.y_old[:, comp],
+                                    ode.F[:, ::-1, comp]])
         self.coef = np.ascontiguousarray(per_step.T)
         # the scalar path: the edges as a list for bisect, and each
         # step's numbers side by side in one compact float buffer
         self._edge_list = self.edges.tolist()
         self._flat = array.array("d", per_step.tobytes())
-        self._width, self._last = per_step.shape[1], len(steps) - 1
+        self._width, self._last = per_step.shape[1], ode.h.size - 1
 
     def __call__(self, x):
         if not isinstance(x, np.ndarray):
@@ -103,7 +104,7 @@ class _DenseLookup:
             return y + y_old
         shape, x = x.shape, x.reshape(-1)
         t_old, h, y_old, *rows = self.coef
-        # mode="clip" on seg - 1 is OdeSolution's clipping of the step
+        # mode="clip" on seg - 1 is DenseSolution's clipping of the step
         # index to [0, last]
         seg = np.searchsorted(self.edges, x, side="left")
         seg -= 1
@@ -140,7 +141,7 @@ class PlaneSolution:
     x_max: float           # end of the integrated range
     kappa: float           # |h2''(r0)|, the asymptotic approach rate
     tail_coeff: float      # r ~ r0 - tail_coeff * rho^{-kappa}
-    sol_fwd: object        # OdeSolution of (r, t) on [0, x_max]
+    sol_fwd: numerics.DenseSolution   # (r, t) on [0, x_max]
 
     @property
     def r0(self) -> float:
@@ -199,7 +200,7 @@ class PlaneSolution:
         root of r(x) = r beyond it."""
         if r <= self.bp.core_end:
             return math.log(r / self.core_coeff) / self.core_pow
-        return optimize.brentq(lambda x: self._r_in_x(x) - r,
+        return numerics.brentq(lambda x: self._r_in_x(x) - r,
                                self.x_of_r(self.bp.core_end), self.x_max)
 
     def t_of_rho(self, rho):
@@ -250,7 +251,7 @@ def solve_plane(bp: BindingProfile, r_at_1: float) -> PlaneSolution:
     close_event.direction = -1
 
     solF = integrate.solve_ivp(rhs, (0.0, x_hi_guess), [r_at_1, 0.0],
-                               method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL,
+                               rtol=ODE_RTOL, atol=ODE_ATOL,
                                dense_output=True, events=close_event)
     if not solF.success:
         raise PlaneError(f"forward integration failed: {solF.message}")
@@ -316,7 +317,7 @@ def plane_energy(bp: BindingProfile, sol: PlaneSolution,
     a, b = math.log(lo), math.log(hi)
 
     def density(x):
-        return bp.h2.d1(sol.r_of_rho(math.exp(x))) ** 2
+        return bp.h2.d1(sol.r_of_rho(np.exp(x))) ** 2
 
     breaks = [0.0, sol.x_max, sol.x_of_r(bp.core_end)]
     pts = sorted(x for x in breaks if a < x < b)

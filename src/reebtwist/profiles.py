@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
 
+from . import numerics
 from .config import ReebtwistError
 
 __all__ = [
@@ -49,6 +49,9 @@ __all__ = [
 # Angle-convention factor between the polar angle on the binding disk
 # (period 2*pi) and the mapping-torus coordinate (period 1).
 PHI_PERIOD_SCALE = 2.0 * math.pi
+
+# bench/tracing.py counts solver calls through these names (ROADMAP item 3)
+integrate = optimize = numerics
 
 # brentq tolerance of the principal zero p0 and quad tolerance of the
 # Gauss-Kronrod oracles for h_k and h~_k

@@ -111,17 +111,55 @@ def test_static_commands_leave_numeric_stack_unimported(tmp_path, args,
                                                         status):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[twist]\nk = 0\n")
+    assert _probe(STATIC_PROBE, *(a.format(bad=bad) for a in args),
+                  "--out", str(tmp_path / "o")) == [status, []]
+    assert not (tmp_path / "o").exists()
+
+
+def _probe(script, *args):
+    """The last stderr line of ``script`` run with ``args`` in a fresh
+    interpreter on this source tree, parsed as JSON."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run(
-        [sys.executable, "-c", STATIC_PROBE,
-         *(a.format(bad=bad) for a in args), "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stderr.splitlines()[-1]) == [status, []]
-    assert not (tmp_path / "o").exists()
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+MODES_OVERRIDES = ("[twist]\nk = -2\nshape = cos\n[run]\nn = 3\n"
+                   "[lincr]\nk_max = 8\n")
+
+
+@pytest.mark.parametrize("args,text", [
+    (["all"], ""),
+    (["lincr"], MODES_OVERRIDES),
+], ids=["all-default", "lincr-modes"])
+def test_runs_leave_scipy_unimported(tmp_path, args, text):
+    # a run needs numpy alone: reebtwist.numerics holds its integrator,
+    # root finders and quadrature
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert _probe(STATIC_PROBE, *args, "--quiet", "--config", str(cfg),
+                  "--out", str(tmp_path / "o")) == [0, ["numpy"]]
+
+
+# builds the Model of a config text in a fresh interpreter (what the
+# benchmark's setup_s times) and reports what got imported
+MODEL_PROBE = """\
+import json, sys
+from reebtwist.cli import Model
+from reebtwist.config import parse_config
+Model(parse_config(sys.argv[1]))
+loaded = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+print(json.dumps([0, loaded]), file=sys.stderr)
+"""
+
+
+def test_model_construction_leaves_scipy_unimported():
+    assert _probe(MODEL_PROBE, "") == [0, ["numpy"]]
 
 
 def test_cli_error_exit_code(tmp_path, capsys):

@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import optimize
 
 from reebtwist import plane as PL
 from reebtwist import profiles as P
@@ -50,14 +50,15 @@ def test_solve_plane_integrates_once(bp, monkeypatch):
     # the core is closed form: one forward solve_ivp from rho = 1 is the
     # plane's only integration
     spans = []
+    real = PL.integrate
 
     class CountingIntegrate:
         def __getattr__(self, name):
-            return getattr(integrate, name)
+            return getattr(real, name)
 
         def solve_ivp(self, fun, t_span, *args, **kwargs):
             spans.append(tuple(t_span))
-            return integrate.solve_ivp(fun, t_span, *args, **kwargs)
+            return real.solve_ivp(fun, t_span, *args, **kwargs)
 
     monkeypatch.setattr(PL, "integrate", CountingIntegrate())
     sol = PL.solve_plane(bp, r_at_1=bp.core_end / 2.0)
@@ -164,8 +165,8 @@ def test_flat_peak_profiles_rejected_with_diagnostic(tp, matched):
 
 def _scalar_lookup(sol, rho):
     """The per-point (r, t) lookup the array evaluators replace: math
-    closed forms on the core and the tail, one OdeSolution call in
-    between."""
+    closed forms on the core and the tail, one call of the dense ODE
+    solution in between."""
     x = math.log(rho if rho > 0.0 else 1e-300)
     if x < 0.0:
         r = sol.core_coeff * math.exp(sol.core_pow * x)
@@ -243,7 +244,8 @@ def test_x_of_r_inverts_the_plane(bp, plane_sol):
 
 
 # ----------------------------------------------------------------------
-# the gathered DOP853 evaluator against scipy's OdeSolution
+# the plane's DOP853 integration and its gathered evaluator against
+# scipy's solve_ivp
 # ----------------------------------------------------------------------
 
 MODES_CONFIG = ("[twist]\nk = -2\nshape = cos\n[run]\nn = 3\n"
@@ -255,24 +257,49 @@ COLLAR_CONFIG = ("[twist]\nk = -3\np_plateau = 0.9\nshape = cos2\n"
 
 @pytest.mark.parametrize("text", ["", MODES_CONFIG, COLLAR_CONFIG],
                          ids=["default", "modes", "collar"])
-def test_dense_lookup_matches_ode_solution_bit_for_bit(text):
-    # both components, at every step edge and its two float neighbours,
-    # past either end and across the range; floats, arrays and a 0-d
-    # array
+def test_dense_lookup_matches_ode_solution_bit_for_bit(text, monkeypatch):
+    # the plane's integration, as Model makes it, against scipy's DOP853
+    # on the same right-hand side, event and tolerances: the event's
+    # x_max, the right-hand side count and the steps equal, and the dense
+    # output equal bit for bit at 4,000 points
+    from scipy import integrate as sp_integrate
+
     from reebtwist import cli
     from reebtwist.config import parse_config
+    real, calls = PL.integrate, []
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def solve_ivp(self, *args, **kwargs):
+            calls.append((args, kwargs, real.solve_ivp(*args, **kwargs)))
+            return calls[-1][2]
+
+    monkeypatch.setattr(PL, "integrate", Recording())
     sol = cli.Model(parse_config(text)).sol
+    (args, kwargs, out), = calls
+    oracle = sp_integrate.solve_ivp(*args, method="DOP853", **kwargs)
+    assert out.status == oracle.status == 1
+    assert out.t[-1] == oracle.t[-1] == sol.x_max
+    assert out.nfev == oracle.nfev and out.t.size == oracle.t.size
+    assert np.array_equal(out.t, oracle.t) and np.array_equal(out.y, oracle.y)
+    grid = np.linspace(-1.0, sol.x_max + 1.0, 4000)
+    assert np.array_equal(out.sol(grid), oracle.sol(grid))
+    # the gathered evaluator, both components, at every step edge and its
+    # two float neighbours, past either end and across the range; floats,
+    # arrays and a 0-d array
     ode = sol.sol_fwd
-    assert ode.ascending and len(ode.interpolants) > 1
-    lo, hi = ode.t_min, ode.t_max
-    e = np.asarray(ode.ts)
+    assert ode is out.sol and ode.h.size > 1
+    lo, hi = ode.ts[0], ode.ts[-1]
+    e = ode.ts
     xs = np.concatenate([e, np.nextafter(e, -np.inf),
                          np.nextafter(e, np.inf),
                          [lo - 1.0, hi + 1.0, lo - 1e-3, hi + 1e-3],
                          np.linspace(lo, hi, 1001)])
     for comp in (0, 1):
         lookup = PL._DenseLookup(ode, comp)
-        ref = ode(xs)[comp]
+        ref = oracle.sol(xs)[comp]
         assert np.array_equal(lookup(xs), ref)
         assert np.array_equal([lookup(float(x)) for x in xs], ref)
         assert np.array_equal([ode(float(x))[comp] for x in xs], ref)
