@@ -232,9 +232,12 @@ def _crossing_signature(path, t, eig_tol=1e-7):
 
 
 def _locate_crossings(path, n_scan=2001):
-    """Interior crossing times: isolated zeros of det(Psi - 1), found by
-    sign-change bisection and by refining near-zero local minima of the
-    absolute value (tangential crossings of loops).
+    """Interior crossing times: isolated zeros of d = det(Psi - 1),
+    found by bisection on sign changes, and at the near-zero local
+    minima of |d| between samples of one sign s by minimizing s*d: a
+    minimum below zero brackets two crossings closer than the scan
+    spacing (a loop's full turn split by a skew), each then bisected;
+    one within 1e-8 of the scale of zero is tangential (a loop alone).
 
     Returns (times, plateau_fraction); a plateau fraction above 1/2
     marks a path whose determinant vanishes identically (persistent
@@ -246,26 +249,29 @@ def _locate_crossings(path, n_scan=2001):
     plateau_frac = float((np.abs(ds) <= max(1e-12, 1e-9 * scale)).mean())
     if plateau_frac > 0.5:
         return [], plateau_frac
-    crossings = []
-
-    def add(t):
-        if 1e-9 * path.t_end < t < path.t_end * (1.0 - 1e-9):
-            if all(abs(t - c) > 1e-7 * path.t_end for c in crossings):
-                crossings.append(t)
-
-    for j in np.flatnonzero(ds[:-1] * ds[1:] < 0):
-        add(optimize.brentq(lambda t: _det_minus_id_at(path, t),
-                            ts[j], ts[j + 1], xtol=CROSSING_XTOL))
-    # tangential zeros: local minima of |d| well below scale
-    ab = np.abs(ds)
+    brackets = [(ts[j], ts[j + 1])
+                for j in np.flatnonzero(ds[:-1] * ds[1:] < 0)]
+    tangential = []
+    ab, sign = np.abs(ds), np.sign(ds)
     inner = ab[1:-1]
     for j in 1 + np.flatnonzero((inner <= ab[:-2]) & (inner <= ab[2:])
-                                & (inner <= 1e-3 * scale)):
+                                & (inner <= 1e-3 * scale)
+                                & (sign[:-2] == sign[2:])):
+        s = float(sign[j - 1])
         t_min, d_min = optimize.minimize_bounded(
-            lambda t: abs(_det_minus_id_at(path, t)), ts[j - 1], ts[j + 1],
+            lambda t: s * _det_minus_id_at(path, t), ts[j - 1], ts[j + 1],
             xatol=CROSSING_XTOL)
-        if abs(d_min) <= 1e-8 * scale:
-            add(float(t_min))
+        if d_min < 0.0:
+            brackets += [(ts[j - 1], t_min), (t_min, ts[j + 1])]
+        elif d_min <= 1e-8 * scale:
+            tangential.append(float(t_min))
+    crossings = []
+    for t in [optimize.brentq(lambda t: _det_minus_id_at(path, t), lo, hi,
+                              xtol=CROSSING_XTOL)
+              for lo, hi in brackets] + tangential:
+        if (1e-9 * path.t_end < t < path.t_end * (1.0 - 1e-9)
+                and all(abs(t - c) > 1e-7 * path.t_end for c in crossings)):
+            crossings.append(t)
     return sorted(crossings), plateau_frac
 
 

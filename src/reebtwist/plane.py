@@ -18,8 +18,6 @@ approaching 2*pi*h2(r0), the action of the asymptotic orbit.
 
 from __future__ import annotations
 
-import array
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -61,65 +59,6 @@ TAIL_GAP = 1e-9
 ENERGY_RTOL = 1e-6
 
 
-class _DenseLookup:
-    """Component ``comp`` of the plane's DOP853 dense output (a
-    ``numerics.DenseSolution``), evaluated without a Python call per
-    step.
-
-    Each step is a degree-7 polynomial in the step fraction u (DOP853's
-    continuous extension, Hairer, Norsett & Wanner, Solving ODEs I,
-    II.6).  ``coef`` holds, per step, its ``t_old``, ``h`` and ``y_old``
-    and the rows of its ``F`` reversed, the order of the Horner loop.  A
-    point takes the step the solution gives it (the first step whose
-    right edge is >= the point, clipped to the first and last step past
-    either end) and the float operations of its Horner loop
-    (``y += f``, then ``*= u`` or ``*= 1 - u``), so both agree bit for
-    bit.  A float bisects on the edges and runs the loop in Python
-    floats; an array makes one ``searchsorted`` and one gathered
-    multiply-add per row, in (n,) buffers: no (n, rows) block is formed.
-    """
-
-    def __init__(self, ode: numerics.DenseSolution, comp: int):
-        self.edges = ode.ts
-        per_step = np.column_stack([ode.t_old, ode.h, ode.y_old[:, comp],
-                                    ode.F[:, ::-1, comp]])
-        self.coef = np.ascontiguousarray(per_step.T)
-        # the scalar path: the edges as a list for bisect, and each
-        # step's numbers side by side in one compact float buffer
-        self._edge_list = self.edges.tolist()
-        self._flat = array.array("d", per_step.tobytes())
-        self._width, self._last = per_step.shape[1], ode.h.size - 1
-
-    def __call__(self, x):
-        if not isinstance(x, np.ndarray):
-            i = min(max(bisect.bisect_left(self._edge_list, x) - 1, 0),
-                    self._last)
-            t_old, h, y_old, *rows = self._flat[i * self._width:
-                                                (i + 1) * self._width]
-            u = (x - t_old) / h
-            factors = (u, 1.0 - u)
-            y = 0.0
-            for j, f in enumerate(rows):
-                y = (y + f) * factors[j & 1]
-            return y + y_old
-        shape, x = x.shape, x.reshape(-1)
-        t_old, h, y_old, *rows = self.coef
-        # mode="clip" on seg - 1 is DenseSolution's clipping of the step
-        # index to [0, last]
-        seg = np.searchsorted(self.edges, x, side="left")
-        seg -= 1
-        buf = np.empty(x.shape)
-        u = t_old.take(seg, mode="clip")
-        np.subtract(x, u, out=u)
-        u /= h.take(seg, out=buf, mode="clip")
-        y = np.zeros(x.shape)
-        for j, row in enumerate(rows):
-            y += row.take(seg, out=buf, mode="clip")
-            y *= np.subtract(1.0, u, out=buf) if j % 2 else u
-        y += y_old.take(seg, out=buf, mode="clip")
-        return y.reshape(shape)
-
-
 @dataclass
 class PlaneSolution:
     """Sampled radial profile (r(rho), t(rho)) of the plane.
@@ -127,8 +66,11 @@ class PlaneSolution:
     The evaluators extend the stored grid: the core's closed form below
     rho = 1, the dense ODE solution from rho = 1 to exp(x_max), and the
     asymptotic power tail r0 - c*rho^{-kappa} beyond the integrated
-    range.  They take a float or an ndarray of radii and return the
-    same kind.
+    range.  They take a float, a 0-d array or an ndarray of radii; a
+    float or a 0-d array gives a Python float, an ndarray an array of
+    its shape.  Each reads log rho (-inf at rho <= 0) through one
+    ``piecewise`` lookup, whose pieces read the dense ODE solution one
+    component at a time.
     """
 
     bp: BindingProfile
@@ -147,12 +89,6 @@ class PlaneSolution:
     def r0(self) -> float:
         return self.bp.r0
 
-    @functools.cached_property
-    def _dense(self) -> tuple:
-        """The dense ODE solution's r and t as gathered evaluators,
-        built once."""
-        return tuple(_DenseLookup(self.sol_fwd, comp) for comp in (0, 1))
-
     def _in_x(self, comp: int, core, tail):
         """Component ``comp`` (0: r, 1: t) as a function of x = log rho:
         the closed form ``core`` for x < 0, the integrated solution for
@@ -163,7 +99,7 @@ class PlaneSolution:
         return piecewise(
             (math.nextafter(0.0, -math.inf),
              math.nextafter(self.x_max, -math.inf)),
-            (core, self._dense[comp], tail))
+            (core, self.sol_fwd.component(comp), tail))
 
     @functools.cached_property
     def _r_in_x(self):
@@ -178,20 +114,15 @@ class PlaneSolution:
         # form to t = (r(1)^2/4)(e^{2 core_pow x} - 1), with t(0) = 0
         amp, g = 0.25 * self.core_coeff ** 2, 2.0 * self.core_pow
         x_max = self.x_max
-        t_max = self._dense[1](x_max)
+        t_max = float(self.sol_fwd(x_max)[1])
         h2_max = self.bp.h2(self.r0)
         return self._in_x(1, lambda x: amp * np.expm1(g * x),
                           lambda x: t_max + h2_max * (x - x_max))
 
     def r_of_rho(self, rho):
-        """r at rho; r = 0 at rho <= 0 (the binding puncture)."""
-        if not isinstance(rho, np.ndarray):
-            rho = float(rho)
-            return self._r_in_x(np.log(rho)) if rho > 0.0 else 0.0
-        pos = rho > 0.0
-        r = self._r_in_x(np.log(np.where(pos, rho, 1.0)))
-        r[~pos] = 0.0
-        return r if r.ndim else float(r)
+        """r at rho; rho <= 0 (the binding puncture) reads x = -inf on
+        the core's closed form, which gives r = 0.0 exactly."""
+        return self._r_in_x(_log_rho(rho))
 
     def x_of_r(self, r: float) -> float:
         """log rho at which the plane reaches radius r, for
@@ -204,8 +135,16 @@ class PlaneSolution:
                                self.x_of_r(self.bp.core_end), self.x_max)
 
     def t_of_rho(self, rho):
-        """t at rho; rho <= 0 is read as rho = 1e-300, deep in the core."""
-        return self._t_in_x(np.log(np.where(rho > 0.0, rho, 1e-300)))
+        """t at rho; rho <= 0 reads x = -inf on the core's closed form,
+        which gives its limit t = -r(1)^2/4 exactly."""
+        return self._t_in_x(_log_rho(rho))
+
+
+@np.errstate(divide="ignore")
+def _log_rho(rho):
+    """log rho, and -inf (log 0, without a warning) at rho <= 0; a numpy
+    float for a float or a 0-d array, as numpy's ufuncs give for both."""
+    return np.log(np.maximum(rho, 0.0))
 
 
 def solve_plane(bp: BindingProfile, r_at_1: float) -> PlaneSolution:
@@ -267,10 +206,9 @@ def solve_plane(bp: BindingProfile, r_at_1: float) -> PlaneSolution:
                         t_vals=np.empty(0), core_coeff=r_at_1,
                         core_pow=core_pow, x_core=x_core, x_max=x_max,
                         kappa=kappa, tail_coeff=tail_coeff, sol_fwd=solF.sol)
-    # smallest rho with r0 - r < TOL_ASYM, from the integrated data (the
-    # r lookup the solution reads itself)
+    # smallest rho with r0 - r < TOL_ASYM, from the integrated data
     xs = np.linspace(0.0, x_max, 2000)
-    idx = np.nonzero(bp.r0 - sol._dense[0](xs) < TOL_ASYM)[0]
+    idx = np.nonzero(bp.r0 - solF.sol(xs)[0] < TOL_ASYM)[0]
     rho_max = float(np.exp(xs[idx[0]])) if len(idx) else float(np.exp(x_max))
 
     sol.rho_grid = np.exp(np.linspace(math.log(1e-8), math.log(rho_max), 400))

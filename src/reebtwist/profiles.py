@@ -112,16 +112,6 @@ class SmoothProfile:
         return worst
 
 
-def _ufunc(math_fn, np_fn):
-    """An elementary function of a float (math, as cheap as the scalar
-    loops need) or, elementwise, of an ndarray (numpy)."""
-    return lambda x: np_fn(x) if isinstance(x, np.ndarray) else math_fn(x)
-
-
-_cos, _sin = _ufunc(math.cos, np.cos), _ufunc(math.sin, np.sin)
-_tanh, _cosh = _ufunc(math.tanh, np.tanh), _ufunc(math.cosh, np.cosh)
-
-
 # ----------------------------------------------------------------------
 # twist ramp shapes
 # ----------------------------------------------------------------------
@@ -132,16 +122,16 @@ _tanh, _cosh = _ufunc(math.tanh, np.tanh), _ufunc(math.cosh, np.cosh)
 
 def _cos_ramp():
     def c(x):
-        return 0.5 * (1.0 + _cos(math.pi * x))
+        return 0.5 * (1.0 + np.cos(math.pi * x))
 
     def c1(x):
-        return -0.5 * math.pi * _sin(math.pi * x)
+        return -0.5 * math.pi * np.sin(math.pi * x)
 
     def c2(x):
-        return -0.5 * math.pi ** 2 * _cos(math.pi * x)
+        return -0.5 * math.pi ** 2 * np.cos(math.pi * x)
 
     def Cint(x):
-        return 0.5 * x + _sin(math.pi * x) / (2.0 * math.pi)
+        return 0.5 * x + np.sin(math.pi * x) / (2.0 * math.pi)
 
     return c, c1, c2, Cint
 
@@ -150,17 +140,19 @@ def _cos2_ramp():
     # ((1 + cos(pi x))/2)^2 = 3/8 + cos(pi x)/2 + cos(2 pi x)/8.
     # C2 at the plateau end: c'' (1) = 0, so g is C2 across the junction.
     def c(x):
-        return (0.5 * (1.0 + _cos(math.pi * x))) ** 2
+        return (0.5 * (1.0 + np.cos(math.pi * x))) ** 2
 
     def c1(x):
-        return -0.5 * math.pi * (1.0 + _cos(math.pi * x)) * _sin(math.pi * x)
+        return (-0.5 * math.pi * (1.0 + np.cos(math.pi * x))
+                * np.sin(math.pi * x))
 
     def c2(x):
-        return -0.5 * math.pi ** 2 * (_cos(math.pi * x) + _cos(2.0 * math.pi * x))
+        return -0.5 * math.pi ** 2 * (np.cos(math.pi * x)
+                                      + np.cos(2.0 * math.pi * x))
 
     def Cint(x):
-        return (3.0 * x / 8.0 + _sin(math.pi * x) / (2.0 * math.pi)
-                + _sin(2.0 * math.pi * x) / (16.0 * math.pi))
+        return (3.0 * x / 8.0 + np.sin(math.pi * x) / (2.0 * math.pi)
+                + np.sin(2.0 * math.pi * x) / (16.0 * math.pi))
 
     return c, c1, c2, Cint
 
@@ -353,10 +345,13 @@ def piecewise(edges, fns):
     first piece whose edge is >= x, and to the last piece past every
     edge.
 
-    A float is looked up by scanning the edges (the cheap path for the
-    scalar callers); an ndarray by ``np.searchsorted(edges, x,
-    side="left")``, the same rule, with each piece evaluated once on the
-    points it owns.
+    An ndarray is looked up by ``np.searchsorted(edges, x,
+    side="left")``, with each piece evaluated once on the points it
+    owns.  A float is looked up by scanning the edges, the same rule,
+    and gives a float: the plane's DOP853 right-hand side makes about
+    2,700 of the 2,900 scalar profile calls of a default run (3,070 of
+    3,100 on k = -2, n = 3, k_max = 8), at under 1 us a call, where a
+    one-element array costs 9-20 us.
     """
     edges = np.asarray(edges, dtype=float)
     pairs, last = tuple(zip(edges.tolist(), fns)), fns[-1]
@@ -466,15 +461,15 @@ def _build_fig2(r0, r_max, shape) -> BindingProfile:
 
     # tail: h2 = H - (kappa w^2 / 2) tanh((r - r0)/w)^2, so h2''(r0) = -kappa
     def tail_v(r):
-        return H - 0.5 * kappa * w * w * _tanh((r - r0) / w) ** 2
+        return H - 0.5 * kappa * w * w * np.tanh((r - r0) / w) ** 2
 
     def tail_d1(r):
         u = (r - r0) / w
-        return -kappa * w * _tanh(u) / _cosh(u) ** 2
+        return -kappa * w * np.tanh(u) / np.cosh(u) ** 2
 
     def tail_d2(r):
         u = (r - r0) / w
-        th, ch = _tanh(u), _cosh(u)
+        th, ch = np.tanh(u), np.cosh(u)
         return -kappa * (1.0 / ch ** 4 - 2.0 * th ** 2 / ch ** 2)
 
     h2pw = _piecewise([

@@ -304,6 +304,20 @@ def test_failed_pass_flag_exits_1(tmp_path, capsys):
     assert summary["pass_flags"]["kernel_total_5"] is False
 
 
+@pytest.mark.parametrize("eps", ["1e-5", "1e-6"])
+def test_small_drift_runs_with_degree_one(tmp_path, eps):
+    # a small drift leaves the skew of the degree table's paths small, so
+    # each full turn of the loop splits into two crossings closer than
+    # the index scan's spacing; both count, and the table checks out
+    cfg = tmp_path / "eps.cfg"
+    cfg.write_text(f"[twist]\neps = {eps}\n")
+    assert cli.main(["all", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["degree_of_gamma0"] == 1
+    assert all(summary["pass_flags"].values())
+
+
 @pytest.mark.parametrize("subcommand", ["lincr", "all"])
 def test_negative_k_max_exits_1(tmp_path, capsys, subcommand):
     # k_max = 0 is a run with a failed gate (above); below it no block

@@ -86,6 +86,17 @@ def test_rotation_loops(i):
     assert robbin_salamon_index(rotation_loop(i)) == loop_maslov(i) == 2 * i
 
 
+@pytest.mark.parametrize("c", [1.0, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, -1e-3])
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_skewed_loop_index(i, c):
+    # near each full turn det(Psi - 1) ~ delta^2 + c t_k delta has two
+    # zeros c t_k / (2 pi i) apart, for small c closer than the scan
+    # spacing: both count, for sign(c)/2 + 2i
+    path = product_path(rotation_loop(i), skew_path(c))
+    assert robbin_salamon_index(path) == Fraction(int(math.copysign(1, c)),
+                                                  2) + loop_maslov(i)
+
+
 def test_loop_crossing_count_matches_maslov():
     # consistency example: the sampled i=2 loop equals loop_maslov(2)
     assert robbin_salamon_index(rotation_loop(2)) == loop_maslov(2) == 4

@@ -286,9 +286,10 @@ def test_dense_lookup_matches_ode_solution_bit_for_bit(text, monkeypatch):
     assert np.array_equal(out.t, oracle.t) and np.array_equal(out.y, oracle.y)
     grid = np.linspace(-1.0, sol.x_max + 1.0, 4000)
     assert np.array_equal(out.sol(grid), oracle.sol(grid))
-    # the gathered evaluator, both components, at every step edge and its
-    # two float neighbours, past either end and across the range; floats,
-    # arrays and a 0-d array
+    # the evaluator, on both one-component views and on the solution
+    # itself, at every step edge and its two float neighbours, past
+    # either end and across the range; floats, arrays, a 0-d array and a
+    # (-1, 3) array
     ode = sol.sol_fwd
     assert ode is out.sol and ode.h.size > 1
     lo, hi = ode.ts[0], ode.ts[-1]
@@ -297,17 +298,23 @@ def test_dense_lookup_matches_ode_solution_bit_for_bit(text, monkeypatch):
                          np.nextafter(e, np.inf),
                          [lo - 1.0, hi + 1.0, lo - 1e-3, hi + 1e-3],
                          np.linspace(lo, hi, 1001)])
+    ref = oracle.sol(xs)
+    assert np.array_equal(ode(xs), ref)
+    assert np.array_equal(np.array([ode(float(x)) for x in xs]).T, ref)
+    got = ode(np.array(xs[7]))
+    assert got.shape == (2,) and np.array_equal(got, ref[:, 7])
+    got = ode(float(xs[7]))
+    assert isinstance(got, np.ndarray) and np.array_equal(got, ref[:, 7])
+    assert np.array_equal(ode(xs.reshape(-1, 3)), ref.reshape(2, -1, 3))
     for comp in (0, 1):
-        lookup = PL._DenseLookup(ode, comp)
-        ref = oracle.sol(xs)[comp]
-        assert np.array_equal(lookup(xs), ref)
-        assert np.array_equal([lookup(float(x)) for x in xs], ref)
-        assert np.array_equal([ode(float(x))[comp] for x in xs], ref)
-        got = lookup(np.array(xs[7]))
-        assert got.shape == () and got == ref[7]
-        assert isinstance(lookup(float(xs[7])), float)
-        assert np.array_equal(lookup(xs.reshape(-1, 3)),
-                              ref.reshape(-1, 3))
+        view = ode.component(comp)
+        assert np.array_equal(view(xs), ref[comp])
+        assert np.array_equal([view(float(x)) for x in xs], ref[comp])
+        got = view(np.array(xs[7]))
+        assert got.shape == () and got == ref[comp, 7]
+        assert isinstance(view(float(xs[7])), float)
+        assert np.array_equal(view(xs.reshape(-1, 3)),
+                              ref[comp].reshape(-1, 3))
     # the plane's own lookups read the evaluators
     rhos = np.exp(np.linspace(0.0, sol.x_max, 301)[:-1])
     x = np.log(rhos)
@@ -328,3 +335,45 @@ def test_array_lookup_transient_memory(plane_sol):
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024, peak
+
+
+@pytest.mark.parametrize("text", ["", COLLAR_CONFIG],
+                         ids=["default", "collar"])
+def test_lookup_kinds_and_puncture_values(text):
+    # one path per lookup: a float or a 0-d array gives a Python float,
+    # an n-d array its own shape; rho <= 0 reads the core's closed form
+    # at x = -inf, r = 0.0 and t = -r(1)^2/4 exactly.  The values equal,
+    # bit for bit, the oracle's: log rho where rho > 0, and r = 0 or
+    # rho = 1e-300 (deep in the core) elsewhere.
+    from reebtwist import cli
+    from reebtwist.config import parse_config
+    sol = cli.Model(parse_config(text)).sol
+    t_limit = -0.25 * sol.core_coeff ** 2
+
+    def old_r(rho):
+        pos = rho > 0.0
+        return np.where(pos, sol._r_in_x(np.log(np.where(pos, rho, 1.0))),
+                        0.0)
+
+    def old_t(rho):
+        return sol._t_in_x(np.log(np.where(rho > 0.0, rho, 1e-300)))
+
+    rhos = np.concatenate([[-1.0, 0.0, 1e-320, 0.5, 1.0, 2.0],
+                           np.geomspace(1e-6, math.exp(sol.x_max + 3.0),
+                                        301)])
+    for f, old, puncture in ((sol.r_of_rho, old_r, 0.0),
+                             (sol.t_of_rho, old_t, t_limit)):
+        assert old(np.array([0.0]))[0] == puncture
+        for rho in (0.0, -1.0, np.array(0.0), np.array(-1.0)):
+            got = f(rho)
+            assert type(got) is float and got == puncture
+        for rho in (2.0, 0.5, np.array(2.0), np.array(3.0)):
+            got = f(rho)
+            assert type(got) is float and got == old(np.array([rho]))[0]
+        got = f(np.array([0.0]))
+        assert got.shape == (1,) and got[0] == puncture
+        assert np.array_equal(f(rhos), old(rhos))
+        assert np.array_equal([f(float(rho)) for rho in rhos], old(rhos))
+        got = f(rhos[:-1].reshape(-1, 3))
+        assert got.shape == (102, 3)
+        assert np.array_equal(got, old(rhos[:-1]).reshape(-1, 3))

@@ -189,9 +189,10 @@ def test_array_profiles_match_scalar_path(text):
     # the searchsorted dispatch of an array against the per-float edge
     # scan, on random radii plus every piece edge exactly (h1, h2) and on
     # random levels plus the plateau point (the twist closures the collar
-    # pieces go through).  A float goes through math's tanh and cosh and
-    # libm's pow for x ** n, an array through numpy's, which may differ
-    # in the last bit, so values agree to an ulp of the function's scale.
+    # pieces go through).  Both take numpy's cos, sin, tanh and cosh, but
+    # x ** n is libm's pow on a float and numpy's power loop on an array,
+    # which may differ in the last bit, so values agree to an ulp of the
+    # function's scale.
     model = Model(parse_config(text))
     tp, bp = model.tp, model.bp
     assert (bp.collar is not None) == bool(text)
