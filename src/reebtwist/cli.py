@@ -365,11 +365,9 @@ def stage_lincr(model: Model, out: Path, seed: int) -> dict:
     we = model.we
     report = lincr.kernel_dimension(we, k_max=cfg.k_max, n=cfg.n)
     rng = np.random.default_rng(seed + 17)
-    # drawn one at a time as the check consumes them: the 100 fields
-    # together would hold 10 MB
-    fields = (lincr.random_truncated_field(
-        rng, rng.integers(2, 11, size=3).tolist()) for _ in range(100))
-    sz = lincr.sz_inequality_check(fields, delta=report.delta)
+    sz = lincr.sz_inequality_check(
+        [lincr.random_truncated_field(rng, rng.integers(2, 11, size=3))
+         for _ in range(100)], delta=report.delta)
     header, rows = lincr.mode_shooting_table(we, report.forward)
     write_csv(out / "lincr_modes.csv", header, rows)
     payload = {

@@ -265,12 +265,16 @@ def _locate_crossings(path, n_scan=2001):
             brackets += [(ts[j - 1], t_min), (t_min, ts[j + 1])]
         elif d_min <= 1e-8 * scale:
             tangential.append(float(t_min))
+    # one zero reached from two brackets lands within a few CROSSING_XTOL
+    # + 4 eps t of itself; the two crossings of a split turn may sit far
+    # closer than the scan spacing, so only that resolution merges them
+    merge = 1e3 * CROSSING_XTOL * max(1.0, path.t_end)
     crossings = []
     for t in [optimize.brentq(lambda t: _det_minus_id_at(path, t), lo, hi,
                               xtol=CROSSING_XTOL)
               for lo, hi in brackets] + tangential:
         if (1e-9 * path.t_end < t < path.t_end * (1.0 - 1e-9)
-                and all(abs(t - c) > 1e-7 * path.t_end for c in crossings)):
+                and all(abs(t - c) > merge for c in crossings)):
             crossings.append(t)
     return sorted(crossings), plateau_frac
 

@@ -605,68 +605,41 @@ def weight_exponent(rho, delta: float, rho_0: float, rho_inf: float):
 
 
 # the cylinder patch of the random fields: SZ_N_RHO radii spaced
-# geometrically over SZ_RHO_RANGE and SZ_N_PSI angles; the weight
-# exponent steps from 2 down to delta between SZ_RHO_0 and SZ_RHO_INF
-SZ_RHO_RANGE, SZ_N_RHO, SZ_N_PSI = (0.5, 30.0), 48, 64
+# geometrically over SZ_RHO_RANGE; the weight exponent steps from 2 down
+# to delta between SZ_RHO_0 and SZ_RHO_INF
+SZ_RHO_RANGE, SZ_N_RHO = (0.5, 30.0), 48
 SZ_RHO_0, SZ_RHO_INF = 1.0, 10.0
 
 
 @functools.cache
 def _sz_patch() -> tuple:
-    """(rhos, psis, sin(log rho / 3), cos(log rho / 2)) of the patch,
-    read-only columns and built once per process, on first use: numpy
-    work at import time raised the peak resident set."""
+    """(rhos, basis) of the patch: its radii and the radial basis
+    (1, sin(log rho / 3), cos(log rho / 2)) of the fields' amplitudes,
+    shape (3, n_rho); read-only and built once per process, on first
+    use: numpy work at import time raised the peak resident set."""
     rhos = np.geomspace(*SZ_RHO_RANGE, SZ_N_RHO)
-    psis = np.linspace(0.0, 2.0 * math.pi, SZ_N_PSI, endpoint=False)
-    x = np.log(rhos)[:, None]
-    arrays = rhos, psis, np.sin(x / 3.0), np.cos(x / 2.0)
+    x = np.log(rhos)
+    arrays = rhos, np.stack([np.ones_like(x), np.sin(x / 3.0),
+                             np.cos(x / 2.0)])
     for a in arrays:
         a.setflags(write=False)
     return arrays
 
 
-@functools.lru_cache(maxsize=64)
-def _sz_wave(k: int) -> np.ndarray:
-    """exp(i k psi) on the patch's angles, read-only and built once per
-    mode and process."""
-    wave = np.exp(1j * k * _sz_patch()[1])
-    wave.setflags(write=False)
-    return wave
-
-
-def random_truncated_field(rng, modes):
+def random_truncated_field(rng, modes) -> tuple:
     """A C^2-valued field on the cylinder patch with angular content
-    only in the prescribed modes, with smooth random radial amplitudes
-    c0 + c1 sin(log rho / 3) + c2 cos(log rho / 2).
+    only in the prescribed modes: the sum over the modes of
+    e^{i k psi} times the smooth random radial amplitudes
+    c0 + c1 sin(log rho / 3) + c2 cos(log rho / 2), one per component.
 
     Per mode and component it draws the real and then the imaginary
-    parts of (c0, c1, c2), all in one call; the field is the sum over
-    the modes in order.  Returns (rhos, psis, vals), vals of shape
-    (n_rho, n_psi, 2) with the psi axis contiguous in memory, where the
-    check's FFT runs."""
-    rhos, psis, sin, cos = _sz_patch()
+    parts of (c0, c1, c2), all in one call.  Returns (modes, coefs):
+    the modes as an int array of shape (m,) and the coefficients as a
+    complex array of shape (m, 2, 3)."""
     k = np.asarray(modes, dtype=int).reshape(-1)
-    # axes: mode, radius (broadcast), component, Re/Im, coefficient
-    z = rng.standard_normal(12 * k.size).reshape(-1, 1, 2, 2, 3)
-    c = z[..., 0, :] + 1j * z[..., 1, :]
-    amp = c[..., 0] + c[..., 1] * sin + c[..., 2] * cos
-    # one mode's term at a time, added in order: the sums of np.sum over
-    # a leading mode axis, without holding every mode's term at once
-    vals = np.zeros((rhos.size, 2, psis.size), complex)
-    for kj, aj in zip(k.tolist(), amp):
-        vals += aj[..., None] * _sz_wave(kj)
-    return rhos, psis, vals.transpose(0, 2, 1)
-
-
-def _sz_grid(rhos: np.ndarray, n_psi: int, delta: float) -> tuple:
-    """The fixed part of the check on one grid: the mask of the FFT bins
-    of modes -1, 0, 1, the factor i*k of d/dpsi per bin and component,
-    and the normalized radial weights exp(w(rho) rho)."""
-    freqs = np.fft.fftfreq(n_psi, d=1.0 / n_psi).astype(int)
-    wgt = np.exp(weight_exponent(rhos, delta, SZ_RHO_0, SZ_RHO_INF) * rhos)
-    # normalize against overflow: only the ratio matters
-    return (np.isin(freqs, (-1, 0, 1)),
-            np.repeat((1j * freqs)[:, None], 2, axis=1), wgt / wgt.max())
+    # axes: mode, component, Re/Im, coefficient
+    z = rng.standard_normal(12 * k.size).reshape(-1, 2, 2, 3)
+    return k, z[:, :, 0] + 1j * z[:, :, 1]
 
 
 def sz_inequality_check(fields, delta: float = 0.5) -> dict:
@@ -674,37 +647,34 @@ def sz_inequality_check(fields, delta: float = 0.5) -> dict:
     fields, W~ being a field with angular modes -1, 0, 1 removed; the
     inequality 2 ||W~|| <= ||dW~/dpsi|| holds when it is >= 2.
 
-    Angular integrals are spectral (FFT); the radial measure is
-    exp(w(rho) * rho) d rho with the smooth-step weight exponent, built
-    once per grid.  Fields whose truncation vanishes are vacuous and
-    give no ratio.  ``fields`` may be any iterable, a generator
-    included, so the caller need not hold every field at once.
+    ``fields`` are (modes, coefs) pairs of ``random_truncated_field``,
+    each with the same number of draws.
+    The angular integrals are exact by Parseval: mode k of W~ carries
+    C_k, the summed coefficients of the draws of that mode, and
+    d/dpsi multiplies it by i k.  The radial measure is
+    exp(w(rho) * rho) d rho with the smooth-step weight exponent,
+    integrated by the trapezoid rule on the patch's radii, which makes
+    each norm a quadratic form in C_k with one real 3 x 3 Gram matrix:
+    ratio^2 = sum_k k^2 C_k^H G C_k / sum_k C_k^H G C_k.  Fields whose
+    truncation vanishes are vacuous and give no ratio.
     """
-    ratios = []
-    vacuous = n_fields = 0
-    grid_key = None
-    for rhos, psis, vals in fields:
-        n_fields += 1
-        n_psi = vals.shape[1]
-        key = (rhos.tobytes(), n_psi)
-        if key != grid_key:
-            grid_key = key
-            kill, dpsi, wgt = _sz_grid(rhos, n_psi, delta)
-        # C order fixes the summation order of the norms, whatever the
-        # memory layout of vals
-        hat = np.ascontiguousarray(np.fft.fft(vals, axis=1))
-        hat[:, kill, :] = 0.0
-        # Parseval per radius: sum |hat|^2 / n_psi^2 * n_psi, of
-        # dW~/dpsi and of W~
-        norm2_psi = np.array([np.sum(np.abs(h) ** 2, axis=(1, 2)) / n_psi
-                              for h in (hat * dpsi, hat)])
-        num, den = np.trapezoid(norm2_psi * wgt, rhos)
-        if den <= 1e-300:
-            vacuous += 1
-            continue
-        ratios.append(math.sqrt(num / den))
+    k, c = map(np.array, zip(*fields))
+    rhos, basis = _sz_patch()
+    wgt = np.exp(weight_exponent(rhos, delta, SZ_RHO_0, SZ_RHO_INF) * rhos)
+    # normalized against overflow: only the ratio matters
+    gram = np.trapezoid(basis[:, None] * basis * (wgt / wgt.max()), rhos)
+    same = k[:, :, None] == k[:, None, :]
+    # C_k at the first draw of mode k, zero at every other draw and at
+    # modes -1, 0, 1
+    first = ~np.tril(same, -1).any(axis=2) & (np.abs(k) > 1)
+    ck = ((same & first[:, :, None]).astype(float)
+          @ c.reshape(*k.shape, 6)).reshape(c.shape)
+    quad = (ck.conj() * (ck @ gram)).real.sum(axis=(2, 3))
+    num, den = (k * k * quad).sum(axis=1), quad.sum(axis=1)
+    live = den > 1e-300
+    ratios = np.sqrt(num[live] / den[live])
     return {
-        "n_fields": n_fields,
-        "n_vacuous": vacuous,
-        "min_ratio": min(ratios) if ratios else float("inf"),
+        "n_fields": len(k),
+        "n_vacuous": int(np.count_nonzero(~live)),
+        "min_ratio": float(ratios.min()) if ratios.size else float("inf"),
     }

@@ -304,11 +304,12 @@ def test_failed_pass_flag_exits_1(tmp_path, capsys):
     assert summary["pass_flags"]["kernel_total_5"] is False
 
 
-@pytest.mark.parametrize("eps", ["1e-5", "1e-6"])
+@pytest.mark.parametrize("eps", ["1e-5", "1e-6", "5e-10", "2e-11"])
 def test_small_drift_runs_with_degree_one(tmp_path, eps):
     # a small drift leaves the skew of the degree table's paths small, so
     # each full turn of the loop splits into two crossings closer than
-    # the index scan's spacing; both count, and the table checks out
+    # the index scan's spacing; both count, and the table checks out.
+    # From 5e-10 down the two sit closer than 1e-7 of the path's length
     cfg = tmp_path / "eps.cfg"
     cfg.write_text(f"[twist]\neps = {eps}\n")
     assert cli.main(["all", "--config", str(cfg), "--quiet",

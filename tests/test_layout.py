@@ -12,7 +12,7 @@ such as an ``__all__`` entry, does not count.  A dataclass field counts
 as read when some attribute of that name is loaded somewhere in
 ``src/``.  Both are name checks: a field that shares its name with
 another attribute read (an array's ``.shape``, say) passes without
-being read itself.
+being read itself.  No ``fft`` name or attribute occurs in ``src/``.
 """
 
 import ast
@@ -157,6 +157,27 @@ def _ndarray_forks(modules):
             found |= {qual for qual, scope in scopes
                       if any(map(is_fork, ast.walk(scope)))}
     return found
+
+
+def _fft_users(modules):
+    """The modules in which an ``fft`` name or attribute occurs."""
+    return {mod for mod, tree in modules.items() if _names(tree)["fft"]}
+
+
+def test_no_fft_in_src():
+    # the SZ check's angular integrals are exact on the drawn modes; an
+    # FFT over an angle grid would be a second path beside it (that path
+    # is the oracle in tests/test_lincr.py)
+    assert sorted(_fft_users(_modules())) == []
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import numpy as np\n\nhat = np.fft.fft(vals, axis=1)\n", {"m"}),
+    ("from numpy import fft\n\nhat = fft.rfft(vals)\n", {"m"}),
+    ("hat = vals.sum(axis=1)\n", set()),
+])
+def test_fft_guard_finds_fft_uses(source, expected):
+    assert _fft_users({"m": ast.parse(source)}) == expected
 
 
 def test_every_definition_and_field_is_reached():

@@ -290,23 +290,78 @@ def test_sz_inequality_random_fields():
     assert out["min_ratio"] >= 2.0 - 1e-9
 
 
-def test_sz_inequality_streams_fields():
-    # a generator of fields, drawn as the check consumes them, gives the
-    # same report as the list of the same draws
-    def draws():
-        rng = np.random.default_rng(11)
-        return (L.random_truncated_field(
-            rng, rng.integers(2, 11, size=3).tolist()) for _ in range(100))
-    out = L.sz_inequality_check(draws())
-    assert out == L.sz_inequality_check(list(draws()))
-    assert out["n_fields"] == 100
-
-
 def test_sz_inequality_constant_field_vacuous():
     rng = np.random.default_rng(12)
     out = L.sz_inequality_check([L.random_truncated_field(rng, [0])])
     assert out["n_vacuous"] == 1
     assert out["min_ratio"] == math.inf
+
+
+def test_sz_inequality_low_modes_field_vacuous():
+    # nothing survives the truncation: the Gram form's norm is 0, where
+    # the oracle's grid keeps the FFT's rounding in the other bins
+    rng = np.random.default_rng(12)
+    out = L.sz_inequality_check([L.random_truncated_field(rng, [-1, 0, 1])])
+    assert out["n_vacuous"] == 1
+    assert out["min_ratio"] == math.inf
+
+
+# Oracle of the SZ check: the field of drawn modes and coefficients
+# synthesized on the patch's radii and SZ_N_PSI angles, and the check on
+# that grid by an FFT over the angle, its bins of modes -1, 0, 1 masked
+# and Parseval taken per radius.  Every drawn mode lies below the
+# Nyquist bin, so the FFT is exact up to rounding.
+
+SZ_N_PSI = 64
+
+
+def _grid_field(modes, coefs):
+    """(rhos, psis, vals) of a field of random_truncated_field: the
+    radial amplitudes broadcast over radius, one mode's term at a time
+    added in order; vals of shape (n_rho, n_psi, 2), psi contiguous."""
+    rhos, basis = L._sz_patch()
+    psis = np.linspace(0.0, 2.0 * math.pi, SZ_N_PSI, endpoint=False)
+    # axes: mode, radius (broadcast), component, coefficient
+    c = np.asarray(coefs)[:, None]
+    amp = (c[..., 0] + c[..., 1] * basis[1][:, None]
+           + c[..., 2] * basis[2][:, None])
+    vals = np.zeros((rhos.size, 2, psis.size), complex)
+    for kj, aj in zip(np.asarray(modes).tolist(), amp):
+        vals += aj[..., None] * np.exp(1j * kj * psis)
+    return rhos, psis, vals.transpose(0, 2, 1)
+
+
+def _fft_check(fields, delta=0.5):
+    """sz_inequality_check's report on grid fields, by the FFT."""
+    ratios = []
+    vacuous = 0
+    for rhos, psis, vals in fields:
+        n_psi = vals.shape[1]
+        freqs = np.fft.fftfreq(n_psi, d=1.0 / n_psi).astype(int)
+        dpsi = np.repeat((1j * freqs)[:, None], 2, axis=1)
+        wgt = np.exp(L.weight_exponent(rhos, delta, L.SZ_RHO_0, L.SZ_RHO_INF)
+                     * rhos)
+        # C order fixes the summation order of the norms
+        hat = np.ascontiguousarray(np.fft.fft(vals, axis=1))
+        hat[:, np.isin(freqs, (-1, 0, 1)), :] = 0.0
+        # Parseval per radius: sum |hat|^2 / n_psi^2 * n_psi, of
+        # dW~/dpsi and of W~
+        norm2_psi = np.array([np.sum(np.abs(h) ** 2, axis=(1, 2)) / n_psi
+                              for h in (hat * dpsi, hat)])
+        num, den = np.trapezoid(norm2_psi * (wgt / wgt.max()), rhos)
+        if den <= 1e-300:
+            vacuous += 1
+            continue
+        ratios.append(math.sqrt(num / den))
+    return {
+        "n_fields": len(fields),
+        "n_vacuous": vacuous,
+        "min_ratio": min(ratios) if ratios else float("inf"),
+    }
+
+
+def _assert_ulps(got, ref, ulps=4):
+    assert abs(got - ref) <= ulps * np.spacing(ref), (got, ref)
 
 
 def _reference_field(rng, modes):
@@ -327,9 +382,10 @@ def _reference_field(rng, modes):
 
 @pytest.mark.parametrize("seed", [0, 1, 17, 18, 4242])
 def test_random_field_matches_per_mode_oracle(seed):
-    # the broadcast field equals the per-mode loop bit for bit and leaves
-    # the generator where the loop leaves it: random modes as the CLI
-    # draws them, a repeated mode, a single mode, mode 0 and no mode
+    # the oracle's grid of the drawn coefficients equals the per-mode
+    # loop bit for bit, and the draw leaves the generator where the loop
+    # leaves it: random modes as the CLI draws them, a repeated mode, a
+    # single mode, mode 0 and no mode
     draws = [np.random.default_rng(seed) for _ in range(2)]
     mode_lists = [[3, 3, 7], [2], [0], [], [10, 2, 2, 5]]
     for i in range(8):
@@ -338,20 +394,71 @@ def test_random_field_matches_per_mode_oracle(seed):
         mode_lists.insert(i, modes[0])
     for modes in mode_lists:
         ref = _reference_field(draws[0], modes)
-        got = L.random_truncated_field(draws[1], modes)
+        got = _grid_field(*L.random_truncated_field(draws[1], modes))
         for a, b in zip(ref, got):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), modes
         assert draws[0].bit_generator.state == draws[1].bit_generator.state
 
 
 def test_sz_patch_is_read_only():
-    # the shared grid of every field cannot be changed through a field,
-    # nor the cached angular wave of a mode
-    rhos, psis, _ = L.random_truncated_field(np.random.default_rng(0), [2])
-    for a in (rhos, psis, L._sz_wave(2)):
+    # the radii and radial basis shared by the Gram form and the
+    # oracle's grid fields cannot be changed through either
+    rhos, basis = L._sz_patch()
+    field = _grid_field(*L.random_truncated_field(np.random.default_rng(0),
+                                                  [2]))
+    assert field[0] is rhos
+    for a in (rhos, basis):
         with pytest.raises(ValueError):
             a[0] = 1.0
-    assert L._sz_wave(2) is L._sz_wave(2)
+    assert L._sz_patch() is L._sz_patch()
+
+
+@pytest.mark.parametrize("draw", ["default", "modes", "collar",
+                                  "criterion_08"])
+def test_sz_check_matches_fft_oracle_on_the_runs_draws(draw):
+    # the draws of stage_lincr with its seed and delta, and criterion
+    # 08's: the same report as the FFT oracle, min_ratio within 4 ulps,
+    # and the generator left where the per-mode loop leaves it
+    if draw == "criterion_08":
+        seed, delta = 4, 0.5
+    else:
+        text = {"default": "", "modes": MODES_CONFIG,
+                "collar": COLLAR_CONFIG}[draw]
+        model = cli.Model(parse_config(text))
+        seed, delta = model.cfg.seed + 17, model.we.default_delta()
+    rng, ref = (np.random.default_rng(seed) for _ in range(2))
+    fields, grids = [], []
+    for _ in range(100):
+        fields.append(L.random_truncated_field(
+            rng, rng.integers(2, 11, size=3)))
+        grids.append(_reference_field(ref, ref.integers(2, 11, size=3)))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    got, want = L.sz_inequality_check(fields, delta), _fft_check(grids, delta)
+    assert got["n_fields"] == want["n_fields"] == 100
+    assert got["n_vacuous"] == want["n_vacuous"] == 0
+    _assert_ulps(got["min_ratio"], want["min_ratio"])
+
+
+# draws that reach the truncation: modes -1, 0 and 1 beside surviving
+# modes, negative modes and repeated ones
+TRUNCATION_CASES = [[-1, 0, 3], [1, -2, 0], [2, -2, 1], [-3, 5, -3],
+                    [4, 4, 4], [0, 1, -1, -5, 6, -5, 1], [-10, 10, 9]]
+
+
+@pytest.mark.parametrize("modes", TRUNCATION_CASES,
+                         ids=[str(m) for m in TRUNCATION_CASES])
+@pytest.mark.parametrize("delta", [0.5, 0.02739441901955972],
+                         ids=["delta_default", "delta_collar"])
+def test_sz_check_matches_fft_oracle_on_the_truncation(modes, delta):
+    # at the default config's delta and the collar config's, each field
+    # alone, within 4 ulps of the oracle
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        field = L.random_truncated_field(rng, modes)
+        got = L.sz_inequality_check([field], delta)
+        want = _fft_check([_grid_field(*field)], delta)
+        assert got["n_vacuous"] == want["n_vacuous"] == 0
+        _assert_ulps(got["min_ratio"], want["min_ratio"])
 
 
 def test_weight_exponent_smooth_step():
@@ -376,7 +483,8 @@ def test_weight_exponent_array_matches_floats(delta):
 
 
 def test_sz_weights_match_point_loop():
-    # the min ratio with the array weights against the per-radius loop
+    # the min ratio of the Gram form against the per-radius loop of
+    # the FFT norms on the oracle's grid fields
     def ratio_by_loop(rhos, psis, vals, delta=0.5):
         n_psi = vals.shape[1]
         hat = np.fft.fft(vals, axis=1)
@@ -394,7 +502,7 @@ def test_sz_weights_match_point_loop():
     rng = np.random.default_rng(21)
     fields = [L.random_truncated_field(rng, rng.integers(2, 11, size=3).tolist())
               for _ in range(10)]
-    ref = min(ratio_by_loop(*f) for f in fields)
+    ref = min(ratio_by_loop(*_grid_field(*f)) for f in fields)
     got = L.sz_inequality_check(fields)["min_ratio"]
     assert abs(got - ref) <= 4 * np.finfo(float).eps * ref
 
