@@ -41,16 +41,33 @@ CSV artifacts (comma-separated, LF, UTF-8, one header row; floats use
   plane.csv            rho, r, t
   lincr_modes.csv      block, direction, rho, log10_norm
 
-JSON artifacts (stable key order; a non-finite float, such as the angle
-gap of a block with no unmatched angle, is written as null):
+JSON artifacts, by top-level key (keys sorted; a non-finite float, such
+as the angle gap of a block with no unmatched angle, is written as null):
 
-  validate.json        profile/geometry identity residuals and flags
-  plane_energy.json    stokes, quadrature, action_gamma0
+  validate.json        g_at_0_minus_k_pi, p0, p0_residual, fd_consistency_g,
+                       fd_consistency_hk, fd_consistency_h1,
+                       fd_consistency_h2, hk_quadrature_gap,
+                       htilde_quadrature_gap, min_detH_over_r,
+                       min_detH_over_r_at, contact_bound_ok,
+                       action_tie_residual, alpha_reeb_max_residual,
+                       alpha_reeb_ok, identity_suite (the residuals that
+                       geometry_check.json gates), pullback,
+                       matched_min_detH_over_r, matched_reeb_push_mismatch
+                       (these three with a matched profile)
+  geometry_check.json  alpha_of_reeb_minus_1, dalpha_reeb_contraction,
+                       J_squared_plus_id, min_compatibility_quotient,
+                       J_dt_minus_reeb, J_dr_minus_geofield,
+                       dalpha_exact_vs_fd, frame_gram_vs_standard,
+                       reeb_push_collar_mismatch (with a matched or a collar
+                       profile; each key holds value and pass)
+  plane_energy.json    stokes, quadrature, action_gamma0, relative_gap,
+                       rho_span
   kernel.json          per_mode, total, non_decaying_bounded, delta,
                        spectral_gap, angle_conditioning,
                        richardson_estimate, a_norm,
                        back_substitution_residual, sz_inequality
-  energy.json          E1, E2, total, bound, pass
+  energy.json          E1, E2, total, bound, pass, winding_gamma0,
+                       action_gamma0
   summary.json         degree_of_gamma0, plane_energy, action_gamma0, seed,
                        kernel_total, pass_flags (each gate of the run)
 """
@@ -275,7 +292,7 @@ def stage_validate(model: Model, out: Path, seed: int) -> dict:
         worst_ht = max(worst_ht, abs(tp.htilde(s) - tp.htilde_by_quadrature(s)))
     rep["hk_quadrature_gap"] = worst_hk
     rep["htilde_quadrature_gap"] = worst_ht
-    mn, at = bp.min_detH_over_r(10_000)
+    mn, at = bp.min_detH_over_r()
     rep["min_detH_over_r"] = mn
     rep["min_detH_over_r_at"] = at
     rep["action_tie_residual"] = abs(2.0 * math.pi * bp.h2(bp.r0)
@@ -295,7 +312,7 @@ def stage_validate(model: Model, out: Path, seed: int) -> dict:
             "max_mismatch": pull.max_mismatch,
             "worst_radius": pull.worst_radius,
         }
-        rep["matched_min_detH_over_r"] = bpm.min_detH_over_r(10_000)[0]
+        rep["matched_min_detH_over_r"] = bpm.min_detH_over_r()[0]
         rep["matched_reeb_push_mismatch"] = \
             geometry.reeb_push_collar_mismatch(tp, bpm)
     _record_gates("validate", rep)
@@ -396,8 +413,8 @@ def stage_energy(model: Model, out: Path) -> dict:
     bp = model.bp
     r_lo = 0.1 * bp.r0
     circles, wts, span = energy_mod.gauss_legendre_family(
-        bp, r_lo, bp.r0 * 0.999, 512)
-    e1, e2 = energy_mod.annulus_energies(bp, circles, weights=wts, span=span)
+        bp, r_lo, bp.r0 * 0.999, 52)
+    e1, e2 = energy_mod.annulus_energies(bp, circles, wts, span)
     audit = energy_mod.energy_bound_audit(
         bp, energy_mod.plane_level_circle(bp, np.linspace(0.02, bp.r0, 512)))
     payload = {"E1": e1, "E2": e2,

@@ -29,14 +29,13 @@ beyond r0 would add strictly positive energy on top of it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ReebtwistError
-from .numerics import legendre, simpson
+from .numerics import GAUSS10
 from .profiles import BindingProfile
 
 __all__ = [
@@ -49,6 +48,10 @@ __all__ = [
     "annulus_energies",
     "energy_bound_audit",
 ]
+
+# how far the winding density of a circle may sit from an integer
+WINDING_TOL = 1e-9
+
 
 class EnergyError(ReebtwistError):
     pass
@@ -104,16 +107,16 @@ def winding_integrand(circle: LevelCircle):
     return (bp.h1(r) * circle.c - bp.h1.d1(r) * circle.d) / bp.detH(r)
 
 
-def winding_number(bp: BindingProfile, circle: LevelCircle,
-                   tol: float = 1e-9):
-    """(1/2pi) of the angle form over the circle; must be an integer.
-    An int for one circle, an int array for a family."""
+def winding_number(bp: BindingProfile, circle: LevelCircle):
+    """(1/2pi) of the angle form over the circle; must be an integer
+    within WINDING_TOL.  An int for one circle, an int array for a
+    family."""
     w = winding_integrand(circle)
     k = np.round(w)
-    off = np.abs(w - k) > tol
+    off = np.abs(w - k) > WINDING_TOL
     if np.any(off):
         raise EnergyError(f"winding {_first(w, off)} is not an integer "
-                          f"within {tol:.1e}; parametrization error")
+                          f"within {WINDING_TOL:.1e}; parametrization error")
     return k.astype(int) if np.ndim(k) else int(k)
 
 
@@ -122,89 +125,47 @@ def action(circle: LevelCircle):
     return circle.dbar()
 
 
-# Newton corrections of the Gauss-Legendre nodes stop at this size (a
-# few ulps of a node in [-1, 1]); four steps reach it for every n tried
-_NODE_TOL = 1e-15
-_NEWTON_MAX = 20
-
-
-def _legendre(n: int, x: np.ndarray):
-    """P_n(x) and P_n'(x) = n (P_{n-1}(x) - x P_n(x))/(1 - x^2), |x| < 1."""
-    p, p_prev = legendre(n, x)
-    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
-
-
-@functools.lru_cache(maxsize=4)
-def _leggauss(n: int):
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only
-    and built once per n and process.
-
-    Newton's method on P_n from x_k = cos(pi (k - 1/4)/(n + 1/2)), the
-    weights 2/((1 - x^2) P_n'(x)^2), both then symmetrized about 0.
-    Every array has length n: at n = 512 the rule peaks at about 40 KB
-    of arrays and takes a few ms.  numpy's leggauss instead diagonalizes
-    an n x n companion matrix, a transient of 2.1 MB plus LAPACK
-    workspace that set the peak resident set of a whole run, and its
-    weights are about 1e-10 off at n = 512 (these about 1e-12)."""
-    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for _ in range(_NEWTON_MAX):
-        p, dp = _legendre(n, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) <= _NODE_TOL:
-            break
-    else:
-        raise EnergyError(f"Gauss-Legendre nodes of n = {n} did not converge")
-    wts = 2.0 / ((1.0 - x) * (1.0 + x) * _legendre(n, x)[1] ** 2)
-    nodes, wts = 0.5 * (x - x[::-1]), 0.5 * (wts + wts[::-1])
-    nodes.setflags(write=False)
-    wts.setflags(write=False)
-    return nodes, wts
-
-
 def gauss_legendre_family(bp: BindingProfile, r1: float, r2: float,
-                          n: int):
-    """The family of plane circles at the Gauss-Legendre radii over
-    [r1, r2], the matching quadrature weights (scaled to the interval)
-    and the span."""
-    nodes, wts = _leggauss(n)
-    rg = 0.5 * (r2 - r1) * nodes + 0.5 * (r1 + r2)
-    return plane_level_circle(bp, rg), 0.5 * (r2 - r1) * wts, (r1, r2)
+                          panels: int):
+    """The family of plane circles at the nodes of the composite
+    10-point Gauss-Legendre rule on ``panels`` equal panels of [r1, r2]
+    (ascending, strictly inside the span), the matching quadrature
+    weights and the span."""
+    nodes, wts = GAUSS10
+    half = 0.5 * (r2 - r1) / panels
+    mids = r1 + (2.0 * np.arange(panels) + 1.0) * half
+    rg = (mids[:, None] + half * nodes).reshape(-1)
+    return plane_level_circle(bp, rg), np.tile(half * wts, panels), (r1, r2)
 
 
-def annulus_energies(bp: BindingProfile, circles: LevelCircle,
-                     weights=None, span=None) -> tuple[float, float]:
+def annulus_energies(bp: BindingProfile, circles: LevelCircle, weights,
+                     span) -> tuple[float, float]:
     """(E1, E2) for a family of circles over the radial span.
 
     E2 uses the exact winding-one form 2*pi*(h2(r2) - h2(r1)) after
     verifying winding one at every member.  E1 integrates the reduced
     density (-h1'/h1)(2*pi*h2 - dbar), evaluated at each member, with
-    the supplied radial weights (Gauss-Legendre families, whose nodes
-    sit strictly inside the span) or composite Simpson on the family's
-    own radii.
+    the supplied radial weights, one per member (a Gauss-Legendre
+    family's, whose nodes ascend strictly inside the span).  A
+    degenerate span has no energy.
     """
     rs = np.reshape(circles.r, -1)
+    if len(weights) != rs.size:
+        raise EnergyError("one radial weight per circle required")
     if rs.size == 0:
         return 0.0, 0.0
-    if np.any(np.diff(rs) <= 0.0):
-        raise EnergyError("circles must be ordered by increasing radius")
     w = winding_number(bp, circles)
     if np.any(w != 1):
         raise EnergyError(f"annulus formulas assume winding 1; got "
                           f"{int(_first(w, w != 1))} at r = "
                           f"{_first(rs, w != 1)}")
-    if span is None:
-        span = (float(rs[0]), float(rs[-1]))
-    if rs.size == 1 or span[0] == span[1]:
+    if span[0] == span[1]:
         return 0.0, 0.0
+    if np.any(np.diff(rs) <= 0.0):
+        raise EnergyError("circles must be ordered by increasing radius")
     dens = ((-bp.h1.d1(rs) / bp.h1(rs))
             * (2.0 * math.pi * bp.h2(rs) - circles.dbar()))
-    if weights is not None:
-        if len(weights) != rs.size:
-            raise EnergyError("one radial weight per circle required")
-        e1 = float(np.dot(weights, dens))
-    else:
-        e1 = simpson(dens, rs)
+    e1 = float(np.dot(weights, dens))
     e2 = 2.0 * math.pi * (bp.h2(span[1]) - bp.h2(span[0]))
     return e1, e2
 

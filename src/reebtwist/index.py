@@ -53,8 +53,15 @@ __all__ = [
 optimize = numerics
 
 # abscissa tolerance of the crossing refinement (brentq on sign changes,
-# bounded minimization at tangential zeros)
+# bounded minimization at tangential zeros), the points of the scan for
+# sign changes, and the relative size below which a singular value of
+# Psi - 1 or an eigenvalue of the crossing form counts as zero
 CROSSING_XTOL = 1e-13
+CROSSING_SCAN = 2001
+CROSSING_EIG_TOL = 1e-7
+# samples of a loop and of a product with one (a skew path and a random
+# path take make_path's 257)
+LOOP_SAMPLES = 513
 
 
 class IndexError_(ReebtwistError):
@@ -122,16 +129,16 @@ def make_path(dim: int, evaluator, t_end: float = 1.0, n_samples: int = 257,
 # model paths
 # ----------------------------------------------------------------------
 
-def skew_path(c: float, t_end: float = 1.0, n_samples: int = 257) -> SymplecticPath:
+def skew_path(c: float, t_end: float = 1.0) -> SymplecticPath:
     def ev(ts):
         M = np.zeros((len(ts), 2, 2))
         M[:, 0, 0] = M[:, 1, 1] = 1.0
         M[:, 1, 0] = -c * ts
         return M
-    return make_path(2, ev, t_end, n_samples)
+    return make_path(2, ev, t_end)
 
 
-def rotation_loop(i: int, dim: int = 2, n_samples: int = 513) -> SymplecticPath:
+def rotation_loop(i: int, dim: int = 2) -> SymplecticPath:
     """Loop winding i times in the positive direction of the convention
     (generated by exp(-t J0) on each symplectic pair)."""
     if i < 1:
@@ -147,11 +154,10 @@ def rotation_loop(i: int, dim: int = 2, n_samples: int = 513) -> SymplecticPath:
             M[:, j + 1, j] = -si
         return M
 
-    return make_path(dim, ev, 1.0, n_samples)
+    return make_path(dim, ev, 1.0, LOOP_SAMPLES)
 
 
-def product_path(a: SymplecticPath, b: SymplecticPath,
-                 n_samples: int = 513) -> SymplecticPath:
+def product_path(a: SymplecticPath, b: SymplecticPath) -> SymplecticPath:
     if a.dim != b.dim:
         raise IndexError_("dimension mismatch")
     Ta, Tb = a.t_end, b.t_end
@@ -159,12 +165,11 @@ def product_path(a: SymplecticPath, b: SymplecticPath,
     def ev(ts):
         return a.evaluator(ts * Ta) @ b.evaluator(ts * Tb)
 
-    return make_path(a.dim, ev, 1.0, n_samples,
+    return make_path(a.dim, ev, 1.0, LOOP_SAMPLES,
                      tolerance=max(a.tolerance, b.tolerance))
 
 
-def random_symplectic_path(dim: int, rng, scale: float = 1.0,
-                           n_samples: int = 257) -> SymplecticPath:
+def random_symplectic_path(dim: int, rng, scale: float = 1.0) -> SymplecticPath:
     """exp(t A) with A = Omega^{-1} S for a random symmetric S.
 
     The stack comes from one eigendecomposition A = V diag(w) V^{-1}:
@@ -182,7 +187,7 @@ def random_symplectic_path(dim: int, rng, scale: float = 1.0,
     def ev(ts):
         return ((V * np.exp(np.multiply.outer(ts, w))[:, None, :]) @ V_inv).real
 
-    return make_path(dim, ev, 1.0, n_samples)
+    return make_path(dim, ev)
 
 
 # ----------------------------------------------------------------------
@@ -198,28 +203,27 @@ def _det_minus_id_at(path, t):
     return float(_det_minus_id(path, np.array([t]))[0])
 
 
-def _kernel_of(M, tol_rel=1e-7):
+def _kernel_of(M):
     U, S, Vt = np.linalg.svd(M - np.eye(M.shape[0]))
-    cutoff = max(S[0], 1.0) * tol_rel
+    cutoff = max(S[0], 1.0) * CROSSING_EIG_TOL
     return Vt[S <= cutoff].T  # columns span ker(M - 1)
 
 
-def _path_derivative(path, t, h=None):
-    if h is None:
-        h = max(1e-7, 1e-7 * path.t_end)
+def _path_derivative(path, t):
+    h = max(1e-7, 1e-7 * path.t_end)
     lo, hi = max(0.0, t - h), min(path.t_end, t + h)
     M_lo, M_hi = path.evaluator(np.array([lo, hi]))
     return (M_hi - M_lo) / (hi - lo)
 
 
-def _crossing_signature(path, t, eig_tol=1e-7):
+def _crossing_signature(path, t):
     """Signature of the crossing form on ker(Psi(t) - 1).
 
-    Eigenvalues of the restricted form within eig_tol of the largest
-    magnitude are treated as zero and dropped.
+    Eigenvalues of the restricted form within CROSSING_EIG_TOL of the
+    largest magnitude are treated as zero and dropped.
     """
     M = path.at(t)
-    K = _kernel_of(M, tol_rel=eig_tol)
+    K = _kernel_of(M)
     if K.shape[1] == 0:
         return 0
     Om = standard_omega(path.dim)
@@ -228,10 +232,11 @@ def _crossing_signature(path, t, eig_tol=1e-7):
     G = (G + G.T) / 2.0
     ev = np.linalg.eigvalsh(G)
     scale = max(np.max(np.abs(ev)), 1e-12)
-    return int(np.sum(ev > eig_tol * scale)) - int(np.sum(ev < -eig_tol * scale))
+    return (int(np.sum(ev > CROSSING_EIG_TOL * scale))
+            - int(np.sum(ev < -CROSSING_EIG_TOL * scale)))
 
 
-def _locate_crossings(path, n_scan=2001):
+def _locate_crossings(path):
     """Interior crossing times: isolated zeros of d = det(Psi - 1),
     found by bisection on sign changes, and at the near-zero local
     minima of |d| between samples of one sign s by minimizing s*d: a
@@ -243,7 +248,7 @@ def _locate_crossings(path, n_scan=2001):
     marks a path whose determinant vanishes identically (persistent
     kernel), which the caller handles separately.
     """
-    ts = np.linspace(0.0, path.t_end, n_scan)
+    ts = np.linspace(0.0, path.t_end, CROSSING_SCAN)
     ds = _det_minus_id(path, ts)
     scale = max(float(np.max(np.abs(ds))), 1e-30)
     plateau_frac = float((np.abs(ds) <= max(1e-12, 1e-9 * scale)).mean())

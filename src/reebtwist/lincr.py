@@ -74,9 +74,11 @@ class LinCRError(ReebtwistError):
     pass
 
 
-# tolerances of cone_invariance_check, the one DOP853 integration here
+# tolerances of cone_invariance_check, the one DOP853 integration here,
+# and the points at which it samples each trajectory
 ODE_RTOL = 1e-11
 ODE_ATOL = 1e-13
+CONE_SAMPLES = 2000
 # points of the back-substitution check, and the principal angle below
 # which a regular and an admissible direction count as one
 N_CHECK = 1000
@@ -263,8 +265,7 @@ def full_system_residual(we: WEquation, Wf, rho, psi: float):
 # ----------------------------------------------------------------------
 
 def cone_invariance_check(we: WEquation, rho_span: tuple,
-                          starts: list | np.ndarray,
-                          n_steps: int = 2000) -> dict:
+                          starts: list | np.ndarray) -> dict:
     """Integrate the phase-plane system v' = (1/rho)[[H2,1],[1,0]] v
     from first-quadrant starts over rho_span.
 
@@ -291,7 +292,7 @@ def cone_invariance_check(we: WEquation, rho_span: tuple,
                                   dense_output=True)
         if not out.success:
             raise LinCRError(f"phase-plane integration failed: {out.message}")
-        sample = out.sol(np.linspace(xs[0], xs[1], n_steps))
+        sample = out.sol(np.linspace(xs[0], xs[1], CONE_SAMPLES))
         min_component = float(sample.min())
         v1 = out.y[:, -1]
         results.append({

@@ -1,15 +1,14 @@
 """The numerical routines of a run, on numpy alone: DOP853 with dense
 output and events (Hairer, Norsett & Wanner, Solving ODEs I, II.5-6),
-Brent's root finder and bounded minimizer (Brent, 1973), adaptive
+Brent's root finder and bounded minimizer (Brent, 1973), and adaptive
 Gauss-Kronrod quadrature (QUADPACK, 1983) on whole panels per call,
-the Legendre recurrence and Simpson's rule.
+whose 10-point Gauss rule ``GAUSS10`` the energy stage composes.
 
 Each routine takes the operations of scipy 1.17's implementation in
 the same order (``scipy.integrate._ivp``, ``brentq.c``,
-``_minimize_scalar_bounded``, ``eval_legendre``, ``simpson``), so its
-results equal scipy's bit for bit; ``quad`` has no extrapolation and
-meets ``scipy.integrate.quad`` to its tolerance.  The tests keep scipy
-as the oracle of each one.
+``_minimize_scalar_bounded``), so its results equal scipy's bit for
+bit; ``quad`` has no extrapolation and meets ``scipy.integrate.quad``
+to its tolerance.  The tests keep scipy as the oracle of each one.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["OdeResult", "DenseSolution", "solve_ivp", "brentq",
-           "minimize_bounded", "quad", "legendre", "simpson"]
+           "minimize_bounded", "quad", "GAUSS10"]
 
 EPS = float(np.finfo(float).eps)
 
@@ -485,6 +484,8 @@ _GK_WK = np.array(_WK + _WK[-2::-1])
 _GK_WG = np.zeros(21)
 _GK_WG[1:10:2] = _WG
 _GK_WG[11:20:2] = _WG[::-1]
+# that 10-point Gauss-Legendre rule on [-1, 1]: (nodes ascending, weights)
+GAUSS10 = (_GK_X[-2::-2], _GK_WG[-2::-2])
 
 
 def _gk21(func, lo, hi):
@@ -536,56 +537,3 @@ def quad(func, a, b, points=None, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
                                v2.tolist()):
             heapq.heappush(heap, (-e, l, h, vv))
     return math.fsum(v for *_, v in heap), err
-
-
-# ----------------------------------------------------------------------
-# Legendre polynomials and Simpson's rule
-# ----------------------------------------------------------------------
-
-def legendre(n: int, x: np.ndarray):
-    """(P_n(x), P_{n-1}(x)) for n >= 1 by the three-term recurrence
-    (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}, carried on the
-    differences d_k = P_{k+1} - P_k as
-    d_k = ((2k+1)/(k+1)) (x - 1) P_k + (k/(k+1)) d_{k-1},
-    which keeps its accuracy near x = 1 (eval_legendre's loop for
-    |x| >= 1e-5)."""
-    x = np.asarray(x, dtype=float)
-    if n == 1:
-        return x.copy(), np.ones_like(x)
-    xm1 = x - 1
-    d, p = x - 1, x.copy()
-    tmp = np.empty_like(x)
-    for kk in range(n - 1):
-        if kk == n - 2:
-            prev = p.copy()
-        k = kk + 1.0
-        np.multiply((2 * k + 1) / (k + 1), xm1, out=tmp)
-        tmp *= p
-        d *= k / (k + 1)
-        d += tmp
-        p += d
-    return p, prev
-
-
-def simpson(y, x) -> float:
-    """Composite Simpson's rule on samples y at the increasing abscissae
-    x; an odd count of intervals ends with Cartwright's correction on
-    the last one, as in scipy.integrate.simpson."""
-    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
-    n = y.size
-    h = np.diff(x)
-    if n == 2:
-        return float(0.5 * h[-1] * (y[-1] + y[-2]))
-    stop = n - 2 if n % 2 else n - 3
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum, hprod, ratio = h0 + h1, h0 * h1, h0 / h1
-    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
-                                  + y[1:stop + 1:2] * (hsum * (hsum / hprod))
-                                  + y[2:stop + 2:2] * (2.0 - ratio)))
-    if n % 2 == 0:
-        h0, h1 = h[-2:-1].reshape(()), h[-1:].reshape(())
-        alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
-        beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
-        eta = (1 * h1 ** 3) / (6 * h0 * (h0 + h1))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return float(result)

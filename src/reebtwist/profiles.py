@@ -57,6 +57,16 @@ integrate = optimize = numerics
 # Gauss-Kronrod oracles for h_k and h~_k
 ROOT_XTOL = 1e-15
 QUAD_TOL = 1e-12
+# the finite-difference self-check of a profile: sample points, step and
+# the relative error it admits
+FD_SAMPLES = 200
+FD_STEP = 1e-5
+FD_RTOL = 1e-6
+# radial grids: of the invariants every build checks, of the contact
+# certificate min_detH_over_r, and of the collar pullback check
+BUILD_GRID = 2048
+CONTACT_GRID = 10_000
+PULLBACK_SAMPLES = 512
 
 
 class ProfileError(ReebtwistError):
@@ -86,16 +96,17 @@ class SmoothProfile:
     def __call__(self, x):
         return self.value(x)
 
-    def check_derivative_consistency(self, n=200, h=1e-5, rtol=1e-6, rng=None):
-        """Max relative error of d1 against a central difference of value.
+    def check_derivative_consistency(self, rng):
+        """Max relative error of d1 against a central difference of value
+        at FD_SAMPLES points drawn from ``rng``, with step FD_STEP; an
+        error above FD_RTOL raises.
 
         Sample points are interior and kept clear of junctions so the
         stencil never crosses a derivative discontinuity.
         """
-        if rng is None:
-            rng = np.random.default_rng(0)
+        h = FD_STEP
         span = self.hi - self.lo
-        pts = self.lo + (0.02 + 0.96 * rng.random(n)) * span
+        pts = self.lo + (0.02 + 0.96 * rng.random(FD_SAMPLES)) * span
         scale = max(float(np.max(np.abs(self.d1(np.linspace(
             self.lo + 0.01 * span, self.hi - 0.01 * span, 101))))), 1e-12)
         keep = (pts - h >= self.lo) & (pts + h <= self.hi)
@@ -106,9 +117,9 @@ class SmoothProfile:
         fd = (self.value(x + h) - self.value(x - h)) / (2 * h)
         err = np.abs(fd - d1) / np.maximum(np.abs(d1), scale)
         worst = float(err.max()) if err.size else 0.0
-        if worst > rtol:
-            raise ProfileError(
-                f"profile derivative self-check failed: rel err {worst:.3e} > {rtol:.1e}")
+        if worst > FD_RTOL:
+            raise ProfileError("profile derivative self-check failed: rel err "
+                               f"{worst:.3e} > {FD_RTOL:.1e}")
         return worst
 
 
@@ -179,16 +190,16 @@ class TwistProfile:
     htilde: SmoothProfile
     p0: float | None
 
-    def hk_by_quadrature(self, s: float, tol=QUAD_TOL) -> float:
+    def hk_by_quadrature(self, s: float) -> float:
         """Independent Gauss-Kronrod evaluation of 1 + int_0^s sigma g'."""
         val, _ = integrate.quad(lambda u: u * self.g.d1(u), 0.0, s,
-                                epsabs=tol, epsrel=tol, limit=200)
+                                epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
         return 1.0 + val
 
-    def htilde_by_quadrature(self, s: float, tol=QUAD_TOL) -> float:
+    def htilde_by_quadrature(self, s: float) -> float:
         """Independent Gauss-Kronrod evaluation of 1 - int_0^s g."""
         val, _ = integrate.quad(self.g.value, 0.0, s,
-                                epsabs=tol, epsrel=tol, limit=200)
+                                epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
         return 1.0 - val
 
 
@@ -409,9 +420,10 @@ class BindingProfile:
             return self.h1(0.0) * self.h2.d2(0.0)
         return self.detH(r) / r
 
-    def min_detH_over_r(self, n: int = 10_000):
-        """Grid minimum of detH/r on (0, r_max]; the contact certificate."""
-        rs = np.linspace(self.r_max / n, self.r_max, n)
+    def min_detH_over_r(self):
+        """Minimum of detH/r on the grid linspace(r_max/n, r_max, n),
+        n = CONTACT_GRID, and its radius; the contact certificate."""
+        rs = np.linspace(self.r_max / CONTACT_GRID, self.r_max, CONTACT_GRID)
         vals = self.detH(rs) / rs
         i = int(np.argmin(vals))
         return float(vals[i]), float(rs[i])
@@ -574,12 +586,12 @@ def _assemble_collar(tp, r0, r_max, r_c, rB, c2,
                           collar=(r_c, r_max))
 
 
-def _grid_violation(bp: BindingProfile, n: int = 2048):
+def _grid_violation(bp: BindingProfile):
     """The first invariant of ``bp`` that fails on the grid
-    linspace(r_max/n, r_max, n) of ``min_detH_over_r(n)``, as a message,
-    or None: h1 > 0, the contact condition detH/r > 0, and the maximum
-    of h2 at r0."""
-    rs = np.linspace(bp.r_max / n, bp.r_max, n)
+    linspace(r_max/n, r_max, n), n = BUILD_GRID, as a message, or None:
+    h1 > 0, the contact condition detH/r > 0, and the maximum of h2 at
+    r0."""
+    rs = np.linspace(bp.r_max / BUILD_GRID, bp.r_max, BUILD_GRID)
     for ok, what in (
             (bp.h1(rs) > 0.0, "h1 <= 0"),
             (bp.detH(rs) / rs > 0.0, "contact condition fails: detH/r <= 0"),
@@ -659,7 +671,7 @@ class PullbackReport:
 
 
 def pullback_consistency_check(tp: TwistProfile, bp: BindingProfile,
-                               collar: tuple, n: int = 512) -> PullbackReport:
+                               collar: tuple) -> PullbackReport:
     """Compare (h1, h2) against the pullback of the mapping-torus form
     under (q, p, r, phi) -> (q, p/r, phi / (2*pi)).
 
@@ -670,7 +682,8 @@ def pullback_consistency_check(tp: TwistProfile, bp: BindingProfile,
     lo, hi = collar
     if not (0.0 < lo <= hi <= bp.r_max):
         raise ProfileError("collar must be a subinterval of (0, r_max]")
-    rs = np.linspace(lo, hi, n) if hi > lo else np.array([lo])
+    rs = (np.linspace(lo, hi, PULLBACK_SAMPLES) if hi > lo
+          else np.array([lo]))
     s = 1.0 / rs
     outside = s > tp.s_max
     if outside.any():

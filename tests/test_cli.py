@@ -488,22 +488,47 @@ def test_all_pipeline_artifacts_exist(all_run):
         assert (out / name).exists(), name
 
 
+def _schema_entries() -> dict:
+    """Artifact name -> the columns or top-level keys ``--schema`` lists,
+    its remarks in parentheses dropped."""
+    texts, name = {}, None
+    for line in cli.SCHEMA_TEXT.splitlines():
+        head = re.match(r"  (\S+\.(?:csv|json)) +(.*)", line)
+        if head:
+            name = head[1]
+            texts[name] = head[2]
+        elif name and line.startswith("   "):
+            texts[name] += " " + line.strip()
+        else:
+            name = None
+    return {name: [key.strip() for key in
+                   re.sub(r"\([^)]*\)", "", text).split(",")]
+            for name, text in texts.items()}
+
+
 def test_csv_headers_match_schema(all_run):
     out, _ = all_run
-    heads = {
-        "orbits.csv": ["p_level", "g_value", "m", "i", "period", "action",
-                       "degree", "is_principal"],
-        "degree_table.csv": ["p_level", "i", "morse_index", "mu", "degree"],
-        "plane.csv": ["rho", "r", "t"],
-        "lincr_modes.csv": ["block", "direction", "rho", "log10_norm"],
-        "twist_profile.csv": ["x", "g", "g_prime", "h_k", "h_tilde_k"],
-        "binding_profile.csv": ["r", "h1", "h1_prime", "h2", "h2_prime",
-                                "detH"],
-    }
+    heads = {name: keys for name, keys in _schema_entries().items()
+             if name.endswith(".csv")}
+    assert sorted(heads) == sorted(p.name for p in out.glob("*.csv"))
     for name, header in heads.items():
         with open(out / name, newline="") as fh:
             first = next(csv.reader(fh))
         assert first == header, name
+
+
+def test_json_keys_match_schema(all_run, tmp_path):
+    # every JSON artifact of `all` and of `geometry` (the one stage whose
+    # artifact `all` does not write), key for key
+    out, _ = all_run
+    assert cli.main(["geometry", "--quiet", "--out", str(tmp_path)]) == 0
+    written = sorted([*out.glob("*.json"), *tmp_path.glob("*.json")])
+    keys = {name: keys for name, keys in _schema_entries().items()
+            if name.endswith(".json")}
+    assert sorted(keys) == sorted(p.name for p in written)
+    for path in written:
+        assert sorted(json.loads(path.read_text())) == \
+            sorted(keys[path.name]), path.name
 
 
 def test_json_artifacts_are_strict_json(all_run):

@@ -1,11 +1,11 @@
 import math
-import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from reebtwist import energy as E
+from reebtwist import numerics
 
 
 # Covers, reversals and the integrated geodesic coefficient of a level
@@ -79,15 +79,14 @@ def test_pointwise_winding_relation(bp):
 
 
 def test_annulus_energies_for_plane_family(bp):
-    circles, wts, span = E.gauss_legendre_family(bp, 0.2, 0.4, 96)
-    e1, e2 = E.annulus_energies(bp, circles, weights=wts, span=span)
+    circles, wts, span = E.gauss_legendre_family(bp, 0.2, 0.4, 10)
+    e1, e2 = E.annulus_energies(bp, circles, wts, span)
     assert abs(e1) <= 1e-12
     assert e2 == pytest.approx(2 * math.pi * (bp.h2(0.4) - bp.h2(0.2)),
                                rel=1e-12)
-    # consistency of the two radial rules
-    rs = np.linspace(0.2, 0.4, 129)
-    fam = E.plane_level_circle(bp, rs)
-    e1s, e2s = E.annulus_energies(bp, fam)
+    # consistency of two radial samplings of the span
+    fam, wts, span = E.gauss_legendre_family(bp, 0.2, 0.4, 13)
+    e1s, e2s = E.annulus_energies(bp, fam, wts, span)
     assert abs(e1s) <= 1e-12
     assert e2s == pytest.approx(e2, rel=1e-12)
 
@@ -104,22 +103,22 @@ def _synthetic_circle(bp, r, eps=0.01):
 
 def test_annulus_synthetic_family_has_positive_e1(bp):
     # dbar = 2 pi h2 - eps with h1' < 0 forces E1 > 0
-    rs = np.linspace(0.2, 0.4, 65)
-    fam = _synthetic_circle(bp, rs)
+    circles, wts, span = E.gauss_legendre_family(bp, 0.2, 0.4, 7)
+    fam = _synthetic_circle(bp, circles.r)
     assert E.winding_number(bp, fam)[0] == 1
-    e1, _ = E.annulus_energies(bp, fam)
+    e1, _ = E.annulus_energies(bp, fam, wts, span)
     assert e1 > 0.0
 
 
 def test_annulus_degenerate_interval(bp):
-    fam = E.plane_level_circle(bp, np.array([0.3]))
-    assert E.annulus_energies(bp, fam) == (0.0, 0.0)
+    fam, wts, span = E.gauss_legendre_family(bp, 0.3, 0.3, 1)
+    assert E.annulus_energies(bp, fam, wts, span) == (0.0, 0.0)
 
 
 def test_annulus_requires_winding_one(bp):
-    fam = _doubled(E.plane_level_circle(bp, np.array([0.2, 0.3])))
+    circles, wts, span = E.gauss_legendre_family(bp, 0.2, 0.3, 1)
     with pytest.raises(E.EnergyError, match="winding 1"):
-        E.annulus_energies(bp, fam)
+        E.annulus_energies(bp, _doubled(circles), wts, span)
 
 
 def test_e2_nonnegative_below_r0(bp):
@@ -157,8 +156,8 @@ def test_omitted_fiber_term_nonnegative_and_zero_for_plane(bp, plane_sol):
     from scipy import optimize
     from reebtwist import plane as PL
     r1, r2 = 0.15, 0.45
-    circles, wts, span = E.gauss_legendre_family(bp, r1, r2, 128)
-    e1, e2 = E.annulus_energies(bp, circles, weights=wts, span=span)
+    circles, wts, span = E.gauss_legendre_family(bp, r1, r2, 13)
+    e1, e2 = E.annulus_energies(bp, circles, wts, span)
     rho1 = optimize.brentq(lambda rho: plane_sol.r_of_rho(rho) - r1, 1e-8, 1e8)
     rho2 = optimize.brentq(lambda rho: plane_sol.r_of_rho(rho) - r2, 1e-8, 1e8)
     total = PL.plane_energy(bp, plane_sol, rho_span=(rho1, rho2)).stokes
@@ -209,30 +208,24 @@ def _winding_oracle(bp, circle, tol=1e-9) -> int:
     return int(round(w))
 
 
-def _annulus_oracle(bp, circles, weights=None, span=None):
+def _annulus_oracle(bp, circles, weights, span):
     if not circles:
         return 0.0, 0.0
-    rs = np.array([c.r for c in circles])
-    if np.any(np.diff(rs) <= 0.0):
-        raise E.EnergyError("circles must be ordered by increasing radius")
     for c in circles:
         w = _winding_oracle(bp, c)
         if w != 1:
             raise E.EnergyError(f"annulus formulas assume winding 1; got {w} "
                                 f"at r = {c.r}")
-    if span is None:
-        span = (float(rs[0]), float(rs[-1]))
-    if len(circles) == 1 or span[0] == span[1]:
+    if span[0] == span[1]:
         return 0.0, 0.0
+    rs = np.array([c.r for c in circles])
+    if np.any(np.diff(rs) <= 0.0):
+        raise E.EnergyError("circles must be ordered by increasing radius")
     dens = np.array([(-bp.h1.d1(c.r) / bp.h1(c.r))
                      * (2.0 * math.pi * bp.h2(c.r) - c.dbar())
                      for c in circles])
-    if weights is not None:
-        e1 = float(np.dot(weights, dens))
-    else:
-        from scipy.integrate import simpson
-        e1 = float(simpson(dens, x=rs))
-    return e1, 2.0 * math.pi * (bp.h2(span[1]) - bp.h2(span[0]))
+    return (float(np.dot(weights, dens)),
+            2.0 * math.pi * (bp.h2(span[1]) - bp.h2(span[0])))
 
 
 def _audit_oracle(bp, circles) -> dict:
@@ -258,24 +251,26 @@ def _audit_oracle(bp, circles) -> dict:
 def test_families_match_per_circle_oracle(which, bp, matched):
     # the energy stage's two families, bit for bit, on the default and
     # the collar-matched profile, and a synthetic family whose E1
-    # density is nonzero, under both radial rules
+    # density is nonzero
     prof = bp if which == "default" else matched
     circles, wts, span = E.gauss_legendre_family(
-        prof, 0.1 * prof.r0, 0.999 * prof.r0, 512)
-    assert isinstance(circles, E.LevelCircle) and circles.r.shape == (512,)
+        prof, 0.1 * prof.r0, 0.999 * prof.r0, 52)
+    assert isinstance(circles, E.LevelCircle) and circles.r.shape == (520,)
     ref = _plane_circles(prof, circles.r)
-    assert E.annulus_energies(prof, circles, weights=wts, span=span) == \
-        _annulus_oracle(prof, ref, weights=wts, span=span)
-    assert E.annulus_energies(prof, circles) == _annulus_oracle(prof, ref)
+    assert E.annulus_energies(prof, circles, wts, span) == \
+        _annulus_oracle(prof, ref, wts, span)
     for rs in (np.linspace(0.02, prof.r0, 512),
                np.append(np.linspace(0.02, prof.r0 / 2, 64), prof.r0 + 0.1)):
         fam = E.plane_level_circle(prof, rs)
         assert E.energy_bound_audit(prof, fam) == \
             _audit_oracle(prof, _plane_circles(prof, rs))
-    fam = _synthetic_circle(prof, np.linspace(0.3, 0.6, 65) * prof.r0)
-    assert np.array_equal(E.winding_number(prof, fam), np.ones(65, int))
-    e1 = E.annulus_energies(prof, fam)
-    assert e1 == _annulus_oracle(prof, _unstack(fam)) and e1[0] != 0.0
+    circles, wts, span = E.gauss_legendre_family(
+        prof, 0.3 * prof.r0, 0.6 * prof.r0, 7)
+    fam = _synthetic_circle(prof, circles.r)
+    assert np.array_equal(E.winding_number(prof, fam), np.ones(70, int))
+    e1 = E.annulus_energies(prof, fam, wts, span)
+    assert e1 == _annulus_oracle(prof, _unstack(fam), wts, span)
+    assert e1[0] != 0.0
 
 
 def _raised(fn, *args) -> str:
@@ -298,74 +293,60 @@ def test_family_errors_match_per_circle_oracle(bp):
     c = bp.h2.d1(rs)
     c[1] = 0.5 * bp.detH(0.3) / bp.h1(0.3)
     bad = E.LevelCircle(bp, rs, c=c, d=bp.h2(rs) * np.array([1.0, 0.0, 1.0]))
+    rule = np.full(3, 0.1), (0.15, 0.45)
     msg = _raised(E.winding_number, bp, bad)
-    assert msg == _raised(_annulus_oracle, bp, _unstack(bad))
-    assert msg == _raised(E.annulus_energies, bp, bad)
+    assert msg == _raised(_annulus_oracle, bp, _unstack(bad), *rule)
+    assert msg == _raised(E.annulus_energies, bp, bad, *rule)
     assert "integer" in msg
-    # winding 2 and unordered radii
+    # winding 2, unordered radii and a weight count off the family's
     fam = _doubled(E.plane_level_circle(bp, rs))
-    msg = _raised(E.annulus_energies, bp, fam)
-    assert msg == _raised(_annulus_oracle, bp, _unstack(fam)) == \
+    msg = _raised(E.annulus_energies, bp, fam, *rule)
+    assert msg == _raised(_annulus_oracle, bp, _unstack(fam), *rule) == \
         "annulus formulas assume winding 1; got 2 at r = 0.2"
     fam = E.plane_level_circle(bp, rs[::-1])
-    msg = _raised(E.annulus_energies, bp, fam)
-    assert msg == _raised(_annulus_oracle, bp, _unstack(fam)) == \
+    msg = _raised(E.annulus_energies, bp, fam, *rule)
+    assert msg == _raised(_annulus_oracle, bp, _unstack(fam), *rule) == \
         "circles must be ordered by increasing radius"
+    assert _raised(E.annulus_energies, bp, fam, np.full(2, 0.1), rule[1]) \
+        == "one radial weight per circle required"
     # one circle keeps float fields and an int winding
     one = E.plane_level_circle(bp, 0.3)
     assert isinstance(one.c, float) and type(E.winding_number(bp, one)) is int
 
 
 # ----------------------------------------------------------------------
-# the Gauss-Legendre rule of the energy stage
+# the composite Gauss-Legendre rule of the energy stage
 # ----------------------------------------------------------------------
 
-def test_leggauss_matches_numpy_rule():
-    # numpy's companion-matrix rule as the oracle for n = 1 ... 100, the
-    # degrees numpy documents it as tested on
-    for n in range(1, 101):
-        nodes, wts = E._leggauss.__wrapped__(n)
-        ref_nodes, ref_wts = np.polynomial.legendre.leggauss(n)
-        np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=1e-15,
-                                   err_msg=f"n = {n}")
-        np.testing.assert_allclose(wts, ref_wts, rtol=2e-11, atol=0.0,
-                                   err_msg=f"n = {n}")
+def test_gauss10_matches_numpy_rule():
+    nodes, wts = numerics.GAUSS10
+    ref_nodes, ref_wts = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_array_equal(nodes, ref_nodes)
+    np.testing.assert_allclose(wts, ref_wts, rtol=0.0, atol=2e-16)
 
 
-def test_leggauss_512_symmetric_and_exact():
-    # the n of the energy stage: symmetric about 0, weights summing to 2,
-    # and exact on every even monomial the rule can integrate (degree
-    # 2n - 2 = 1022); the odd ones vanish by the symmetry
-    nodes, wts = E._leggauss(512)
-    assert np.all(np.diff(nodes) > 0.0)
-    assert -1.0 < nodes[0] and nodes[-1] < 1.0
-    np.testing.assert_array_equal(nodes, -nodes[::-1])
-    np.testing.assert_array_equal(wts, wts[::-1])
-    assert np.all(wts > 0.0)
-    assert math.fsum(wts) == pytest.approx(2.0, rel=1e-14, abs=0.0)
-    for deg in range(0, 1023, 2):
-        exact = 2.0 / (deg + 1)
-        assert np.dot(wts, nodes ** deg) == pytest.approx(exact, rel=1e-12,
-                                                          abs=0.0), deg
+@pytest.mark.parametrize("panels", [1, 3, 52])
+def test_gauss_family_is_exact_to_degree_19_on_each_panel(bp, panels):
+    # each panel's ten nodes and weights integrate every polynomial of
+    # degree <= 19 in (r - mid)/half, the panel's own coordinate
+    r1, r2 = 0.1 * bp.r0, 0.999 * bp.r0
+    circles, wts, _span = E.gauss_legendre_family(bp, r1, r2, panels)
+    edges = np.linspace(r1, r2, panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (r2 - r1) / panels
+    u = (circles.r.reshape(panels, 10) - mids) / half
+    w = wts.reshape(panels, 10)
+    for deg in range(20):
+        exact = half * (1.0 - (-1.0) ** (deg + 1)) / (deg + 1)
+        np.testing.assert_allclose((w * u ** deg).sum(axis=1), exact,
+                                   rtol=0.0, atol=1e-13 * half, err_msg=deg)
 
 
-def test_leggauss_cached_arrays_are_read_only():
-    nodes, wts = E._leggauss(512)
-    assert E._leggauss(512)[0] is nodes
-    for a in (nodes, wts):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 0.0
-
-
-def test_leggauss_transient_memory_is_linear_in_n():
-    # every array of the rule has length n: at n = 512 its traced peak is
-    # about 40 KB, where numpy's companion-matrix rule peaks at 2,091 KB
-    # (512 x 512 doubles, plus LAPACK workspace tracemalloc does not see)
-    tracemalloc.start()
-    try:
-        E._leggauss.__wrapped__(512)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * 1024, peak
+@pytest.mark.parametrize("r1, r2, panels", [
+    (0.2, 0.4, 1), (0.2, 0.4, 13), (0.05, 0.6, 52)])
+def test_gauss_family_ascends_inside_span(bp, r1, r2, panels):
+    circles, wts, span = E.gauss_legendre_family(bp, r1, r2, panels)
+    assert span == (r1, r2) and circles.r.shape == wts.shape == (10 * panels,)
+    assert r1 < circles.r[0] and circles.r[-1] < r2
+    assert np.all(np.diff(circles.r) > 0.0) and np.all(wts > 0.0)
+    assert math.fsum(wts) == pytest.approx(r2 - r1, rel=1e-14, abs=0.0)

@@ -13,6 +13,13 @@ as read when some attribute of that name is loaded somewhere in
 ``src/``.  Both are name checks: a field that shares its name with
 another attribute read (an array's ``.shape``, say) passes without
 being read itself.  No ``fft`` name or attribute occurs in ``src/``.
+
+Every parameter with a default, of a function or method anywhere in
+``src/``, is passed by some call in ``src/`` or ``tests/``: by keyword,
+or by position (a method's calls skip ``self``; a class's calls reach
+its ``__init__``).  Calls match by bare name, as above; a ``*args`` or
+``**kwargs`` in a call counts as passing every parameter of its kind.
+A default that no call overrides is a constant.
 """
 
 import ast
@@ -162,6 +169,99 @@ def _ndarray_forks(modules):
 def _fft_users(modules):
     """The modules in which an ``fft`` name or attribute occurs."""
     return {mod for mod, tree in modules.items() if _names(tree)["fft"]}
+
+
+def _defaulted_parameters(modules):
+    """(qualified name, the name calls use, parameter, position) of every
+    parameter with a default; position is the index of the positional
+    argument that fills it, None for a keyword-only one."""
+    found = []
+
+    def visit(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}", child.name)
+                continue
+            if not isinstance(child, ast.FunctionDef):
+                visit(child, prefix, cls)
+                continue
+            qual = f"{prefix}.{child.name}"
+            called = cls if child.name == "__init__" and cls else child.name
+            bound = cls is not None and not any(
+                getattr(dec, "id", None) == "staticmethod"
+                for dec in child.decorator_list)
+            args = child.args
+            pos = args.posonlyargs + args.args
+            first = len(pos) - len(args.defaults)
+            found.extend((qual, called, arg.arg, i - bound)
+                         for i, arg in enumerate(pos[first:], start=first))
+            found.extend((qual, called, arg.arg, None)
+                         for arg, dflt in zip(args.kwonlyargs,
+                                              args.kw_defaults)
+                         if dflt is not None)
+            visit(child, qual, None)
+
+    for mod, tree in modules.items():
+        visit(tree, mod, None)
+    return found
+
+
+def _calls(trees) -> dict:
+    """Bare name -> (positional count, starred, keywords) of each call;
+    a ``**`` argument shows as the keyword None."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            n_pos = sum(not isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(name, []).append(
+                (n_pos, n_pos < len(node.args),
+                 {kw.arg for kw in node.keywords}))
+    return calls
+
+
+def _unset_parameters(modules, callers):
+    """(qualified name, parameter) of every defaulted parameter in
+    ``modules`` that no call in ``modules`` or ``callers`` passes."""
+    calls = _calls([*modules.values(), *callers])
+    return {(qual, param)
+            for qual, called, param, pos in _defaulted_parameters(modules)
+            if not any((pos is not None and (n_pos > pos or starred))
+                       or param in kws or None in kws
+                       for n_pos, starred, kws in calls.get(called, ()))}
+
+
+def test_every_defaulted_parameter_is_passed():
+    tests = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(TESTS.glob("*.py"))]
+    assert sorted(_unset_parameters(_modules(), tests)) == []
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def f(x, n=3):\n    return x\n\nf(1)\n", {("m.f", "n")}),
+    ("def f(x, n=3):\n    return x\n\nf(1, 2)\n", set()),
+    ("def f(x, n=3):\n    return x\n\nf(1, n=2)\n", set()),
+    ("def f(x, *, n=3, k=1):\n    return x\n\nf(1, **opts)\n", set()),
+    ("def f(x, n=3):\n    return x\n\nf(*args)\n", set()),
+    ("class C:\n    def m(self, x, n=3):\n        return x\n\n"
+     "C().m(1)\n", {("m.C.m", "n")}),
+    ("class C:\n    def m(self, x, n=3):\n        return x\n\n"
+     "C().m(1, 2)\n", set()),
+    ("class C:\n    def __init__(self, n=3):\n        self.n = n\n\n"
+     "C(4)\n", set()),
+    ("def f():\n    def g(x, tol=1e-9):\n        return x\n"
+     "    return g(0.0)\n\nf()\n", {("m.f.g", "tol")}),
+])
+def test_parameter_guard_flags_defaults_nothing_passes(source, expected):
+    assert _unset_parameters({"m": ast.parse(source)}, []) == expected
+
+
+def test_parameter_guard_reads_the_callers():
+    module = {"m": ast.parse("def f(x, n=3):\n    return x\n")}
+    assert _unset_parameters(module, []) == {("m.f", "n")}
+    assert _unset_parameters(module, [ast.parse("m.f(1, 2)\n")]) == set()
 
 
 def test_no_fft_in_src():

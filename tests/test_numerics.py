@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 from scipy import optimize as sp_optimize
-from scipy.special import eval_legendre
 
-from reebtwist import cli, energy, index, numerics, orbits, plane, profiles
+from reebtwist import cli, index, numerics, orbits, plane, profiles
 from reebtwist.config import parse_config
 
 MODES_CONFIG = ("[twist]\nk = -2\nshape = cos\n[run]\nn = 3\n"
@@ -137,38 +136,6 @@ def test_quadrature_evaluates_whole_panels():
                                0.0, 8.0, points=[1.0, 2.5], epsabs=1e-13,
                                epsrel=1e-12, limit=400)
     assert abs(val - ref) <= 1e-12 * abs(ref) and err <= 1e-12 * abs(val)
-
-
-def test_legendre_recurrence_matches_eval_legendre():
-    # bit for bit away from 0; for |x| < 1e-5 eval_legendre sums a power
-    # series instead, which the recurrence meets to its rounding, about
-    # n ulps (1.1e-14 at n = 511; no Gauss-Legendre node of even n lies
-    # there)
-    rng = np.random.default_rng(0)
-    x = np.concatenate([rng.uniform(-1.0, 1.0, 4000),
-                        energy._leggauss(512)[0], [-1.0, 1.0]])
-    far = np.abs(x) >= 1e-5
-    for n in (1, 2, 3, 17, 96, 511, 512):
-        p, p_prev = numerics.legendre(n, x)
-        assert np.array_equal(p[far], eval_legendre(n, x[far]))
-        assert np.array_equal(p_prev[far], eval_legendre(n - 1, x[far]))
-    near = np.linspace(-1e-5, 1e-5, 101)
-    for n in (2, 3, 511, 512):
-        p, p_prev = numerics.legendre(n, near)
-        np.testing.assert_allclose(p, eval_legendre(n, near), rtol=0,
-                                   atol=n * 2e-16)
-        np.testing.assert_allclose(p_prev, eval_legendre(n - 1, near),
-                                   rtol=0, atol=n * 2e-16)
-
-
-def test_simpson_matches_scipy_bit_for_bit(bp):
-    # even and odd point counts on unevenly spaced radii of the binding
-    # profile, the Cartwright end correction included
-    rng = np.random.default_rng(3)
-    for n in range(2, 41):
-        rs = np.sort(rng.uniform(0.05, bp.r0, n))
-        y = bp.h2(rs) * bp.h1.d1(rs)
-        assert numerics.simpson(y, rs) == sp_integrate.simpson(y, x=rs)
 
 
 def test_closure_by_flow_dop853_and_rk45_both_meet_the_gate(tp, bp,

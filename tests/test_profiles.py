@@ -111,7 +111,7 @@ def test_proportional_profiles_rejected():
 
 
 def test_default_contact_bound(bp):
-    mn, _at = bp.min_detH_over_r(10_000)
+    mn, _at = bp.min_detH_over_r()
     assert mn >= 0.5
 
 
@@ -161,7 +161,7 @@ def test_pullback_single_point_collar(tp, matched):
 def test_matched_profile_structure(tp, matched):
     assert abs(matched.r0 - 1.0 / tp.p0) <= 1e-12
     assert abs(matched.h2.d1(matched.r0)) <= 1e-12
-    mn, _ = matched.min_detH_over_r(10_000)
+    mn, _ = matched.min_detH_over_r()
     assert mn > 0.0
     # collar formulas hold exactly
     r = 0.5 * (matched.collar[0] + matched.collar[1])
@@ -218,7 +218,7 @@ def test_min_detH_over_r_matches_point_loop(text):
     # for the configured profile and the matched one
     model = Model(parse_config(text))
     for bp in (model.bp, model.bp_matched):
-        mn, at = bp.min_detH_over_r(10_000)
+        mn, at = bp.min_detH_over_r()
         rs = np.linspace(bp.r_max / 10_000, bp.r_max, 10_000)
         ref = np.array([bp.detH_over_r(float(r)) for r in rs])
         i = int(np.argmin(ref))
