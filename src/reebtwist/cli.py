@@ -276,14 +276,23 @@ def stage_validate(model: Model, out: Path, seed: int) -> dict:
     cfg = model.cfg
     tp, bp = model.tp, model.bp
     rng = np.random.default_rng(seed)
+    # a failed self-check names the section whose profile failed it
+    with profiles.config_section("twist"):
+        fd = [f.check_derivative_consistency(rng=rng) for f in (tp.g, tp.hk)]
+    with profiles.config_section("binding"):
+        try:
+            fd += [f.check_derivative_consistency(rng=rng)
+                   for f in (bp.h1, bp.h2)]
+        except profiles.ProfileError as exc:
+            raise profiles.ProfileError(
+                f"{exc} on the profile of r0 = {cfg.r0}, "
+                f"r_max = {cfg.r_max}") from None
     rep = {
         "g_at_0_minus_k_pi": abs(tp.g(0.0) - cfg.k * math.pi),
         "p0": tp.p0,
         "p0_residual": abs(tp.g(tp.p0)),
-        "fd_consistency_g": tp.g.check_derivative_consistency(rng=rng),
-        "fd_consistency_hk": tp.hk.check_derivative_consistency(rng=rng),
-        "fd_consistency_h1": bp.h1.check_derivative_consistency(rng=rng),
-        "fd_consistency_h2": bp.h2.check_derivative_consistency(rng=rng),
+        **{f"fd_consistency_{name}": err
+           for name, err in zip(("g", "hk", "h1", "h2"), fd)},
     }
     # quadrature oracle for the twist primitives
     worst_hk = worst_ht = 0.0

@@ -1,8 +1,9 @@
 """The numerical routines of a run, on numpy alone: DOP853 with dense
-output and events (Hairer, Norsett & Wanner, Solving ODEs I, II.5-6),
-Brent's root finder and bounded minimizer (Brent, 1973), and adaptive
-Gauss-Kronrod quadrature (QUADPACK, 1983) on whole panels per call,
-whose 10-point Gauss rule ``GAUSS10`` the energy stage composes.
+output (Hairer, Norsett & Wanner, Solving ODEs I, II.5-6), whose
+evaluator also reads the plane's quintic Hermite pieces, Brent's root
+finder and bounded minimizer (Brent, 1973), and adaptive Gauss-Kronrod
+quadrature (QUADPACK, 1983) on whole panels per call, whose 10-point
+Gauss rule ``GAUSS10`` the plane and the energy stage compose.
 
 Each routine takes the operations of scipy 1.17's implementation in
 the same order (``scipy.integrate._ivp``, ``brentq.c``,
@@ -13,9 +14,6 @@ to its tolerance.  The tests keep scipy as the oracle of each one.
 
 from __future__ import annotations
 
-import array
-import bisect
-import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -119,16 +117,18 @@ class DenseSolution:
     """DOP853's continuous extension on every step: a degree-7
     polynomial in the step fraction u per step, from the step's
     ``t_old``, ``h``, ``y_old`` (steps, n) and ``F`` (steps, 7, n), or
-    (steps,) and (steps, 7) for one ``component``.
+    (steps,) and (steps, 7) for one ``component``.  With rows F5 = F6 =
+    0 it is a quintic, which holds the plane's Hermite pieces.
 
     Called like scipy's ``OdeSolution``: a point takes the first step
     whose right edge ``ts[i + 1]`` is >= the point, clipped to the first
     and last step past either end.  An array of shape S gives (n, *S),
     or S for one component: one gathered multiply-add per row of the
     Horner loop, in buffers of the points' size.  A Python float gives
-    (n,), or a float: bisection and the same loop in Python floats,
-    2-3 us where the array path takes 40-50 (event location and the
-    plane's scalar callers).  The two agree bit for bit.
+    (n,), or a float: the same search and loop on the step's row in
+    Python floats, 3-4 us where the array path takes 40-50 (the plane's
+    float lookups: 2 of the 41 calls of a default run).  The two agree
+    bit for bit.
     """
 
     ts: np.ndarray
@@ -141,30 +141,18 @@ class DenseSolution:
         return DenseSolution(self.ts, self.t_old, self.h, self.y_old[:, i],
                              self.F[:, :, i])
 
-    @functools.cached_property
-    def _packed(self) -> tuple:
-        """The edges as a list, and per step t_old, h and, per
-        component, y_old and the rows of F reversed, in one buffer."""
-        steps = self.h.size
-        rows = np.concatenate([self.y_old.reshape(steps, 1, -1),
-                               self.F.reshape(steps, 7, -1)[:, ::-1]], 1)
-        per_step = np.column_stack([self.t_old, self.h, rows.transpose(
-            0, 2, 1).reshape(steps, -1)])
-        return (self.ts.tolist(), array.array("d", per_step.tobytes()),
-                per_step.shape[1])
-
     def __call__(self, t):
         if not isinstance(t, np.ndarray):
-            edges, flat, width = self._packed
-            i = min(max(bisect.bisect_left(edges, t) - 1, 0),
+            i = min(max(int(self.ts.searchsorted(t)) - 1, 0),
                     self.h.size - 1)
-            t_old, h, *rest = flat[i * width:(i + 1) * width]
-            u = (t - t_old) / h
-            w, y = 1.0 - u, []
-            for c in range(0, len(rest), 8):
-                y_old, f6, f5, f4, f3, f2, f1, f0 = rest[c:c + 8]
-                y.append((((((((0.0 + f6) * u + f5) * w + f4) * u + f3) * w
-                             + f2) * u + f1) * w + f0) * u + y_old)
+            u = (t - self.t_old.item(i)) / self.h.item(i)
+            w = 1.0 - u
+            y_old, rows = self.y_old[i].tolist(), self.F[i].T.tolist()
+            if self.y_old.ndim == 1:
+                y_old, rows = [y_old], [rows]
+            y = [(((((((0.0 + f6) * u + f5) * w + f4) * u + f3) * w + f2) * u
+                   + f1) * w + f0) * u + y0
+                 for y0, (f0, f1, f2, f3, f4, f5, f6) in zip(y_old, rows)]
             return y[0] if self.y_old.ndim == 1 else np.array(y)
         x, comps = t.reshape(-1), self.y_old.shape[1:]
         # mode="clip" on seg - 1 clips the step index to [0, steps - 1]
@@ -189,7 +177,7 @@ class OdeResult:
     y: np.ndarray
     sol: DenseSolution | None
     nfev: int
-    status: int         # 0 end reached, 1 terminal event, -1 failure
+    status: int         # 0 end reached, -1 failure
     message: str
 
     @property
@@ -235,16 +223,9 @@ def _stages(f, t, y, h, K, first, last):
         K[s] = f(t + _C[s] * h, y + dy)
 
 
-def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, dense_output=False,
-              events=None) -> OdeResult:
-    """Integrate y' = fun(t, y) forward over t_span by DOP853.
-
-    ``events`` is a callable ``event(t, y)`` or a list of them, each
-    terminal (scipy's ``terminal = True``): the integration ends at the
-    first zero of any, located by ``brentq`` on the step's dense output.
-    An event's ``direction`` (> 0: only upward zeros, < 0: only
-    downward) limits which zeros count.
-    """
+def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6,
+              dense_output=False) -> OdeResult:
+    """Integrate y' = fun(t, y) forward over t_span by DOP853."""
     t0, tf = map(float, t_span)
     if not t0 < tf:
         raise ValueError(f"t_span must be increasing; got {t_span}")
@@ -259,8 +240,6 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, dense_output=False,
         nfev += 1
         return np.asarray(fun(t, y), dtype=float)
 
-    events = [events] if callable(events) else list(events or ())
-    g = [event(t0, y) for event in events]
     fy = f(t0, y)
     h_abs = _initial_step(f, t0, y, tf, fy, rtol, atol)
     K = np.empty((16, y.size))
@@ -299,33 +278,16 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, dense_output=False,
         t, y, fy = t_new, y_new, f_new
         if t >= tf:
             status = 0
-        step = None
         if dense_output:
-            step = _dense_step(f, t_old, h, y_old, y, f_old, fy, K)
-            steps.append(step)
-        g_new = [event(t, y) for event in events]
-        hits = [e for e, a, b in zip(events, g, g_new)
-                if (a <= 0 <= b and getattr(e, "direction", 0) >= 0)
-                or (a >= 0 >= b and getattr(e, "direction", 0) <= 0)]
-        if hits:
-            step = step or _dense_step(f, t_old, h, y_old, y, f_old, fy, K)
-            sol = DenseSolution(np.array([t_old, t]),
-                                *(np.array([a]) for a in step))
-            root = min(brentq(lambda s, e=e: e(s, sol(s)), t_old, t,
-                              xtol=4 * EPS) for e in hits)
-            status, t, y = 1, root, sol(root)
-        g = g_new
-        if dense_output and len(ts) > 1 and ts[-1] == t:
-            steps.pop()
-        else:
-            ts.append(t)
-            ys.append(y)
+            steps.append(_dense_step(f, t_old, h, y_old, y, f_old, fy, K))
+        ts.append(t)
+        ys.append(y)
     ts = np.array(ts)
     sol = (DenseSolution(ts, *(np.array(a) for a in zip(*steps)))
            if dense_output else None)
-    message = {0: "The solver successfully reached the end of the "
-                  "integration interval.",
-               1: "A termination event occurred."}.get(status, message)
+    if status == 0:
+        message = ("The solver successfully reached the end of the "
+                   "integration interval.")
     return OdeResult(t=ts, y=np.vstack(ys).T, sol=sol, nfev=nfev,
                      status=status, message=message)
 

@@ -6,12 +6,14 @@ q and p frozen), the holomorphic-curve equations reduce to
     dr/drho = h2'(r) / rho,      dt/drho = h2(r) / rho.
 
 In the logarithmic variable x = log rho the system is autonomous
-(dr/dx = h2'(r)), which removes the 1/rho stiffness exactly.  The r
-profile rises monotonically from 0 (binding puncture) to the critical
-radius r0 of h2, where the plane is asymptotic to the principal orbit
-family.  Below rho = 1 the plane lies in the quadratic core, where
-h2 = (h2''(0)/2) r^2 and the solution is exactly
-r = r(1) * rho^h2''(0); only rho >= 1 is integrated.  The
+(dr/dx = h2'(r)), which removes the 1/rho stiffness exactly, and
+separable: x(r) = int ds/h2'(s) and t(r) = int h2(s)/h2'(s) ds from
+r(1).  The r profile rises monotonically from 0 (binding puncture) to
+the critical radius r0 of h2, where the plane is asymptotic to the
+principal orbit family.  Below rho = 1 the plane lies in the quadratic
+core, where h2 = (h2''(0)/2) r^2 and the solution is exactly
+r = r(1) * rho^h2''(0); from rho = 1 on, x and t are quadratures at
+radial knots, with quintic Hermite pieces between them.  The
 dalpha-energy over a disk is 2*pi*(h2(r_out) - h2(r_in)) by Stokes,
 approaching 2*pi*h2(r0), the action of the asymptotic orbit.
 """
@@ -45,14 +47,17 @@ class PlaneError(ReebtwistError):
     pass
 
 
-# DOP853 tolerances of the plane integration and the quad tolerances of
-# the direct energy quadrature
-ODE_RTOL = 1e-12
-ODE_ATOL = 1e-14
+# the plane's knots: the step of the pilot grid in log(r0 - r), the
+# error of a quintic piece that the knots admit, relative to r0, and the
+# most profile points one vectorised evaluation takes
+PILOT_STEP = 0.2
+KNOT_TOL = 1e-16
+BLOCK = 2000
+# quad tolerances of the direct energy quadrature
 QUAD_EPSABS = 1e-13
 QUAD_EPSREL = 1e-12
-# the stored grid ends where r0 - r < TOL_ASYM; the forward integration
-# runs on to r0 - r = TAIL_GAP, where the asymptotic tail is calibrated
+# the stored grid ends where r0 - r < TOL_ASYM; the knots run on to
+# r0 - r = TAIL_GAP, where the asymptotic tail is calibrated
 TOL_ASYM = 1e-6
 TAIL_GAP = 1e-9
 # largest relative gap between the Stokes and quadrature plane energies
@@ -64,12 +69,11 @@ class PlaneSolution:
     """Sampled radial profile (r(rho), t(rho)) of the plane.
 
     The evaluators extend the stored grid: the core's closed form below
-    rho = 1, the dense ODE solution from rho = 1 to exp(x_max), and the
-    asymptotic power tail r0 - c*rho^{-kappa} beyond the integrated
-    range.  They take a float, a 0-d array or an ndarray of radii; a
+    rho = 1, the quintic Hermite pieces from rho = 1 to exp(x_max), and
+    the asymptotic power tail r0 - c*rho^{-kappa} beyond the knots.  They take a float, a 0-d array or an ndarray of radii; a
     float or a 0-d array gives a Python float, an ndarray an array of
     its shape.  Each reads log rho (-inf at rho <= 0) through one
-    ``piecewise`` lookup, whose pieces read the dense ODE solution one
+    ``piecewise`` lookup, whose pieces read the Hermite pieces one
     component at a time.
     """
 
@@ -80,10 +84,10 @@ class PlaneSolution:
     core_coeff: float      # = r(1); r = core_coeff * rho^core_pow for rho < 1
     core_pow: float        # = h2''(0); 2 for a unit quadratic core
     x_core: float          # log rho at which r = r(1)/2, inside the core
-    x_max: float           # end of the integrated range
+    x_max: float           # x at the last knot, r0 - r = TAIL_GAP
     kappa: float           # |h2''(r0)|, the asymptotic approach rate
     tail_coeff: float      # r ~ r0 - tail_coeff * rho^{-kappa}
-    sol_fwd: numerics.DenseSolution   # (r, t) on [0, x_max]
+    sol_fwd: numerics.DenseSolution   # (r, t) on [0, x_max], by pieces
 
     @property
     def r0(self) -> float:
@@ -91,7 +95,7 @@ class PlaneSolution:
 
     def _in_x(self, comp: int, core, tail):
         """Component ``comp`` (0: r, 1: t) as a function of x = log rho:
-        the closed form ``core`` for x < 0, the integrated solution for
+        the closed form ``core`` for x < 0, the Hermite pieces for
         0 <= x < x_max, and the closed form ``tail`` from x_max on.  The
         pieces hold what they read, not ``self``: a cycle through the
         cached lookup would keep a dropped solution alive until the
@@ -114,7 +118,8 @@ class PlaneSolution:
         # form to t = (r(1)^2/4)(e^{2 core_pow x} - 1), with t(0) = 0
         amp, g = 0.25 * self.core_coeff ** 2, 2.0 * self.core_pow
         x_max = self.x_max
-        t_max = float(self.sol_fwd(x_max)[1])
+        # a 0-d array takes the array path, which packs nothing
+        t_max = float(self.sol_fwd(np.array(x_max))[1])
         h2_max = self.bp.h2(self.r0)
         return self._in_x(1, lambda x: amp * np.expm1(g * x),
                           lambda x: t_max + h2_max * (x - x_max))
@@ -148,12 +153,14 @@ def _log_rho(rho):
 
 
 def solve_plane(bp: BindingProfile, r_at_1: float) -> PlaneSolution:
-    """Integrate the plane equations forward from rho = 1 (r = r_at_1,
-    t = 0); r_at_1 lies in the core, so the core's closed form holds
-    below rho = 1.
+    """The plane from rho = 1 (r = r_at_1, t = 0) out to r0 - r =
+    TAIL_GAP, where the asymptotic tail is calibrated; r_at_1 lies in
+    the core, so the core's closed form holds below rho = 1.
 
-    Forward integration runs far enough to calibrate the asymptotic
-    tail.  The stored grid spans rho from 1e-8 to the smallest rho with
+    The system is separable, so x and t at radial knots are quadratures
+    (``_pieces``), and between knots the plane is a quintic Hermite
+    piece; the knots (``_knots``) keep its error under KNOT_TOL * r0.
+    The stored grid spans rho from 1e-8 to the smallest rho with
     r0 - r < TOL_ASYM.
     """
     if bp.core_end <= 0.0:
@@ -176,39 +183,23 @@ def solve_plane(bp: BindingProfile, r_at_1: float) -> PlaneSolution:
             f"h2 peak too flat for the polar-coordinate solver: "
             f"|h2''(r0)| = {kappa:.3e} < 0.05")
 
-    def rhs(_x, y):
-        return [bp.h2.d1(y[0]), bp.h2(y[0])]
-
-    # forward: until r0 - r < TAIL_GAP; the deep target keeps the
-    # asymptotic tail accurate for the linearized analysis, which
-    # integrates far along the cylinder.
-    x_hi_guess = math.log(10.0) + math.log(bp.r0 / TAIL_GAP) / kappa
-
-    def close_event(_x, y):
-        return (bp.r0 - y[0]) - TAIL_GAP
-    close_event.terminal = True
-    close_event.direction = -1
-
-    solF = integrate.solve_ivp(rhs, (0.0, x_hi_guess), [r_at_1, 0.0],
-                               rtol=ODE_RTOL, atol=ODE_ATOL,
-                               dense_output=True, events=close_event)
-    if not solF.success:
-        raise PlaneError(f"forward integration failed: {solF.message}")
-    x_max = float(solF.t[-1])
-    if bp.r0 - solF.y[0, -1] > TAIL_GAP * 1.01:
-        raise PlaneError("failed to reach the asymptotic neighborhood of r0")
-
+    # knots out to r0 - r = TAIL_GAP; the deep end keeps the asymptotic
+    # tail accurate for the linearized analysis, which integrates far
+    # along the cylinder.
+    sol_fwd = _pieces(bp, _knots(bp, r_at_1))
+    x_max = float(sol_fwd.ts[-1])
     # where r = r_at_1/2 on the core's closed form
     x_core = math.log(0.5) / core_pow
-    tail_coeff = (bp.r0 - float(solF.y[0, -1])) * math.exp(kappa * x_max)
+    r_end = float(sol_fwd(np.array(x_max))[0])
+    tail_coeff = (bp.r0 - r_end) * math.exp(kappa * x_max)
 
     sol = PlaneSolution(bp=bp, rho_grid=np.empty(0), r_vals=np.empty(0),
                         t_vals=np.empty(0), core_coeff=r_at_1,
                         core_pow=core_pow, x_core=x_core, x_max=x_max,
-                        kappa=kappa, tail_coeff=tail_coeff, sol_fwd=solF.sol)
-    # smallest rho with r0 - r < TOL_ASYM, from the integrated data
+                        kappa=kappa, tail_coeff=tail_coeff, sol_fwd=sol_fwd)
+    # smallest rho with r0 - r < TOL_ASYM, from the pieces
     xs = np.linspace(0.0, x_max, 2000)
-    idx = np.nonzero(bp.r0 - solF.sol(xs)[0] < TOL_ASYM)[0]
+    idx = np.nonzero(bp.r0 - sol_fwd.component(0)(xs) < TOL_ASYM)[0]
     rho_max = float(np.exp(xs[idx[0]])) if len(idx) else float(np.exp(x_max))
 
     sol.rho_grid = np.exp(np.linspace(math.log(1e-8), math.log(rho_max), 400))
@@ -219,6 +210,77 @@ def solve_plane(bp: BindingProfile, r_at_1: float) -> PlaneSolution:
     if sol.r_vals.max() > bp.r0 + 1e-12:
         raise PlaneError("plane exceeded the critical radius r0")
     return sol
+
+
+def _knots(bp: BindingProfile, r_at_1: float) -> np.ndarray:
+    """Radial knots from r_at_1 to r0 - TAIL_GAP: a pilot grid geometric
+    in r0 - r (PILOT_STEP in its log) with every break of h2 in range,
+    each pilot interval then cut into n equal ones, n the smallest with
+    the pilot's error at the interval's middle radius, divided by n^6,
+    under KNOT_TOL * r0.  A quintic Hermite piece of width h in x misses
+    by r^(6)(x) h^6 / 46080 at its middle, so the knots gather where
+    r^(6) is large: in the rise of h2, not in the exponential tail."""
+    r_end = bp.r0 - TAIL_GAP
+    span = math.log((bp.r0 - r_at_1) / TAIL_GAP)
+    gaps = np.geomspace(bp.r0 - r_at_1, TAIL_GAP,
+                        math.ceil(span / PILOT_STEP) + 1)
+    pilot = np.union1d(bp.r0 - gaps[1:-1], [r_at_1, r_end, *(
+        b for b in bp.h2.breaks if r_at_1 < b < r_end)])
+    lo, hi = pilot[:-1], pilot[1:]
+    mid = 0.5 * (lo + hi)
+    pilot_plane = _pieces(bp, pilot)
+    x_mid = pilot_plane.ts[:-1] + _quadratures(bp, lo, mid)[0]
+    err = np.abs(pilot_plane.component(0)(x_mid) - mid)
+    n = np.maximum(np.ceil((err / (KNOT_TOL * bp.r0)) ** (1.0 / 6.0)),
+                   1.0).astype(np.intp)
+    piece = np.repeat(np.arange(n.size), n)
+    frac = (np.arange(piece.size) - (np.cumsum(n) - n)[piece]) / n[piece]
+    return np.append(lo[piece] + (hi - lo)[piece] * frac, r_end)
+
+
+def _quadratures(bp: BindingProfile, lo: np.ndarray, hi: np.ndarray):
+    """(2, n): the integrals of 1/h2' (the step in x) and of h2/h2' (the
+    step in t) over each [lo_i, hi_i], by numerics' 10-point Gauss rule,
+    evaluating the profile on at most BLOCK points per call."""
+    nodes, weights = integrate.GAUSS10
+    out = np.empty((2, lo.size))
+    per_block = BLOCK // nodes.size
+    for i in range(0, lo.size, per_block):
+        a, b = lo[i:i + per_block], hi[i:i + per_block]
+        half = 0.5 * (b - a)
+        s = (0.5 * (a + b))[:, None] + half[:, None] * nodes
+        inv = 1.0 / bp.h2.d1(s)
+        out[0, i:i + per_block] = inv @ weights * half
+        out[1, i:i + per_block] = (bp.h2(s) * inv) @ weights * half
+    return out
+
+
+def _pieces(bp: BindingProfile, knots: np.ndarray) -> numerics.DenseSolution:
+    """The plane through the radial ``knots`` as quintic Hermite pieces
+    of (r, t) in x: x and t at the knots are cumulative sums of
+    ``_quadratures``, and each piece matches y = (r, t), its
+    derivative f = (h2', h2) and its second derivative s = (h2'' h2',
+    h2'^2) at both knots, all exact there.  In the step fraction u a
+    quintic is DOP853's degree-7 continuous extension with rows
+    F5 = F6 = 0, so the dense-output evaluator reads it."""
+    steps = _quadratures(bp, knots[:-1], knots[1:])
+    if not (np.all(steps[0] > 0.0) and np.isfinite(steps).all()):
+        raise PlaneError("failed to reach the asymptotic neighborhood of r0")
+    x = np.concatenate([[0.0], np.cumsum(steps[0])])
+    y = np.column_stack([knots, np.concatenate([[0.0], np.cumsum(steps[1])])])
+    d1 = bp.h2.d1(knots)
+    f = np.column_stack([d1, bp.h2(knots)])
+    s = np.column_stack([bp.h2.d2(knots) * d1, d1 * d1])
+    h = np.diff(x)
+    hh = 0.5 * (h * h)[:, None]
+    dy = np.diff(y, axis=0)
+    F = np.zeros((h.size, 7, 2))
+    F[:, 0] = dy
+    F[:, 1] = h[:, None] * f[:-1] - dy
+    F[:, 2] = 2.0 * dy - h[:, None] * (f[:-1] + f[1:])
+    F[:, 3] = hh * s[:-1] + F[:, 1] - F[:, 2]
+    F[:, 4] = hh * s[1:] + F[:, 1] + 2.0 * F[:, 2] - F[:, 3]
+    return numerics.DenseSolution(x, x[:-1], h, y[:-1], F)
 
 
 @dataclass

@@ -415,6 +415,21 @@ def test_binding_radius_error_reports_both_values(tmp_path, capsys, text,
     assert capsys.readouterr().err == line
 
 
+def test_binding_self_check_error_names_its_section(tmp_path, capsys):
+    # on a binding domain 0.02 wide the finite-difference step of the
+    # profile self-check is too coarse; the error names the section and
+    # the radii the profile was built on
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text("[binding]\nr0 = 0.01\nr_max = 0.02\n")
+    assert cli.main(["all", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [binding] profile derivative self-check "
+                          "failed: rel err ")
+    assert err.endswith(" on the profile of r0 = 0.01, r_max = 0.02\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_matched_p_cap_error_reports_the_value_used(tmp_path, capsys):
     cfg = tmp_path / "smax.cfg"
     cfg.write_text("[twist]\ns_max = 0.76\n")

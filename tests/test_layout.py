@@ -12,7 +12,8 @@ such as an ``__all__`` entry, does not count.  A dataclass field counts
 as read when some attribute of that name is loaded somewhere in
 ``src/``.  Both are name checks: a field that shares its name with
 another attribute read (an array's ``.shape``, say) passes without
-being read itself.  No ``fft`` name or attribute occurs in ``src/``.
+being read itself.  No ``fft`` name or attribute occurs in ``src/``,
+and no ``solve_ivp`` in ``plane.py``.
 
 Every parameter with a default, of a function or method anywhere in
 ``src/``, is passed by some call in ``src/`` or ``tests/``: by keyword,
@@ -55,6 +56,8 @@ ALLOWED = {
     "profiles.PullbackReport.n_samples": (TESTS, "diagnostic: sample count"),
     "numerics.OdeResult.nfev": (
         BENCH, "the solve_ivp.nfev counters of a traced run read it"),
+    "numerics.OdeResult.t": (
+        BENCH, "the solve_ivp.steps counters of a traced run read it"),
     "geometry.PointBatch.phi": (
         TESTS, "the polar angle of a point: the model's fields do not "
         "depend on it, the tests rebuild points with it"),
@@ -66,12 +69,16 @@ ALLOWED = {
 # branch.  Everything else takes one path for a float and an array.
 SCALAR_FORKS = {
     "profiles.piecewise": (
-        "the plane's DOP853 right-hand side: most scalar profile calls of "
-        "a run, under 1 us on a float against 9-20 us on a one-element "
-        "array"),
+        "the profiles' point checks (validate, orbit levels, the twist "
+        "build, the plane's scalar lookups): 195 of the 542 piecewise "
+        "calls of a default `all` and 31 of 205 of a `lincr` on k = -2, "
+        "n = 3, k_max = 8 are floats, at under 1 us against 9-20 us on a "
+        "one-element array"),
     "numerics.DenseSolution.__call__": (
-        "event location and the per-point oracles of the tests: 2-3 us "
-        "on a float against 40-50 us through the array path"),
+        "the plane's float lookups between rho = 1 and exp(x_max) (2 of "
+        "41 calls in a default `all`, 1 of 42 in that `lincr`) and the "
+        "per-point oracles of the tests: 3-4 us on a float against 40-50 us "
+        "through the array path"),
     "cli._jsonable": "serialization by type",
 }
 
@@ -166,9 +173,9 @@ def _ndarray_forks(modules):
     return found
 
 
-def _fft_users(modules):
-    """The modules in which an ``fft`` name or attribute occurs."""
-    return {mod for mod, tree in modules.items() if _names(tree)["fft"]}
+def _users(modules, name):
+    """The modules in which ``name`` occurs as a name or attribute."""
+    return {mod for mod, tree in modules.items() if _names(tree)[name]}
 
 
 def _defaulted_parameters(modules):
@@ -268,7 +275,7 @@ def test_no_fft_in_src():
     # the SZ check's angular integrals are exact on the drawn modes; an
     # FFT over an angle grid would be a second path beside it (that path
     # is the oracle in tests/test_lincr.py)
-    assert sorted(_fft_users(_modules())) == []
+    assert sorted(_users(_modules(), "fft")) == []
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -277,7 +284,26 @@ def test_no_fft_in_src():
     ("hat = vals.sum(axis=1)\n", set()),
 ])
 def test_fft_guard_finds_fft_uses(source, expected):
-    assert _fft_users({"m": ast.parse(source)}) == expected
+    assert _users({"m": ast.parse(source)}, "fft") == expected
+
+
+def test_no_solve_ivp_in_plane():
+    # the plane's x and t are quadratures between radial knots; an ODE
+    # integration would be a second path beside them (DOP853 on the
+    # plane's right-hand side is the oracle in tests/test_plane.py)
+    assert "plane" not in _users(_modules(), "solve_ivp")
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from . import numerics\n\nsol = numerics.solve_ivp(f, (0, 1), y0)\n",
+     {"m"}),
+    ("from .numerics import solve_ivp\n\nsol = solve_ivp(f, (0, 1), y0)\n",
+     {"m"}),
+    ('"""The plane, without solve_ivp."""\n', set()),
+    ("x = numerics.quad(f, 0.0, 1.0)\n", set()),
+])
+def test_solve_ivp_guard_finds_solve_ivp_uses(source, expected):
+    assert _users({"m": ast.parse(source)}, "solve_ivp") == expected
 
 
 def test_every_definition_and_field_is_reached():

@@ -58,9 +58,8 @@ def brent_calls(monkeypatch):
 
 @pytest.mark.parametrize("text", ["", MODES_CONFIG], ids=["default", "modes"])
 def test_brent_roots_match_scipy_bit_for_bit(brent_calls, tmp_path, text):
-    # p0, the orbit levels, the crossings of the degree table and the
-    # plane's terminal event, through one `all`; then x_of_r beyond the
-    # core
+    # p0, the orbit levels and the crossings of the degree table, through
+    # one `all`; then x_of_r beyond the core
     cfg = parse_config(text)
     cli.run("all", cfg, str(tmp_path / "out"), quiet=True)
     sol = cli.Model(cfg).sol
@@ -68,7 +67,7 @@ def test_brent_roots_match_scipy_bit_for_bit(brent_calls, tmp_path, text):
     for r in np.linspace(bp.core_end, bp.r0, 7)[1:-1]:
         assert sol.x_of_r(float(r)) > 0.0
     for site in ("build_twist_profile", "enumerate_orbit_levels",
-                 "_locate_crossings", "solve_ivp", "x_of_r"):
+                 "_locate_crossings", "x_of_r"):
         assert site in brent_calls, site
 
 
@@ -156,26 +155,6 @@ def test_closure_by_flow_dop853_and_rk45_both_meet_the_gate(tp, bp,
     ref = orbits.verify_closure_by_flow(bp, level)
     assert ours.distance <= gate.threshold and ref.distance <= gate.threshold
     assert abs(ours.phi_advance - ref.phi_advance) <= 2 * gate.threshold
-
-
-def test_event_direction_selects_the_zero():
-    # cos t falls through zero at pi/2 and rises through it at 3 pi/2: an
-    # upward event ends the integration at the second, as scipy's does,
-    # with the same right-hand side count (the dense output an event
-    # needs included)
-    def rhs(_t, y):
-        return [-y[1], y[0]]
-
-    def rising(_t, y):
-        return y[0]
-    rising.terminal, rising.direction = True, 1
-    kwargs = dict(rtol=1e-10, atol=1e-12, events=rising)
-    out = numerics.solve_ivp(rhs, (0.0, 10.0), [1.0, 0.0], **kwargs)
-    ref = sp_integrate.solve_ivp(rhs, (0.0, 10.0), [1.0, 0.0],
-                                 method="DOP853", **kwargs)
-    assert out.status == ref.status == 1 and out.nfev == ref.nfev
-    assert np.array_equal(out.t, ref.t) and np.array_equal(out.y, ref.y)
-    assert out.t[-1] == pytest.approx(1.5 * math.pi, abs=1e-9)
 
 
 def test_invalid_input_raises():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from reebtwist import numerics
 from reebtwist import plane as PL
 from reebtwist import profiles as P
 
@@ -46,24 +47,17 @@ def test_core_closed_form(bp, plane_sol):
     assert sup <= 1e-8
 
 
-def test_solve_plane_integrates_once(bp, monkeypatch):
-    # the core is closed form: one forward solve_ivp from rho = 1 is the
-    # plane's only integration
-    spans = []
-    real = PL.integrate
+def test_solve_plane_makes_no_solve_ivp_call(bp, monkeypatch):
+    # the core is closed form and the rest is quadrature between radial
+    # knots: building and reading the plane integrates no ODE
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_ivp called")
 
-    class CountingIntegrate:
-        def __getattr__(self, name):
-            return getattr(real, name)
-
-        def solve_ivp(self, fun, t_span, *args, **kwargs):
-            spans.append(tuple(t_span))
-            return real.solve_ivp(fun, t_span, *args, **kwargs)
-
-    monkeypatch.setattr(PL, "integrate", CountingIntegrate())
+    monkeypatch.setattr(numerics, "solve_ivp", refuse)
     sol = PL.solve_plane(bp, r_at_1=bp.core_end / 2.0)
     sol.r_of_rho(np.geomspace(1e-8, 1e3, 50)), sol.t_of_rho(1e-3)
-    assert len(spans) == 1 and spans[0][0] == 0.0
+    sol.r_of_rho(2.0), sol.t_of_rho(2.0), sol.x_of_r(0.5 * bp.r0)
+    PL.plane_energy(bp, sol)
     assert "sol_back" not in {f.name for f in dataclasses.fields(sol)}
     assert sol.x_core == math.log(0.5) / sol.core_pow
 
@@ -165,9 +159,10 @@ def test_flat_peak_profiles_rejected_with_diagnostic(tp, matched):
 
 def _scalar_lookup(sol, rho):
     """The per-point (r, t) lookup the array evaluators replace: math
-    closed forms on the core and the tail, one call of the dense ODE
-    solution in between."""
-    x = math.log(rho if rho > 0.0 else 1e-300)
+    closed forms on the core and the tail, one call of the dense
+    solution in between.  log rho is numpy's, as in the lookups: libm's
+    log differs from it in the last bit at some radii."""
+    x = float(np.log(rho if rho > 0.0 else 1e-300))
     if x < 0.0:
         r = sol.core_coeff * math.exp(sol.core_pow * x)
         t = 0.25 * sol.core_coeff ** 2 * math.expm1(2.0 * sol.core_pow * x)
@@ -244,8 +239,9 @@ def test_x_of_r_inverts_the_plane(bp, plane_sol):
 
 
 # ----------------------------------------------------------------------
-# the plane's DOP853 integration and its gathered evaluator against
-# scipy's solve_ivp
+# the Hermite plane against scipy: the separable quadratures, and a
+# DOP853 integration of the plane's right-hand side, through which the
+# dense-output evaluator is checked against scipy's OdeSolution
 # ----------------------------------------------------------------------
 
 MODES_CONFIG = ("[twist]\nk = -2\nshape = cos\n[run]\nn = 3\n"
@@ -253,34 +249,99 @@ MODES_CONFIG = ("[twist]\nk = -2\nshape = cos\n[run]\nn = 3\n"
 COLLAR_CONFIG = ("[twist]\nk = -3\np_plateau = 0.9\nshape = cos2\n"
                  "[binding]\nshape = collar\nr0 = 1.3256834340201944\n"
                  "r_max = 3.0\n")
+CONFIGS = pytest.mark.parametrize("text", ["", MODES_CONFIG, COLLAR_CONFIG],
+                                  ids=["default", "modes", "collar"])
+# the DOP853 tolerances of the oracle integration (those the plane was
+# integrated with before it became quadrature), and the largest gaps
+# the Hermite plane may show against it: |dr| / r and |dt| / max(1, |t|)
+# read 1.9e-11 and 1.3e-13 on the default config, 6.9e-12 and 9.7e-14
+# on `modes`, 6.6e-11 and 1.5e-11 on the collar: the integration's error
+ODE_RTOL, ODE_ATOL = 1e-12, 1e-14
+ODE_GAP_R, ODE_GAP_T = 2e-10, 5e-11
+# largest |r(x(r)) - r| / r at the 60 radii of the quadrature oracle: it
+# reads 1.4e-15 (default), 1.3e-15 (`modes`) and 1.5e-15 (collar), where
+# the DOP853 plane read 1.7e-12, 1.2e-12 and 6.0e-11
+QUAD_GAP_R = 1e-14
 
 
-@pytest.mark.parametrize("text", ["", MODES_CONFIG, COLLAR_CONFIG],
-                         ids=["default", "modes", "collar"])
-def test_dense_lookup_matches_ode_solution_bit_for_bit(text, monkeypatch):
-    # the plane's integration, as Model makes it, against scipy's DOP853
-    # on the same right-hand side, event and tolerances: the event's
-    # x_max, the right-hand side count and the steps equal, and the dense
-    # output equal bit for bit at 4,000 points
-    from scipy import integrate as sp_integrate
-
+def _model_sol(text):
     from reebtwist import cli
     from reebtwist.config import parse_config
-    real, calls = PL.integrate, []
+    return cli.Model(parse_config(text)).sol
 
-    class Recording:
-        def __getattr__(self, name):
-            return getattr(real, name)
 
-        def solve_ivp(self, *args, **kwargs):
-            calls.append((args, kwargs, real.solve_ivp(*args, **kwargs)))
-            return calls[-1][2]
+# on the collar, h2' falls to 1e-7 over the last gaps, where its own
+# rounding keeps quad from 1e-13 and quad says so
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@CONFIGS
+def test_plane_matches_separable_quadrature(text):
+    # x(r) = int 1/h2' from r(1), by scipy's quad at 60 radii from r(1)
+    # to within 1e-6 (r0 - r(1)) of r0, summed over the gaps between
+    # them with the junctions of h2 as breakpoints; the plane read at
+    # rho = e^{x(r)} gives back r.  Only this direction is well
+    # conditioned: dx/dr = 1/h2'(r) grows without bound at r0
+    from scipy import integrate as sp_integrate
+    sol = _model_sol(text)
+    bp, r1 = sol.bp, sol.core_coeff
+    radii = bp.r0 - np.geomspace(bp.r0 - r1, 1e-6 * (bp.r0 - r1), 61)
+    junctions = sorted({bp.core_end, *bp.h2.breaks})
+    x = worst = 0.0
+    for a, r in zip(radii[:-1], radii[1:]):
+        x += sp_integrate.quad(
+            lambda s: 1.0 / bp.h2.d1(s), a, r, epsabs=0.0, epsrel=1e-13,
+            points=[b for b in junctions if a < b < r] or None)[0]
+        worst = max(worst, abs(sol.r_of_rho(math.exp(x)) - r) / r)
+    assert worst <= QUAD_GAP_R, worst
 
-    monkeypatch.setattr(PL, "integrate", Recording())
-    sol = cli.Model(parse_config(text)).sol
-    (args, kwargs, out), = calls
+
+@CONFIGS
+def test_pieces_hold_the_knot_values_and_the_equations(text):
+    # the knots start at r(1) with x = t = 0, include every junction of
+    # h2 in range and end at r0 - TAIL_GAP, where x = x_max; each piece
+    # starts on its knot exactly and the next piece's knot is its end
+    # value; a centred difference of the lookup gives r' = h2'(r) and
+    # t' = h2(r)
+    sol = _model_sol(text)
+    bp, ode = sol.bp, sol.sol_fwd
+    knots = ode.y_old[:, 0]
+    assert ode.ts[0] == 0.0 and ode.ts[-1] == sol.x_max
+    assert np.all(np.diff(ode.ts) > 0.0) and np.all(np.diff(knots) > 0.0)
+    assert knots[0] == sol.core_coeff and ode.y_old[0, 1] == 0.0
+    for b in bp.h2.breaks:
+        assert b in knots or not knots[0] < b < bp.r0
+    assert np.array_equal(ode(ode.ts[:-1]), ode.y_old.T)
+    ends = ode(ode.ts[1:])
+    np.testing.assert_allclose(ends[:, :-1], ode.y_old[1:].T, rtol=4e-16,
+                               atol=0.0)
+    assert ends[0, -1] == pytest.approx(bp.r0 - PL.TAIL_GAP, rel=4e-16,
+                                        abs=0.0)
+    x = np.linspace(0.0, sol.x_max, 1001)[1:-1]
+    step = 1e-5
+    r, t = ode(x)
+    dr, dt = (ode(x + step) - ode(x - step)) / (2.0 * step)
+    scale = np.max(np.abs(bp.h2.d1(r)))
+    assert np.max(np.abs(dr - bp.h2.d1(r))) <= 1e-8 * scale
+    assert np.max(np.abs(dt - bp.h2(r))) <= 1e-8 * bp.h2(bp.r0)
+
+
+@CONFIGS
+def test_dense_lookup_matches_ode_solution_bit_for_bit(text):
+    # the plane's right-hand side in x over (0, x_max), integrated by the
+    # package's DOP853 and by scipy's at the same tolerances: the
+    # right-hand side count, the steps and the dense output equal bit for
+    # bit at 4,000 points; the Hermite plane agrees with the integration
+    from scipy import integrate as sp_integrate
+    sol = _model_sol(text)
+    bp = sol.bp
+
+    def rhs(_x, y):
+        return [bp.h2.d1(y[0]), bp.h2(y[0])]
+
+    args = (rhs, (0.0, sol.x_max), [sol.core_coeff, 0.0])
+    kwargs = dict(rtol=ODE_RTOL, atol=ODE_ATOL, dense_output=True)
+    out = numerics.solve_ivp(*args, **kwargs)
     oracle = sp_integrate.solve_ivp(*args, method="DOP853", **kwargs)
-    assert out.status == oracle.status == 1
+    assert out.status == oracle.status == 0
     assert out.t[-1] == oracle.t[-1] == sol.x_max
     assert out.nfev == oracle.nfev and out.t.size == oracle.t.size
     assert np.array_equal(out.t, oracle.t) and np.array_equal(out.y, oracle.y)
@@ -290,8 +351,8 @@ def test_dense_lookup_matches_ode_solution_bit_for_bit(text, monkeypatch):
     # itself, at every step edge and its two float neighbours, past
     # either end and across the range; floats, arrays, a 0-d array and a
     # (-1, 3) array
-    ode = sol.sol_fwd
-    assert ode is out.sol and ode.h.size > 1
+    ode = out.sol
+    assert ode.h.size > 1
     lo, hi = ode.ts[0], ode.ts[-1]
     e = ode.ts
     xs = np.concatenate([e, np.nextafter(e, -np.inf),
@@ -315,11 +376,17 @@ def test_dense_lookup_matches_ode_solution_bit_for_bit(text, monkeypatch):
         assert isinstance(view(float(xs[7])), float)
         assert np.array_equal(view(xs.reshape(-1, 3)),
                               ref[comp].reshape(-1, 3))
-    # the plane's own lookups read the evaluators
+    # the Hermite plane against the integration
+    x = np.linspace(0.0, sol.x_max, 4001)
+    (r, t), (r_ode, t_ode) = sol.sol_fwd(x), ode(x)
+    assert np.max(np.abs(r - r_ode) / r_ode) <= ODE_GAP_R
+    assert np.max(np.abs(t - t_ode) / np.maximum(1.0, np.abs(t_ode))) \
+        <= ODE_GAP_T
+    # the plane's own lookups read the Hermite pieces
     rhos = np.exp(np.linspace(0.0, sol.x_max, 301)[:-1])
     x = np.log(rhos)
     for comp, f in ((0, sol.r_of_rho), (1, sol.t_of_rho)):
-        assert np.array_equal(f(rhos), ode(x)[comp])
+        assert np.array_equal(f(rhos), sol.sol_fwd(x)[comp])
 
 
 def test_array_lookup_transient_memory(plane_sol):
@@ -335,6 +402,28 @@ def test_array_lookup_transient_memory(plane_sol):
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024, peak
+
+
+@pytest.mark.parametrize("text", ["", COLLAR_CONFIG],
+                         ids=["default", "collar"])
+def test_solve_plane_transient_memory(text):
+    # a warm solve_plane and the first float lookups of r and t: 263 KB
+    # on the default config, 312 KB on the collar (the DOP853 plane read
+    # 159 and 164 KB).  The profile evaluated on every Gauss node of
+    # every knot interval at once, not in blocks of BLOCK points, would
+    # read 715 and 678 KB
+    bp = _model_sol(text).bp
+    sol = PL.solve_plane(bp, r_at_1=bp.core_end / 2.0)
+    sol.r_of_rho(2.0), sol.t_of_rho(2.0)
+    del sol
+    tracemalloc.start()
+    try:
+        sol = PL.solve_plane(bp, r_at_1=bp.core_end / 2.0)
+        sol.r_of_rho(2.0), sol.t_of_rho(2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 384 * 1024, peak
 
 
 @pytest.mark.parametrize("text", ["", COLLAR_CONFIG],
