@@ -31,7 +31,9 @@ edges sit on the profile breaks, with H2 and G1 looked up at every
 Gauss node in one array call; each chunk's step count comes from a
 Richardson probe on that chunk, and the states are renormalized
 between chunks (continuous orthogonalization, as in Humpherys &
-Zumbrun, Physica D 220, 2006).  The expected outcome for every shipped
+Zumbrun, Physica D 220, 2006).  The cone check of the phase plane
+(mode exclusion) propagates the (u, v) rows of block 1 by the same
+Magnus steps.  The expected outcome for every shipped
 profile is three mode-0 directions (two constants plus one decaying
 branch) and two mode-(-1) directions (the 1/z translation pair): five
 in total, matching the Fredholm index.
@@ -66,7 +68,8 @@ __all__ = [
 ]
 
 
-# bench/tracing.py counts solver calls through this name (ROADMAP item 3)
+# bench/tracing.py counts solver calls through this name (ROADMAP item 3);
+# lincr makes none
 integrate = numerics
 
 
@@ -74,10 +77,8 @@ class LinCRError(ReebtwistError):
     pass
 
 
-# tolerances of cone_invariance_check, the one DOP853 integration here,
-# and the points at which it samples each trajectory
-ODE_RTOL = 1e-11
-ODE_ATOL = 1e-13
+# the chunk edges at which cone_invariance_check samples each
+# trajectory, besides the breaks crossed
 CONE_SAMPLES = 2000
 # points of the back-substitution check, and the principal angle below
 # which a regular and an admissible direction count as one
@@ -266,47 +267,60 @@ def full_system_residual(we: WEquation, Wf, rho, psi: float):
 
 def cone_invariance_check(we: WEquation, rho_span: tuple,
                           starts: list | np.ndarray) -> dict:
-    """Integrate the phase-plane system v' = (1/rho)[[H2,1],[1,0]] v
-    from first-quadrant starts over rho_span.
+    """Propagate the phase-plane system v' = [[H2, 1], [1, 0]] v in
+    x = log rho, the (u, v) rows of block k = 1 of the unshifted mode
+    system, from first-quadrant starts over rho_span, by the Magnus
+    propagators of the chunks between CONE_SAMPLES equally spaced x and
+    the breaks crossed; a chunk whose Richardson estimate exceeds
+    magnus.SHOOT_TOL is an error.
 
-    Certifies that trajectories stay in the (closed) first quadrant and
-    reports two growth measures per start: the diagonal component
-    <v, (1,1)> ratio (exactly the expanding-eigendirection ratio while
-    the coefficients are in the holomorphic core) and the norm ratio.
+    Certifies that trajectories stay in the (closed) first quadrant at
+    every chunk edge and reports two growth measures per start: the
+    diagonal component <v, (1,1)> ratio (exactly the
+    expanding-eigendirection ratio while the coefficients are in the
+    holomorphic core) and the norm ratio.
     """
     lo, hi = rho_span
     if not (0.0 < lo < hi):
         raise LinCRError("need 0 < rho_lo < rho_hi")
+    v0 = [np.asarray(v, float) for v in starts]
+    if not v0:
+        raise LinCRError("need at least one start")
+    for v in v0:
+        if not (v.shape == (2,) and np.isfinite(v).all() and v.min() > 0.0):
+            raise LinCRError("starts must be finite points of the open "
+                             f"first quadrant; got {v.tolist()}")
     xs = (math.log(lo), math.log(hi))
+    edges = np.union1d(np.linspace(*xs, CONE_SAMPLES),
+                       _break_edges(we, *xs))
+    props, err = magnus.chunk_propagators(
+        functools.partial(_node_coefficients, we), np.ones(1), 0.0, edges)
+    error = float(err.max())
+    if error > magnus.SHOOT_TOL:
+        raise LinCRError(f"phase-plane propagation failed: Richardson "
+                         f"estimate {error:.3e} > {magnus.SHOOT_TOL}")
+    # the (u, v) block of each chunk's propagator, as (chunks, 2, 2)
+    P = np.moveaxis(props[:4, 0].reshape(2, 2, -1), -1, 0)
+    V = np.array(v0).T
+    low = V.min(axis=0)
+    for step in P:
+        V = step @ V
+        np.minimum(low, V.min(axis=0), out=low)
     results = []
-    for v0 in starts:
-        v0 = np.asarray(v0, float)
-        if v0[0] <= 0.0 or v0[1] <= 0.0:
-            raise LinCRError("starts must lie in the open first quadrant")
-
-        def rhs(x, v):
-            H2 = we.H2(math.exp(x))
-            return [H2 * v[0] + v[1], v[0]]
-
-        out = integrate.solve_ivp(rhs, xs, v0, rtol=ODE_RTOL, atol=ODE_ATOL,
-                                  dense_output=True)
-        if not out.success:
-            raise LinCRError(f"phase-plane integration failed: {out.message}")
-        sample = out.sol(np.linspace(xs[0], xs[1], CONE_SAMPLES))
-        min_component = float(sample.min())
-        v1 = out.y[:, -1]
+    for v, v1, min_component in zip(v0, V.T, low.tolist()):
         results.append({
-            "start": v0.tolist(),
+            "start": v.tolist(),
             "min_component": min_component,
             "stayed_in_quadrant": min_component >= -1e-12,
-            "growth_diagonal": float((v1[0] + v1[1]) / (v0[0] + v0[1])),
-            "growth_norm": float(np.linalg.norm(v1) / np.linalg.norm(v0)),
+            "growth_diagonal": float((v1[0] + v1[1]) / (v[0] + v[1])),
+            "growth_norm": float(np.linalg.norm(v1) / np.linalg.norm(v)),
         })
     return {
         "rho_span": (float(lo), float(hi)),
         "all_stayed": all(r["stayed_in_quadrant"] for r in results),
         "min_growth_diagonal": min(r["growth_diagonal"] for r in results),
         "min_component": min(r["min_component"] for r in results),
+        "richardson": error,
         "per_start": results,
     }
 

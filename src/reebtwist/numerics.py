@@ -1,9 +1,8 @@
-"""The numerical routines of a run, on numpy alone: DOP853 with dense
-output (Hairer, Norsett & Wanner, Solving ODEs I, II.5-6), whose
-evaluator also reads the plane's quintic Hermite pieces, Brent's root
-finder and bounded minimizer (Brent, 1973), and adaptive Gauss-Kronrod
-quadrature (QUADPACK, 1983) on whole panels per call, whose 10-point
-Gauss rule ``GAUSS10`` the plane and the energy stage compose.
+"""The numerical routines of a run, on numpy alone: DOP853 (Hairer,
+Norsett & Wanner, Solving ODEs I, II.5), Brent's root finder and
+bounded minimizer (Brent, 1973), and adaptive Gauss-Kronrod quadrature
+(QUADPACK, 1983) on whole panels per call, whose 10-point Gauss rule
+``GAUSS10`` the plane and the energy stage compose.
 
 Each routine takes the operations of scipy 1.17's implementation in
 the same order (``scipy.integrate._ivp``, ``brentq.c``,
@@ -20,23 +19,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["OdeResult", "DenseSolution", "solve_ivp", "brentq",
-           "minimize_bounded", "quad", "GAUSS10"]
+__all__ = ["OdeResult", "solve_ivp", "brentq", "minimize_bounded", "quad",
+           "GAUSS10"]
 
 EPS = float(np.finfo(float).eps)
 
 # ----------------------------------------------------------------------
 # DOP853
 # ----------------------------------------------------------------------
-# The Dormand-Prince 8(5,3) tableau with its three extra stages and the
-# continuous extension, as double-precision values of dop853.f's
-# coefficients (the doubles scipy's dop853_coefficients.py parses to).
+# The Dormand-Prince 8(5,3) tableau, as double-precision values of
+# dop853.f's coefficients (the doubles scipy's dop853_coefficients.py
+# parses to).
 
 _C = np.array([
     0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
-    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
-    0.7777777777777778])
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0])
 # row s of the stage matrix: its first s entries
 _A_ROWS = (
     (0.05260015195876773,),
@@ -62,17 +60,8 @@ _A_ROWS = (
     (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
      -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
      0.20136540080403034, 0.04471061572777259),
-    (0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483,
-     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
-     0.00820105229563469, 0.007567897660545699, -0.008298),
-    (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776,
-     0.053541988307438566, -0.05492374857139099, 0, 0, -0.00010834732869724932,
-     0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325),
-    (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
-     4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
-     2.9475147891527724, -9.15095847217987),
 )
-_A = np.zeros((16, 16))
+_A = np.zeros((13, 13))
 for _s, _row in enumerate(_A_ROWS, start=1):
     _A[_s, :_s] = _row
 _B = _A[12, :12]
@@ -87,95 +76,15 @@ _E3[:-1] = _B
 _E3[0] -= 0.2440944881889764
 _E3[8] -= 0.7338466882816118
 _E3[11] -= 0.022058823529411766
-# rows 4 to 7 of the continuous extension (the first three come from
-# the step's end values)
-_D = np.array([
-    (-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
-     2.38466765651207, 2.117034582445028, -0.871391583777973,
-     2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
-     18.148505520854727, -9.194632392478356, -4.436036387594894),
-    (10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
-     -374.5467547226902, -22.113666853125306, 7.733432668472264,
-     -30.674084731089398, -9.332130526430229, 15.697238121770845,
-     -31.139403219565178, -9.35292435884448, 35.81684148639408),
-    (19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
-     527.8081592054236, -11.57390253995963, 6.8812326946963,
-     -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
-     -60.19669523126412, 84.32040550667716, 11.99229113618279),
-    (-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
-     357.6391179106141, 93.40532418362432, -37.45832313645163,
-     104.0996495089623, 29.8402934266605, -43.53345659001114,
-     96.32455395918828, -39.17726167561544, -149.72683625798564),
-])
 # step-size controller
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / 8
 
 
 @dataclass
-class DenseSolution:
-    """DOP853's continuous extension on every step: a degree-7
-    polynomial in the step fraction u per step, from the step's
-    ``t_old``, ``h``, ``y_old`` (steps, n) and ``F`` (steps, 7, n), or
-    (steps,) and (steps, 7) for one ``component``.  With rows F5 = F6 =
-    0 it is a quintic, which holds the plane's Hermite pieces.
-
-    Called like scipy's ``OdeSolution``: a point takes the first step
-    whose right edge ``ts[i + 1]`` is >= the point, clipped to the first
-    and last step past either end.  An array of shape S gives (n, *S),
-    or S for one component: one gathered multiply-add per row of the
-    Horner loop, in buffers of the points' size.  A Python float gives
-    (n,), or a float: the same search and loop on the step's row in
-    Python floats, 3-4 us where the array path takes 40-50 (the plane's
-    float lookups: 2 of the 41 calls of a default run).  The two agree
-    bit for bit.
-    """
-
-    ts: np.ndarray
-    t_old: np.ndarray
-    h: np.ndarray
-    y_old: np.ndarray
-    F: np.ndarray
-
-    def component(self, i: int) -> DenseSolution:
-        return DenseSolution(self.ts, self.t_old, self.h, self.y_old[:, i],
-                             self.F[:, :, i])
-
-    def __call__(self, t):
-        if not isinstance(t, np.ndarray):
-            i = min(max(int(self.ts.searchsorted(t)) - 1, 0),
-                    self.h.size - 1)
-            u = (t - self.t_old.item(i)) / self.h.item(i)
-            w = 1.0 - u
-            y_old, rows = self.y_old[i].tolist(), self.F[i].T.tolist()
-            if self.y_old.ndim == 1:
-                y_old, rows = [y_old], [rows]
-            y = [(((((((0.0 + f6) * u + f5) * w + f4) * u + f3) * w + f2) * u
-                   + f1) * w + f0) * u + y0
-                 for y0, (f0, f1, f2, f3, f4, f5, f6) in zip(y_old, rows)]
-            return y[0] if self.y_old.ndim == 1 else np.array(y)
-        x, comps = t.reshape(-1), self.y_old.shape[1:]
-        # mode="clip" on seg - 1 clips the step index to [0, steps - 1]
-        seg = np.searchsorted(self.ts, x, side="left")
-        seg -= 1
-        u = self.t_old.take(seg, mode="clip")
-        np.subtract(x, u, out=u)
-        u /= self.h.take(seg, mode="clip")
-        u = u.reshape(u.shape + (1,) * len(comps))
-        buf = np.empty(x.shape + comps)
-        y = np.zeros(buf.shape)
-        for j, row in enumerate(np.moveaxis(self.F, 1, 0)[::-1]):
-            y += row.take(seg, axis=0, out=buf, mode="clip")
-            y *= np.subtract(1.0, u, out=buf) if j % 2 else u
-        y += self.y_old.take(seg, axis=0, out=buf, mode="clip")
-        return np.moveaxis(y, 0, -1).reshape(comps + t.shape)
-
-
-@dataclass
 class OdeResult:
     t: np.ndarray
     y: np.ndarray
-    sol: DenseSolution | None
     nfev: int
     status: int         # 0 end reached, -1 failure
     message: str
@@ -216,15 +125,7 @@ def _error_norm(K, h, scale):
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def _stages(f, t, y, h, K, first, last):
-    """Stages ``first`` to ``last - 1`` of the step from (t, y) into K."""
-    for s in range(first, last):
-        dy = np.dot(K[:s].T, _A[s, :s]) * h
-        K[s] = f(t + _C[s] * h, y + dy)
-
-
-def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6,
-              dense_output=False) -> OdeResult:
+def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6) -> OdeResult:
     """Integrate y' = fun(t, y) forward over t_span by DOP853."""
     t0, tf = map(float, t_span)
     if not t0 < tf:
@@ -242,8 +143,8 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6,
 
     fy = f(t0, y)
     h_abs = _initial_step(f, t0, y, tf, fy, rtol, atol)
-    K = np.empty((16, y.size))
-    ts, ys, steps = [t0], [y], []
+    K = np.empty((13, y.size))
+    ts, ys = [t0], [y]
     t, status, message = t0, None, None
     while status is None:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -259,7 +160,9 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6,
             h = t_new - t
             h_abs = np.abs(h)
             K[0] = fy
-            _stages(f, t, y, h, K, 1, 12)
+            for s in range(1, 12):
+                dy = np.dot(K[:s].T, _A[s, :s]) * h
+                K[s] = f(t + _C[s] * h, y + dy)
             y_new = y + h * np.dot(K[:12].T, _B)
             f_new = K[12] = f(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -274,35 +177,16 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6,
             rejected = True
         if status is not None:
             break
-        t_old, y_old, f_old = t, y, fy
         t, y, fy = t_new, y_new, f_new
         if t >= tf:
             status = 0
-        if dense_output:
-            steps.append(_dense_step(f, t_old, h, y_old, y, f_old, fy, K))
         ts.append(t)
         ys.append(y)
-    ts = np.array(ts)
-    sol = (DenseSolution(ts, *(np.array(a) for a in zip(*steps)))
-           if dense_output else None)
     if status == 0:
         message = ("The solver successfully reached the end of the "
                    "integration interval.")
-    return OdeResult(t=ts, y=np.vstack(ys).T, sol=sol, nfev=nfev,
+    return OdeResult(t=np.array(ts), y=np.vstack(ys).T, nfev=nfev,
                      status=status, message=message)
-
-
-def _dense_step(f, t_old, h, y_old, y, f_old, fy, K):
-    """(t_old, h, y_old, F) of one step: the three extra stages into K,
-    then the seven rows of the continuous extension."""
-    _stages(f, t_old, y_old, h, K, 13, 16)
-    F = np.empty((7, y.size))
-    delta_y = y - y_old
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (fy + f_old)
-    F[3:] = h * np.dot(_D, K)
-    return t_old, h, y_old, F
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,14 @@ import pytest
 from reebtwist import cli, lincr, plane, profiles
 from reebtwist.config import RunConfig
 
+# the two configs the tests run beside the default, each defined here
+# once: a stiff k = -2 lincr run, and a collar-shaped binding profile
+MODES_CONFIG = ("[twist]\nk = -2\nshape = cos\n[run]\nn = 3\n"
+                "[lincr]\nk_max = 8\n")
+COLLAR_CONFIG = ("[twist]\nk = -3\np_plateau = 0.9\nshape = cos2\n"
+                 "[binding]\nshape = collar\nr0 = 1.3256834340201944\n"
+                 "r_max = 3.0\n")
+
 
 @pytest.fixture(scope="session")
 def default_pair():

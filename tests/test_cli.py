@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import COLLAR_CONFIG, MODES_CONFIG
+
 from reebtwist import (cli, energy, geometry, index, lincr, magnus, orbits,
                        plane)
 from reebtwist import profiles
@@ -129,13 +131,9 @@ def _probe(script, *args):
     return json.loads(proc.stderr.splitlines()[-1])
 
 
-MODES_OVERRIDES = ("[twist]\nk = -2\nshape = cos\n[run]\nn = 3\n"
-                   "[lincr]\nk_max = 8\n")
-
-
 @pytest.mark.parametrize("args,text", [
     (["all"], ""),
-    (["lincr"], MODES_OVERRIDES),
+    (["lincr"], MODES_CONFIG),
 ], ids=["all-default", "lincr-modes"])
 def test_runs_leave_scipy_unimported(tmp_path, args, text):
     # a run needs numpy alone: reebtwist.numerics holds its integrator,
@@ -716,11 +714,6 @@ def test_failed_gate_exits_1(tmp_path, capsys, monkeypatch, subcommand,
         # the artifact records the failure too
         payload = json.loads((tmp_path / ARTIFACT[subcommand]).read_text())
         assert cli._at(*row.field)(payload) is False
-
-
-COLLAR_CONFIG = ("[twist]\nk = -3\np_plateau = 0.9\nshape = cos2\n"
-                 "[binding]\nshape = collar\nr0 = 1.3256834340201944\n"
-                 "r_max = 3.0\n")
 
 
 def test_geometry_gates_the_main_profiles_collar_push(tmp_path, capsys,

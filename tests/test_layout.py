@@ -13,7 +13,7 @@ as read when some attribute of that name is loaded somewhere in
 ``src/``.  Both are name checks: a field that shares its name with
 another attribute read (an array's ``.shape``, say) passes without
 being read itself.  No ``fft`` name or attribute occurs in ``src/``,
-and no ``solve_ivp`` in ``plane.py``.
+and ``solve_ivp`` only in ``numerics.py`` and ``orbits.py``.
 
 Every parameter with a default, of a function or method anywhere in
 ``src/``, is passed by some call in ``src/`` or ``tests/``: by keyword,
@@ -74,11 +74,11 @@ SCALAR_FORKS = {
         "calls of a default `all` and 31 of 205 of a `lincr` on k = -2, "
         "n = 3, k_max = 8 are floats, at under 1 us against 9-20 us on a "
         "one-element array"),
-    "numerics.DenseSolution.__call__": (
-        "the plane's float lookups between rho = 1 and exp(x_max) (2 of "
-        "41 calls in a default `all`, 1 of 42 in that `lincr`) and the "
-        "per-point oracles of the tests: 3-4 us on a float against 40-50 us "
-        "through the array path"),
+    "plane.Quintic.__call__": (
+        "the plane's float lookups between rho = 1 and exp(x_max), r_end "
+        "and t_max (4 of 41 calls in a default `all`, 3 of 42 in that "
+        "`lincr`) and the per-point oracles of the tests: 2 us on a float "
+        "against 21 us on a one-element array"),
     "cli._jsonable": "serialization by type",
 }
 
@@ -287,11 +287,12 @@ def test_fft_guard_finds_fft_uses(source, expected):
     assert _users({"m": ast.parse(source)}, "fft") == expected
 
 
-def test_no_solve_ivp_in_plane():
-    # the plane's x and t are quadratures between radial knots; an ODE
-    # integration would be a second path beside them (DOP853 on the
-    # plane's right-hand side is the oracle in tests/test_plane.py)
-    assert "plane" not in _users(_modules(), "solve_ivp")
+def test_solve_ivp_only_in_numerics_and_orbits():
+    # DOP853 integrates the flow-closure oracle alone: the plane's x and
+    # t are quadratures between radial knots, and lincr's shooting and
+    # cone check take Magnus steps; an ODE integration beside them would
+    # be a second path (DOP853 is their oracle in the tests)
+    assert _users(_modules(), "solve_ivp") - {"numerics"} == {"orbits"}
 
 
 @pytest.mark.parametrize("source, expected", [

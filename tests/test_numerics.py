@@ -1,7 +1,6 @@
 """The package's numerical routines (``reebtwist.numerics``) against
 scipy's, on the package's own problems: scipy is the oracle of each
-port.  The DOP853 port on the plane problem is checked in
-``test_plane.py``."""
+port."""
 
 import math
 import sys
@@ -11,11 +10,10 @@ import pytest
 from scipy import integrate as sp_integrate
 from scipy import optimize as sp_optimize
 
+from conftest import MODES_CONFIG
+
 from reebtwist import cli, index, numerics, orbits, plane, profiles
 from reebtwist.config import parse_config
-
-MODES_CONFIG = ("[twist]\nk = -2\nshape = cos\n[run]\nn = 3\n"
-                "[lincr]\nk_max = 8\n")
 
 
 def _caller() -> str:
@@ -164,21 +162,25 @@ def test_invalid_input_raises():
         numerics.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
-def test_cone_invariance_dense_output_matches_scipy(we):
-    # lincr's phase-plane integration: the package's DOP853 and scipy's
-    # on the same system, dense output included, bit for bit
-    xs = (math.log(0.5), math.log(50.0))
+def test_dop853_matches_scipy_bit_for_bit(we):
+    # the package's DOP853 and scipy's on the same problems: lincr's
+    # phase-plane system over (0.5, 50) in rho, and the plane's
+    # right-hand side in x over (0, x_max); steps, states, right-hand
+    # side count and status equal bit for bit
+    sol, bp = we.sol, we.bp
 
-    def rhs(x, v):
+    def phase_plane(x, v):
         H2 = we.H2(math.exp(x))
         return [H2 * v[0] + v[1], v[0]]
 
-    out = numerics.solve_ivp(rhs, xs, [1.0, 0.5], rtol=1e-11, atol=1e-13,
-                             dense_output=True)
-    ref = sp_integrate.solve_ivp(rhs, xs, [1.0, 0.5], method="DOP853",
-                                 rtol=1e-11, atol=1e-13, dense_output=True)
-    assert out.nfev == ref.nfev and out.status == ref.status == 0
-    assert np.array_equal(out.t, ref.t) and np.array_equal(out.y, ref.y)
-    grid = np.linspace(*xs, 2000)
-    assert np.array_equal(out.sol(grid), ref.sol(grid))
-    assert np.array_equal(out.sol(xs[1]), ref.sol(xs[1]))
+    def plane_rhs(_x, y):
+        return [bp.h2.d1(y[0]), bp.h2(y[0])]
+
+    for args in ((phase_plane, (math.log(0.5), math.log(50.0)), [1.0, 0.5]),
+                 (plane_rhs, (0.0, sol.x_max), [sol.core_coeff, 0.0])):
+        out = numerics.solve_ivp(*args, rtol=1e-11, atol=1e-13)
+        ref = sp_integrate.solve_ivp(*args, method="DOP853", rtol=1e-11,
+                                     atol=1e-13)
+        assert out.nfev == ref.nfev and out.status == ref.status == 0
+        assert out.t.size > 10
+        assert np.array_equal(out.t, ref.t) and np.array_equal(out.y, ref.y)

@@ -1,13 +1,17 @@
+import bisect
 import dataclasses
 import gc
 import math
 import time
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import optimize
+
+from conftest import COLLAR_CONFIG, MODES_CONFIG
 
 from reebtwist import numerics
 from reebtwist import plane as PL
@@ -159,19 +163,19 @@ def test_flat_peak_profiles_rejected_with_diagnostic(tp, matched):
 
 def _scalar_lookup(sol, rho):
     """The per-point (r, t) lookup the array evaluators replace: math
-    closed forms on the core and the tail, one call of the dense
-    solution in between.  log rho is numpy's, as in the lookups: libm's
-    log differs from it in the last bit at some radii."""
+    closed forms on the core and the tail, one float call of each
+    component's Hermite pieces in between.  log rho is numpy's, as in
+    the lookups: libm's log differs from it in the last bit at some
+    radii."""
     x = float(np.log(rho if rho > 0.0 else 1e-300))
     if x < 0.0:
         r = sol.core_coeff * math.exp(sol.core_pow * x)
         t = 0.25 * sol.core_coeff ** 2 * math.expm1(2.0 * sol.core_pow * x)
     elif x >= sol.x_max:
         r = sol.r0 - sol.tail_coeff * math.exp(-sol.kappa * x)
-        t = (float(sol.sol_fwd(sol.x_max)[1])
-             + sol.bp.h2(sol.r0) * (x - sol.x_max))
+        t = sol.t_pieces(sol.x_max) + sol.bp.h2(sol.r0) * (x - sol.x_max)
     else:
-        r, t = (float(v) for v in sol.sol_fwd(x))
+        r, t = sol.r_pieces(x), sol.t_pieces(x)
     return (r if rho > 0.0 else 0.0), t, 0.0 <= x < sol.x_max
 
 
@@ -211,7 +215,7 @@ def test_array_lookup_matches_scalar_oracle(plane_sol):
 
 def test_dropped_solution_is_freed_without_the_cycle_collector(bp):
     # the cached lookups must not hold the solution itself: a cycle would
-    # keep its dense ODE solutions alive until the cyclic collector ran,
+    # keep its Hermite pieces alive until the cyclic collector ran,
     # and a process building one model after another would grow
     sol = PL.solve_plane(bp, r_at_1=bp.core_end / 2.0)
     sol.r_of_rho(2.0), sol.t_of_rho(2.0)
@@ -239,16 +243,11 @@ def test_x_of_r_inverts_the_plane(bp, plane_sol):
 
 
 # ----------------------------------------------------------------------
-# the Hermite plane against scipy: the separable quadratures, and a
-# DOP853 integration of the plane's right-hand side, through which the
-# dense-output evaluator is checked against scipy's OdeSolution
+# the Hermite plane against scipy: the separable quadratures and a
+# DOP853 integration of the plane's right-hand side; its evaluator
+# against exact rational arithmetic on the Hermite data
 # ----------------------------------------------------------------------
 
-MODES_CONFIG = ("[twist]\nk = -2\nshape = cos\n[run]\nn = 3\n"
-                "[lincr]\nk_max = 8\n")
-COLLAR_CONFIG = ("[twist]\nk = -3\np_plateau = 0.9\nshape = cos2\n"
-                 "[binding]\nshape = collar\nr0 = 1.3256834340201944\n"
-                 "r_max = 3.0\n")
 CONFIGS = pytest.mark.parametrize("text", ["", MODES_CONFIG, COLLAR_CONFIG],
                                   ids=["default", "modes", "collar"])
 # the DOP853 tolerances of the oracle integration (those the plane was
@@ -302,23 +301,26 @@ def test_pieces_hold_the_knot_values_and_the_equations(text):
     # value; a centred difference of the lookup gives r' = h2'(r) and
     # t' = h2(r)
     sol = _model_sol(text)
-    bp, ode = sol.bp, sol.sol_fwd
-    knots = ode.y_old[:, 0]
-    assert ode.ts[0] == 0.0 and ode.ts[-1] == sol.x_max
-    assert np.all(np.diff(ode.ts) > 0.0) and np.all(np.diff(knots) > 0.0)
-    assert knots[0] == sol.core_coeff and ode.y_old[0, 1] == 0.0
+    bp, rp, tp = sol.bp, sol.r_pieces, sol.t_pieces
+    knots = rp.y
+    assert rp.ts is tp.ts and rp.ts[0] == 0.0 and rp.ts[-1] == sol.x_max
+    assert rp.F.shape == (5, knots.size) and rp.F.flags.c_contiguous
+    assert np.all(np.diff(rp.ts) > 0.0) and np.all(np.diff(knots) > 0.0)
+    assert knots[0] == sol.core_coeff and tp.y[0] == 0.0
     for b in bp.h2.breaks:
         assert b in knots or not knots[0] < b < bp.r0
-    assert np.array_equal(ode(ode.ts[:-1]), ode.y_old.T)
-    ends = ode(ode.ts[1:])
-    np.testing.assert_allclose(ends[:, :-1], ode.y_old[1:].T, rtol=4e-16,
-                               atol=0.0)
-    assert ends[0, -1] == pytest.approx(bp.r0 - PL.TAIL_GAP, rel=4e-16,
-                                        abs=0.0)
+    for pieces in (rp, tp):
+        assert np.array_equal(pieces(rp.ts[:-1]), pieces.y)
+        ends = pieces(rp.ts[1:])
+        np.testing.assert_allclose(ends[:-1], pieces.y[1:], rtol=4e-16,
+                                   atol=0.0)
+    assert rp(sol.x_max) == pytest.approx(bp.r0 - PL.TAIL_GAP, rel=4e-16,
+                                          abs=0.0)
     x = np.linspace(0.0, sol.x_max, 1001)[1:-1]
     step = 1e-5
-    r, t = ode(x)
-    dr, dt = (ode(x + step) - ode(x - step)) / (2.0 * step)
+    r = rp(x)
+    dr = (rp(x + step) - rp(x - step)) / (2.0 * step)
+    dt = (tp(x + step) - tp(x - step)) / (2.0 * step)
     scale = np.max(np.abs(bp.h2.d1(r)))
     assert np.max(np.abs(dr - bp.h2.d1(r))) <= 1e-8 * scale
     assert np.max(np.abs(dt - bp.h2(r))) <= 1e-8 * bp.h2(bp.r0)
@@ -326,10 +328,10 @@ def test_pieces_hold_the_knot_values_and_the_equations(text):
 
 @CONFIGS
 def test_dense_lookup_matches_ode_solution_bit_for_bit(text):
-    # the plane's right-hand side in x over (0, x_max), integrated by the
-    # package's DOP853 and by scipy's at the same tolerances: the
-    # right-hand side count, the steps and the dense output equal bit for
-    # bit at 4,000 points; the Hermite plane agrees with the integration
+    # the plane's right-hand side in x over (0, x_max), integrated by
+    # scipy's DOP853: the Hermite plane agrees with the integration to
+    # its error; the plane's lookups read the Hermite pieces bit for bit,
+    # on arrays and on floats
     from scipy import integrate as sp_integrate
     sol = _model_sol(text)
     bp = sol.bp
@@ -337,56 +339,83 @@ def test_dense_lookup_matches_ode_solution_bit_for_bit(text):
     def rhs(_x, y):
         return [bp.h2.d1(y[0]), bp.h2(y[0])]
 
-    args = (rhs, (0.0, sol.x_max), [sol.core_coeff, 0.0])
-    kwargs = dict(rtol=ODE_RTOL, atol=ODE_ATOL, dense_output=True)
-    out = numerics.solve_ivp(*args, **kwargs)
-    oracle = sp_integrate.solve_ivp(*args, method="DOP853", **kwargs)
-    assert out.status == oracle.status == 0
-    assert out.t[-1] == oracle.t[-1] == sol.x_max
-    assert out.nfev == oracle.nfev and out.t.size == oracle.t.size
-    assert np.array_equal(out.t, oracle.t) and np.array_equal(out.y, oracle.y)
-    grid = np.linspace(-1.0, sol.x_max + 1.0, 4000)
-    assert np.array_equal(out.sol(grid), oracle.sol(grid))
-    # the evaluator, on both one-component views and on the solution
-    # itself, at every step edge and its two float neighbours, past
-    # either end and across the range; floats, arrays, a 0-d array and a
-    # (-1, 3) array
-    ode = out.sol
-    assert ode.h.size > 1
-    lo, hi = ode.ts[0], ode.ts[-1]
-    e = ode.ts
-    xs = np.concatenate([e, np.nextafter(e, -np.inf),
-                         np.nextafter(e, np.inf),
-                         [lo - 1.0, hi + 1.0, lo - 1e-3, hi + 1e-3],
-                         np.linspace(lo, hi, 1001)])
-    ref = oracle.sol(xs)
-    assert np.array_equal(ode(xs), ref)
-    assert np.array_equal(np.array([ode(float(x)) for x in xs]).T, ref)
-    got = ode(np.array(xs[7]))
-    assert got.shape == (2,) and np.array_equal(got, ref[:, 7])
-    got = ode(float(xs[7]))
-    assert isinstance(got, np.ndarray) and np.array_equal(got, ref[:, 7])
-    assert np.array_equal(ode(xs.reshape(-1, 3)), ref.reshape(2, -1, 3))
-    for comp in (0, 1):
-        view = ode.component(comp)
-        assert np.array_equal(view(xs), ref[comp])
-        assert np.array_equal([view(float(x)) for x in xs], ref[comp])
-        got = view(np.array(xs[7]))
-        assert got.shape == () and got == ref[comp, 7]
-        assert isinstance(view(float(xs[7])), float)
-        assert np.array_equal(view(xs.reshape(-1, 3)),
-                              ref[comp].reshape(-1, 3))
-    # the Hermite plane against the integration
+    oracle = sp_integrate.solve_ivp(
+        rhs, (0.0, sol.x_max), [sol.core_coeff, 0.0], method="DOP853",
+        rtol=ODE_RTOL, atol=ODE_ATOL, dense_output=True)
+    assert oracle.status == 0 and oracle.t[-1] == sol.x_max
     x = np.linspace(0.0, sol.x_max, 4001)
-    (r, t), (r_ode, t_ode) = sol.sol_fwd(x), ode(x)
+    r, t = sol.r_pieces(x), sol.t_pieces(x)
+    r_ode, t_ode = oracle.sol(x)
     assert np.max(np.abs(r - r_ode) / r_ode) <= ODE_GAP_R
     assert np.max(np.abs(t - t_ode) / np.maximum(1.0, np.abs(t_ode))) \
         <= ODE_GAP_T
-    # the plane's own lookups read the Hermite pieces
     rhos = np.exp(np.linspace(0.0, sol.x_max, 301)[:-1])
     x = np.log(rhos)
-    for comp, f in ((0, sol.r_of_rho), (1, sol.t_of_rho)):
-        assert np.array_equal(f(rhos), sol.sol_fwd(x)[comp])
+    for f, pieces in ((sol.r_of_rho, sol.r_pieces),
+                      (sol.t_of_rho, sol.t_pieces)):
+        assert np.array_equal(f(rhos), pieces(x))
+        assert np.array_equal([f(float(rho)) for rho in rhos],
+                              [pieces(float(v)) for v in x])
+
+
+def _exact_hermite(x0, x1, y0, y1, f0, f1, s0, s1, x):
+    """The quintic with value y, derivative f and second derivative s
+    given at x0 and x1, at x: the Hermite basis in u = (x - x0)/h, in
+    the arithmetic of its arguments."""
+    h = x1 - x0
+    u = (x - x0) / h
+    u2, u3 = u * u, u * u * u
+    u4, u5 = u3 * u, u3 * u2
+    return (y0 * (1 - 10 * u3 + 15 * u4 - 6 * u5)
+            + h * f0 * (u - 6 * u3 + 8 * u4 - 3 * u5)
+            + h * h * s0 * (u2 - 3 * u3 + 3 * u4 - u5) / 2
+            + y1 * (10 * u3 - 15 * u4 + 6 * u5)
+            + h * f1 * (-4 * u3 + 7 * u4 - 3 * u5)
+            + h * h * s1 * (u3 - 2 * u4 + u5) / 2)
+
+
+def test_quintic_evaluator_matches_exact_hermite_data(bp, plane_sol):
+    # the Hermite data of the pieces (x and t at the knots from the
+    # quadratures, y = (r, t), f = (h2', h2), s = (h2'' h2', h2'^2) from
+    # the profile) evaluated in exact rationals on the piece the same
+    # rule picks (the first whose right knot is >= x, clipped at either
+    # end): the evaluator is within 1 ulp (it reads at most 0.7) at every
+    # knot, both its float neighbours and 1e-3 past either end.  Further
+    # out, cancellation in the extrapolated quintic costs digits, but the
+    # lookups read the core and the tail there.  Floats, arrays, a 0-d
+    # array and a (-1, 3) array agree bit for bit.
+    sol = plane_sol
+    knots = PL._knots(bp, sol.core_coeff)
+    steps = PL._quadratures(bp, knots[:-1], knots[1:])
+    x = np.concatenate([[0.0], np.cumsum(steps[0])])
+    t = np.concatenate([[0.0], np.cumsum(steps[1])])
+    assert np.array_equal(x, sol.r_pieces.ts)
+    assert np.array_equal(knots[:-1], sol.r_pieces.y)
+    assert np.array_equal(t[:-1], sol.t_pieces.y)
+    d1, d2 = bp.h2.d1(knots).tolist(), bp.h2.d2(knots).tolist()
+    exact = [[Fraction(v) for v in a] for a in (
+        x.tolist(), knots.tolist(), t.tolist(), d1, bp.h2(knots).tolist())]
+    X, R, T, D1, H2 = exact
+    S_r = [Fraction(a) * b for a, b in zip(d2, D1)]
+    S_t = [b * b for b in D1]
+    pts = np.concatenate([x, np.nextafter(x, -np.inf),
+                          np.nextafter(x, np.inf), [x[0] - 1e-3, x[-1] + 1e-3]])
+    xs = x.tolist()
+    for pieces, Y, F, S in ((sol.r_pieces, R, D1, S_r),
+                            (sol.t_pieces, T, H2, S_t)):
+        got = pieces(pts)
+        for p, g in zip(pts.tolist(), got.tolist()):
+            i = min(max(bisect.bisect_left(xs, p) - 1, 0), len(xs) - 2)
+            ref = _exact_hermite(X[i], X[i + 1], Y[i], Y[i + 1], F[i],
+                                 F[i + 1], S[i], S[i + 1], Fraction(p))
+            assert abs(Fraction(g) - ref) <= Fraction(math.ulp(ref)), p
+        floats = [pieces(p) for p in pts.tolist()]
+        assert all(type(v) is float for v in floats)
+        assert np.array_equal(floats, got)
+        zero_d = pieces(np.array(pts[7]))
+        assert zero_d.shape == () and zero_d == got[7]
+        assert np.array_equal(pieces(pts[:-2].reshape(-1, 3)),
+                              got[:-2].reshape(-1, 3))
 
 
 def test_array_lookup_transient_memory(plane_sol):

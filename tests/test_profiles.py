@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import COLLAR_CONFIG
+
 from reebtwist import profiles as P
 from reebtwist.cli import Model
 from reebtwist.config import RunConfig, parse_config
@@ -177,11 +179,6 @@ def test_dump_tables(tp, bp):
     h, rows = P.binding_table(bp, n=16)
     assert h == ["r", "h1", "h1_prime", "h2", "h2_prime", "detH"]
     assert all(np.isfinite(rows[-1]))
-
-
-COLLAR_CONFIG = ("[twist]\nk = -3\np_plateau = 0.9\nshape = cos2\n"
-                 "[binding]\nshape = collar\nr0 = 1.3256834340201944\n"
-                 "r_max = 3.0\n")
 
 
 @pytest.mark.parametrize("text", ["", COLLAR_CONFIG], ids=["fig2", "collar"])
