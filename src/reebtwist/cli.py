@@ -14,7 +14,6 @@ a stage first needs them, so the static commands (``--print-config``,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -73,12 +72,16 @@ as the angle gap of a block with no unmatched angle, is written as null):
 """
 
 
-def _fmt(x) -> str:
+def _cell(x) -> str:
+    """A cell that is not a float or an int as the csv module writes it:
+    a bool as true or false, anything else by str(), quoted where a
+    comma, a quote or a newline needs it."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+    text = str(x)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _atomic_write(path: Path, data: str):
@@ -88,11 +91,31 @@ def _atomic_write(path: Path, data: str):
 
 
 def write_csv(path: Path, header, rows):
+    """The table as the csv module writes it (every table has two or more
+    columns, so no row is one empty cell, which it quotes), floats by
+    %.17g and other cells by _cell: one % format per row shape (the
+    types of its cells), so only the cells that are not floats or ints
+    take a Python call."""
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
+    buf.write(",".join(map(_cell, header)) + "\n")
+    shapes = {}
     for row in rows:
-        w.writerow([_fmt(x) for x in row])
+        # built through a list: tuple() of an iterator resizes its result,
+        # and each such tuple, released, stays on the interpreter's free
+        # list of its size (up to 2,000 a size), which holds the memory
+        shape = (*map(type, row),)
+        if shape not in shapes:
+            shapes[shape] = (
+                ",".join("%.17g" if issubclass(t, float) else "%s"
+                         for t in shape) + "\n",
+                [i for i, t in enumerate(shape)
+                 if not issubclass(t, float) and t is not int])
+        fmt, other = shapes[shape]
+        if other:
+            row = list(row)
+            for i in other:
+                row[i] = _cell(row[i])
+        buf.write(fmt % tuple(row))
     _atomic_write(path, buf.getvalue())
 
 
@@ -374,7 +397,8 @@ def stage_plane(model: Model, out: Path) -> dict:
     from . import plane
     sol = model.sol
     write_csv(out / "plane.csv", ["rho", "r", "t"],
-              list(zip(sol.rho_grid, sol.r_vals, sol.t_vals)))
+              zip(sol.rho_grid.tolist(), sol.r_vals.tolist(),
+                  sol.t_vals.tolist()))
     rep = plane.plane_energy(model.bp, sol)
     payload = {"stokes": rep.stokes, "quadrature": rep.quadrature,
                "action_gamma0": rep.action_gamma0,

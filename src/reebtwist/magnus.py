@@ -19,10 +19,15 @@ batch size, takes part.
 A chunk of the plane is cut into 2**level equal steps (Iserles & Norsett,
 Phil. Trans. R. Soc. A 357, 1999; Blanes, Casas, Oteo & Ros, Phys. Rep.
 470, 2009), its level set by a Richardson probe on that chunk alone.
+The steps of a call's chunks, of every level, share batches of at most
+BATCH blocks x steps, and one coefficient lookup serves several batches.
+As each chunk's steps are reduced on their own, in a fixed order, its
+propagator depends on its ends and level alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -195,49 +200,77 @@ def _expm(W: np.ndarray) -> np.ndarray:
     return W
 
 
-def _piece(coefficients, k: np.ndarray, shift: float, a: np.ndarray,
-           h: np.ndarray, first: int, count: int) -> np.ndarray:
-    """The ordered product of the Magnus steps first, ..., first + count
-    - 1 (count a power of two) of length h[j] from a[j]: ten entries over
-    (blocks k, requests j), reduced pairwise, the later step on the
-    left.  ``coefficients`` maps an array of x to (H2, G1/2)."""
-    steps = first + np.arange(count)[:, None] + np.array(GAUSS3)
-    x = a[:, None, None] + h[:, None, None] * steps
-    X = _expm(_exponent(
-        k[:, None], shift, np.repeat(h, count),
-        *coefficients(np.moveaxis(x, -1, 0).reshape(3, -1))))
-    X = X.reshape(10, k.size, h.size, count)
-    while X.shape[-1] > 1:
-        X = _product(X[..., 1::2], X[..., 0::2])
-    return X[..., 0]
+def _store(X: np.ndarray, batch: list, out: np.ndarray):
+    """Reduce the steps X of a batch of pieces (request, first step,
+    steps), each piece on its own and pairwise, the later step on the
+    left, into the propagators ``out``: a run of whole requests is
+    stored, a later piece of a request longer than one batch multiplied
+    on from the left."""
+    at = 0
+    for count, run in itertools.groupby(batch, lambda p: p[2]):
+        run = list(run)
+        js = [p[0] for p in run]
+        R = X[..., at:at + len(js) * count].reshape(
+            X.shape[:2] + (len(js), count))
+        at += len(js) * count
+        while R.shape[-1] > 1:
+            R = _product(R[..., 1::2], R[..., 0::2])
+        out[:, :, js] = (_product(R[..., 0], out[:, :, js]) if run[0][1]
+                         else R[..., 0])
 
 
 def _propagators(coefficients, k: np.ndarray, shift: float, a: np.ndarray,
                  b: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """The propagators of A_k + shift*k*I from a[j] to b[j], each the
-    ordered product of 2**levels[j] Magnus steps: ten entries over
-    (blocks k, requests j).
+    ordered product of 2**levels[j] Magnus steps of length h[j] from
+    a[j]: ten entries over (blocks k, requests j).  ``coefficients``
+    maps an array of x to (H2, G1/2).
 
-    The requests of one level go through in batches of at most BATCH
-    blocks x steps, a request of more steps in pieces multiplied in
-    order.  A request's result depends on its ends and level alone, not
-    on what shares its batch."""
+    With seg the largest power of two of at most BATCH blocks x steps, a
+    request is one piece of min(2**levels[j], seg) steps or, if longer,
+    pieces of seg steps multiplied in order.  Whole pieces of any level
+    and request, in that order, fill batches of at most seg steps, each
+    one exponent and one exponential, and the coefficients are looked up
+    once for as many whole batches as BATCH nodes hold.  Each piece is
+    reduced pairwise on its own, so a request's result depends on its
+    ends and level alone, not on what shares its batch."""
     seg = 2 ** int(math.log2(BATCH // max(1, k.size)))
+    h = (b - a) / 2.0 ** levels
     out = np.empty((10, k.size, a.size))
+    # the pieces (request, first step, steps) in the order they multiply;
     # the few levels sorted in Python: numpy's integer sort would page in
     # 64 KB of code that nothing else in a run touches
+    pieces = []
     for lev in sorted(set(levels.tolist())):
-        n = 2 ** lev
-        count = min(n, seg)
-        todo = np.flatnonzero(levels == lev)
-        for lo in range(0, todo.size, seg // count):
-            j = todo[lo:lo + seg // count]
-            h = (b[j] - a[j]) / n
-            out[:, :, j] = _piece(coefficients, k, shift, a[j], h, 0, count)
-            for first in range(count, n, count):
-                out[:, :, j] = _product(
-                    _piece(coefficients, k, shift, a[j], h, first, count),
-                    out[:, :, j])
+        count = min(2 ** lev, seg)
+        pieces += [(j, first, count)
+                   for j in np.flatnonzero(levels == lev).tolist()
+                   for first in range(0, 2 ** lev, count)]
+    batches, filled = [], seg
+    for piece in pieces:
+        if filled + piece[2] > seg:
+            batches.append([])
+            filled = 0
+        batches[-1].append(piece)
+        filled += piece[2]
+    per_slice = max(1, BATCH // (3 * seg))
+    for lo in range(0, len(batches), per_slice):
+        group = batches[lo:lo + per_slice]
+        j, first, length = np.array([p for batch in group
+                                     for p in batch]).T
+        req = np.repeat(j, length)
+        step = np.arange(req.size) + np.repeat(first - np.cumsum(length)
+                                               + length, length)
+        H2, g = coefficients(a[req] + h[req]
+                             * (step + np.array(GAUSS3)[:, None]))
+        # each batch's steps are dropped when _store returns, before the
+        # next batch's exponent: the working set is what bounds the batch
+        end = 0
+        for batch in group:
+            start, end = end, end + sum(p[2] for p in batch)
+            _store(_expm(_exponent(k[:, None], shift, h[req[start:end]],
+                                   H2[:, start:end], g[:, start:end])),
+                   batch, out)
     return out
 
 

@@ -83,7 +83,8 @@ class SmoothProfile:
     derivatives evaluable everywhere on it.
 
     ``breaks`` lists interior junction radii of piecewise definitions;
-    the finite-difference self-check skips stencils that straddle them.
+    the finite-difference self-check skips stencils that straddle them,
+    and the quadrature oracles split their panels there.
     """
 
     lo: float
@@ -191,14 +192,17 @@ class TwistProfile:
     p0: float | None
 
     def hk_by_quadrature(self, s: float) -> float:
-        """Independent Gauss-Kronrod evaluation of 1 + int_0^s sigma g'."""
+        """Independent Gauss-Kronrod evaluation of 1 + int_0^s sigma g',
+        split at the breaks of g."""
         val, _ = integrate.quad(lambda u: u * self.g.d1(u), 0.0, s,
-                                epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
+                                points=self.g.breaks, epsabs=QUAD_TOL,
+                                epsrel=QUAD_TOL, limit=200)
         return 1.0 + val
 
     def htilde_by_quadrature(self, s: float) -> float:
-        """Independent Gauss-Kronrod evaluation of 1 - int_0^s g."""
-        val, _ = integrate.quad(self.g.value, 0.0, s,
+        """Independent Gauss-Kronrod evaluation of 1 - int_0^s g, split
+        at the breaks of g."""
+        val, _ = integrate.quad(self.g.value, 0.0, s, points=self.g.breaks,
                                 epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
         return 1.0 - val
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import importlib.util
+import io
 import json
 import math
 import operator
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import COLLAR_CONFIG, MODES_CONFIG
@@ -565,6 +567,71 @@ def test_non_finite_floats_written_as_null(tmp_path):
                    {"a": math.nan, "b": [math.inf, -math.inf, 1.5]})
     assert json.loads((tmp_path / "x.json").read_text()) == {
         "a": None, "b": [None, None, 1.5]}
+
+
+def _csv_module_table(header, rows) -> str:
+    """A table as the csv module writes it, every cell of a row through
+    the cell formatter the writer had before its one-format rows: the
+    oracle of cli.write_csv."""
+    def fmt(x):
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        if isinstance(x, float):
+            return format(x, ".17g")
+        return str(x)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(x) for x in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("text", ["", MODES_CONFIG, COLLAR_CONFIG],
+                         ids=["default", "modes", "collar"])
+def test_csv_writer_matches_the_csv_module(tmp_path, monkeypatch, text):
+    # every table of `all`, the rows as the stages pass them
+    real, tables = cli.write_csv, []
+
+    def captured(path, header, rows):
+        rows = list(rows)
+        tables.append((path, header, rows))
+        real(path, header, rows)
+
+    monkeypatch.setattr(cli, "write_csv", captured)
+    cli.run("all", parse_config(text), str(tmp_path), quiet=True)
+    assert len(tables) == 6
+    for path, header, rows in tables:
+        assert path.read_bytes() == \
+            _csv_module_table(header, rows).encode(), path.name
+
+
+def test_csv_writer_matches_the_csv_module_on_mixed_cells(tmp_path):
+    # the shapes of a column change from row to row; bools, ints, empty
+    # and quoted strings, numpy scalars, non-finite floats and -0.0
+    header = ["a", "b,c", 'd"e', "f"]
+    rows = [[True, 1, "", 0.1],
+            [False, -3, "plain", np.float64(2.5)],
+            [1, True, "x,y", math.nan],
+            ["", "", "", ""],
+            [np.float64(-0.0), -0.0, math.inf, -math.inf],
+            ['say "hi"', "two\nlines", "cr\rhere", np.int64(7)],
+            [None, np.bool_(True), np.float32(0.1), (1, 2)],
+            (1e300, 5e-324, 2 ** 70, np.float64(math.nan)),
+            [0.1, 1, "", 0.1]]
+    path = tmp_path / "t.csv"
+    cli.write_csv(path, header, rows)
+    assert path.read_bytes() == _csv_module_table(header, rows).encode()
+
+
+@pytest.mark.parametrize("seed", ["166", "200"])
+def test_nearly_parallel_draws_pass_validate(tmp_path, seed):
+    # these seeds draw nearly parallel normals in n = 2; with p projected
+    # off q once, validate exited 1 with "point constraint residual
+    # 1.55e-10" (1.90e-10 for seed 200)
+    assert cli.main(["validate", "--seed", seed, "--quiet",
+                     "--out", str(tmp_path)]) == 0
 
 
 def test_orbits_csv_principal_row(all_run):

@@ -204,6 +204,21 @@ def test_frame_batch_matches_single_points(tp, n):
     assert np.max(np.abs(grams - G.standard_gram(2 * n - 2))) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_orthonormal_pairs_of_nearly_parallel_rows(n):
+    # p drawn within 1e-9 of q's direction: one projection leaves p . q
+    # up to 4e-5 here (seeds 166 and 200 of the CLI's draws failed the
+    # point constraint so); the second brings it to the rounding floor
+    rng = np.random.default_rng(n)
+    q = rng.standard_normal((200, n))
+    p = q * rng.uniform(0.5, 2.0, (200, 1)) \
+        + 1e-9 * rng.standard_normal((200, n))
+    q, p = G._orthonormal_pairs(np.hstack([q, p]))
+    assert np.max(np.abs(np.vecdot(q, p))) <= 1e-15
+    np.testing.assert_allclose(np.vecdot(q, q), 1.0, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(np.vecdot(p, p), 1.0, rtol=0.0, atol=1e-15)
+
+
 def test_frame_singular_at_zero_level(tp):
     with pytest.raises(G.GeometryError, match="singular"):
         G.symplectic_frame(tp, np.array([1.0, 0.0]), np.zeros(2), 0.0)
@@ -301,13 +316,15 @@ class TangentVector:
 
 
 def _scalar_point(bp, normals, uniforms):
-    """One point from its 2n normals (q, then p) and two uniforms on
-    [0, 1) (r, then phi), scaled as Generator.uniform scales them."""
+    """One point from its 2n normals (q, then p, projected off q twice)
+    and two uniforms on [0, 1) (r, then phi), scaled as
+    Generator.uniform scales them."""
     n = len(normals) // 2
     q = normals[:n].copy()
     q /= np.linalg.norm(q)
     p = normals[n:].copy()
-    p -= (p @ q) * q
+    for _ in range(2):
+        p -= (p @ q) * q
     p /= np.linalg.norm(p)
     lo, hi = 0.05 * bp.r_max, 0.95 * bp.r_max
     return BindingPoint(q=q, p=p, r=lo + (hi - lo) * uniforms[0],

@@ -1397,3 +1397,68 @@ def test_kernel_dimension_working_set():
     finally:
         tracemalloc.stop()
     assert peak <= 354 * 1024, peak
+
+
+def _stepwise(coefficients, k, shift, a, h, n):
+    """The ordered product of n Magnus steps of length h from a, one step
+    at a time: the oracle of the pairwise-reduced pieces."""
+    x = a + h * (np.arange(n) + np.array(M.GAUSS3)[:, None])
+    X = M._expm(M._exponent(k[:, None], shift, np.full(n, h),
+                            *coefficients(x)))
+    P = X[..., 0]
+    for i in range(1, n):
+        P = M._product(X[..., i], P)
+    return P
+
+
+@pytest.mark.parametrize("blocks", [1, 6, 9])
+def test_packed_batches_match_requests_alone(we, blocks):
+    # _propagators packs whole pieces of every level and request into
+    # shared batches, and chunk_propagators every chunk of a call: each
+    # result equals, bit for bit, the request or chunk computed alone,
+    # from level 0 to requests of several batches (past seg steps), and
+    # the product of its steps taken one at a time to rounding
+    k = np.arange(float(blocks))
+    seg = 2 ** int(math.log2(M.BATCH // blocks))
+    top = int(math.log2(seg)) + 2
+    levels = np.array([*range(top + 1), 0, 3, top, 1, top - 2, 1])
+    rng = np.random.default_rng(blocks)
+    x_a, _, x_b = L._ends(we)
+    a = rng.uniform(x_a, x_b - 1.0, levels.size)
+    b = a + rng.uniform(0.05, 1.0, levels.size)
+    coefficients = functools.partial(L._node_coefficients, we)
+    both = M._propagators(coefficients, k, -1.0, a, b, levels)
+    for j in range(levels.size):
+        alone = M._propagators(coefficients, k, -1.0, a[j:j + 1],
+                               b[j:j + 1], levels[j:j + 1])
+        np.testing.assert_array_equal(both[:, :, j], alone[:, :, 0])
+        n = 2 ** levels[j]
+        ref = _stepwise(coefficients, k, -1.0, a[j], (b[j] - a[j]) / n, n)
+        gap = np.abs(both[:, :, j] - ref).max() / np.abs(ref).max()
+        assert gap <= 1e-13, (levels[j], gap)
+    edges = np.union1d(np.linspace(x_a, x_b, 9),
+                       L._break_edges(we, x_a, x_b))
+    props, err = M.chunk_propagators(coefficients, k, -1.0, edges)
+    for j in range(edges.size - 1):
+        alone, e = M.chunk_propagators(coefficients, k, -1.0, edges[j:j + 2])
+        np.testing.assert_array_equal(props[:, :, j], alone[:, :, 0])
+        assert err[j] == e[0]
+
+
+# coefficient lookups of one kernel count on the modes config: 9, one per
+# slice of whole batches (a lookup per piece of one level made 30)
+COEFFICIENT_CEILING = 12
+
+
+def test_kernel_count_looks_coefficients_up_per_slice(monkeypatch):
+    we = cli.Model(parse_config(MODES_CONFIG)).we
+    real, calls = L._node_coefficients, []
+
+    def counted(we, x):
+        calls.append(x.size)
+        return real(we, x)
+
+    monkeypatch.setattr(L, "_node_coefficients", counted)
+    L.kernel_dimension(we, k_max=8)
+    assert 0 < len(calls) <= COEFFICIENT_CEILING, calls
+    assert max(calls) <= M.BATCH
