@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from operator import eq, ge, gt, le
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -138,9 +138,42 @@ def _jsonable(obj):
     return obj
 
 
+def _json_text(obj, pad: str = "\n") -> str:
+    """A plain JSON value as json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False) writes it, without the pure-Python encoder that
+    indent selects: its nested closures are cyclic garbage after every
+    call."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"{obj!r} is not JSON compliant")
+        return float.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + ",".join(
+            inner + encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+            for k, v in sorted(obj.items())) + pad + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        return "[" + ",".join(inner + _json_text(v, inner)
+                              for v in obj) + pad + "]"
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def write_json(path: Path, payload: dict):
-    _atomic_write(path, json.dumps(_jsonable(payload), sort_keys=True,
-                                   indent=2, allow_nan=False) + "\n")
+    _atomic_write(path, _json_text(_jsonable(payload)) + "\n")
 
 
 # ----------------------------------------------------------------------

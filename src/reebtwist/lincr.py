@@ -21,22 +21,22 @@ variables of the second component, block k is a real 4-vector system
 whose real and imaginary parts share one trajectory, and a start in the
 first component alone stays there as e^{+-kx}.  So each block carries
 one 4-vector, its e^{kx} growth factored out, and every block goes
-through each step at once.  A kernel count and its growth
-table share one forward pass from the core to the end of the plane:
-the regular span is its state at the matching point, the table its
-log-norms at the samples.  One backward pass from the end of the plane
-gives the admissible span.  Each pass takes sixth-order Magnus steps
-(Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999) on chunks whose
-edges sit on the profile breaks, with H2 and G1 looked up at every
-Gauss node in one array call; each chunk's step count comes from a
-Richardson probe on that chunk, and the states are renormalized
-between chunks (continuous orthogonalization, as in Humpherys &
-Zumbrun, Physica D 220, 2006).  The cone check of the phase plane
-(mode exclusion) propagates the (u, v) rows of block 1 by the same
-Magnus steps.  The expected outcome for every shipped
-profile is three mode-0 directions (two constants plus one decaying
-branch) and two mode-(-1) directions (the 1/z translation pair): five
-in total, matching the Fredholm index.
+through each step at once.  A kernel count and its growth table share
+one pass from the core to the end of the plane: the regular span is its
+state at the matching point, the table its log-norms at the samples, and
+the admissible span the end's contracting direction swept back to the
+matching point through the inverses of the pass's chunk propagators.
+The pass takes sixth-order Magnus steps (Iserles & Norsett, Phil. Trans.
+R. Soc. A 357, 1999) on chunks whose edges sit on the profile breaks,
+with H2 and G1 looked up at every Gauss node in one array call; each
+chunk's step count comes from a Richardson probe on that chunk, and the
+states are renormalized between chunks (continuous orthogonalization, as
+in Humpherys & Zumbrun, Physica D 220, 2006).  The cone check of the
+phase plane (mode exclusion) propagates the (u, v) rows of block 1 by
+the same Magnus steps.  The expected outcome for every shipped profile
+is three mode-0 directions (two constants plus one decaying branch) and
+two mode-(-1) directions (the 1/z translation pair): five in total,
+matching the Fredholm index.
 """
 
 from __future__ import annotations
@@ -374,9 +374,9 @@ def _shoot(we: WEquation, ks, Y: np.ndarray, edges, shift: float):
     (magnus.chunk_propagators), the coefficients looked up on the plane.
 
     Every column is renormalized to unit 8-D norm at each edge.  Returns
-    the unit-norm states at every edge, shape (len(edges), 4, len(ks)),
-    the cumulative natural-log norm growth of each column at every edge
-    (in the shifted frame), shape (len(edges), len(ks)), and the largest
+    the chunk propagators, the unit-norm states (len(edges), 4, len(ks))
+    and cumulative natural-log norm growth (len(edges), len(ks), in the
+    shifted frame) of each column at every edge, and the largest
     Richardson estimate of a chunk."""
     props, err = magnus.chunk_propagators(
         functools.partial(_node_coefficients, we), np.asarray(ks, float),
@@ -388,7 +388,7 @@ def _shoot(we: WEquation, ks, Y: np.ndarray, edges, shift: float):
         Y = Y / nrm
         states.append(Y)
         logs.append(logs[-1] + np.log(nrm))
-    return np.array(states), np.array(logs), float(err.max())
+    return props, np.array(states), np.array(logs), float(err.max())
 
 
 # samples of the growth table; they, x_mid and the profile breaks the
@@ -415,11 +415,12 @@ def _break_edges(we: WEquation, lo: float, hi: float) -> list:
 
 
 class ForwardPass(NamedTuple):
-    """The forward pass of one kernel count: its chunk edges, the
-    unit-norm reduced states (4, k_max + 1) and the log-norm growth
-    (k_max + 1,) at every edge, and its largest Richardson estimate."""
+    """The forward pass of one kernel count: its chunk edges and
+    propagators, the unit-norm reduced states (4, k_max + 1) and log-norm
+    growth (k_max + 1,) at every edge, and its largest Richardson estimate."""
 
     edges: np.ndarray
+    props: np.ndarray
     states: np.ndarray
     logs: np.ndarray
     error: float
@@ -430,8 +431,8 @@ def _forward(we: WEquation, k_max: int) -> ForwardPass:
     and the w2p direction of every block k >= 1, under A_k - kI (the
     e^{kx} of the w1p rows taken out), through the chunks whose edges
     are the N_SAMPLES table samples, x_mid and the breaks crossed on the
-    way.  The kernel count reads its states at x_mid, the growth table
-    its log-norms at the samples."""
+    way.  The kernel count reads its states at x_mid and its propagators
+    beyond, the growth table its log-norms at the samples."""
     x_a, x_mid, x_b = _ends(we)
     edges = np.union1d(np.linspace(x_a, x_b, N_SAMPLES),
                        [x_mid, *_break_edges(we, x_a, x_b)])
@@ -442,24 +443,23 @@ def _forward(we: WEquation, k_max: int) -> ForwardPass:
                                       edges, -1.0))
 
 
-def _backward(we: WEquation, k_max: int) -> tuple:
-    """The backward pass, x_b to x_mid in unit chunks (split at the
-    breaks crossed on the way) under A_k + kI, from the contracting
-    eigenvector of the limiting A_k of every block k >= 1 (eigenvalue
-    lambda = H2/2 - sqrt(H2^2/4 + k^2) < -k, as H2_inf < 0).  Returns
-    the states at x_mid and the pass's largest Richardson estimate."""
-    _, x_mid, x_b = _ends(we)
-    k = np.arange(1.0, k_max + 1.0)
+def _backward(we: WEquation, fwd: ForwardPass) -> np.ndarray:
+    """The admissible states (4, k_max) of blocks k >= 1 at x_mid: the
+    contracting eigenvector of the limiting A_k (eigenvalue H2/2 -
+    sqrt(H2^2/4 + k^2) < -k, as H2_inf < 0) at x_b, swept back through
+    the forward propagators by magnus.apply_inverse (the backward
+    propagator up to a scalar) and renormalized at each edge; the w1m row
+    it zeroes moves a state along the pure w1m pair, already in the span."""
+    k = np.arange(1.0, fwd.states.shape[2])
     H2, G1 = we.H2_inf, we.G1_inf
     lam = 0.5 * H2 - np.sqrt(0.25 * H2 * H2 + k * k)
     Y = np.array([np.ones_like(k), k / lam, 0.5 * G1 / (lam - k),
                   0.5 * G1 / (lam + k)])
-    n_chunk = max(1, int(math.ceil(x_b - x_mid)))
-    edges = np.union1d(np.linspace(x_b, x_mid, n_chunk + 1),
-                       _break_edges(we, x_mid, x_b))[::-1]
-    states, _, error = _shoot(we, range(1, k_max + 1), Y / _norms(Y), edges,
-                              1.0)
-    return states[-1], error
+    for j in range(len(fwd.edges) - 2,
+                   np.searchsorted(fwd.edges, _ends(we)[1]) - 1, -1):
+        Y = magnus.apply_inverse(fwd.props[:, 1:, j], Y)
+        Y = Y / _norms(Y)
+    return Y
 
 
 @dataclass
@@ -473,7 +473,7 @@ class KernelReport:
     forward: ForwardPass = field(repr=False)
     angles: dict = field(default_factory=dict)       # block -> principal angles
     conditioning: dict = field(default_factory=dict)  # block -> angle gap
-    # the largest per-chunk Richardson estimate of both passes
+    # the largest per-chunk Richardson estimate of the one Magnus pass
     richardson: float = 0.0
 
 
@@ -537,13 +537,13 @@ def kernel_dimension(we: WEquation, delta: float | None = None,
     block k the w1p pair (and block 1's w1m pair) stay pure and only the
     w2p pair comes from the forward pass, read at x_mid; the pass runs on
     to x_b and rides on the report as ``forward``, for
-    mode_shooting_table.  Admissible at infinity: the
-    stable eigenspace of the limiting system (decay rate >= delta), plus
-    for mode 0 the two constant first-component directions.  In block
-    k >= 1 that is the pure w1m pair and the contracting direction of
-    the backward pass; in block 0 the two constants and the Re w2
-    branch, which decays at |H2_inf| > delta (solve_plane requires
-    H2_inf = h2''(r0) < 0) and spans the Re w2 axis with them.
+    mode_shooting_table.  Admissible at infinity: the stable eigenspace
+    of the limiting system (decay rate >= delta), plus for mode 0 the two
+    constant first-component directions.  In block k >= 1 that is the
+    pure w1m pair and the contracting direction swept back from x_b
+    (``_backward``); in block 0 the two constants and the Re w2 branch,
+    which decays at |H2_inf| > delta (solve_plane requires H2_inf =
+    h2''(r0) < 0) and spans the Re w2 axis with them.
     ``non_decaying_bounded`` counts the bounded non-decaying solutions
     tangent to the orbit family: the constant geodesic component plus
     the 2(n-2) holomorphic constants of the normal block.
@@ -555,7 +555,7 @@ def kernel_dimension(we: WEquation, delta: float | None = None,
                          f"(0, {we.spectral_gap:.4f})")
     fwd = _forward(we, k_max)
     Yf = fwd.states[np.searchsorted(fwd.edges, _ends(we)[1])]
-    Yb, back_error = _backward(we, k_max)
+    Yb = _backward(we, fwd)
     w1p, w1m = np.eye(8)[:, 0:2], np.eye(8)[:, 2:4]
     Us, Vs = [np.eye(4)], [np.eye(4)[:, :3]]
     for k in range(1, k_max + 1):
@@ -570,7 +570,7 @@ def kernel_dimension(we: WEquation, delta: float | None = None,
                         non_decaying_bounded=non_dec, delta=delta,
                         spectral_gap=we.spectral_gap, forward=fwd,
                         angles=angles, conditioning=conditioning,
-                        richardson=max(fwd.error, back_error))
+                        richardson=fwd.error)
 
 
 def mode_shooting_table(we: WEquation, forward: ForwardPass):

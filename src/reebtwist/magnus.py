@@ -23,6 +23,13 @@ The steps of a call's chunks, of every level, share batches of at most
 BATCH blocks x steps, and one coefficient lookup serves several batches.
 As each chunk's steps are reduced on their own, in a fixed order, its
 propagator depends on its ends and level alone.
+
+The system is linear, so the propagator back over a chunk is the
+inverse of the one forward, and with another shift it differs only by
+a scalar factor.  A state swept back through apply_inverse, which
+forms det(P) M^{-1} y without dividing by det(P), and renormalized at
+each edge follows the direction a backward pass would, and no chunk is
+integrated twice.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import math
 
 import numpy as np
 
-__all__ = ["chunk_propagators", "apply"]
+__all__ = ["chunk_propagators", "apply", "apply_inverse"]
 
 # the Gauss-Legendre nodes of a step on [0, 1]
 GAUSS3 = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
@@ -74,6 +81,19 @@ def apply(M: np.ndarray, Y: np.ndarray) -> np.ndarray:
     P, Q, D = _parts(M)
     uv = Y[:2, None]
     return np.concatenate([_mm(P, uv)[:, 0], _mm(Q, uv)[:, 0] + D * Y[2:]])
+
+
+def apply_inverse(M: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """det(P) M^{-1} y on the rows (u, v, w1p) of the states Y (4, n),
+    the w1m row set to 0: adj(P) (u, v) and (det(P) w1p - Q_1 adj(P)
+    (u, v))/D_1.  Nothing is divided by det(P), which P11 P22 - P12 P21
+    loses to cancellation on long chunks, nor by the D_2 the w1m row
+    would need, e^{-2kh} on a forward chunk; that row feeds no other."""
+    P11, P12, P21, P22, Q11, Q12, _, _, D1, _ = M
+    u, v = P22 * Y[0] - P12 * Y[1], P11 * Y[1] - P21 * Y[0]
+    det = P11 * P22 - P12 * P21
+    return np.stack([u, v, (det * Y[2] - Q11 * u - Q12 * v) / D1,
+                     np.zeros_like(u)])
 
 
 def _exponent(k: np.ndarray, shift: float, h: np.ndarray, H2: np.ndarray,

@@ -625,6 +625,75 @@ def test_csv_writer_matches_the_csv_module_on_mixed_cells(tmp_path):
     assert path.read_bytes() == _csv_module_table(header, rows).encode()
 
 
+def _json_module_text(payload) -> str:
+    """A payload as json.dumps writes it with the options write_json
+    passed before it had an emitter of its own: the oracle of
+    cli.write_json."""
+    return json.dumps(cli._jsonable(payload), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("text", ["", MODES_CONFIG, COLLAR_CONFIG],
+                         ids=["default", "modes", "collar"])
+def test_json_writer_matches_the_json_module(tmp_path, monkeypatch, text):
+    # every JSON artifact of `all`, each payload as the stage passes it
+    real, written = cli.write_json, []
+
+    def captured(path, payload):
+        written.append((path, _json_module_text(payload)))
+        real(path, payload)
+
+    monkeypatch.setattr(cli, "write_json", captured)
+    cli.run("all", parse_config(text), str(tmp_path), quiet=True)
+    assert sorted(path.name for path, _ in written) == \
+        sorted(path.name for path in tmp_path.glob("*.json"))
+    for path, expected in written:
+        assert path.read_bytes() == expected.encode(), path.name
+
+
+def test_json_writer_matches_the_json_module_on_mixed_values(tmp_path):
+    # empty containers, escaped and non-ASCII strings and keys, bools,
+    # None, -0.0, extreme and numpy floats, big ints, numpy scalars, a
+    # tuple, an int key, non-finite floats and deep nesting
+    payload = {
+        "empty": {"dict": {}, "list": [], "str": ""},
+        "strings": ['q"uote', "back\\slash", "nl\ncr\rtab\t", "\x00\x1f\x7f",
+                    "na\u00efve \u2014 \u221e \u2028", "\U0001f600", "/"],
+        "\u00e9t\u00e9": 1, 'k"ey\n': 2, 3: "int key",
+        "consts": [True, False, None, np.bool_(False)],
+        "floats": [-0.0, 0.0, 0.1, 1e300, 5e-324, 1e16, 1e-7, -2.5e-10,
+                   123456789.0, np.float64(2.5), np.float32(0.1)],
+        "ints": [0, -1, 2 ** 70, -(2 ** 100), np.int64(-7)],
+        "tuple": (1, "two", (3.0,)),
+        "nonfinite": [math.nan, math.inf, -math.inf],
+        "deep": {"z": [1, [2, [3, {"y": [{}]}]]], "a": [[], [[]]]},
+    }
+    path = tmp_path / "x.json"
+    cli.write_json(path, payload)
+    assert path.read_bytes() == _json_module_text(payload).encode()
+
+
+def test_json_writer_leaves_no_cyclic_garbage(all_run, tmp_path):
+    # json's pure-Python encoder, which indent selects, left 33 objects
+    # of cyclic garbage a call (its nested closures, their cells and the
+    # encoder), freed only when the collector next ran
+    import gc
+    out, _ = all_run
+    payload = json.loads((out / "kernel.json").read_text())
+    payload["numpy"] = [np.float64(0.5), np.int64(2), np.arange(3.0)]
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        cli.write_json(tmp_path / "kernel.json", payload)
+        gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
+
+
 @pytest.mark.parametrize("seed", ["166", "200"])
 def test_nearly_parallel_draws_pass_validate(tmp_path, seed):
     # these seeds draw nearly parallel normals in n = 2; with p projected

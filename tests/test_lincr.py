@@ -1150,10 +1150,11 @@ def test_reduced_shooting_matches_stacked_oracle(text, rtol, scales):
 
 
 # Magnus steps of one kernel count and one growth table on the default
-# config, probes included: 1,806 (the DOP853 passes they replaced made
+# config, probes included: 1,014, all of the forward pass (with a
+# backward pass of its own, 1,806; the DOP853 passes before them made
 # 3,356 right-hand side calls); the ceiling leaves 5% for the last digits
 # of the Richardson estimates, which pick the levels
-STEP_CEILING = 1900
+STEP_CEILING = 1065
 
 
 def test_shooting_solver_work_stays_reduced(we, monkeypatch):
@@ -1185,6 +1186,39 @@ def test_shooting_solver_work_stays_reduced(we, monkeypatch):
     assert 0 < steps[0] <= STEP_CEILING, steps
 
 
+def _spans(Yf, Yb) -> tuple:
+    """The regular and admissible spans of blocks 0 to k_max, as
+    kernel_dimension builds them, from the forward states Yf (4, k_max +
+    1) and the backward states Yb (4, k_max) at x_mid."""
+    w1p, w1m = np.eye(8)[:, 0:2], np.eye(8)[:, 2:4]
+    Us, Vs = [np.eye(4)], [np.eye(4)[:, :3]]
+    for k in range(1, Yf.shape[1]):
+        Us.append(np.hstack([w1p] + [w1m] * (k == 1) + [L._embed(Yf[:, k])]))
+        Vs.append(np.hstack([L._embed(Yb[:, k - 1]), w1m]))
+    return Us, Vs
+
+
+def _direct_backward(we, k_max: int) -> tuple:
+    """The backward pass that the sweep through the forward propagators
+    replaced, the oracle of lincr._backward: x_b to x_mid in unit chunks
+    (split at the breaks crossed on the way) under A_k + kI, by Magnus
+    steps of its own, from the contracting eigenvector of the limiting
+    A_k of every block k >= 1.  Returns the states at x_mid and the
+    pass's largest Richardson estimate."""
+    _, x_mid, x_b = L._ends(we)
+    k = np.arange(1.0, k_max + 1.0)
+    H2, G1 = we.H2_inf, we.G1_inf
+    lam = 0.5 * H2 - np.sqrt(0.25 * H2 * H2 + k * k)
+    Y = np.array([np.ones_like(k), k / lam, 0.5 * G1 / (lam - k),
+                  0.5 * G1 / (lam + k)])
+    n_chunk = max(1, int(math.ceil(x_b - x_mid)))
+    edges = np.union1d(np.linspace(x_b, x_mid, n_chunk + 1),
+                       L._break_edges(we, x_mid, x_b))[::-1]
+    _, states, _, error = L._shoot(we, range(1, k_max + 1),
+                                   Y / L._norms(Y), edges, 1.0)
+    return states[-1], error
+
+
 @pytest.mark.parametrize("text", ["", MODES_CONFIG], ids=["default", "modes"])
 def test_shared_forward_pass_matches_separate_pass(text):
     # the kernel count read from the stage's one forward pass (x_a to
@@ -1198,20 +1232,40 @@ def test_shared_forward_pass_matches_separate_pass(text):
     Y = np.zeros((4, k_max + 1))
     Y[0] = 1.0
     Y[1, 1:] = 1.0
-    states, _, _ = L._shoot(we, range(k_max + 1), Y / L._norms(Y),
-                            edges[edges <= x_mid], -1.0)
-    Yf, Yb = states[-1], L._backward(we, k_max)[0]
-    w1p, w1m = np.eye(8)[:, 0:2], np.eye(8)[:, 2:4]
-    Us, Vs = [np.eye(4)], [np.eye(4)[:, :3]]
-    for k in range(1, k_max + 1):
-        Us.append(np.hstack([w1p] + [w1m] * (k == 1) + [L._embed(Yf[:, k])]))
-        Vs.append(np.hstack([L._embed(Yb[:, k - 1]), w1m]))
-    per_mode, angles, gaps = L._match_spans(Us, Vs, 1e-6)
+    _, states, _, _ = L._shoot(we, range(k_max + 1), Y / L._norms(Y),
+                               edges[edges <= x_mid], -1.0)
+    Yf, Yb = states[-1], L._backward(we, report.forward)
+    per_mode, angles, gaps = L._match_spans(*_spans(Yf, Yb), 1e-6)
     assert report.per_mode == per_mode
     assert report.angles == angles
     assert report.conditioning.keys() == gaps.keys()
     np.testing.assert_array_equal(list(report.conditioning.values()),
                                   list(gaps.values()))
+
+
+@pytest.mark.parametrize("text", ["", MODES_CONFIG, COLLAR_CONFIG],
+                         ids=["default", "modes", "collar"])
+def test_inverse_sweep_matches_direct_backward_pass(text):
+    # the admissible span swept back through the inverted forward
+    # propagators against the direct backward pass it replaced, which
+    # integrates x_b to x_mid again on chunks of its own: the same
+    # per-mode counts, principal angles and angle gaps within 1e-11
+    # (they agree within 1.1e-12 and 1.5e-13)
+    model = cli.Model(parse_config(text))
+    we, k_max = model.we, model.cfg.k_max
+    report = L.kernel_dimension(we, k_max=k_max)
+    fwd = report.forward
+    Yf = fwd.states[np.searchsorted(fwd.edges, L._ends(we)[1])]
+    Yb, error = _direct_backward(we, k_max)
+    assert 0.0 < error <= M.SHOOT_TOL
+    per_mode, angles, gaps = L._match_spans(*_spans(Yf, Yb), L.ANGLE_TOL)
+    assert report.per_mode == per_mode
+    assert report.angles.keys() == angles.keys() == gaps.keys()
+    for block in angles:
+        np.testing.assert_allclose(report.angles[block], angles[block],
+                                   rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(report.conditioning[block], gaps[block],
+                                   rtol=0.0, atol=1e-11)
 
 
 @pytest.mark.parametrize("text,crossed", [("", 1), (COLLAR_CONFIG, 3)],
@@ -1363,21 +1417,88 @@ def test_magnus_steps_have_order_six(we):
     assert 40.0 <= d1 / d2 <= 100.0, (d1, d2)
 
 
+def _inverse_by_division(X, Y):
+    """M^{-1} y on the rows (u, v, w1p) with P^{-1} = adj(P)/det(P): the
+    form magnus.apply_inverse avoids."""
+    P11, P12, P21, P22, Q11, Q12, _, _, D1, _ = X
+    det = P11 * P22 - P12 * P21
+    u, v = (P22 * Y[0] - P12 * Y[1]) / det, (P11 * Y[1] - P21 * Y[0]) / det
+    return np.array([u, v, (Y[2] - Q11 * u - Q12 * v) / D1])
+
+
+def test_apply_inverse_matches_dense_solve():
+    # det(P) M^{-1} y of random ten-entry matrices against a dense 4 x 4
+    # solve, and M applied to it gives det(P) y back, on the rows (u, v,
+    # w1p); the w1m row is 0
+    rng = np.random.default_rng(26)
+    n = 200
+    X = rng.uniform(-2.0, 2.0, (10, n))
+    X[8:] *= rng.uniform(0.1, 1.0, (2, n)) / np.abs(X[8:])
+    Y = rng.standard_normal((4, n))
+    got = M.apply_inverse(X, Y)
+    det = X[0] * X[3] - X[1] * X[2]
+    ref = np.array([d * np.linalg.solve(_dense(x), y)
+                    for d, x, y in zip(det, X.T, Y.T)]).T
+    scale = np.abs(X).max() ** 3 * np.abs(Y).max()
+    np.testing.assert_allclose(got[:3], ref[:3], rtol=0.0,
+                               atol=1e-13 * scale)
+    np.testing.assert_array_equal(got[3], 0.0)
+    np.testing.assert_allclose(M.apply(X, got)[:3], det * Y[:3], rtol=0.0,
+                               atol=1e-13 * scale)
+
+
+def test_apply_inverse_on_long_collar_chunks():
+    # on the collar's 16-unit forward chunks det(P) is at most 4.1e-14
+    # of max|P|^2 and so lost to cancellation (0, or of either sign, for
+    # k >= 2): apply_inverse meets the direct backward propagator of each
+    # chunk (A_k + kI from its end to its start) on the rows (u, v, w1p),
+    # direction for direction, within the step rule's error of the two
+    # propagators (rounding on most chunks, up to 1.3e-11 on two), and
+    # division by det(P) does not
+    model = cli.Model(parse_config(COLLAR_CONFIG))
+    we, k_max = model.we, model.cfg.k_max
+    fwd = L._forward(we, k_max)
+    k = np.arange(k_max + 1.0)
+    coefficients = functools.partial(L._node_coefficients, we)
+    rng = np.random.default_rng(3)
+    long = np.flatnonzero(np.diff(fwd.edges) > 16.0)
+    assert long.size >= 20
+
+    def direction(Z):
+        return Z / np.linalg.norm(Z, axis=0)
+
+    failed = 0
+    for j in long:
+        back, err = M.chunk_propagators(coefficients, k, 1.0,
+                                        fwd.edges[[j + 1, j]])
+        assert err[0] <= M.SHOOT_TOL
+        Y = rng.standard_normal((4, k.size))
+        ref = direction(M.apply(back[..., 0], Y)[:3])
+        got = direction(M.apply_inverse(fwd.props[..., j], Y)[:3])
+        assert np.abs(got - ref).max() <= 5.0 * M.SHOOT_TOL, j
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = np.abs(direction(_inverse_by_division(fwd.props[..., j], Y))
+                         - ref).max(axis=0)
+        failed += not (gap <= 1e-6).all()
+    assert failed >= long.size // 2, failed
+
+
 @pytest.mark.parametrize("text", ["", COLLAR_CONFIG],
                          ids=["default", "collar"])
 def test_richardson_estimate_bounds_the_shooting_error(text, monkeypatch):
-    # both passes against passes with a hundredfold tighter step rule:
-    # every log-norm and state at every edge within the number of chunks
-    # times the reported estimate
+    # the forward pass and the sweep back through its propagators against
+    # both on a forward pass with a hundredfold tighter step rule: every
+    # log-norm and state at every edge, and the swept states at x_mid,
+    # within the number of chunks times the reported estimate
     model = cli.Model(parse_config(text))
     we, k_max = model.we, model.cfg.k_max
     report = L.kernel_dimension(we, k_max=k_max)
     fwd = report.forward
-    back, _ = L._backward(we, k_max)
-    assert 0.0 < report.richardson <= M.SHOOT_TOL
+    back = L._backward(we, fwd)
+    assert 0.0 < report.richardson == fwd.error <= M.SHOOT_TOL
     monkeypatch.setattr(M, "SHOOT_TOL", M.SHOOT_TOL / 100.0)
     ref = L._forward(we, k_max)
-    ref_back, _ = L._backward(we, k_max)
+    ref_back = L._backward(we, ref)
     bound = len(fwd.edges) * report.richardson
     assert np.max(np.abs(fwd.logs - ref.logs)) <= bound
     assert np.max(np.abs(fwd.states - ref.states)) <= bound
@@ -1445,9 +1566,10 @@ def test_packed_batches_match_requests_alone(we, blocks):
         assert err[j] == e[0]
 
 
-# coefficient lookups of one kernel count on the modes config: 9, one per
-# slice of whole batches (a lookup per piece of one level made 30)
-COEFFICIENT_CEILING = 12
+# coefficient lookups of one kernel count on the modes config: 5, one per
+# slice of whole batches of the forward pass (a backward pass of its own
+# made 9, and a lookup per piece of one level 30)
+COEFFICIENT_CEILING = 6
 
 
 def test_kernel_count_looks_coefficients_up_per_slice(monkeypatch):
