@@ -144,35 +144,18 @@ def parse_config(text: str) -> RunConfig:
 
 
 def default_config_text() -> str:
-    return """\
-# reebtwist run configuration (all values shown are the defaults)
-[run]
-n = 2
-seed = 1234
-
-[twist]
-k = -1
-eps = 0.05
-p_plateau = 0.75
-shape = cos2
-s_max = 1.0
-
-[binding]
-shape = fig2
-r0 = 0.55
-r_max = 0.75
-kappa = 1.0
-tail_width = 0.12
-
-[matched]
-enabled = true
-p_cap =
-r_max =
-
-[orbits]
-denom_cap = 8
-action_bound_factor = 3.0
-
-[lincr]
-k_max = 5
-"""
+    """The config file that sets every key to its default: one section
+    per _SCHEMA entry, in its order, each key at its RunConfig field's
+    default (true/false for a bool, a blank value for None)."""
+    cfg = RunConfig()
+    sections = []
+    for section, keys in _SCHEMA.items():
+        lines = [f"[{section}]"]
+        for key in keys:
+            value = getattr(cfg, _FIELD_MAP.get((section, key), key))
+            if isinstance(value, bool):
+                value = "true" if value else "false"
+            lines.append(f"{key} =" if value is None else f"{key} = {value}")
+        sections.append("\n".join(lines) + "\n")
+    return ("# reebtwist run configuration (all values shown are the "
+            "defaults)\n" + "\n".join(sections))

@@ -291,8 +291,8 @@ def cone_invariance_check(we: WEquation, rho_span: tuple,
             raise LinCRError("starts must be finite points of the open "
                              f"first quadrant; got {v.tolist()}")
     xs = (math.log(lo), math.log(hi))
-    edges = np.union1d(np.linspace(*xs, CONE_SAMPLES),
-                       _break_edges(we, *xs))
+    edges = np.array(sorted({*np.linspace(*xs, CONE_SAMPLES),
+                             *_break_edges(we, *xs)}))
     props, err = magnus.chunk_propagators(
         functools.partial(_node_coefficients, we), np.ones(1), 0.0, edges)
     error = float(err.max())
@@ -434,8 +434,8 @@ def _forward(we: WEquation, k_max: int) -> ForwardPass:
     way.  The kernel count reads its states at x_mid and its propagators
     beyond, the growth table its log-norms at the samples."""
     x_a, x_mid, x_b = _ends(we)
-    edges = np.union1d(np.linspace(x_a, x_b, N_SAMPLES),
-                       [x_mid, *_break_edges(we, x_a, x_b)])
+    edges = np.array(sorted({*np.linspace(x_a, x_b, N_SAMPLES), x_mid,
+                             *_break_edges(we, x_a, x_b)}))
     Y = np.zeros((4, k_max + 1))
     Y[0] = 1.0
     Y[1, 1:] = 1.0          # w2p = 1: u = v = 1
@@ -583,7 +583,8 @@ def mode_shooting_table(we: WEquation, forward: ForwardPass):
     closed forms +-k(x - x_a), and block 0's constants stay at 0."""
     x_a, _, x_b = _ends(we)
     xs = np.linspace(x_a, x_b, N_SAMPLES)
-    logs = forward.logs[np.isin(forward.edges, xs)]
+    # the forward pass's edges hold these very samples (_forward)
+    logs = forward.logs[np.searchsorted(forward.edges, xs)]
     zero = np.zeros(N_SAMPLES)
     rows = []
     for block in range(logs.shape[1]):

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import numerics
 from .config import ReebtwistError
-from .profiles import BindingProfile, piecewise
+from .profiles import BindingProfile, hermite_rows, piecewise
 
 __all__ = [
     "PlaneError",
@@ -71,13 +71,14 @@ class Quintic:
 
         y[i] + u (F0 + (1 - u) (F1 + u (F2 + (1 - u) (F3 + u F4)))),
 
-    with the rows F0-F4 in column i of the contiguous (5, steps) array
-    F.  A point takes the first piece whose right edge ts[i + 1] is >=
-    it, clipped to the first and last piece past either end.  An array
-    of shape S gives S: one gathered multiply-add per row, in buffers
-    of the points' size.  A Python float gives a float: the same search
-    and Horner loop on the piece's column in Python floats, 2 us where
-    a one-element array takes 21.  The two agree bit for bit.
+    with the rows F0-F4 (``profiles.hermite_rows``) in column i of the
+    contiguous (5, steps) array F.  A point takes the first piece whose
+    right edge ts[i + 1] is >= it, clipped to the first and last piece
+    past either end.  An array of shape S gives S: one gathered
+    multiply-add per row, in buffers of the points' size.  A Python
+    float gives a float: the same search and Horner loop on the piece's
+    column in Python floats, 2 us where a one-element array takes 21.
+    The two agree bit for bit.
     """
 
     ts: np.ndarray
@@ -271,8 +272,10 @@ def _knots(bp: BindingProfile, r_at_1: float) -> np.ndarray:
     span = math.log((bp.r0 - r_at_1) / TAIL_GAP)
     gaps = np.geomspace(bp.r0 - r_at_1, TAIL_GAP,
                         math.ceil(span / PILOT_STEP) + 1)
-    pilot = np.union1d(bp.r0 - gaps[1:-1], [r_at_1, r_end, *(
-        b for b in bp.h2.breaks if r_at_1 < b < r_end)])
+    # a set merges the edges: np.union1d (and np.isin) sort through
+    # np.unique, whose first call imports numpy.ma (1.3 MB resident)
+    pilot = np.array(sorted({*(bp.r0 - gaps[1:-1]), r_at_1, r_end, *(
+        b for b in bp.h2.breaks if r_at_1 < b < r_end)}))
     lo, hi = pilot[:-1], pilot[1:]
     mid = 0.5 * (lo + hi)
     pilot_r, _ = _pieces(bp, pilot)
@@ -307,22 +310,16 @@ def _pieces(bp: BindingProfile, knots: np.ndarray) -> tuple:
     of r and of t in x: x and t at the knots are cumulative sums of
     ``_quadratures``, and each piece matches the value y, its derivative
     f = (h2', h2) and its second derivative s = (h2'' h2', h2'^2) of
-    (r, t) at both knots, all exact there."""
+    (r, t) at both knots, all exact there: the ``hermite_rows`` of
+    profiles, whose binding pieces are built on the same rows."""
     steps = _quadratures(bp, knots[:-1], knots[1:])
     if not (np.all(steps[0] > 0.0) and np.isfinite(steps).all()):
         raise PlaneError("failed to reach the asymptotic neighborhood of r0")
     x = np.concatenate([[0.0], np.cumsum(steps[0])])
     h = np.diff(x)
-    hh = 0.5 * (h * h)
 
     def quintic(y, f, s):
-        F = np.empty((5, h.size))
-        F[0] = np.diff(y)
-        F[1] = h * f[:-1] - F[0]
-        F[2] = 2.0 * F[0] - h * (f[:-1] + f[1:])
-        F[3] = hh * s[:-1] + F[1] - F[2]
-        F[4] = hh * s[1:] + F[1] + 2.0 * F[2] - F[3]
-        return Quintic(x, h, y[:-1], F)
+        return Quintic(x, h, y[:-1], hermite_rows(y, f, s, h))
 
     d1 = bp.h2.d1(knots)
     return (quintic(knots, d1, bp.h2.d2(knots) * d1),

@@ -37,6 +37,7 @@ __all__ = [
     "BindingProfile",
     "PullbackReport",
     "piecewise",
+    "hermite_rows",
     "build_twist_profile",
     "build_binding_profile",
     "matched_binding_profile",
@@ -304,39 +305,54 @@ def build_twist_profile(k: int, eps: float, p_plateau: float,
 # binding profiles
 # ----------------------------------------------------------------------
 
-def _quintic_hermite(x0, x1, v0, d0, s0, v1, d1, s1):
-    """Quintic on [x0, x1] matching value/1st/2nd derivative at both ends.
+def hermite_rows(y, f, s, h):
+    """The rows F (5, pieces) of the quintic Hermite pieces with values
+    ``y``, first derivatives ``f`` and second derivatives ``s`` at the
+    knots, piece i of width ``h[i]``: in u = (x - x_i)/h[i] it is
 
-    It is solved and evaluated in u = (x - x0)/(x1 - x0) on [0, 1].  In
-    the monomial basis of x itself the system is ill-conditioned on an
-    interval away from the origin (condition 5e4 on the collar's
-    [0.5, 1.02]), and the rounding noise of the large coefficients is
-    what a finite difference of the profile then sees.  On [0, 1] the
-    map is the identity and the values are those of the x-basis.
+        y[i] + u (F0 + (1 - u) (F1 + u (F2 + (1 - u) (F3 + u F4)))),
+
+    the interpolant in closed form (de Boor, A Practical Guide to
+    Splines, 2001), with no system to solve."""
+    hh = 0.5 * (h * h)
+    F = np.empty((5, h.size))
+    F[0] = np.diff(y)
+    F[1] = h * f[:-1] - F[0]
+    F[2] = 2.0 * F[0] - h * (f[:-1] + f[1:])
+    F[3] = hh * s[:-1] + F[1] - F[2]
+    F[4] = hh * s[1:] + F[1] + 2.0 * F[2] - F[3]
+    return F
+
+
+def _quintic_hermite(x0, x1, v0, d0, s0, v1, d1, s1):
+    """(value, d1, d2) of the quintic with value and derivatives (v0,
+    d0, s0) at x0 and (v1, d1, s1) at x1 (either may be the larger).
+
+    The ``hermite_rows`` of the one piece, expanded into the monomial
+    coefficients c of u = (x - x0)/(x1 - x0), go through Horner's rule
+    in u; the derivatives take c's scaled to x, with the constant terms
+    d0 and s0 (c1/L and 2 c2/L^2 in exact arithmetic), so all three are
+    exact at x0.  In the monomial basis of x itself the coefficients
+    would be ill-conditioned on an interval away from the origin
+    (condition 5e4 on the collar's [0.5, 1.02]), and their rounding
+    noise is what a finite difference of the profile then sees.
     """
     L = x1 - x0
-    A = np.zeros((6, 6))
-    b = np.array([v0, d0 * L, s0 * L * L, v1, d1 * L, s1 * L * L], dtype=float)
-    for cond, (u, order) in enumerate([(0.0, 0), (0.0, 1), (0.0, 2),
-                                       (1.0, 0), (1.0, 1), (1.0, 2)]):
-        for j in range(6):
-            if order == 0:
-                A[cond, j] = u ** j
-            elif order == 1:
-                A[cond, j] = j * u ** (j - 1) if j >= 1 else 0.0
-            else:
-                A[cond, j] = j * (j - 1) * u ** (j - 2) if j >= 2 else 0.0
-    p = np.polynomial.Polynomial(np.linalg.solve(A, b))
-    P0, P1, P2 = (_horner(q.coef) for q in (p, p.deriv(1), p.deriv(2)))
-    return (lambda x: P0((x - x0) / L), lambda x: P1((x - x0) / L) / L,
-            lambda x: P2((x - x0) / L) / (L * L))
+    F0, F1, F2, F3, F4 = hermite_rows(
+        *np.array([[v0, v1], [d0, d1], [s0, s1]]), np.array([L]))[:, 0]
+    c = (v0, F0 + F1, F2 + F3 - F1, F4 - F2 - 2.0 * F3, F3 - 2.0 * F4, F4)
+    P0 = _horner(c)
+    P1 = _horner([d0, *(j * c[j] / L for j in range(2, 6))])
+    P2 = _horner([s0, *(j * (j - 1) * c[j] / (L * L) for j in range(3, 6))])
+    return (lambda x: P0((x - x0) / L), lambda x: P1((x - x0) / L),
+            lambda x: P2((x - x0) / L))
 
 
 def _horner(coef):
     """The polynomial with coefficients ``coef`` (lowest degree first),
     evaluated by Horner's rule in the operation order of
     numpy.polynomial.polynomial.polyval, so the values are bit-identical
-    to numpy's; accepts a float or an ndarray."""
+    to polyval's; accepts a float or an ndarray."""
     head, *rest = (float(c) for c in reversed(coef))
     rest = tuple(rest)
 
@@ -440,7 +456,10 @@ def _build_fig2(r0, r_max, shape) -> BindingProfile:
 
     The peak value is tied to the twist profile so the closed
     orbit at r0 carries the action of the principal twist level:
-    ``2*pi*h2(r0) = hk(p0)``.
+    ``2*pi*h2(r0) = hk(p0)``.  The rise is the quintic Hermite piece
+    from the peak's (H, 0, -kappa) at r0 to the core's value and
+    derivatives at rA = r0/4, evaluated from r0, so h2(r0) = H and
+    h2'(r0) = 0 hold exactly.
     """
     tp = shape.get("twist")
     if tp is None:
@@ -457,24 +476,11 @@ def _build_fig2(r0, r_max, shape) -> BindingProfile:
     if H <= rA * rA:
         raise ProfileError(f"peak {H:.4f} below the quadratic core at r0/4")
 
-    # rise piece via a normalized quintic B on [0,1], x = (r0 - r)/L
-    L = r0 - rA
-    Delta = H - rA * rA
-    B, B1, B2 = _quintic_hermite(0.0, 1.0,
-                                 0.0, 0.0, kappa * L * L / Delta,
-                                 1.0, 2.0 * rA * L / Delta, -2.0 * L * L / Delta)
-    xs = np.linspace(0.0, 1.0, 513)
-    if np.any(B1(xs) < -1e-10):
+    rise = _quintic_hermite(r0, rA, H, 0.0, -kappa, rA * rA, 2.0 * rA, 2.0)
+    # h2' >= 0 on the rise, up to rounding on the scale of its mean slope
+    if np.any(rise[1](np.linspace(rA, r0, 513))
+              < -1e-10 * (H - rA * rA) / (r0 - rA)):
         raise ProfileError("rise piece is not monotone; adjust kappa or r0")
-
-    def rise_v(r):
-        return H - Delta * B((r0 - r) / L)
-
-    def rise_d1(r):
-        return (Delta / L) * B1((r0 - r) / L)
-
-    def rise_d2(r):
-        return -(Delta / L ** 2) * B2((r0 - r) / L)
 
     # tail: h2 = H - (kappa w^2 / 2) tanh((r - r0)/w)^2, so h2''(r0) = -kappa
     def tail_v(r):
@@ -491,7 +497,7 @@ def _build_fig2(r0, r_max, shape) -> BindingProfile:
 
     h2pw = _piecewise([
         (rA, lambda r: r * r, lambda r: 2.0 * r, _constant(2.0)),
-        (r0, rise_v, rise_d1, rise_d2),
+        (r0, *rise),
         (r_max, tail_v, tail_d1, tail_d2),
     ])
     h2 = SmoothProfile(0.0, r_max, *h2pw, breaks=(rA, r0))
@@ -527,16 +533,7 @@ def _build_collar(r0, r_max, shape) -> BindingProfile:
 
     sc = PHI_PERIOD_SCALE
 
-    # collar formulas and their r-derivatives (s = 1/r)
-    def c_h1(r):
-        return 1.0 / r
-
-    def c_h1d(r):
-        return -1.0 / r ** 2
-
-    def c_h1dd(r):
-        return 2.0 / r ** 3
-
+    # h2's collar formula and its r-derivatives (s = 1/r)
     def c_h2(r):
         s = 1.0 / r
         return tp.htilde(s) / sc
@@ -549,14 +546,23 @@ def _build_collar(r0, r_max, shape) -> BindingProfile:
         s = 1.0 / r
         return -(tp.g.d1(s) * s ** 4 + 2.0 * s ** 3 * tp.g(s)) / sc
 
+    # the (value, d1, d2) triples of h1 and h2 on the collar and of h1 on
+    # the core
+    collar = ((lambda r: 1.0 / r, lambda r: -1.0 / r ** 2,
+               lambda r: 2.0 / r ** 3), (c_h2, c_h2d, c_h2dd))
+    core_h1 = (lambda r: 1.0 - r * r, lambda r: -2.0 * r, _constant(-2.0))
     H_c = c_h2(r_c)
     last_err = None
     for rB in (f * min(1.0, r_c) for f in (0.5, 0.35, 0.25, 0.15)):
         for c2 in (0.3, 0.15, 0.075, 0.04):
             if c2 * rB * rB >= 0.8 * H_c:
                 continue  # scaled core would crowd the collar curve
-            cand = _assemble_collar(tp, r0, r_max, r_c, rB, c2,
-                                    c_h1, c_h1d, c_h1dd, c_h2, c_h2d, c_h2dd)
+            # the closures read this c2: a candidate is kept only by
+            # returning it before the ladder moves on
+            core_h2 = (lambda r: c2 * r * r, lambda r: 2.0 * c2 * r,
+                       _constant(2.0 * c2))
+            cand = _assemble_collar(tp, r0, r_max, r_c, rB,
+                                    (core_h1, core_h2), collar)
             last_err = _grid_violation(cand)
             if last_err is None:
                 return cand
@@ -565,28 +571,19 @@ def _build_collar(r0, r_max, shape) -> BindingProfile:
         + (f" (last failure: {last_err})" if last_err else ""))
 
 
-def _assemble_collar(tp, r0, r_max, r_c, rB, c2,
-                     c_h1, c_h1d, c_h1dd, c_h2, c_h2d, c_h2dd):
-    h1r, h1r1, h1r2 = _quintic_hermite(rB, r_c,
-                                       1.0 - rB * rB, -2.0 * rB, -2.0,
-                                       c_h1(r_c), c_h1d(r_c), c_h1dd(r_c))
-    h2r, h2r1, h2r2 = _quintic_hermite(rB, r_c,
-                                       c2 * rB * rB, 2.0 * c2 * rB, 2.0 * c2,
-                                       c_h2(r_c), c_h2d(r_c), c_h2dd(r_c))
-    h1pw = _piecewise([
-        (rB, lambda r: 1.0 - r * r, lambda r: -2.0 * r, _constant(-2.0)),
-        (r_c, h1r, h1r1, h1r2),
-        (r_max, c_h1, c_h1d, c_h1dd),
-    ])
-    h2pw = _piecewise([
-        (rB, lambda r: c2 * r * r, lambda r: 2.0 * c2 * r, _constant(2.0 * c2)),
-        (r_c, h2r, h2r1, h2r2),
-        (r_max, c_h2, c_h2d, c_h2dd),
-    ])
+def _assemble_collar(tp, r0, r_max, r_c, rB, core, collar):
+    """The collar-shaped profile whose h1 and h2 are each the ``core``
+    (value, d1, d2) on [0, rB], the collar's on [r_c, r_max], and
+    between them the quintic Hermite join of the two at rB and r_c;
+    ``core`` and ``collar`` hold the triples of h1 and of h2."""
     breaks = (rB, r_c, 1.0 / tp.p_plateau) if r_max > 1.0 / tp.p_plateau \
         else (rB, r_c)
-    h1 = SmoothProfile(0.0, r_max, *h1pw, breaks=breaks)
-    h2 = SmoothProfile(0.0, r_max, *h2pw, breaks=breaks)
+    h1, h2 = (SmoothProfile(0.0, r_max, *_piecewise([
+        (rB, *inner),
+        (r_c, *_quintic_hermite(rB, r_c, *(f(rB) for f in inner),
+                                *(f(r_c) for f in outer))),
+        (r_max, *outer)]), breaks=breaks)
+        for inner, outer in zip(core, collar))
     return BindingProfile(h1=h1, h2=h2, r0=r0, r_max=r_max, core_end=rB,
                           collar=(r_c, r_max))
 

@@ -79,6 +79,20 @@ def test_print_config_flag(capsys):
     assert "[twist]" in capsys.readouterr().out
 
 
+def test_default_config_text_states_every_default():
+    # generated from _SCHEMA and RunConfig(): it parses back to the
+    # defaults, a bool reads true/false and None a blank value, no line
+    # ends in a space, and a blank line closes each section but the last
+    text = default_config_text()
+    assert parse_config(text) == RunConfig()
+    assert text.startswith("# reebtwist run configuration (all values "
+                           "shown are the defaults)\n[run]\nn = 2\n")
+    assert "[matched]\nenabled = true\np_cap =\nr_max =\n\n" in text
+    assert all(line == line.rstrip() for line in text.splitlines())
+    assert text.count("\n\n[") == len(_SCHEMA) - 1
+    assert text.endswith("]\nk_max = 5\n")
+
+
 def test_python_dash_m_entry_point():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -91,8 +105,16 @@ def test_python_dash_m_entry_point():
     assert "RuntimeWarning" not in proc.stderr
 
 
+# what a probe reports as imported: numpy and scipy, and the two numpy
+# subpackages a run has no use for, numpy.polynomial (0.9 MB) and
+# numpy.ma (1.3 MB), which np.unique imports on its first call
+LOADED = """
+loaded = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}
+                | set(sys.modules) & {"numpy.ma", "numpy.polynomial"})
+"""
+
 # runs main in a fresh interpreter; its last stderr line is the exit
-# status and which of numpy and scipy got imported
+# status and what got imported (LOADED)
 STATIC_PROBE = """\
 import json, sys
 from reebtwist.cli import main
@@ -100,7 +122,7 @@ try:
     status = main(sys.argv[1:])
 except SystemExit as exc:
     status = exc.code
-loaded = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+""" + LOADED + """\
 print(json.dumps([status, loaded]), file=sys.stderr)
 """
 
@@ -136,10 +158,12 @@ def _probe(script, *args):
 @pytest.mark.parametrize("args,text", [
     (["all"], ""),
     (["lincr"], MODES_CONFIG),
-], ids=["all-default", "lincr-modes"])
+    (["all"], COLLAR_CONFIG),
+], ids=["all-default", "lincr-modes", "all-collar"])
 def test_runs_leave_scipy_unimported(tmp_path, args, text):
-    # a run needs numpy alone: reebtwist.numerics holds its integrator,
-    # root finders and quadrature
+    # a run needs numpy's core alone: reebtwist.numerics holds its
+    # integrator, root finders and quadrature, and neither
+    # numpy.polynomial nor numpy.ma gets imported
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     assert _probe(STATIC_PROBE, *args, "--quiet", "--config", str(cfg),
@@ -147,13 +171,13 @@ def test_runs_leave_scipy_unimported(tmp_path, args, text):
 
 
 # builds the Model of a config text in a fresh interpreter (what the
-# benchmark's setup_s times) and reports what got imported
+# benchmark's setup_s times) and reports what got imported (LOADED)
 MODEL_PROBE = """\
 import json, sys
 from reebtwist.cli import Model
 from reebtwist.config import parse_config
 Model(parse_config(sys.argv[1]))
-loaded = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+""" + LOADED + """\
 print(json.dumps([0, loaded]), file=sys.stderr)
 """
 
