@@ -7,7 +7,7 @@ Submodules load on first attribute access (``reebtwist.lincr``), so
 ``import reebtwist`` and the static commands of the command line
 (``--print-config``, ``--schema``, ``--help``) leave numpy unimported.
 No run imports scipy: ``reebtwist.numerics`` holds the integrator,
-root finders and quadrature a run needs, on numpy alone.
+root finder and quadrature a run needs, on numpy alone.
 """
 
 import importlib

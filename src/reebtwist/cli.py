@@ -415,8 +415,14 @@ def stage_index(model: Model, out: Path) -> dict:
     from . import orbits
     tp, cfg = model.tp, model.cfg
     level = orbits.find_principal_level(tp)
-    rows = index_mod.degree_table(tp, level, cfg.n, turn_counts=(1, 2, 3),
-                                  morse_indices=(0, 2 * cfg.n - 3))
+    try:
+        rows = index_mod.degree_table(tp, level, cfg.n, turn_counts=(1, 2, 3),
+                                      morse_indices=(0, 2 * cfg.n - 3))
+    except index_mod.IndexError_ as exc:  # its model paths are the twist's
+        raise index_mod.IndexError_(
+            f"[twist] {exc} on the twist of k = {cfg.k}, eps = {cfg.eps}, "
+            f"p_plateau = {cfg.p_plateau}, shape = {cfg.twist_shape}, "
+            f"s_max = {cfg.s_max}") from None
     write_csv(out / "degree_table.csv",
               ["p_level", "i", "morse_index", "mu", "degree"],
               [[r["p_level"], r["i"], r["morse_index"], str(r["mu"]),

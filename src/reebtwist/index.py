@@ -52,8 +52,8 @@ __all__ = [
 # bench/tracing.py counts solver calls through this name (ROADMAP item 3)
 optimize = numerics
 
-# abscissa tolerance of the crossing refinement (brentq on sign changes,
-# bounded minimization at tangential zeros), the points of the scan for
+# abscissa tolerance of the crossing refinement (brentq on sign changes
+# and on the slope at tangential zeros), the points of the scan for
 # sign changes, and the relative size below which a singular value of
 # Psi - 1 or an eigenvalue of the crossing form counts as zero
 CROSSING_XTOL = 1e-13
@@ -239,10 +239,12 @@ def _crossing_signature(path, t):
 def _locate_crossings(path):
     """Interior crossing times: isolated zeros of d = det(Psi - 1),
     found by bisection on sign changes, and at the near-zero local
-    minima of |d| between samples of one sign s by minimizing s*d: a
-    minimum below zero brackets two crossings closer than the scan
-    spacing (a loop's full turn split by a skew), each then bisected;
-    one within 1e-8 of the scale of zero is tangential (a loop alone).
+    minima of |d| between samples t_j -/+ D of one sign s at the root of
+    the slope s (d(t + D/2) - d(t - D/2)) on [t_j - D/2, t_j + D/2] (t_j
+    itself where rounding undoes that bracket): d below zero there
+    brackets two crossings closer than the scan spacing D (a loop's full
+    turn split by a skew), each then bisected; d within 1e-8 of the
+    scale of zero is a tangential crossing (a loop alone).
 
     Returns (times, plateau_fraction); a plateau fraction above 1/2
     marks a path whose determinant vanishes identically (persistent
@@ -259,17 +261,24 @@ def _locate_crossings(path):
     tangential = []
     ab, sign = np.abs(ds), np.sign(ds)
     inner = ab[1:-1]
+    half = 0.5 * (ts[1] - ts[0])
     for j in 1 + np.flatnonzero((inner <= ab[:-2]) & (inner <= ab[2:])
                                 & (inner <= 1e-3 * scale)
                                 & (sign[:-2] == sign[2:])):
         s = float(sign[j - 1])
-        t_min, d_min = optimize.minimize_bounded(
-            lambda t: s * _det_minus_id_at(path, t), ts[j - 1], ts[j + 1],
-            xatol=CROSSING_XTOL)
-        if d_min < 0.0:
-            brackets += [(ts[j - 1], t_min), (t_min, ts[j + 1])]
-        elif d_min <= 1e-8 * scale:
-            tangential.append(float(t_min))
+
+        def slope(t):
+            d_lo, d_hi = _det_minus_id(path, np.array([t - half, t + half]))
+            return s * (d_hi - d_lo)
+
+        lo, hi = ts[j] - half, ts[j] + half
+        t_ext = (optimize.brentq(slope, lo, hi, xtol=CROSSING_XTOL)
+                 if slope(lo) <= 0.0 <= slope(hi) else float(ts[j]))
+        d_ext = s * _det_minus_id_at(path, t_ext)
+        if d_ext < 0.0:
+            brackets += [(ts[j - 1], t_ext), (t_ext, ts[j + 1])]
+        elif d_ext <= 1e-8 * scale:
+            tangential.append(t_ext)
     # one zero reached from two brackets lands within a few CROSSING_XTOL
     # + 4 eps t of itself; the two crossings of a split turn may sit far
     # closer than the scan spacing, so only that resolution merges them
@@ -323,11 +332,7 @@ def _robbin_salamon(path: SymplecticPath):
             two_mu += 2 * sig
             crossings.append((t, sig))
 
-    d_end = _det_minus_id_at(path, path.t_end)
-    ds_scale = max(abs(d_end), float(np.max(np.abs(
-        _det_minus_id(path, np.linspace(0, path.t_end, 41))))))
-    if abs(d_end) <= 1e-9 * max(ds_scale, 1e-30) or _kernel_of(
-            path.at(path.t_end)).shape[1] > 0:
+    if _kernel_of(path.at(path.t_end)).shape[1] > 0:
         sigT = _crossing_signature(path, path.t_end)
         two_mu += sigT
         crossings.append((path.t_end, sigT))

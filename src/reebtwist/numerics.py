@@ -1,14 +1,14 @@
 """The numerical routines of a run, on numpy alone: DOP853 (Hairer,
-Norsett & Wanner, Solving ODEs I, II.5), Brent's root finder and
-bounded minimizer (Brent, 1973), and adaptive Gauss-Kronrod quadrature
-(QUADPACK, 1983) on whole panels per call, whose 10-point Gauss rule
-``GAUSS10`` the plane and the energy stage compose.
+Norsett & Wanner, Solving ODEs I, II.5), Brent's root finder (Brent,
+1973), and adaptive Gauss-Kronrod quadrature (QUADPACK, 1983) on whole
+panels per call, whose 10-point Gauss rule ``GAUSS10`` the plane and
+the energy stage compose.
 
-Each routine takes the operations of scipy 1.17's implementation in
-the same order (``scipy.integrate._ivp``, ``brentq.c``,
-``_minimize_scalar_bounded``), so its results equal scipy's bit for
-bit; ``quad`` has no extrapolation and meets ``scipy.integrate.quad``
-to its tolerance.  The tests keep scipy as the oracle of each one.
+DOP853 and the root finder take the operations of scipy 1.17's
+implementation in the same order (``scipy.integrate._ivp``,
+``brentq.c``), so their results equal scipy's bit for bit; ``quad`` has
+no extrapolation and meets ``scipy.integrate.quad`` to its tolerance.
+The tests keep scipy as the oracle of each one.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["OdeResult", "solve_ivp", "brentq", "minimize_bounded", "quad",
-           "GAUSS10"]
+__all__ = ["OdeResult", "solve_ivp", "brentq", "quad", "GAUSS10"]
 
 EPS = float(np.finfo(float).eps)
 
@@ -190,7 +189,7 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6) -> OdeResult:
 
 
 # ----------------------------------------------------------------------
-# Brent: roots and bounded minima
+# Brent: roots
 # ----------------------------------------------------------------------
 
 def _value(f, x):
@@ -246,67 +245,6 @@ def brentq(f, a, b, xtol=2e-12) -> float:
         fcur = _value(f, xcur)
     raise RuntimeError(f"brentq failed to converge after {maxiter} "
                        f"iterations, value is {xcur}")
-
-
-def minimize_bounded(func, x1, x2, xatol=1e-5):
-    """(x, func(x)) at a local minimum of func on [x1, x2], in at most
-    500 evaluations: golden section with parabolic steps, as scipy's
-    ``minimize_scalar(method="bounded")``."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if np.abs(e) > tol1:
-            # a parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r, e = e, rat
-            if (np.abs(p) < np.abs(0.5 * q * r)
-                    and q * (a - xf) < p < q * (b - xf)):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf, fx
 
 
 # ----------------------------------------------------------------------

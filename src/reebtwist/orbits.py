@@ -116,7 +116,7 @@ def enumerate_orbit_levels(tp: TwistProfile, action_bound: float,
 
     Each level is found by bracketed root finding of g - 2*pi*a/b on a
     1000-point scan of the twist domain; s = 0 is excluded (zero
-    section).
+    section).  The principal level (a = 0) is the twist's zero p0.
     """
     if action_bound <= 0:
         raise OrbitError("action bound must be positive")
@@ -133,7 +133,8 @@ def enumerate_orbit_levels(tp: TwistProfile, action_bound: float,
         idx = np.nonzero(np.diff(np.sign(diffs)) != 0)[0]
         for j in idx:
             a, b = scan[j], scan[j + 1]
-            s_root = optimize.brentq(lambda s: tp.g(s) - tau, a, b, xtol=ROOT_XTOL)
+            s_root = tp.p0 if f == 0 else optimize.brentq(
+                lambda s: tp.g(s) - tau, a, b, xtol=ROOT_XTOL)
             m = f.denominator if f != 0 else 1
             per = m * tp.hk(s_root)
             if per > action_bound:

@@ -343,6 +343,21 @@ def test_small_drift_runs_with_degree_one(tmp_path, eps):
     assert all(summary["pass_flags"].values())
 
 
+@pytest.mark.parametrize("eps", ["1e-11", "1e-12"])
+def test_smaller_drift_error_names_the_twist(tmp_path, capsys, eps):
+    # below 2e-11 the skew of the degree table's paths falls under the
+    # kernel cut of the crossing form (ROADMAP item 4), and the index
+    # cross-check fails: a typed error that names the twist it ran
+    cfg = tmp_path / "eps.cfg"
+    cfg.write_text(f"[twist]\neps = {eps}\n")
+    assert cli.main(["all", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [twist] crossing-form index ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert f"eps = {float(eps)}," in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("subcommand", ["lincr", "all"])
 def test_negative_k_max_exits_1(tmp_path, capsys, subcommand):
     # k_max = 0 is a run with a failed gate (above); below it no block

@@ -97,6 +97,40 @@ def test_skewed_loop_index(i, c):
                                                   2) + loop_maslov(i)
 
 
+@pytest.mark.parametrize("i", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("dim", [4, 6])
+def test_rotation_loops_of_higher_dimension(dim, i):
+    # each full turn is a tangential zero of det(Psi - 1) of order dim,
+    # the flattest the crossing locator meets
+    assert robbin_salamon_index(rotation_loop(i, dim=dim)) == i * dim
+
+
+def test_locator_keeps_the_sample_where_rounding_undoes_the_bracket():
+    # half a turn, then a rest near the identity whose angle the scan
+    # (one batch of all its times) sees with a V-shaped minimum at
+    # t = 3/4 and the pointwise evaluations (batches of one or two)
+    # rising through it: a rounding-sized disagreement that leaves the
+    # slope of d with one sign on the minimum's bracket, where brentq
+    # would raise.  The sample stands for the extremum, and d there is
+    # no crossing
+    def ev(ts):
+        tilt = np.abs(ts - 0.75) if len(ts) > 2 else ts - 0.75
+        th = np.where(ts < 0.5, 2.0 * math.pi * ts, 0.01 + 1e-12 * tilt)
+        M = np.zeros((len(ts), 2, 2))
+        M[:, 0, 0] = M[:, 1, 1] = np.cos(th)
+        M[:, 0, 1] = np.sin(th)
+        M[:, 1, 0] = -np.sin(th)
+        return M
+
+    path = make_path(2, ev)
+    dt = 1.0 / 2000
+    d = [float(np.linalg.det(ev(np.array([t])) - np.eye(2))[0])
+         for t in (0.75 - dt, 0.75, 0.75 + dt)]
+    assert d[0] < d[1] < d[2]
+    mu, crossings = _robbin_salamon(path)
+    assert mu == 1 and crossings == [(0.0, 2)]
+
+
 def test_loop_crossing_count_matches_maslov():
     # consistency example: the sampled i=2 loop equals loop_maslov(2)
     assert robbin_salamon_index(rotation_loop(2)) == loop_maslov(2) == 4

@@ -312,6 +312,57 @@ def test_every_definition_and_field_is_reached():
     assert sorted(unreached - ALLOWED.keys()) == []
 
 
+def _top_level_names(tree) -> set:
+    """The names a module's own statements bind at the top: functions,
+    classes and assignment targets (imports do not count)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            names.update(sub.id for sub in ast.walk(target)
+                         if isinstance(sub, ast.Name))
+    return names
+
+
+def _stale_exports(modules):
+    """(module, entry) of every ``__all__`` entry that names no top-level
+    definition or assignment of its module; a starred entry (``__init__``
+    spreads its tuple of lazy submodules) must name one itself."""
+    stale = set()
+    for mod, tree in modules.items():
+        names = _top_level_names(tree)
+        for node in tree.body:
+            if not (isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "__all__"):
+                continue
+            for elt in node.value.elts:
+                entry = (elt.value.id if isinstance(elt, ast.Starred)
+                         else elt.value)
+                if entry not in names:
+                    stale.add((mod, entry))
+    return stale
+
+
+def test_every_export_is_defined():
+    assert sorted(_stale_exports(_modules())) == []
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("__all__ = ['f', 'C', 'X', 'Y']\n\ndef f():\n    pass\n\n"
+     "class C:\n    pass\n\nX = Y = 1\n", set()),
+    ("__all__ = ['gone']\n\ndef kept():\n    pass\n", {("m", "gone")}),
+    ("from os import path\n\n__all__ = ['path']\n", {("m", "path")}),
+    ("_PARTS = ('a',)\n__all__ = [*_PARTS, 'v']\nv: str = '1'\n", set()),
+    ("__all__ = [*_PARTS]\n", {("m", "_PARTS")}),
+])
+def test_export_guard_flags_stale_entries(source, expected):
+    assert _stale_exports({"m": ast.parse(source)}) == expected
+
+
 def test_every_module_is_a_lazy_submodule():
     # ``reebtwist.<name>`` resolves through __init__'s _SUBMODULES; a
     # module missing there raises AttributeError after ``import

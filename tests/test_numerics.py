@@ -27,12 +27,11 @@ def _caller() -> str:
 
 @pytest.fixture
 def brent_calls(monkeypatch):
-    """Every ``brentq`` and ``minimize_bounded`` call the package makes,
-    each checked bit for bit against scipy's on the same function,
-    bracket and tolerances; yields the calling function's name per
-    call."""
+    """Every ``brentq`` call the package makes, each checked bit for bit
+    against scipy's on the same function, bracket and tolerance; yields
+    the calling function's name per call."""
     calls = []
-    root, minimize = numerics.brentq, numerics.minimize_bounded
+    root = numerics.brentq
 
     def checked_root(f, a, b, **kwargs):
         got = root(f, a, b, **kwargs)
@@ -40,17 +39,7 @@ def brent_calls(monkeypatch):
         calls.append(_caller())
         return got
 
-    def checked_minimize(f, x1, x2, xatol):
-        got = minimize(f, x1, x2, xatol=xatol)
-        ref = sp_optimize.minimize_scalar(f, bounds=(x1, x2),
-                                          method="bounded",
-                                          options={"xatol": xatol})
-        assert got == (ref.x, ref.fun)
-        calls.append("minimize:" + _caller())
-        return got
-
     monkeypatch.setattr(numerics, "brentq", checked_root)
-    monkeypatch.setattr(numerics, "minimize_bounded", checked_minimize)
     return calls
 
 
@@ -69,12 +58,69 @@ def test_brent_roots_match_scipy_bit_for_bit(brent_calls, tmp_path, text):
         assert site in brent_calls, site
 
 
-def test_bounded_minimizer_matches_scipy_bit_for_bit(brent_calls):
-    # loops touch the diagonal tangentially at interior times: the
-    # crossings there come from the bounded minimizer
-    for i in (2, 3):
-        index.robbin_salamon_index(index.rotation_loop(i))
-    assert brent_calls.count("minimize:_locate_crossings") >= 3
+def _crossings_by_bounded_minimization(path):
+    """The interior crossings by bounded minimization, the oracle of the
+    locator's slope roots: at each near-zero local minimum of |d|
+    between samples of one sign s, scipy's bounded minimizer of s d on
+    the two scan intervals around it; then scipy's brentq on every
+    bracket.
+    Returns the crossing times and the number of minimizations and
+    root findings, one brentq call each in the locator."""
+    ts = np.linspace(0.0, path.t_end, index.CROSSING_SCAN)
+    ds = index._det_minus_id(path, ts)
+    scale = float(np.max(np.abs(ds)))
+
+    def d(t):
+        return float(index._det_minus_id(path, np.array([t]))[0])
+
+    brackets = [(ts[j], ts[j + 1])
+                for j in np.flatnonzero(ds[:-1] * ds[1:] < 0)]
+    tangential, minima = [], 0
+    ab, sign = np.abs(ds), np.sign(ds)
+    for j in range(1, len(ts) - 1):
+        if (ab[j] <= min(ab[j - 1], ab[j + 1], 1e-3 * scale)
+                and sign[j - 1] == sign[j + 1]):
+            s = sign[j - 1]
+            res = sp_optimize.minimize_scalar(
+                lambda t: s * d(t), bounds=(ts[j - 1], ts[j + 1]),
+                method="bounded", options={"xatol": index.CROSSING_XTOL})
+            minima += 1
+            if res.fun < 0.0:
+                brackets += [(ts[j - 1], res.x), (res.x, ts[j + 1])]
+            elif res.fun <= 1e-8 * scale:
+                tangential.append(res.x)
+    merge = 1e3 * index.CROSSING_XTOL
+    crossings = []
+    for t in [sp_optimize.brentq(d, lo, hi, xtol=index.CROSSING_XTOL)
+              for lo, hi in brackets] + tangential:
+        if 1e-9 < t < 1.0 - 1e-9 and all(abs(t - c) > merge
+                                         for c in crossings):
+            crossings.append(t)
+    return sorted(crossings), minima + len(brackets)
+
+
+def test_slope_roots_match_bounded_minimizer(brent_calls):
+    # loops touch the diagonal tangentially at their interior full
+    # turns; a small drift's degree-table paths split each such turn in
+    # two crossings closer than the scan spacing.  The locator finds
+    # both kinds at the root of a slope, by brentq (checked bit for bit
+    # against scipy by the fixture); scipy's bounded minimizer finds the
+    # same crossings, the tangential ones within 4.5e-11 (it stops in the
+    # flat bottom of d) and the split ones within 1.7e-14
+    paths = [index.rotation_loop(i) for i in (2, 3)]
+    for eps in (5e-10, 2e-11):
+        tp = profiles.build_twist_profile(-1, eps, 0.75, "cos2", 1.0)
+        level = orbits.find_principal_level(tp)
+        c = tp.g.d1(level.p_level) * level.period
+        paths += [index.product_path(index.rotation_loop(i),
+                                     index.skew_path(c * i)) for i in (2, 3)]
+    for path, tol in zip(paths, [1e-10] * 2 + [index.CROSSING_XTOL] * 4):
+        brent_calls.clear()
+        got, _ = index._locate_crossings(path)
+        ref, n_calls = _crossings_by_bounded_minimization(path)
+        assert brent_calls == ["_locate_crossings"] * n_calls
+        assert len(got) == len(ref) > 0
+        assert np.max(np.abs(np.subtract(got, ref))) <= tol
 
 
 @pytest.fixture

@@ -1,9 +1,13 @@
+import csv
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import COLLAR_CONFIG, MODES_CONFIG
+
+from reebtwist import cli
 from reebtwist import orbits as O
 from reebtwist import profiles as P
 from reebtwist.config import parse_config
@@ -16,6 +20,27 @@ def test_principal_level(tp):
     assert pl.m == 1 and pl.i == 1 and pl.is_principal
     assert pl.period == pytest.approx(tp.hk(tp.p0), rel=1e-14)
     assert pl.action == pl.period
+
+
+@pytest.mark.parametrize("text", ["", MODES_CONFIG, COLLAR_CONFIG],
+                         ids=["default", "modes", "collar"])
+def test_orbit_table_writes_the_run_principal_level(tmp_path, text):
+    # orbits.csv's principal row carries the level the degree table and
+    # the principal action use: the twist's zero p0, not a second solve
+    model = cli.Model(parse_config(text))
+    orbits = cli.stage_orbits(model, tmp_path)
+    cli.stage_index(model, tmp_path)
+
+    def rows(name):
+        with open(tmp_path / name, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    principal = [r for r in rows("orbits.csv") if r["is_principal"] == "true"]
+    assert len(principal) == 1
+    levels = {r["p_level"] for r in rows("degree_table.csv")}
+    assert levels == {principal[0]["p_level"]}
+    assert float(principal[0]["p_level"]) == model.tp.p0
+    assert float(principal[0]["period"]) == orbits["principal_action"]
 
 
 def test_right_twist_has_no_principal_level():
