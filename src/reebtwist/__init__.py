@@ -6,8 +6,8 @@ its energy identity, and the kernel count of the linearized operator.
 Submodules load on first attribute access (``reebtwist.lincr``), so
 ``import reebtwist`` and the static commands of the command line
 (``--print-config``, ``--schema``, ``--help``) leave numpy unimported.
-No run imports scipy: ``reebtwist.numerics`` holds the integrator,
-root finder and quadrature a run needs, on numpy alone.
+No run imports scipy or integrates an ODE: ``reebtwist.numerics`` holds
+its root finder and quadrature on numpy alone (and DOP853 for bench/).
 """
 
 import importlib

@@ -306,7 +306,14 @@ class Model:
     @functools.cached_property
     def sol(self):
         from . import plane
-        return plane.solve_plane(self.bp, r_at_1=self.bp.core_end / 2.0)
+        try:
+            return plane.solve_plane(self.bp, r_at_1=self.bp.core_end / 2.0)
+        except plane.PlaneError as exc:  # the plane is the binding's
+            c = self.cfg
+            raise plane.PlaneError(
+                f"[binding] {exc} on the profile of shape = {c.binding_shape}"
+                f", r0 = {c.r0}, r_max = {c.r_max}, kappa = {c.kappa}, "
+                f"tail_width = {c.tail_width}") from None
 
     @functools.cached_property
     def we(self):

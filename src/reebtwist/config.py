@@ -85,6 +85,9 @@ class RunConfig:
         if self.action_bound_factor <= 0:
             raise ConfigError(f"[orbits] action_bound_factor must be "
                               f"positive, got {self.action_bound_factor}")
+        if self.denom_cap < 1:
+            raise ConfigError(f"[orbits] denom_cap must be >= 1, "
+                              f"got {self.denom_cap}")
         if self.k_max < 0:
             raise ConfigError(f"[lincr] k_max must be >= 0, got {self.k_max}")
         return self

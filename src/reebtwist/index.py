@@ -62,6 +62,8 @@ CROSSING_EIG_TOL = 1e-7
 # samples of a loop and of a product with one (a skew path and a random
 # path take make_path's 257)
 LOOP_SAMPLES = 513
+# largest entry of |M^T Omega M - Omega| and of |M(0) - 1| on a path
+SYMPLECTIC_TOL = 1e-9
 
 
 class IndexError_(ReebtwistError):
@@ -92,16 +94,15 @@ class SymplecticPath:
     times: np.ndarray
     samples: np.ndarray
     evaluator: Callable[[np.ndarray], np.ndarray]
-    tolerance: float = 1e-9
 
     def __post_init__(self):
         Om = standard_omega(self.dim)
         if abs(self.times[0]) > 0 or np.max(
-                np.abs(self.samples[0] - np.eye(self.dim))) > self.tolerance:
+                np.abs(self.samples[0] - np.eye(self.dim))) > SYMPLECTIC_TOL:
             raise IndexError_("path must start at the identity at t = 0")
         M = self.samples
         worst = float(np.max(np.abs(np.swapaxes(M, 1, 2) @ Om @ M - Om)))
-        if worst > self.tolerance:
+        if worst > SYMPLECTIC_TOL:
             raise IndexError_(f"path is not symplectic: residual {worst:.2e}")
         self.symplectic_residual = worst
 
@@ -114,15 +115,15 @@ class SymplecticPath:
         return self.evaluator(np.array([t]))[0]
 
 
-def make_path(dim: int, evaluator, t_end: float = 1.0, n_samples: int = 257,
-              tolerance: float = 1e-9) -> SymplecticPath:
+def make_path(dim: int, evaluator, t_end: float = 1.0,
+              n_samples: int = 257) -> SymplecticPath:
     ts = np.linspace(0.0, t_end, n_samples)
     samples = np.asarray(evaluator(ts), float)
     if samples.shape != (n_samples, dim, dim):
         raise IndexError_(f"evaluator returned shape {samples.shape}, "
                           f"expected {(n_samples, dim, dim)}")
     return SymplecticPath(dim=dim, times=ts, samples=samples,
-                          evaluator=evaluator, tolerance=tolerance)
+                          evaluator=evaluator)
 
 
 # ----------------------------------------------------------------------
@@ -165,8 +166,7 @@ def product_path(a: SymplecticPath, b: SymplecticPath) -> SymplecticPath:
     def ev(ts):
         return a.evaluator(ts * Ta) @ b.evaluator(ts * Tb)
 
-    return make_path(a.dim, ev, 1.0, LOOP_SAMPLES,
-                     tolerance=max(a.tolerance, b.tolerance))
+    return make_path(a.dim, ev, 1.0, LOOP_SAMPLES)
 
 
 def random_symplectic_path(dim: int, rng, scale: float = 1.0) -> SymplecticPath:

